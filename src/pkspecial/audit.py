@@ -1,8 +1,8 @@
 """Grid audit engine: run identity suites, aggregate, and emit reports.
 
-Reports are deterministic: records are sorted by (identity_id, grid point),
-floats serialize via their shortest round-trip representation, and nothing
-time- or host-dependent enters the canonical body.  A JSON Schema for the
+Reports are deterministic single-line JSON: records are sorted by
+(identity_id, grid point), floats serialize via their shortest round-trip
+representation, and nothing time- or host-dependent enters the canonical body.  A JSON Schema for the
 report ships with the package.
 """
 
@@ -112,7 +112,9 @@ def report_to_dict(report: AuditReport) -> dict:
 
 
 def canonical_json(report: AuditReport) -> str:
-    return json.dumps(report_to_dict(report), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    # compact separators keep json on its C encoder; json.tool pretty-prints
+    doc = report_to_dict(report)
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def write_report(report: AuditReport, path: str) -> None:

@@ -123,6 +123,8 @@ class PoleReport:
 def pole_check(params: PkParams, x: float) -> PoleReport:
     """Detect whether x sits on the pole lattice {0, -k, -2k, ...}."""
     q = x / params.k
+    if not math.isfinite(q):
+        raise DomainError(f"x/k must be finite, got x={x!r}, k={params.k!r}")
     n = round(q)
     if n <= 0 and abs(q - n) <= TAU_POLE:
         return PoleReport(True, -n)

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    _EPS,
+    _LN_OVERFLOW,
     EULER_GAMMA,
     DomainError,
     Method,
@@ -42,8 +44,6 @@ __all__ = [
     "check_gamma_identity",
     "FUNDAMENTAL_IDS",
 ]
-
-_LN_OVERFLOW = 709.782712893384
 
 FUNDAMENTAL_IDS = (
     "2.22",
@@ -100,27 +100,6 @@ def gamma_closed(params: PkParams, x: float) -> GammaEval:
     return GammaEval(ln_value=ln, sign=lg.sign, abs_err_ln=err, method=Method.CLOSED)
 
 
-def _ln_poch_partial_sums(z: float, counts: tuple[int, ...]) -> list[float]:
-    """log (z)_n for several n at once, by summing log(z+j) over one array."""
-    top = max(counts)
-    logs = np.log(z + np.arange(top, dtype=float))
-    return [float(np.sum(logs[:n])) for n in counts]
-
-
-def _ln_limit_value(params: PkParams, x: float, n: int, with_extra_factor: bool) -> float:
-    """One term of the defining limit sequence, in log space.
-
-    Without the extra factor this is  n! p^(n+1) (np)^(x/k-1) / (k P(x; n));
-    with it, the n+1-factor variant  n! p^(n+1) (np)^(x/k) / (k P(x; n+1)).
-    Both collapse to  lgamma(n+1) + (z-1 or z) ln n + z ln p - sum log(z+j) - ln k.
-    """
-    z = x / params.k
-    count = n + 1 if with_extra_factor else n
-    power = z if with_extra_factor else z - 1.0
-    (s,) = _ln_poch_partial_sums(z, (count,))
-    return math.lgamma(n + 1) + power * math.log(n) + z * math.log(params.p) - s - math.log(params.k)
-
-
 def gamma_limit(
     params: PkParams,
     x: float,
@@ -130,10 +109,12 @@ def gamma_limit(
 ) -> GammaEval:
     """Defining-limit evaluator at index n, optionally Richardson-accelerated.
 
+    ``variant`` picks the printed form of the m-th term: "2.7" (the default)
+    is  m! p^(m+1) (mp)^(x/k-1) / (k P(x; m)),  and "2.6" has one factor
+    more,  m! p^(m+1) (mp)^(x/k) / (k P(x; m+1)).  In log space both read
+    lgamma(m+1) + (z-1 or z) ln m + z ln p - sum log(z+j) - ln k,  z = x/k.
     The sequence converges like 1/n with leading coefficient z(z-1)/2, so
     two extrapolation levels over {n, 2n, 4n} leave an O(1/n^3) residual.
-    ``variant`` selects between the two equivalent printed limit forms
-    ("2.7", the default, has one factor fewer than "2.6").
     """
     _require_params(params)
     if not (math.isfinite(x) and x > 0):
@@ -142,27 +123,34 @@ def gamma_limit(
         raise DomainError(f"n must be an integer >= 8, got {n!r}")
     if variant not in ("2.6", "2.7"):
         raise DomainError(f"variant must be '2.6' or '2.7', got {variant!r}")
-    extra = variant == "2.6"
+    extra = 1 if variant == "2.6" else 0
     z = x / params.k
-    if not accelerate:
-        ln = _ln_limit_value(params, x, n, extra)
-        err = abs(z * (z - 1.0)) / (2.0 * n) + 1e-14
-        return GammaEval(ln_value=ln, sign=1, abs_err_ln=err, method=Method.LIMIT)
-    # share one log array across n, 2n, 4n
-    top = 4 * n + (1 if extra else 0)
-    logs = np.log(z + np.arange(top, dtype=float))
+    power = z if extra else z - 1.0
     lnk, lnp = math.log(params.k), math.log(params.p)
+    # One buffer of log(z + j), filled in place and shared by every index:
+    # fresh arrays of this size cost more in page faults than the logs.
+    logs = np.arange((4 * n if accelerate else n) + extra, dtype=float)
+    logs += z
+    np.log(logs, out=logs)
 
-    def at(m: int) -> float:
-        count = m + 1 if extra else m
-        power = z if extra else z - 1.0
-        return math.lgamma(m + 1) + power * math.log(m) + z * lnp - float(np.sum(logs[:count])) - lnk
+    def at(m: int) -> tuple[float, float]:
+        """The m-th term and the sum of the magnitudes it adds up."""
+        head, tilt = math.lgamma(m + 1), power * math.log(m)
+        s = float(np.sum(logs[: m + extra]))
+        return head + tilt + z * lnp - s - lnk, head + abs(tilt) + abs(z * lnp) + abs(s) + abs(lnk)
 
-    a1, a2, a4 = at(n), at(2 * n), at(4 * n)
+    # Each term cancels sums of size ~lgamma(m+1) down to O(1): its rounding is
+    # eps times those magnitudes, carried through the Richardson weights
+    # c = (8 a4 - 6 a2 + a1) / 3 at their absolute values.
+    if not accelerate:
+        ln, mag = at(n)
+        err = abs(z * (z - 1.0)) / (2.0 * n) + _EPS * mag + 1e-14
+        return GammaEval(ln_value=ln, sign=1, abs_err_ln=err, method=Method.LIMIT)
+    (a1, m1), (a2, m2), (a4, m4) = at(n), at(2 * n), at(4 * n)
     b1 = 2.0 * a2 - a1
     b2 = 2.0 * a4 - a2
     c = (4.0 * b2 - b1) / 3.0
-    err = abs(c - b2) + 1e-13
+    err = abs(c - b2) + _EPS * (8.0 * m4 + 6.0 * m2 + m1) / 3.0 + 1e-13
     return GammaEval(ln_value=c, sign=1, abs_err_ln=err, method=Method.LIMIT)
 
 

@@ -88,6 +88,14 @@ class TestReport:
         assert loaded["suite"] == "hyper"
         assert loaded["summary"]["all_corrected_pass"]
 
+    def test_report_is_one_compact_line(self, tmp_path):
+        rep = run_suite("gamma", AuditGrid.small())
+        path = tmp_path / "report.json"
+        write_report(rep, str(path))
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == report_to_dict(rep)
+
     def test_numbers_finite_or_null(self):
         doc = report_to_dict(run_suite("gamma", AuditGrid.small()))
         text = json.dumps(doc, allow_nan=False)  # would raise on NaN/inf

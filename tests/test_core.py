@@ -15,9 +15,11 @@ from pkspecial import (
     PkParams,
     PoleError,
     digamma_classical,
+    gamma_closed,
     ln_gamma_classical,
     pole_check,
     polygamma_classical,
+    psi,
 )
 from pkspecial.core import best_central_diff, central_diff, gamma_sign
 
@@ -167,6 +169,15 @@ class TestPoleCheck:
         k = 2.0
         assert pole_check(PkParams(1.0, k), -2.0 * k + 1e-10 * k).is_pole
         assert not pole_check(PkParams(1.0, k), -2.0 * k + 1e-7 * k).is_pole
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_is_a_domain_error(self, x):
+        with pytest.raises(DomainError):
+            pole_check(PkParams(1.0, 2.0), x)
+        with pytest.raises(DomainError):
+            gamma_closed(PkParams(1.0, 2.0), x)
+        with pytest.raises(DomainError):
+            psi(PkParams(1.0, 2.0), x)
 
     @given(st.integers(min_value=0, max_value=50), st.floats(min_value=0.1, max_value=10.0))
     def test_lattice_property(self, n, k):

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 import oracles
@@ -84,6 +85,17 @@ class TestLimit:
         for variant in ("2.6", "2.7"):
             got = gamma_limit(params, 7.3, 100_000, accelerate=True, variant=variant)
             assert got.ln_value == pytest.approx(want, abs=1e-6)
+
+    def test_abs_err_covers_wide_draws(self):
+        # log-uniform p, k in [e^-2, e^2] and x in [e^-3, e^3] at the CLI's index
+        rng = np.random.default_rng(20)
+        for _ in range(200):
+            p, k = np.exp(rng.uniform(-2.0, 2.0, size=2))
+            x = float(np.exp(rng.uniform(-3.0, 3.0)))
+            truth = oracles.mp_ln_abs_pk_gamma(p, k, x)
+            for variant in ("2.6", "2.7"):
+                got = gamma_limit(PkParams(float(p), float(k)), x, 100_000, variant=variant)
+                assert abs(got.ln_value - truth) <= got.abs_err_ln, (p, k, x, variant)
 
     def test_preconditions(self):
         with pytest.raises(DomainError):

@@ -54,6 +54,28 @@ class TestEngine:
             grid.ps.count(1.0) / len(grid.ps)
         )
 
+    def test_catalog_point_counts_pinned(self):
+        # (evaluated, skipped) per id on the small grid: a point generator that
+        # drops or adds points, or a skip rule that moves, changes these
+        pinned = {
+            "2.2": (16, 0), "2.4": (16, 0), "2.5": (24, 0), "2.8": (32, 0),
+            "2.9": (32, 0), "2.10": (32, 0), "2.20": (24, 0), "2.21": (48, 0),
+            "2.33": (16, 0), "2.34": (72, 0), "2.6": (8, 0), "2.7": (8, 0),
+            "2.14": (8, 0), "2.15": (8, 0), "2.16": (8, 0), "2.17": (8, 0),
+            "2.18": (8, 0), "2.19": (8, 0), "2.22": (24, 0), "2.23": (8, 0),
+            "2.24": (24, 0), "2.25": (22, 2), "2.26": (18, 6), "2.27": (8, 0),
+            "2.28": (8, 0), "2.29": (8, 0), "2.30": (6, 2), "2.31": (6, 2),
+            "2.32": (16, 0), "3.1": (16, 0), "3.2": (8, 0), "3.3": (8, 0),
+            "3.4": (8, 0), "3.6": (8, 0), "3.7": (8, 0), "3.8": (8, 0),
+            "3.9": (8, 0), "3.10": (8, 0), "3.11": (16, 0), "4.2": (10, 0),
+            "4.3": (10, 0), "4.4": (48, 0), "4.5": (10, 0),
+        }
+        ids = [c.identity_id for c in CATALOG]
+        assert len(ids) == len(set(ids)) == 43
+        rep = run_suite("all", AuditGrid.small())
+        got = {key: (s.count, s.skipped) for key, s in rep.summaries.items()}
+        assert got == pinned
+
     def test_tolerance_override(self):
         strict = run_suite("beta", AuditGrid.small(), {"3.2": 1e-30})
         assert strict.summaries["3.2"].corrected_pass_rate < 1.0

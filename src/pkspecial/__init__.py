@@ -27,7 +27,6 @@ from .core import (
 from .quadrature import NoConvergence, QuadratureSpec, integrate_semiaxis, integrate_unit
 from .pochhammer import (
     PochSpec,
-    check_poch_recurrence,
     elementary_symmetric,
     poch_direct,
     poch_dk,
@@ -41,7 +40,6 @@ from .pochhammer import (
 )
 from .gamma import (
     GammaEval,
-    check_gamma_identity,
     gamma_closed,
     gamma_euler_product,
     gamma_integral,
@@ -77,7 +75,7 @@ from .hyper import (
     pk_binomial,
     reduce_classical,
 )
-from .identities import AuditGrid
+from .identities import AuditGrid, check_point
 from .audit import AuditReport, run_suite, validate_report, write_report
 from .records import AuditSummary, IdentityRecord
 

@@ -20,6 +20,11 @@ import numpy as np
 from scipy.special import digamma as _vec_digamma
 
 from .core import (
+    _EPS,
+    _tail_s2,
+    _tail_s3,
+    _tail_s4,
+    _tail_s5,
     EULER_GAMMA,
     DomainError,
     EvalReal,
@@ -77,13 +82,14 @@ def beta_closed(args: BetaArgs) -> EvalReal:
     """(1/k) B(x/k, y/k) through the classical log-gamma kernel."""
     k = args.params.k
     a, b = args.x / k, args.y / k
-    ln = (
-        ln_gamma_classical(a).value
-        + ln_gamma_classical(b).value
-        - ln_gamma_classical(a + b).value
-        - math.log(k)
-    )
-    return EvalReal(value=math.exp(ln), abs_err=math.exp(ln) * 1e-14 * (1 + abs(ln)), method=Method.CLOSED)
+    terms = (ln_gamma_classical(a), ln_gamma_classical(b), ln_gamma_classical(a + b))
+    lnk = math.log(k)
+    ln = terms[0].value + terms[1].value - terms[2].value - lnk
+    # each log-gamma's own error, plus the rounding of the sum of the logs
+    err_ln = sum(t.abs_err + _EPS * abs(t.value) for t in terms) + _EPS * abs(lnk)
+    value = math.exp(ln)
+    err = value * (1e-14 * (1 + abs(ln)) + err_ln)
+    return EvalReal(value=value, abs_err=err, method=Method.CLOSED)
 
 
 def beta_integral(args: BetaArgs, form: str = "unit", quad: QuadratureSpec = DEFAULT_SPEC) -> EvalReal:
@@ -154,23 +160,6 @@ def psi_printed(params: PkParams, x: float) -> float:
     return math.log(params.p) / params.k + digamma_classical(x / params.k)
 
 
-# Euler-Maclaurin sums of n^-s over n > N.
-def _s2(N: float) -> float:
-    return 1.0 / N - 1.0 / (2.0 * N**2) + 1.0 / (6.0 * N**3)
-
-
-def _s3(N: float) -> float:
-    return 1.0 / (2.0 * N**2) - 1.0 / (2.0 * N**3) + 1.0 / (4.0 * N**4)
-
-
-def _s4(N: float) -> float:
-    return 1.0 / (3.0 * N**3) - 1.0 / (2.0 * N**4)
-
-
-def _s5(N: float) -> float:
-    return 1.0 / (4.0 * N**4)
-
-
 def psi_series(params: PkParams, x: float, form: str = "3.9", terms: int = 100_000) -> PsiEval:
     """Series route for psi, 1/k-normalized, with analytic tail corrections.
 
@@ -191,10 +180,10 @@ def psi_series(params: PkParams, x: float, form: str = "3.9", terms: int = 100_0
         n = np.arange(1, terms + 1, dtype=float)
         s = float(np.sum((1.0 / (n * (x + n * k)))[::-1]))
         tail = (
-            _s2(N) / k
-            - x / k**2 * _s3(N)
-            + x**2 / k**3 * _s4(N)
-            - x**3 / k**4 * _s5(N)
+            _tail_s2(N) / k
+            - x / k**2 * _tail_s3(N)
+            + x**2 / k**3 * _tail_s4(N)
+            - x**3 / k**4 * _tail_s5(N)
         )
         v = base - 1.0 / x + (x / k) * (s + tail)
         err = (x / k) * (x**4 / k**5) / (4.0 * N**4) + 1e-13
@@ -204,10 +193,10 @@ def psi_series(params: PkParams, x: float, form: str = "3.9", terms: int = 100_0
         # terms expand as (1/k n^2)(1 - (1 + x/k)/n + (1 + x/k + (x/k)^2)/n^2 - ...)
         w = x / k
         tail = (
-            _s2(N) / k
-            - (1.0 + w) / k * _s3(N)
-            + (1.0 + w + w * w) / k * _s4(N)
-            - (1.0 + w + w * w + w**3) / k * _s5(N)
+            _tail_s2(N) / k
+            - (1.0 + w) / k * _tail_s3(N)
+            + (1.0 + w + w * w) / k * _tail_s4(N)
+            - (1.0 + w + w * w + w**3) / k * _tail_s5(N)
         )
         v = base + (x - k) / k * (s + tail)
         err = abs(x - k) / k * (1.0 + w**4) / (k * N**4) + 1e-13
@@ -263,14 +252,18 @@ def k_zeta(x: float, r: int, k: float, terms: int = 10_000) -> EvalReal:
     fp = -r * a ** -(r + 1.0) * k
     fppp = -r * (r + 1.0) * (r + 2.0) * a ** -(r + 3.0) * k**3
     value = s + integral + 0.5 * f0 - fp / 12.0 + fppp / 720.0
-    err = abs(fppp) / 720.0 + 1e-16 * value
+    # each term (x + nk)^-r carries the rounding of x + nk raised to the r-th power
+    err = abs(fppp) / 720.0 + _EPS * (r + 2) * value
     return EvalReal(value=value, abs_err=err, method=Method.SERIES)
 
 
 def polygamma(params: PkParams, x: float, r: int) -> PsiEval:
-    """r-th derivative of log G: (-1)^r (r-1)! zeta_k(x, r); independent of p."""
-    if not (isinstance(r, int) and r >= 2):
-        raise DomainError(f"r must be an integer >= 2, got {r!r}")
+    """r-th derivative of log G: (-1)^r (r-1)! zeta_k(x, r); independent of p.
+
+    Orders past 171 are rejected: (r-1)! no longer fits in a double.
+    """
+    if not (isinstance(r, int) and 2 <= r <= 171):
+        raise DomainError(f"r must be an integer in [2, 171], got {r!r}")
     if not (math.isfinite(x) and x > 0):
         raise DomainError(f"x must be a positive real, got {x!r}")
     z = k_zeta(x, r, params.k)

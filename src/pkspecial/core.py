@@ -158,7 +158,9 @@ def ln_gamma_classical(z: float) -> EvalReal:
     if d <= TAU_POLE:
         raise PoleError(f"ln_gamma_classical: z={z} is within {TAU_POLE} of a pole")
     val = math.lgamma(z)
-    err = _EPS * (2.0 + abs(val))
+    # math.lgamma is good to about 6 eps absolute near its zeros at 1 and 2
+    # and 1.3 eps relative elsewhere (measured against mpmath)
+    err = _EPS * (8.0 + 2.0 * abs(val))
     if d < 1e-3:
         # |d/dz ln Gamma| ~ 1/d near a pole: argument rounding inflates the error
         err += _EPS * (1.0 + abs(z)) / d
@@ -187,6 +189,23 @@ def polygamma_classical(m: int, z: float) -> float:
     if not (math.isfinite(z) and z > 0):
         raise DomainError(f"z must be a positive real, got {z!r}")
     return float(_sc.polygamma(m, z))
+
+
+# Sums over n > N of n^-s, by Euler-Maclaurin, for the product and series tails.
+def _tail_s2(N: float) -> float:
+    return 1.0 / N - 1.0 / (2.0 * N**2) + 1.0 / (6.0 * N**3)
+
+
+def _tail_s3(N: float) -> float:
+    return 1.0 / (2.0 * N**2) - 1.0 / (2.0 * N**3) + 1.0 / (4.0 * N**4)
+
+
+def _tail_s4(N: float) -> float:
+    return 1.0 / (3.0 * N**3) - 1.0 / (2.0 * N**4)
+
+
+def _tail_s5(N: float) -> float:
+    return 1.0 / (4.0 * N**4)
 
 
 def central_diff(f, x: float, h: float, order: int = 1) -> float:

@@ -21,6 +21,9 @@ import numpy as np
 from .core import (
     _EPS,
     _LN_OVERFLOW,
+    _tail_s2,
+    _tail_s3,
+    _tail_s4,
     EULER_GAMMA,
     DomainError,
     Method,
@@ -30,8 +33,6 @@ from .core import (
     pole_check,
 )
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_semiaxis
-from .records import IdentityRecord, make_record, skipped_record
-from .pochhammer import PochSpec, poch_direct, poch_gamma_ratio
 
 __all__ = [
     "GammaEval",
@@ -41,24 +42,7 @@ __all__ = [
     "gamma_euler_product",
     "gamma_weierstrass_recip",
     "gamma_rescale",
-    "check_gamma_identity",
-    "FUNDAMENTAL_IDS",
 ]
-
-FUNDAMENTAL_IDS = (
-    "2.22",
-    "2.23",
-    "2.24",
-    "2.25",
-    "2.26",
-    "2.27",
-    "2.28",
-    "2.29",
-    "2.30",
-    "2.30corr",
-    "2.31",
-    "2.32",
-)
 
 
 @dataclass(frozen=True)
@@ -95,8 +79,10 @@ def gamma_closed(params: PkParams, x: float) -> GammaEval:
         raise PoleError(f"gamma_closed: x={x} lies on the pole lattice of k={params.k}")
     z = x / params.k
     lg = ln_gamma_classical(z)
-    ln = z * math.log(params.p) - math.log(params.k) + lg.value
-    err = lg.abs_err + abs(z * math.log(params.p)) * 2.3e-16 + 2.3e-16
+    lnp_z, lnk = z * math.log(params.p), math.log(params.k)
+    ln = lnp_z - lnk + lg.value
+    # the rounding of z enters z ln p once more on top of the rounding of the sum
+    err = lg.abs_err + _EPS * (1.0 + 2.0 * abs(lnp_z) + abs(lnk) + abs(lg.value))
     return GammaEval(ln_value=ln, sign=lg.sign, abs_err_ln=err, method=Method.CLOSED)
 
 
@@ -183,19 +169,6 @@ def gamma_integral(
     ln = z * math.log(a_scale) + math.log(res.value)
     err = res.abs_err / res.value + 1e-15 * (1.0 + abs(ln))
     return GammaEval(ln_value=ln, sign=1, abs_err_ln=err, method=Method.INTEGRAL)
-
-
-# Sums over n > N of n^-s, by Euler-Maclaurin, for the product-form tails.
-def _tail_s2(N: float) -> float:
-    return 1.0 / N - 1.0 / (2.0 * N**2) + 1.0 / (6.0 * N**3)
-
-
-def _tail_s3(N: float) -> float:
-    return 1.0 / (2.0 * N**2) - 1.0 / (2.0 * N**3) + 1.0 / (4.0 * N**4)
-
-
-def _tail_s4(N: float) -> float:
-    return 1.0 / (3.0 * N**3) - 1.0 / (2.0 * N**4)
 
 
 def gamma_euler_product(params: PkParams, x: float, terms: int = 100_000) -> GammaEval:
@@ -328,138 +301,3 @@ def gamma_rescale(src: PkParams, target_k: float, target_p: float, x: float) -> 
         abs_err_ln=inner.abs_err_ln + 4.6e-16 * (1.0 + abs(ln)),
         method=Method.CLOSED,
     )
-
-
-# ---------------------------------------------------------------------------
-# fundamental-equation audit
-
-
-def _near_int(v: float, margin: float) -> bool:
-    return abs(v - round(v)) <= margin
-
-
-def check_gamma_identity(identity_id: str, point: dict, tol: float = 1e-10) -> IdentityRecord:
-    """Verify one fundamental equation at one grid point.
-
-    ``point`` supplies p, k, x and, where relevant, n or m.  Near-pole
-    points are returned as skipped records rather than raised.  Identity
-    2.30 is the one needing a sign correction; its record carries the
-    uncorrected right side under rhs_printed.
-    """
-    if identity_id not in FUNDAMENTAL_IDS:
-        raise DomainError(f"unknown identity {identity_id!r}; expected one of {FUNDAMENTAL_IDS}")
-    if identity_id == "2.30corr":
-        identity_id = "2.30"
-    params = PkParams(float(point["p"]), float(point["k"]))
-    x = float(point["x"])
-    p, k = params.p, params.k
-    rec_point = {key: float(val) for key, val in point.items()}
-    margin = 1e-3 * k
-
-    def near_pole(*args: float) -> bool:
-        return any(a / k <= 0.5 and _near_int(a / k, 1e-3) for a in args)
-
-    try:
-        if identity_id == "2.22":
-            n = int(point["n"])
-            if near_pole(x, x + n * k):
-                return skipped_record(identity_id, rec_point, "argument near pole lattice")
-            lhs = poch_direct(PochSpec(x, n, params))
-            rhs = poch_gamma_ratio(PochSpec(x, n, params))
-            return make_record(identity_id, rec_point, lhs, rhs, rhs, tol)
-
-        if identity_id == "2.23":
-            if near_pole(x, x + k):
-                return skipped_record(identity_id, rec_point, "argument near pole lattice")
-            lhs = gamma_closed(params, x + k).value
-            rhs = (x * p / k) * gamma_closed(params, x).value
-            return make_record(identity_id, rec_point, lhs, rhs, rhs, tol)
-
-        if identity_id == "2.24":
-            n = int(point["n"])
-            if near_pole(x, x + n * k):
-                return skipped_record(identity_id, rec_point, "argument near pole lattice")
-            lhs = gamma_closed(params, x + n * k).value
-            rising = 1.0
-            for i in range(n):
-                rising *= x / k + i
-            rhs = p**n * rising * gamma_closed(params, x).value
-            return make_record(identity_id, rec_point, lhs, rhs, rhs, tol)
-
-        if identity_id == "2.25":
-            n = int(point["n"])
-            if near_pole(x, x - n * k):
-                return skipped_record(identity_id, rec_point, "argument near pole lattice")
-            lhs = gamma_closed(params, x).value / gamma_closed(params, x - n * k).value
-            rhs = (p / k) ** n
-            for i in range(1, n + 1):
-                rhs *= x - i * k
-            return make_record(identity_id, rec_point, lhs, rhs, rhs, tol)
-
-        if identity_id == "2.26":
-            n = int(point["n"])
-            if near_pole(x, x - n * k, -x + n * k + k, -x + k):
-                return skipped_record(identity_id, rec_point, "argument near pole lattice")
-            lhs = gamma_closed(params, x).value / gamma_closed(params, x - n * k).value
-            rhs = (
-                (-1.0) ** n
-                * gamma_closed(params, -x + n * k + k).value
-                / gamma_closed(params, -x + k).value
-            )
-            return make_record(identity_id, rec_point, lhs, rhs, rhs, tol)
-
-        if identity_id == "2.27":
-            lhs = gamma_closed(params, 1.0).value
-            lg = ln_gamma_classical(1.0 / k)
-            rhs = lg.sign * math.exp(math.log(p) / k - math.log(k) + lg.value)
-            return make_record(identity_id, rec_point, lhs, rhs, rhs, tol)
-
-        if identity_id == "2.28":
-            lhs = gamma_closed(params, k).value
-            rhs = p / k
-            return make_record(identity_id, rec_point, lhs, rhs, rhs, tol)
-
-        if identity_id == "2.29":
-            lhs = gamma_closed(params, p).value
-            lg = ln_gamma_classical(p / k)
-            rhs = lg.sign * math.exp((p / k) * math.log(p) - math.log(k) + lg.value)
-            return make_record(identity_id, rec_point, lhs, rhs, rhs, tol)
-
-        if identity_id == "2.30":
-            if _near_int(x / k, 1e-3):
-                return skipped_record(identity_id, rec_point, "x/k within margin of an integer")
-            lhs = gamma_closed(params, x).value * gamma_closed(params, -x).value
-            corrected = -math.pi / (x * k * math.sin(math.pi * x / k))
-            return make_record(identity_id, rec_point, lhs, -corrected, corrected, tol)
-
-        if identity_id == "2.31":
-            if _near_int(x / k, 1e-3):
-                return skipped_record(identity_id, rec_point, "x/k within margin of an integer")
-            lhs = gamma_closed(params, x).value * gamma_closed(params, k - x).value
-            rhs = (p / k**2) * math.pi / math.sin(math.pi * x / k)
-            return make_record(identity_id, rec_point, lhs, rhs, rhs, tol)
-
-        if identity_id == "2.32":
-            m = int(point["m"])
-            if m < 2:
-                raise DomainError("2.32 needs m >= 2")
-            ln_lhs = 0.0
-            sign_lhs = 1
-            for r_idx in range(m):
-                g = gamma_closed(params, x + k * r_idx / m)
-                ln_lhs += g.ln_value
-                sign_lhs *= g.sign
-            gm = gamma_closed(params, m * x)
-            ln_rhs = (
-                (m - 1) / 2.0 * math.log(p)
-                - (m - 1) * math.log(k)
-                + (m - 1) / 2.0 * math.log(2.0 * math.pi)
-                + (0.5 - m * x / k) * math.log(m)
-                + gm.ln_value
-            )
-            lhs = sign_lhs * math.exp(ln_lhs)
-            rhs = gm.sign * math.exp(ln_rhs)
-            return make_record(identity_id, rec_point, lhs, rhs, rhs, tol)
-    except PoleError as exc:
-        return skipped_record(identity_id, rec_point, f"pole: {exc}")
-    raise AssertionError("unreachable")

@@ -210,23 +210,6 @@ def hyper_series(
     )
 
 
-def _series_coeffs(hp: HyperParams, count: int) -> list[float]:
-    """Taylor coefficients c_0..c_{count-1} of the series at argument 1."""
-    alphas, betas = hp.alphas, hp.betas
-    ps = [p for _, p, _ in hp.upper]
-    ts = [t for _, t, _ in hp.lower]
-    c = [1.0]
-    for n in range(count - 1):
-        num = 1.0
-        for alpha, p in zip(alphas, ps):
-            num *= p * (alpha + n)
-        den = float(n + 1)
-        for beta, t in zip(betas, ts):
-            den *= t * (beta + n)
-        c.append(c[-1] * num / den)
-    return c
-
-
 def ode_coefficient_residual(hp: HyperParams, n_terms: int = 50) -> float:
     """Max relative residual of the ODE's coefficient recurrence.
 

@@ -6,8 +6,8 @@ The symbol is the n-factor rising product starting at x*p/k with step p,
 
 with (z)_n the classical rising factorial.  Four independent evaluation
 routes are provided (direct product, elementary-symmetric expansion,
-classical reduction, Gamma ratio) plus parameter derivatives, rescalings
-between step sizes, and recurrence checks.
+classical reduction, Gamma ratio) plus parameter derivatives and
+rescalings between step sizes.
 """
 
 from __future__ import annotations
@@ -16,8 +16,15 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .core import DomainError, OverflowNote, PkParams, PoleError, ln_gamma_classical, pole_check
-from .records import IdentityRecord, make_record
+from .core import (
+    _LN_OVERFLOW,
+    DomainError,
+    OverflowNote,
+    PkParams,
+    PoleError,
+    ln_gamma_classical,
+    pole_check,
+)
 
 __all__ = [
     "PochSpec",
@@ -33,14 +40,9 @@ __all__ = [
     "poch_dk_product",
     "poch_dk_printed",
     "poch_rescale",
-    "check_poch_recurrence",
 ]
 
-# Above this estimated magnitude a caller should switch to poch_ln.
-_LOG_HUGE = math.log(1e300)
-
 RESCALE_MODES = ("2.8", "2.9", "2.10")
-RECURRENCE_IDS = ("2.33", "2.33corr", "2.34")
 
 
 @dataclass(frozen=True)
@@ -64,18 +66,23 @@ def _factors(spec: PochSpec):
     return (base + j * step for j in range(spec.n))
 
 
+def _noted(out: float) -> float:
+    """Pass a route's value through, warning when it nears or leaves the double range."""
+    if not math.isfinite(out) or abs(out) > 1e300:
+        warnings.warn(
+            "Pochhammer product magnitude exceeds ~1e300; use poch_ln",
+            OverflowNote,
+            stacklevel=3,
+        )
+    return out
+
+
 def poch_direct(spec: PochSpec) -> float:
     """Direct product of the n factors; the empty product (n=0) is 1."""
     out = 1.0
     for f in _factors(spec):
         out *= f
-    if not math.isfinite(out) or abs(out) > 1e300:
-        warnings.warn(
-            "Pochhammer product magnitude exceeds ~1e300; use poch_ln",
-            OverflowNote,
-            stacklevel=2,
-        )
-    return out
+    return _noted(out)
 
 
 def poch_ln(spec: PochSpec) -> tuple[float, int]:
@@ -153,7 +160,8 @@ def poch_generalized(spec: PochSpec, q: int) -> float:
 def poch_gamma_ratio(spec: PochSpec) -> float:
     """Gamma-ratio route: the family Gamma at x+nk over the one at x.
 
-    Both x and x+nk must be off the pole lattice.
+    Both x and x+nk must be off the pole lattice.  Past the double range
+    the value is a signed inf, with an OverflowNote as from poch_direct.
     """
     params = spec.params
     for arg in (spec.x, spec.x + spec.n * params.k):
@@ -163,7 +171,8 @@ def poch_gamma_ratio(spec: PochSpec) -> float:
     num = ln_gamma_classical(z + spec.n)
     den = ln_gamma_classical(z)
     ln = spec.n * math.log(params.p) + num.value - den.value
-    return num.sign * den.sign * math.exp(ln)
+    sign = num.sign * den.sign
+    return _noted(sign * math.exp(ln) if ln <= _LN_OVERFLOW else sign * math.inf)
 
 
 def poch_dp(spec: PochSpec) -> float:
@@ -248,30 +257,3 @@ def poch_rescale(spec: PochSpec, s_new: float, mode: str) -> float:
         inner = poch_direct(PochSpec(spec.x, spec.n, PkParams(s_new, k)))
         return (p / s_new) ** spec.n * inner
     raise DomainError(f"mode must be one of {RESCALE_MODES}, got {mode!r}")
-
-
-def check_poch_recurrence(identity_id: str, spec: PochSpec, j: int = 0, tol: float = 1e-12) -> IdentityRecord:
-    """Audit one recurrence at one point; returns both-form pass flags.
-
-    "2.33" (alias "2.33corr"): n p P(x; n-1) = P(x; n) - P(x-k; n), where the
-    uncorrected reading drops the factor p.  "2.34": P(x; n+j) splits as
-    P(x; j) * P(x+jk; n).
-    """
-    params = spec.params
-    point = {"p": params.p, "k": params.k, "x": spec.x, "n": float(spec.n)}
-    if identity_id in ("2.33", "2.33corr"):
-        if spec.n < 1:
-            raise DomainError("recurrence 2.33 needs n >= 1")
-        lhs = poch_direct(spec) - poch_direct(PochSpec(spec.x - params.k, spec.n, params))
-        lower = poch_direct(PochSpec(spec.x, spec.n - 1, params))
-        return make_record("2.33", point, lhs, spec.n * lower, spec.n * params.p * lower, tol)
-    if identity_id == "2.34":
-        point["j"] = float(j)
-        if not (isinstance(j, int) and j >= 0):
-            raise DomainError(f"j must be a non-negative integer, got {j!r}")
-        lhs = poch_direct(PochSpec(spec.x, spec.n + j, params))
-        rhs = poch_direct(PochSpec(spec.x, j, params)) * poch_direct(
-            PochSpec(spec.x + j * params.k, spec.n, params)
-        )
-        return make_record("2.34", point, lhs, rhs, rhs, tol)
-    raise DomainError(f"identity_id must be one of {RECURRENCE_IDS}, got {identity_id!r}")

@@ -1,9 +1,9 @@
-"""Identity-audit record types shared by the check_* operations and the CLI."""
+"""Identity-audit record types shared by the identity catalog and the audit engine."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["IdentityRecord", "AuditSummary", "relative_error", "make_record", "skipped_record"]
 
@@ -47,9 +47,11 @@ def make_record(
     rhs_printed: float,
     rhs_corrected: float,
     tol: float,
+    error=relative_error,
 ) -> IdentityRecord:
-    ep = relative_error(lhs, rhs_printed)
-    ec = relative_error(lhs, rhs_corrected)
+    """Compare lhs with both right sides by ``error`` and flag each against tol."""
+    ep = error(lhs, rhs_printed)
+    ec = error(lhs, rhs_corrected)
     return IdentityRecord(
         identity_id=identity_id,
         grid_point=dict(grid_point),

@@ -50,6 +50,12 @@ def mp_polygamma(m: int, z) -> float:
     return float(mp.polygamma(m, mp.mpf(z)))
 
 
+def mp_pk_polygamma(k, x, r: int) -> float:
+    """r-th derivative of log G: psi^(r-1)(x/k) / k^r."""
+    k, x = mp.mpf(k), mp.mpf(x)
+    return float(mp.polygamma(r - 1, x / k) / k**r)
+
+
 def mp_hyper(alphas, betas, x) -> float:
     return float(mp.hyper(list(alphas), list(betas), mp.mpf(x)))
 

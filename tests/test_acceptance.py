@@ -23,8 +23,7 @@ from pkspecial import (
     PochSpec,
     beta_closed,
     beta_integral,
-    check_gamma_identity,
-    check_poch_recurrence,
+    check_point,
     classify,
     confluent_integral,
     gamma_closed,
@@ -103,18 +102,18 @@ def test_criterion_2_fundamental_equations():
     worst = 0.0
     for ident in ids:
         for p, k, x in POINTS:
-            rec = check_gamma_identity(ident, {"p": p, "k": k, "x": x, "n": 2})
+            rec = check_point(ident, {"p": p, "k": k, "x": x, "n": 2})
             if not rec.skipped:
                 worst = max(worst, rec.rel_err_corrected)
     for p, k, x in POINTS:
         for m in (2, 3, 4):
-            rec = check_gamma_identity("2.32", {"p": p, "k": k, "x": x, "m": m})
+            rec = check_point("2.32", {"p": p, "k": k, "x": x, "m": m})
             if not rec.skipped:
                 worst = max(worst, rec.rel_err_corrected)
-        rec = check_gamma_identity("2.30", {"p": p, "k": k, "x": x})
+        rec = check_point("2.30", {"p": p, "k": k, "x": x})
         if not rec.skipped:
             worst = max(worst, rec.rel_err_corrected)
-    hand = check_gamma_identity("2.30", {"p": 1, "k": 2, "x": 1})
+    hand = check_point("2.30", {"p": 1, "k": 2, "x": 1})
     sign_flip = abs(hand.rel_err_printed - 2.0) < 1e-9 and not hand.printed_pass
     lhs_ok = hand.lhs == pytest.approx(-math.pi / 2.0, rel=1e-12)
     ok = worst <= 1e-10 and sign_flip and lhs_ok
@@ -148,11 +147,11 @@ def test_criterion_3_pochhammer_routes_and_recurrences():
     worst_diff = 0.0
     for p, k, x in POINTS:
         for n in (1, 2, 5, 11):
-            rec = check_poch_recurrence("2.34", PochSpec(x, n, PkParams(p, k)), j=2)
+            rec = check_point("2.34", {"p": p, "k": k, "x": x, "n": n, "j": 2})
             worst_split = max(worst_split, rec.rel_err_corrected)
-            rec = check_poch_recurrence("2.33", PochSpec(x, n, PkParams(p, k)))
+            rec = check_point("2.33", {"p": p, "k": k, "x": x, "n": n})
             worst_diff = max(worst_diff, rec.rel_err_corrected)
-    hand = check_poch_recurrence("2.33", PochSpec(2.0, 2, PkParams(2.0, 1.0)))
+    hand = check_point("2.33", {"p": 2.0, "k": 1.0, "x": 2.0, "n": 2})
     printed_fails = (
         hand.rhs_printed == pytest.approx(8.0)
         and hand.lhs == pytest.approx(16.0)

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -43,6 +44,16 @@ def bargs(x, y, p, k):
 
 
 class TestBetaClosed:
+    @pytest.mark.filterwarnings("ignore::pkspecial.OverflowNote")
+    def test_abs_err_covers_wide_draws(self):
+        # log-uniform p, k in [e^-2, e^2] and x, y in [e^-3, e^3]
+        rng = np.random.default_rng(32)
+        for _ in range(1000):
+            p, k = (float(v) for v in np.exp(rng.uniform(-2.0, 2.0, size=2)))
+            x, y = (float(v) for v in np.exp(rng.uniform(-3.0, 3.0, size=2)))
+            got = beta_closed(bargs(x, y, p, k))
+            assert abs(got.value - oracles.mp_pk_beta(k, x, y)) <= got.abs_err, (p, k, x, y)
+
     def test_classical_point(self):
         # B(2,3) = 1!*2!/4! regardless of p
         for p in (0.5, 1.0, 7.0):
@@ -227,6 +238,23 @@ class TestKZetaPolygamma:
             k_zeta(1.0, 1, 1.0)
         with pytest.raises(DomainError):
             polygamma(PkParams(1, 1), 1.0, 1)
+
+    def test_order_past_double_range(self):
+        # (r-1)! leaves the double range from r = 172 on
+        assert math.isfinite(polygamma(PkParams(1, 1), 1.0, 171).value)
+        for r in (172, 200):
+            with pytest.raises(DomainError):
+                polygamma(PkParams(1, 1), 1.0, r)
+
+    def test_abs_err_covers_wide_draws(self):
+        # log-uniform p, k in [e^-2, e^2] and x in [e^-3, e^3], orders 2..6
+        rng = np.random.default_rng(31)
+        for _ in range(400):
+            p, k = (float(v) for v in np.exp(rng.uniform(-2.0, 2.0, size=2)))
+            x = float(np.exp(rng.uniform(-3.0, 3.0)))
+            r = int(rng.integers(2, 7))
+            got = polygamma(PkParams(p, k), x, r)
+            assert abs(got.value - oracles.mp_pk_polygamma(k, x, r)) <= got.abs_err, (p, k, x, r)
 
     def test_polygamma_points(self):
         assert polygamma(PkParams(1, 1), 1.0, 2).value == pytest.approx(ZETA_2, rel=1e-12)

@@ -10,7 +10,7 @@ from pkspecial import (
     DomainError,
     PkParams,
     PoleError,
-    check_gamma_identity,
+    check_point,
     gamma_closed,
     gamma_euler_product,
     gamma_integral,
@@ -55,6 +55,16 @@ class TestClosed:
     def test_pole_raises(self):
         with pytest.raises(PoleError):
             gamma_closed(PkParams(1, 2), -4.0)
+
+    def test_abs_err_covers_wide_draws(self):
+        # log-uniform p, k in [e^-2, e^2] and x in [e^-3, e^3]
+        rng = np.random.default_rng(33)
+        for _ in range(1000):
+            p, k = (float(v) for v in np.exp(rng.uniform(-2.0, 2.0, size=2)))
+            x = float(np.exp(rng.uniform(-3.0, 3.0)))
+            got = gamma_closed(PkParams(p, k), x)
+            truth = oracles.mp_ln_abs_pk_gamma(p, k, x)
+            assert abs(got.ln_value - truth) <= got.abs_err_ln, (p, k, x)
 
     def test_matches_mpmath_on_grid(self):
         for p in GRID_PS:
@@ -215,35 +225,35 @@ class TestRescale:
 
 class TestFundamentalEquations:
     def test_reflection_pair_point(self):
-        rec = check_gamma_identity("2.31", {"p": 1, "k": 1, "x": 0.5})
+        rec = check_point("2.31", {"p": 1, "k": 1, "x": 0.5})
         assert rec.lhs == pytest.approx(math.pi, rel=1e-12)
         assert rec.corrected_pass
 
     def test_negated_reflection_hand_point(self):
-        rec = check_gamma_identity("2.30", {"p": 1, "k": 2, "x": 1})
+        rec = check_point("2.30", {"p": 1, "k": 2, "x": 1})
         assert rec.lhs == pytest.approx(-math.pi / 2.0, rel=1e-12)
         assert rec.rhs_corrected == pytest.approx(-math.pi / 2.0, rel=1e-12)
         assert rec.corrected_pass and not rec.printed_pass
         assert rec.rel_err_printed == pytest.approx(2.0, abs=1e-9)
 
     def test_multiplication_hand_point(self):
-        rec = check_gamma_identity("2.32", {"p": 1, "k": 1, "x": 0.5, "m": 2})
+        rec = check_point("2.32", {"p": 1, "k": 1, "x": 0.5, "m": 2})
         assert rec.lhs == pytest.approx(math.sqrt(math.pi), rel=1e-12)
         assert rec.corrected_pass
 
     def test_functional_equation_tight(self):
         for p in GRID_PS:
             for k in GRID_KS:
-                rec = check_gamma_identity("2.23", {"p": p, "k": k, "x": 1.1})
+                rec = check_point("2.23", {"p": p, "k": k, "x": 1.1})
                 assert rec.rel_err_corrected <= 1e-13
 
     def test_near_pole_points_skip(self):
-        rec = check_gamma_identity("2.30", {"p": 1, "k": 0.5, "x": 2.5})
+        rec = check_point("2.30", {"p": 1, "k": 0.5, "x": 2.5})
         assert rec.skipped and rec.printed_pass is None
 
     def test_unknown_id(self):
         with pytest.raises(DomainError):
-            check_gamma_identity("9.99", {"p": 1, "k": 1, "x": 1})
+            check_point("9.99", {"p": 1, "k": 1, "x": 1})
 
     def test_full_set_on_grid(self):
         ids = ("2.22", "2.23", "2.24", "2.25", "2.26", "2.27", "2.28", "2.29", "2.31", "2.32")
@@ -252,6 +262,6 @@ class TestFundamentalEquations:
                 for k in (1.0, 3.0):
                     for x in (0.7, 4.9):
                         point = {"p": p, "k": k, "x": x, "n": 2, "m": 3}
-                        rec = check_gamma_identity(ident, point)
+                        rec = check_point(ident, point)
                         if not rec.skipped:
                             assert rec.rel_err_corrected <= 1e-10, (ident, point)

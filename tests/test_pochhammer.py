@@ -14,7 +14,7 @@ from pkspecial import (
     OverflowNote,
     PkParams,
     PochSpec,
-    check_poch_recurrence,
+    check_point,
     elementary_symmetric,
     poch_direct,
     poch_dk,
@@ -34,6 +34,10 @@ from conftest import GRID_KS, GRID_PS, GRID_XS
 
 def spec(x, n, p, k):
     return PochSpec(x, n, PkParams(p, k))
+
+
+def point(x, n, p, k, **extra):
+    return {"p": p, "k": k, "x": x, "n": n, **extra}
 
 
 class TestDirect:
@@ -97,6 +101,12 @@ class TestFourRoutes:
         assert poch_reduce(spec(2, 3, 1, 1)) == pytest.approx(24.0)
         assert poch_reduce(spec(3, 2, 2, 2)) == pytest.approx(15.0)
         assert poch_reduce(spec(1, 2, 4, 2)) == pytest.approx(12.0)
+
+    def test_gamma_ratio_overflow_is_signed_inf(self):
+        # past the double range the route matches poch_direct: a signed inf and a note
+        for x, want in ((1.0, math.inf), (-0.5, -math.inf)):
+            with pytest.warns(OverflowNote):
+                assert poch_gamma_ratio(spec(x, 300, 2.0, 1.0)) == want
 
     def test_gamma_ratio_examples(self):
         assert poch_gamma_ratio(spec(2, 3, 1, 1)) == pytest.approx(24.0, rel=1e-13)
@@ -214,18 +224,18 @@ class TestRescale:
 
 class TestRecurrences:
     def test_splitting_example(self):
-        rec = check_poch_recurrence("2.34", spec(1, 1, 1, 1), j=1)
+        rec = check_point("2.34", point(1, 1, 1, 1, j=1))
         assert rec.lhs == pytest.approx(2.0) and rec.corrected_pass
 
     def test_difference_corrected_hand_point(self):
         # 2*2*P(2;1) = 16 against P(2;2) - P(1;2) = 24 - 8
-        rec = check_poch_recurrence("2.33", spec(2, 2, 2, 1))
+        rec = check_point("2.33", point(2, 2, 2, 1))
         assert rec.lhs == pytest.approx(16.0)
         assert rec.rhs_corrected == pytest.approx(16.0)
         assert rec.corrected_pass
 
     def test_difference_printed_fails_off_unity(self):
-        rec = check_poch_recurrence("2.33", spec(2, 2, 2, 1))
+        rec = check_point("2.33", point(2, 2, 2, 1))
         assert rec.rhs_printed == pytest.approx(8.0)
         assert not rec.printed_pass
 
@@ -234,7 +244,7 @@ class TestRecurrences:
             for k in GRID_KS:
                 for x in GRID_XS:
                     for n in (1, 2, 5, 11):
-                        rec = check_poch_recurrence("2.33", spec(x, n, p, k))
+                        rec = check_point("2.33", point(x, n, p, k))
                         assert rec.rel_err_corrected <= 1e-12, (p, k, x, n)
                         if p != 1.0:
                             assert not rec.printed_pass
@@ -248,5 +258,5 @@ class TestRecurrences:
         st.floats(min_value=0.25, max_value=4.0),
     )
     def test_splitting_property(self, x, n, j, p, k):
-        rec = check_poch_recurrence("2.34", spec(x, n, p, k), j=j)
+        rec = check_point("2.34", point(x, n, p, k, j=j))
         assert rec.rel_err_corrected <= 1e-13

@@ -17,10 +17,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma as _vec_digamma
 
 from .core import (
     _EPS,
+    _digamma_array,
     _tail_s2,
     _tail_s3,
     _tail_s4,
@@ -145,8 +145,14 @@ def psi(params: PkParams, x: float) -> PsiEval:
     if pole_check(params, x).is_pole:
         raise PoleError(f"psi: x={x} lies on the pole lattice of k={params.k}")
     k = params.k
-    v = math.log(params.p) / k + digamma_classical(x / k) / k
-    return PsiEval(value=v, abs_err=1e-14 * (1.0 + abs(v)))
+    z = x / k
+    v = math.log(params.p) / k + digamma_classical(z) / k
+    err = 1e-14 * (1.0 + abs(v))
+    if z < 0.0:
+        # the rounding of z = x/k, amplified near the poles by
+        # psi'(z) + psi'(1-z) = (pi / sin(pi z))^2
+        err += 4.0 * _EPS * (1.0 + abs(z)) * (math.pi / math.sin(math.pi * (z - round(z)))) ** 2 / k
+    return PsiEval(value=v, abs_err=err)
 
 
 def psi_printed(params: PkParams, x: float) -> float:
@@ -222,7 +228,7 @@ def ln_gamma_via_psi(params: PkParams, x: float, quad: QuadratureSpec = DEFAULT_
 
     def integrand(u):
         t = 1.0 + span * u
-        return span * (lnp_k + _vec_digamma(t / k) / k)
+        return span * (lnp_k + _digamma_array(t / k) / k)
 
     res = integrate_unit(integrand, quad)
     return EvalReal(value=ln_at_one + res.value, abs_err=res.abs_err + 1e-14, method=Method.INTEGRAL)

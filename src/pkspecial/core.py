@@ -17,7 +17,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import scipy.special as _sc
+import numpy as np
 
 __all__ = [
     "EULER_GAMMA",
@@ -173,22 +173,86 @@ def ln_gamma_classical(z: float) -> EvalReal:
     return EvalReal(value=val, abs_err=err, sign=gamma_sign(z), method=Method.CLOSED)
 
 
+# B_2j / (2j), j = 1..7: the coefficients of the asymptotic series
+# psi(z) ~ ln z - 1/(2z) - sum_j B_2j / (2j z^2j)   (DLMF 5.11.2).
+# Past z = _PSI_SHIFT the next term is below 5e-17.
+_PSI_ASYMPTOTIC = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12)
+_PSI_SHIFT = 10.0
+_PSI_HORNER = _PSI_ASYMPTOTIC[::-1]
+_PSI_EXPONENTS = -2.0 * np.arange(1, len(_PSI_ASYMPTOTIC) + 1)  # z^-2j
+
+
 def digamma_classical(z: float) -> float:
-    """Classical psi(z) = d/dz log Gamma(z) for real non-pole z."""
+    """Classical psi(z) = d/dz log Gamma(z) for real non-pole z.
+
+    Shifts z up to at least 10 with psi(z) = psi(z+1) - 1/z, then sums the
+    asymptotic series; z < 0 is reflected first (DLMF 5.5.4),
+    psi(z) = psi(1-z) - pi/tan(pi r) with r = z - round(z), which is exact.
+    """
     if not math.isfinite(z):
         raise DomainError(f"z must be finite, got {z!r}")
     if _pole_distance(z) <= TAU_POLE:
         raise PoleError(f"digamma_classical: z={z} is within {TAU_POLE} of a pole")
-    return float(_sc.digamma(z))
+    reflect = 0.0
+    if z < 0.0:
+        r = z - round(z)
+        reflect = math.pi / math.tan(math.pi * r)
+        z = 1.0 - z
+    shift = 0.0
+    while z < _PSI_SHIFT:
+        shift += 1.0 / z
+        z += 1.0
+    w = 1.0 / (z * z)
+    tail = 0.0
+    for c in _PSI_HORNER:
+        tail = tail * w + c
+    return math.log(z) - 0.5 / z - tail * w - shift - reflect
+
+
+def _digamma_array(z: np.ndarray) -> np.ndarray:
+    """digamma_classical over an array of positive z, without pole checks.
+
+    One shift count serves the whole array, taken from its smallest entry.
+    """
+    n = max(0, math.ceil(_PSI_SHIFT - float(z.min())))
+    shift = (1.0 / (z[:, None] + np.arange(n))).sum(axis=1)
+    z = z + n
+    tail = (z[:, None] ** _PSI_EXPONENTS) @ _PSI_ASYMPTOTIC
+    return np.log(z) - 0.5 / z - tail - shift
 
 
 def polygamma_classical(m: int, z: float) -> float:
-    """psi^(m)(z), the m-th derivative of digamma, for m >= 1 and z > 0."""
-    if not (isinstance(m, int) and m >= 1):
-        raise DomainError(f"order m must be an integer >= 1, got {m!r}")
+    """psi^(m)(z), the m-th derivative of digamma, for 1 <= m <= 170 and z > 0.
+
+    Shifts z up to at least 10 + 2m with the recurrence
+    psi^(m)(z) = psi^(m)(z+1) + (-1)^(m+1) m! / z^(m+1), then sums the
+    asymptotic series (DLMF 5.15.8).  Orders past 170 are rejected: m! no
+    longer fits in a double.  Past the double range the value is a signed inf.
+    """
+    if not (isinstance(m, int) and 1 <= m <= 170):
+        raise DomainError(f"order m must be an integer in [1, 170], got {m!r}")
     if not (math.isfinite(z) and z > 0):
         raise DomainError(f"z must be a positive real, got {z!r}")
-    return float(_sc.polygamma(m, z))
+    sign = 1.0 if m % 2 else -1.0
+    # powers of z in two halves, scaled by the factorial before they are summed,
+    # so that they underflow only with the result
+    fm = float(math.factorial(m))
+    shift = 0.0
+    try:
+        while z < _PSI_SHIFT + 2 * m:
+            shift += fm * z ** -(m // 2 + 1) * z ** -(m - m // 2)
+            z += 1.0
+    except OverflowError:
+        # every term has the sign of the result, so the sum overflows with it
+        return sign * math.inf
+    # the series over its leading term (m-1)!/z^m:
+    # 1 + m/(2z) + sum_j B_2j/(2j) * 2j * C(2j+m-1, m-1) / z^2j
+    w = 1.0 / (z * z)
+    tail = 0.0
+    for j in range(len(_PSI_ASYMPTOTIC), 0, -1):
+        tail = tail * w + _PSI_ASYMPTOTIC[j - 1] * 2 * j * math.comb(2 * j + m - 1, m - 1)
+    lead = math.factorial(m - 1) * z ** -(m // 2) * z ** -(m - m // 2)
+    return sign * (shift + lead * (1.0 + 0.5 * m / z + tail * w))
 
 
 # Sums over n > N of n^-s, by Euler-Maclaurin, for the product and series tails.

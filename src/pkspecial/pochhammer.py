@@ -77,6 +77,14 @@ def _noted(out: float) -> float:
     return out
 
 
+def _power(base: float, e: int) -> float:
+    """base ** e, or a signed inf where that leaves the double range."""
+    try:
+        return base**e
+    except OverflowError:
+        return math.copysign(math.inf, base) if e % 2 else math.inf
+
+
 def poch_direct(spec: PochSpec) -> float:
     """Direct product of the n factors; the empty product (n=0) is 1."""
     out = 1.0
@@ -98,23 +106,29 @@ def poch_ln(spec: PochSpec) -> tuple[float, int]:
     return ln, sign
 
 
-def elementary_symmetric(values, s: int) -> float:
-    """e_s of the inputs via the degree-by-degree product recurrence.
+def _elementary_table(values, s: int) -> list[float]:
+    """[e_0, ..., e_s] of the inputs via the degree-by-degree product recurrence.
 
     Expanding prod_j (lambda + v_j) one factor at a time updates the
     coefficient table in place; O(n*s), stable for non-negative inputs.
+    Entry i sees the same float operations whatever s >= i is.
     """
-    values = list(values)
-    if not (isinstance(s, int) and s >= 0):
-        raise DomainError(f"s must be a non-negative integer, got {s!r}")
-    if s > len(values):
-        raise IndexError(f"s={s} exceeds the number of variables {len(values)}")
     coeff = [1.0] + [0.0] * s
     for j, v in enumerate(values, start=1):
         top = min(j, s)
         for i in range(top, 0, -1):
             coeff[i] += v * coeff[i - 1]
-    return coeff[s]
+    return coeff
+
+
+def elementary_symmetric(values, s: int) -> float:
+    """e_s of the inputs, the sum of all products of s distinct inputs."""
+    values = list(values)
+    if not (isinstance(s, int) and s >= 0):
+        raise DomainError(f"s must be a non-negative integer, got {s!r}")
+    if s > len(values):
+        raise IndexError(f"s={s} exceeds the number of variables {len(values)}")
+    return _elementary_table(values, s)[s]
 
 
 def poch_symmetric(spec: PochSpec) -> float:
@@ -123,21 +137,21 @@ def poch_symmetric(spec: PochSpec) -> float:
         raise DomainError("the symmetric expansion needs n >= 1")
     n = spec.n
     z = spec.x / spec.params.k
-    pn = spec.params.p**n
-    vars_ = list(range(1, n))
+    pn = _power(spec.params.p, n)
+    e = _elementary_table(range(1, n), n - 1)
     total = 0.0
     for s in range(n):
-        total += pn * elementary_symmetric(vars_, s) * z ** (n - s)
-    return total
+        total += pn * e[s] * _power(z, n - s)
+    return _noted(total)
 
 
 def poch_reduce(spec: PochSpec) -> float:
     """Classical reduction p^n (x/k)_n, the rising factorial computed directly."""
     z = spec.x / spec.params.k
-    out = spec.params.p**spec.n
+    out = _power(spec.params.p, spec.n)
     for j in range(spec.n):
         out *= z + j
-    return out
+    return _noted(out)
 
 
 def poch_generalized(spec: PochSpec, q: int) -> float:
@@ -149,12 +163,12 @@ def poch_generalized(spec: PochSpec, q: int) -> float:
         raise DomainError(f"q must be a positive integer, got {q!r}")
     n = spec.n
     z = spec.x / spec.params.k
-    out = (spec.params.p * q) ** (n * q)
+    out = _power(spec.params.p * q, n * q)
     for r in range(1, q + 1):
         base = (z + r - 1) / q
         for j in range(n):
             out *= base + j
-    return out
+    return _noted(out)
 
 
 def poch_gamma_ratio(spec: PochSpec) -> float:

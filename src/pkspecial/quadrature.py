@@ -25,6 +25,7 @@ near 1.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,8 @@ __all__ = [
 _MAX_LEVEL = 14
 
 _H0 = 0.5  # level-1 step in the transformed variable
+
+_LOG10_MAX = math.log10(sys.float_info.max)  # 10.0 ** est overflows past this
 
 
 @dataclass(frozen=True)
@@ -179,6 +182,9 @@ def _bbg_error(history: list[float], scale: float) -> float:
     log_d1 = math.log10(d1)
     log_d2 = math.log10(d2)
     est = max(log_d1 * log_d1 / log_d2, 2.0 * log_d1, math.log10(floor))
+    if est > _LOG10_MAX:
+        # level differences above 1 make the extrapolation blow up: no estimate
+        return math.inf
     return max(10.0 ** est, 1e-3 * d1, floor)
 
 
@@ -203,9 +209,11 @@ def _integrate(kind: str, f, spec: QuadratureSpec) -> EvalReal:
     # the estimate, so the monotonicity of abs_err in max_refinements holds.
     if spec.max_refinements > _MAX_LEVEL and err <= max(spec.abs_tol, spec.rel_tol * abs(value)):
         return EvalReal(value=value, abs_err=err, method=Method.INTEGRAL)
+    # with no finite error estimate the partial value carries no information
+    partial = value if math.isfinite(err) else math.nan
     raise NoConvergence(
         f"no convergence within {spec.max_refinements} refinements (err~{err:.3g})",
-        EvalReal(value=value, abs_err=err, method=Method.INTEGRAL),
+        EvalReal(value=partial, abs_err=err, method=Method.INTEGRAL),
     )
 
 

@@ -160,6 +160,19 @@ class TestPsi:
         with pytest.raises(PoleError):
             psi(PkParams(1, 2), -6.0)
 
+    def test_abs_err_covers_negative_draws(self):
+        # log-uniform p, k in [e^-2, e^2] and x = -e^U, U in [-3, 3]: near the
+        # poles the rounding of x/k dominates the error
+        rng = np.random.default_rng(37)
+        for _ in range(2000):
+            p, k = (float(v) for v in np.exp(rng.uniform(-2.0, 2.0, size=2)))
+            x = -float(np.exp(rng.uniform(-3.0, 3.0)))
+            try:
+                got = psi(PkParams(p, k), x)
+            except PoleError:
+                continue
+            assert abs(got.value - oracles.mp_pk_psi(p, k, x)) <= got.abs_err, (p, k, x)
+
 
 class TestPsiSeries:
     def test_classical_point_both_forms(self):

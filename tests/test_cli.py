@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -180,3 +184,20 @@ class TestTable:
         code, out, _ = run_cli(capsys, "table", "psi", "--x", "1:1:1")
         value_field = out.strip().splitlines()[1].split(",")[1]
         assert len(value_field.replace("-", "").replace(".", "")) >= 16
+
+
+class TestImportGraph:
+    def test_scipy_is_never_imported(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        check = [sys.executable, "-c", "import pkspecial.cli, sys; assert 'scipy' not in sys.modules"]
+        assert subprocess.run(check, env=env, capture_output=True).returncode == 0
+        # -X importtime lists every module the eval process imports
+        run = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "pkspecial", "eval", "psi",
+             "--p", "2", "--k", "3", "--x", "-1.5"],
+            env=env, capture_output=True, text=True,
+        )
+        assert run.returncode == 0, run.stderr
+        assert "import time:" in run.stderr
+        assert "scipy" not in run.stderr

@@ -21,7 +21,7 @@ from pkspecial import (
     polygamma_classical,
     psi,
 )
-from pkspecial.core import best_central_diff, central_diff, gamma_sign
+from pkspecial.core import _digamma_array, best_central_diff, central_diff, gamma_sign
 
 # frozen oracle values (see oracles.py for the generating formulas)
 LN_GAMMA_HALF = 0.57236494292470009  # log sqrt(pi)
@@ -32,6 +32,8 @@ PSI_HALF = -1.96351002602142348  # -euler_gamma - 2 log 2, duplication
 ZETA_2 = 1.64493406684822644  # pi^2/6
 PSI1_TWO = 0.64493406684822644  # pi^2/6 - 1
 PSI2_ONE = -2.40411380631918857  # -2 zeta(3)
+
+EPS = 2.220446049250313e-16
 
 
 class TestEulerGamma:
@@ -131,6 +133,25 @@ class TestDigamma:
         with pytest.raises(PoleError):
             digamma_classical(-2.0)
 
+    @staticmethod
+    def wide_draws(seed, count):
+        # |z| log-uniform in [e^-6, e^6], either sign, off the pole band
+        rng = np.random.default_rng(seed)
+        zs = np.exp(rng.uniform(-6.0, 6.0, size=count)) * rng.choice((-1.0, 1.0), size=count)
+        return [float(z) for z in zs if z > 0 or abs(z - round(z)) > 1e-9]
+
+    def test_wide_draws_against_mpmath(self):
+        for z in self.wide_draws(41, 2000):
+            want = oracles.mp_digamma(z)
+            assert abs(digamma_classical(z) - want) <= 8 * EPS * (1.0 + abs(want)), z
+
+    def test_array_form_matches_scalar(self):
+        zs = np.array([z for z in self.wide_draws(42, 4000) if z > 0])
+        got = _digamma_array(zs)
+        for z, g in zip(zs, got):
+            want = digamma_classical(float(z))
+            assert abs(g - want) <= 8 * EPS * (1.0 + abs(want)), z
+
 
 class TestPolygamma:
     def test_reference_points(self):
@@ -155,6 +176,23 @@ class TestPolygamma:
             polygamma_classical(0, 1.0)
         with pytest.raises(DomainError):
             polygamma_classical(1, -1.0)
+
+    def test_orders_against_mpmath(self):
+        # z log-uniform in [e^-5, e^6], orders 1..8
+        rng = np.random.default_rng(43)
+        for m in range(1, 9):
+            for z in np.exp(rng.uniform(-5.0, 6.0, size=150)):
+                want = oracles.mp_polygamma(m, float(z))
+                assert abs(polygamma_classical(m, float(z)) - want) <= 8 * EPS * abs(want), (m, z)
+
+    def test_order_past_double_range(self):
+        # m! leaves the double range from m = 171 on; below, overflow is a signed inf
+        want = oracles.mp_polygamma(170, 200.0)
+        assert polygamma_classical(170, 200.0) == pytest.approx(want, rel=1e-14)
+        assert polygamma_classical(8, 1e-40) == -math.inf
+        assert polygamma_classical(7, 1e-60) == math.inf
+        with pytest.raises(DomainError):
+            polygamma_classical(171, 1.0)
 
 
 class TestPoleCheck:

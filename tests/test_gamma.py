@@ -8,6 +8,7 @@ import pytest
 import oracles
 from pkspecial import (
     DomainError,
+    NoConvergence,
     PkParams,
     PoleError,
     check_point,
@@ -128,6 +129,19 @@ class TestIntegral:
         assert base == pytest.approx(2.0 / 3.0, rel=1e-11)
         for a in (0.25, 5.0, 40.0):
             assert gamma_integral(params, 3.0, a_scale=a).value == pytest.approx(base, rel=1e-10)
+
+    def test_early_levels_past_double_range(self):
+        # early level differences push the error extrapolation past the double range
+        cases = [
+            (6.634118677489015, 0.7056227656195277, 4.412555519421938),
+            (2.7759673383585657, 0.21114940249179687, 18.824579280564997),
+        ]
+        for p, k, x in cases:
+            try:
+                got = gamma_integral(PkParams(p, k), x)
+            except NoConvergence:
+                continue
+            assert abs(got.ln_value - oracles.mp_ln_abs_pk_gamma(p, k, x)) <= got.abs_err_ln
 
     def test_preconditions(self):
         with pytest.raises(DomainError):

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from pkspecial import (
     HyperParams,
     LowerPoleError,
     MaxTermsExceeded,
+    NoConvergence,
     PkParams,
     UnsupportedShape,
     classify,
@@ -262,6 +264,23 @@ class TestConfluentIntegral:
             got = confluent_integral(h, x).value
             want = hyper_series(h, x).value
             assert got == pytest.approx(want, rel=1e-8), (a, b, x)
+
+    def test_early_levels_past_double_range(self):
+        # early level differences push the error extrapolation past the double range
+        cases = [
+            ((0.16671846104278437, 2.6103172809563544, 0.2626827992124852),
+             (11.032209744060609, 1.6258324966148108, 1.4804743102560347), 10.918130021870239),
+            ((1.7163786223128792, 2.233200014260028, 0.49378277755075634),
+             (1.428721014842047, 0.4996020402644211, 0.15553953988119598), 3.9778944517826353),
+        ]
+        for (a, p, k), (b, t1, s), x in cases:
+            try:
+                got = confluent_integral(hp(((a, p, k),), ((b, t1, s),)), x)
+            except NoConvergence:
+                continue
+            a, p, k, b, t1, s, x = (mp.mpf(v) for v in (a, p, k, b, t1, s, x))
+            want = mp.hyp1f1(a / k, b / s, p / t1 * x)
+            assert abs(got.value - want) <= got.abs_err, (a, b, x)
 
     def test_shape_restriction(self):
         with pytest.raises(UnsupportedShape):

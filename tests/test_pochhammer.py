@@ -27,7 +27,7 @@ from pkspecial import (
     poch_symmetric,
 )
 from pkspecial.core import best_central_diff
-from pkspecial.pochhammer import poch_dk_product
+from pkspecial.pochhammer import _elementary_table, poch_dk_product
 
 from conftest import GRID_KS, GRID_PS, GRID_XS
 
@@ -77,6 +77,13 @@ class TestElementarySymmetric:
         with pytest.raises(IndexError):
             elementary_symmetric([1.0, 2.0], 3)
 
+    def test_one_pass_table_is_bit_identical(self):
+        # poch_symmetric reads every e_s(1..n-1) from one table
+        for n in range(1, 31):
+            vars_ = list(range(1, n))
+            table = _elementary_table(vars_, n - 1)
+            assert table == [elementary_symmetric(vars_, s) for s in range(n)], n
+
     @settings(max_examples=60)
     @given(
         st.lists(st.floats(min_value=-4, max_value=4), min_size=0, max_size=10),
@@ -107,6 +114,23 @@ class TestFourRoutes:
         for x, want in ((1.0, math.inf), (-0.5, -math.inf)):
             with pytest.warns(OverflowNote):
                 assert poch_gamma_ratio(spec(x, 300, 2.0, 1.0)) == want
+
+    def test_product_routes_overflow_is_signed_inf(self):
+        routes = (
+            poch_direct,
+            poch_symmetric,
+            poch_reduce,
+            lambda s: poch_generalized(s, 1),
+            lambda s: poch_generalized(s, 2),
+        )
+        for route in routes:
+            with pytest.warns(OverflowNote):
+                assert route(spec(1.0, 300, 2.0, 1.0)) == math.inf
+        # one negative factor; the symmetric expansion is left out here, its
+        # alternating terms overflow to +inf and -inf and sum to nan
+        for route in routes[:1] + routes[2:]:
+            with pytest.warns(OverflowNote):
+                assert route(spec(-0.5, 300, 2.0, 1.0)) == -math.inf
 
     def test_gamma_ratio_examples(self):
         assert poch_gamma_ratio(spec(2, 3, 1, 1)) == pytest.approx(24.0, rel=1e-13)

@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 from pkspecial import NoConvergence, QuadratureSpec, integrate_semiaxis, integrate_unit
+from pkspecial.quadrature import _bbg_error
 
 SQRT_PI_HALF = 0.88622692545275801  # Gaussian integral, polar-coordinates oracle
 
@@ -104,6 +105,17 @@ class TestErrorContract:
         want = a * fa.value + b * gb.value
         budget = abs(a) * fa.abs_err + abs(b) * gb.abs_err + combined.abs_err
         assert abs(combined.value - want) <= max(budget, 1e-13)
+
+    def test_estimate_past_double_range_is_inf(self):
+        # a level difference just above 1 sends the extrapolated exponent past 308
+        assert _bbg_error([0.0, 1.001 - 1e-5, 1.001], 1.0) == math.inf
+
+    def test_no_error_estimate_is_no_convergence(self):
+        # one level gives no estimate: a typed error whose partial value is unknown
+        with pytest.raises(NoConvergence) as exc_info:
+            integrate_unit(lambda t: np.sqrt(t), QuadratureSpec(max_refinements=1))
+        partial = exc_info.value.partial
+        assert math.isnan(partial.value) and partial.abs_err == math.inf
 
     def test_no_convergence_payload(self):
         spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13, max_refinements=2)

@@ -7,6 +7,10 @@ function ships with several independent evaluation routes, and an audit
 engine verifies the catalog of defining identities numerically over
 parameter grids, reporting printed-vs-corrected outcomes for the handful of
 relations whose customary statements need a fixup to be self-consistent.
+
+numpy is imported inside the functions that use arrays, never at module
+scope: the closed-form routes are pure ``math``, and a process that calls
+only them (``pkspecial eval`` on a default route) never pays numpy's import.
 """
 
 from .core import (

@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import (
     _EPS,
     _digamma_array,
@@ -103,6 +101,8 @@ def beta_integral(args: BetaArgs, form: str = "unit", quad: QuadratureSpec = DEF
     onto (0, 1/2), so each piece is singular only at the origin where the
     quadrature grid is dense.
     """
+    import numpy as np
+
     k = args.params.k
     a, b = args.x / k, args.y / k
     if form == "unit":
@@ -175,6 +175,8 @@ def psi_series(params: PkParams, x: float, form: str = "3.9", terms: int = 100_0
     Raw truncation converges like 1/N; the corrections push the residual to
     O(1/N^4)-level so the default budget leaves nothing visible at 1e-9.
     """
+    import numpy as np
+
     if not (math.isfinite(x) and x > 0):
         raise DomainError(f"psi_series requires x > 0, got {x!r}")
     if not (isinstance(terms, int) and terms >= 10):
@@ -241,6 +243,8 @@ def k_zeta(x: float, r: int, k: float, terms: int = 10_000) -> EvalReal:
     the reported abs_err is the next correction's magnitude, far inside the
     coarse integral bound (x+Nk)^(1-r) / ((r-1) k).
     """
+    import numpy as np
+
     if not (isinstance(r, int) and r >= 2):
         raise DomainError(f"r must be an integer >= 2 for convergence, got {r!r}")
     if not (math.isfinite(x) and x > 0):

@@ -17,8 +17,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "EULER_GAMMA",
     "TAU_POLE",
@@ -179,7 +177,6 @@ def ln_gamma_classical(z: float) -> EvalReal:
 _PSI_ASYMPTOTIC = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12)
 _PSI_SHIFT = 10.0
 _PSI_HORNER = _PSI_ASYMPTOTIC[::-1]
-_PSI_EXPONENTS = -2.0 * np.arange(1, len(_PSI_ASYMPTOTIC) + 1)  # z^-2j
 
 
 def digamma_classical(z: float) -> float:
@@ -214,10 +211,13 @@ def _digamma_array(z: np.ndarray) -> np.ndarray:
 
     One shift count serves the whole array, taken from its smallest entry.
     """
+    import numpy as np
+
+    exponents = -2.0 * np.arange(1, len(_PSI_ASYMPTOTIC) + 1)  # z^-2j
     n = max(0, math.ceil(_PSI_SHIFT - float(z.min())))
     shift = (1.0 / (z[:, None] + np.arange(n))).sum(axis=1)
     z = z + n
-    tail = (z[:, None] ** _PSI_EXPONENTS) @ _PSI_ASYMPTOTIC
+    tail = (z[:, None] ** exponents) @ _PSI_ASYMPTOTIC
     return np.log(z) - 0.5 / z - tail - shift
 
 

@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import (
     _EPS,
     _LN_OVERFLOW,
@@ -102,6 +100,8 @@ def gamma_limit(
     The sequence converges like 1/n with leading coefficient z(z-1)/2, so
     two extrapolation levels over {n, 2n, 4n} leave an O(1/n^3) residual.
     """
+    import numpy as np
+
     _require_params(params)
     if not (math.isfinite(x) and x > 0):
         raise DomainError(f"gamma_limit requires x > 0, got {x!r}")
@@ -151,6 +151,8 @@ def gamma_integral(
     The result is independent of the free scale a > 0 (a=1 is the plain
     representation).  Requires x > 0 for integrability at the origin.
     """
+    import numpy as np
+
     _require_params(params)
     if not (math.isfinite(x) and x > 0):
         raise DomainError(f"gamma_integral requires x > 0, got {x!r}")
@@ -178,6 +180,8 @@ def gamma_euler_product(params: PkParams, x: float, terms: int = 100_000) -> Gam
     expands as (z^2-z)/2n^2 + (z-z^3)/3n^3 + (z^4-z)/4n^4 + O(n^-5); summing
     those orders analytically past N buys ~N^3 worth of extra terms.
     """
+    import numpy as np
+
     _require_params(params)
     if not (math.isfinite(x) and x > 0):
         raise DomainError(f"gamma_euler_product requires x > 0, got {x!r}")
@@ -200,6 +204,8 @@ def gamma_euler_product(params: PkParams, x: float, terms: int = 100_000) -> Gam
 
 def _weierstrass_recip_ln(z: float, terms: int) -> tuple[float, int]:
     """log|prod (1+z/n) e^(-z/n)| with its sign, tail-corrected."""
+    import numpy as np
+
     m0 = min(terms, max(0, math.ceil(-z) - 1)) if z < 0 else 0
     sign = 1
     head = 0.0
@@ -247,6 +253,8 @@ def gamma_limit_product_recip(params: PkParams, x: float, terms: int = 100_000) 
     partial product supplies z*(H_N - log N) itself.  Corrected past N by
     the harmonic remainder z*(1/2N - 1/12N^2) and the usual product tail.
     """
+    import numpy as np
+
     _require_params(params)
     if not math.isfinite(x):
         raise DomainError(f"x must be finite, got {x!r}")

@@ -13,9 +13,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .core import DomainError, EvalReal, Method, PkParams, ln_gamma_classical
+from .core import _EPS, DomainError, EvalReal, Method, PkParams, ln_gamma_classical
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_unit
 
 __all__ = [
@@ -165,7 +163,9 @@ def hyper_series(
 
     Stops once |term| < tol*|sum| three times in a row (guards against
     alternating-term false stops).  An upper ratio at a non-positive integer
-    terminates the series exactly (polynomial case).
+    terminates the series exactly (polynomial case).  abs_err carries the
+    rounding of the sum, eps*sum|term|: alternating terms far larger than
+    the sum (1F1 at large negative argument) cancel to few or no digits.
     """
     cls = classify(hp)
     alphas, betas = hp.alphas, hp.betas
@@ -180,6 +180,7 @@ def hyper_series(
     ts = [t for _, t, _ in hp.lower]
     term = 1.0
     total = 1.0
+    mass = 1.0  # sum of |term|
     quiet = 0
     last_ratio = 0.0
     for n in range(max_terms):
@@ -195,18 +196,20 @@ def hyper_series(
         ratio = num / den
         term = term * ratio
         total += term
+        mass += abs(term)
         last_ratio = abs(ratio)
         # non-strict: a terminated (polynomial) series has term == total == 0
         if abs(term) <= tol * abs(total):
             quiet += 1
             if quiet >= 3:
                 tail = abs(term) * last_ratio / (1.0 - last_ratio) if last_ratio < 1.0 else tol * abs(total)
-                return EvalReal(value=total, abs_err=abs(tail) + tol * abs(total), method=Method.SERIES)
+                err = abs(tail) + tol * abs(total) + _EPS * mass
+                return EvalReal(value=total, abs_err=err, method=Method.SERIES)
         else:
             quiet = 0
     raise MaxTermsExceeded(
         f"no convergence within {max_terms} terms",
-        EvalReal(value=total, abs_err=abs(term), method=Method.SERIES),
+        EvalReal(value=total, abs_err=abs(term) + _EPS * mass, method=Method.SERIES),
     )
 
 
@@ -258,6 +261,8 @@ def _stirling2_row(m: int) -> list[float]:
 
 def _fd_derivative(f, x: float, order: int, h: float) -> float:
     """Minimal central finite-difference derivative: O(h^2) truncation."""
+    import numpy as np
+
     if order == 0:
         return f(x)
     npts = 2 * ((order + 1) // 2) + 1
@@ -337,6 +342,7 @@ def pk_binomial(a: float, params: PkParams, x: float) -> EvalReal:
     p = params.p
     term = 1.0
     total = 1.0
+    mass = 1.0  # sum of |term|
     quiet = 0
     for n in range(DEFAULT_MAX_TERMS):
         term *= x * p * (alpha + n) / (n + 1.0)
@@ -350,7 +356,7 @@ def pk_binomial(a: float, params: PkParams, x: float) -> EvalReal:
     else:
         raise MaxTermsExceeded(
             "binomial series did not settle",
-            EvalReal(value=total, abs_err=abs(term), method=Method.SERIES),
+            EvalReal(value=total, abs_err=abs(term) + _EPS * mass, method=Method.SERIES),
         )
     closed = math.exp(-alpha * math.log1p(-x * p))
     err = abs(total - closed) + DEFAULT_TOL * abs(total)
@@ -366,6 +372,8 @@ def confluent_integral(hp: HyperParams, x: float, quad: QuadratureSpec = DEFAULT
     integral is split at 1/2 with the upper half reflected so each piece is
     singular only at the origin.
     """
+    import numpy as np
+
     if hp.r != 1 or hp.q != 1:
         raise UnsupportedShape(f"integral form supports r = q = 1 only, got r={hp.r}, q={hp.q}")
     (a, p, k), (b, t1, s) = hp.upper[0], hp.lower[0]

@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
-import numpy as np
-
 from .core import (
     DomainError,
     PkParams,
@@ -586,6 +584,8 @@ def _hyper_draws(
 
     A point names its draw by index; the draws are made once per grid size.
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     draws = []
     for _ in range(count):

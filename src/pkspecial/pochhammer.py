@@ -142,6 +142,16 @@ def poch_symmetric(spec: PochSpec) -> float:
     total = 0.0
     for s in range(n):
         total += pn * e[s] * _power(z, n - s)
+    if not math.isfinite(total):
+        # terms leave the double range before the symbol does, and at x/k < 0
+        # overflowed terms of both signs sum to nan: only the symbol's own
+        # magnitude says whether a signed inf is the answer
+        ln, sign = poch_ln(spec)
+        if ln <= _LN_OVERFLOW:
+            raise DomainError(
+                f"symmetric expansion terms leave the double range at n={n}; use poch_direct"
+            )
+        total = sign * math.inf
     return _noted(total)
 
 

@@ -28,8 +28,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import EvalReal, Method
 
 __all__ = [
@@ -86,6 +84,8 @@ def _unit_nodes(level: int):
     endpoints without cancellation; nodes whose t or 1-t underflow are
     dropped (their weights underflow with them).
     """
+    import numpy as np
+
     u = _level_abscissae(level, 6.2)
     v = 0.5 * math.pi * np.sinh(u)
     e = np.exp(-2.0 * np.abs(v))
@@ -105,6 +105,8 @@ def _semiaxis_nodes(level: int):
     (f(t)*t)*c so that f*t is formed first: for integrable singularities and
     decaying tails that product stays in range even where t alone is huge.
     """
+    import numpy as np
+
     u = _level_abscissae(level, 6.8)
     v = 0.5 * math.pi * np.sinh(u)
     keep = np.abs(v) < 708.0
@@ -115,6 +117,8 @@ def _semiaxis_nodes(level: int):
 
 def _level_abscissae(level: int, umax: float) -> np.ndarray:
     """Transformed-variable grid points new to the given level."""
+    import numpy as np
+
     h = _H0 / 2 ** (level - 1)
     if level == 1:
         m = int(math.floor(umax / h))
@@ -139,6 +143,8 @@ def _nodes(kind: str, level: int):
 
 
 def _level_sum(kind: str, f, level: int) -> float:
+    import numpy as np
+
     t, wc = _nodes(kind, level)
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
         if kind == "unit":

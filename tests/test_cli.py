@@ -201,3 +201,37 @@ class TestImportGraph:
         assert run.returncode == 0, run.stderr
         assert "import time:" in run.stderr
         assert "scipy" not in run.stderr
+
+    def test_numpy_loads_only_for_array_routes(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        # each command runs in a fresh interpreter, which reports its exit
+        # code and whether numpy got imported
+        probe = (
+            "import contextlib, io, sys\n"
+            "from pkspecial.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(sys.argv[1:])\n"
+            "print(code, 'numpy' in sys.modules)\n"
+        )
+
+        def loads_numpy(*argv):
+            run = subprocess.run(
+                [sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True
+            )
+            assert run.returncode == 0, run.stderr
+            code, loaded = run.stdout.split()
+            assert code == "0", argv
+            return loaded == "True"
+
+        closed_form = (
+            ("eval", "gamma", "--p", "2", "--k", "3", "--x", "2.2"),
+            ("eval", "beta", "--p", "2", "--k", "3", "--x", "1.5", "--y", "2.5"),
+            ("eval", "psi", "--p", "2", "--k", "3", "--x", "-1.5"),
+            ("eval", "poch", "--p", "2", "--k", "3", "--x", "1.5", "--n", "4"),
+            ("eval", "hyper", "--x", "0.3", "--a", "1,1,1", "--b", "2,1,1"),
+            ("table", "gamma", "--p", "2", "--k", "3", "--x", "0.5:3:0.25"),
+        )
+        for argv in closed_form:
+            assert not loads_numpy(*argv), argv
+        assert loads_numpy("eval", "gamma", "--x", "2.2", "--method", "limit")

@@ -110,6 +110,33 @@ class TestSeries:
             want = oracles.mp_hyper(red.classical_upper, red.classical_lower, red.scale * x)
             assert hyper_series(h, x).value == pytest.approx(want, rel=1e-12)
 
+    def test_abs_err_covers_cancellation(self):
+        # 1F1(1;2;x) = (e^x - 1)/x: at x = -40 the terms reach 3.7e14 against
+        # a sum of 0.025, and the returned value has no correct digit
+        h = hp(((1, 1, 1),), ((2, 1, 1),))
+        for x in (-30.0, -40.0, -100.0):
+            got = hyper_series(h, x)
+            assert abs(got.value - oracles.mp_hyper((1.0,), (2.0,), x)) <= got.abs_err, x
+        # log-uniform triples in [e^-2, e^2] for the entire shapes, x = -e^U,
+        # U in [-3, 3]; a term budget spent on overflowed terms is a typed error
+        rng = np.random.default_rng(51)
+        shapes = ((0, 1), (1, 1), (1, 2), (2, 2), (2, 3))
+        for i in range(400):
+            r, q = shapes[i % len(shapes)]
+            upper, lower = (
+                tuple(tuple(float(v) for v in np.exp(rng.uniform(-2.0, 2.0, size=3))) for _ in range(m))
+                for m in (r, q)
+            )
+            h = hp(upper, lower)
+            x = -float(np.exp(rng.uniform(-3.0, 3.0)))
+            try:
+                got = hyper_series(h, x)
+            except MaxTermsExceeded:
+                continue
+            red = reduce_classical(h)
+            want = oracles.mp_hyper(red.classical_upper, red.classical_lower, red.scale * x)
+            assert abs(got.value - want) <= got.abs_err, (upper, lower, x)
+
 
 class TestReduction:
     def test_unit_scales_are_identity(self):

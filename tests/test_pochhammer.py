@@ -126,11 +126,19 @@ class TestFourRoutes:
         for route in routes:
             with pytest.warns(OverflowNote):
                 assert route(spec(1.0, 300, 2.0, 1.0)) == math.inf
-        # one negative factor; the symmetric expansion is left out here, its
-        # alternating terms overflow to +inf and -inf and sum to nan
-        for route in routes[:1] + routes[2:]:
-            with pytest.warns(OverflowNote):
-                assert route(spec(-0.5, 300, 2.0, 1.0)) == -math.inf
+        # one and 26 negative factors: the symmetric expansion's alternating
+        # terms overflow to +inf and -inf, yet the symbol's sign holds
+        for x, want in ((-0.5, -math.inf), (-25.5, math.inf)):
+            for route in routes:
+                with pytest.warns(OverflowNote):
+                    assert route(spec(x, 300, 2.0, 1.0)) == want
+
+    def test_symmetric_overflow_inside_double_range_raises(self):
+        # p^n underflows and e_s overflows while the symbol stays finite, and
+        # an exact zero factor makes the symbol 0 under overflowing terms
+        for x, p in ((1.0, 0.01), (-25.0, 2.0)):
+            with pytest.raises(DomainError):
+                poch_symmetric(spec(x, 300, p, 1.0))
 
     def test_gamma_ratio_examples(self):
         assert poch_gamma_ratio(spec(2, 3, 1, 1)) == pytest.approx(24.0, rel=1e-13)

@@ -235,3 +235,126 @@ class TestImportGraph:
         for argv in closed_form:
             assert not loads_numpy(*argv), argv
         assert loads_numpy("eval", "gamma", "--x", "2.2", "--method", "limit")
+
+
+class TestRouteTable:
+    """Every route eval accepts: its output keys, method tag and value.
+
+    The value is compared bit for bit with the direct library call at the
+    same point; json round-trips a float exactly.
+    """
+
+    GAMMA_KEYS = {"value", "abs_err", "ln_value", "sign", "method", "inputs"}
+    LINEAR_KEYS = {"value", "abs_err", "method", "inputs"}
+
+    @staticmethod
+    def _cases():
+        import pkspecial as pk
+        from pkspecial.betapsi import polygamma, psi, psi_series
+
+        params = pk.PkParams(2.0, 0.5)
+        gp = ["--p", "2", "--k", "0.5"]
+        recip = pk.gamma_weierstrass_recip(params, 1.1)
+        gamma = {
+            "closed": pk.gamma_closed(params, 1.1).value,
+            "limit": pk.gamma_limit(params, 1.1, 100_000).value,
+            "integral": pk.gamma_integral(params, 1.1).value,
+            "euler-product": pk.gamma_euler_product(params, 1.1).value,
+            "weierstrass": recip.sign * math.exp(-recip.ln_value),
+        }
+        cases = [(("gamma", *gp, "--x", "1.1"), TestRouteTable.GAMMA_KEYS, "closed", gamma["closed"])]
+        for method, value in gamma.items():
+            argv = ("gamma", *gp, "--x", "1.1", "--method", method)
+            cases.append((argv, TestRouteTable.GAMMA_KEYS, method, value))
+        cases.append(
+            (("gamma", *gp, "--x", "-1.3"), TestRouteTable.GAMMA_KEYS, "closed",
+             pk.gamma_closed(params, -1.3).value)
+        )
+
+        bargs = pk.BetaArgs(1.5, 2.5, params)
+        bp = ["beta", *gp, "--x", "1.5", "--y", "2.5"]
+        closed = pk.beta_closed(bargs).value
+        cases += [
+            ((*bp,), TestRouteTable.LINEAR_KEYS, "closed", closed),
+            ((*bp, "--method", "closed"), TestRouteTable.LINEAR_KEYS, "closed", closed),
+        ]
+        for form in ("unit", "symmetric", "semiaxis"):
+            cases.append(
+                ((*bp, "--form", form), TestRouteTable.LINEAR_KEYS, "integral",
+                 pk.beta_integral(bargs, form).value)
+            )
+
+        pp = ["psi", *gp, "--x", "-1.3"]
+        value = psi(params, -1.3).value
+        cases += [
+            ((*pp,), TestRouteTable.LINEAR_KEYS, "closed", value),
+            ((*pp, "--method", "closed"), TestRouteTable.LINEAR_KEYS, "closed", value),
+        ]
+        for form in ("3.9", "3.10"):
+            cases.append(
+                (("psi", *gp, "--x", "1.3", "--form", form), TestRouteTable.LINEAR_KEYS, "series",
+                 psi_series(params, 1.3, form).value)
+            )
+
+        yp = ["polygamma", *gp, "--x", "1.3"]
+        cases += [
+            ((*yp,), TestRouteTable.LINEAR_KEYS, "series", polygamma(params, 1.3, 2).value),
+            ((*yp, "--method", "series"), TestRouteTable.LINEAR_KEYS, "series",
+             polygamma(params, 1.3, 2).value),
+            ((*yp, "--r", "4"), TestRouteTable.LINEAR_KEYS, "series", polygamma(params, 1.3, 4).value),
+        ]
+
+        spec = pk.PochSpec(1.5, 4, params)
+        kp = ["poch", *gp, "--x", "1.5", "--n", "4"]
+        poch = {
+            "direct": pk.poch_direct(spec),
+            "symmetric": pk.poch_symmetric(spec),
+            "reduce": pk.poch_reduce(spec),
+            "gamma-ratio": pk.poch_gamma_ratio(spec),
+            "generalized": pk.poch_generalized(spec, 1),
+        }
+        cases.append(((*kp,), TestRouteTable.LINEAR_KEYS, "direct", poch["direct"]))
+        for method, value in poch.items():
+            cases.append(((*kp, "--method", method), TestRouteTable.LINEAR_KEYS, method, value))
+        cases.append(
+            ((*kp, "--method", "generalized", "--q", "2"), TestRouteTable.LINEAR_KEYS,
+             "generalized", pk.poch_generalized(spec, 2))
+        )
+
+        hp = pk.HyperParams(upper=((1.0, 1.5, 1.0),), lower=((2.0, 1.0, 0.5),))
+        hv = ["hyper", "--x", "0.7", "--a", "1,1.5,1", "--b", "2,1,0.5"]
+        series = pk.hyper_series(hp, 0.7).value
+        cases += [
+            ((*hv,), TestRouteTable.LINEAR_KEYS, "series", series),
+            ((*hv, "--method", "series"), TestRouteTable.LINEAR_KEYS, "series", series),
+            ((*hv, "--method", "integral"), TestRouteTable.LINEAR_KEYS, "integral",
+             pk.confluent_integral(hp, 0.7).value),
+        ]
+        return cases
+
+    def test_every_route_keys_method_and_value(self, capsys):
+        for argv, keys, method, value in self._cases():
+            code, out, err = run_cli(capsys, "eval", *argv, "--format", "json")
+            assert code == 0, (argv, err)
+            doc = json.loads(out)
+            assert set(doc) == keys, argv
+            assert doc["method"] == method, argv
+            assert doc["value"] == value, argv
+
+    def test_table_row_matches_eval(self, capsys):
+        points = (
+            ("gamma", "--p", "2", "--k", "0.5", "--x"),
+            ("beta", "--p", "2", "--k", "0.5", "--y", "2.5", "--x"),
+            ("psi", "--p", "2", "--k", "0.5", "--x"),
+            ("polygamma", "--p", "2", "--k", "0.5", "--r", "3", "--x"),
+            ("poch", "--p", "2", "--k", "0.5", "--n", "4", "--x"),
+            ("hyper", "--a", "1,1.5,1", "--b", "2,1,0.5", "--x"),
+        )
+        for head in points:
+            code, out, err = run_cli(capsys, "table", *head, "0.75:0.75:1", "--format", "json")
+            assert code == 0, (head, err)
+            (row,) = json.loads(out)
+            code, out, err = run_cli(capsys, "eval", *head, "0.75", "--format", "json")
+            assert code == 0, (head, err)
+            doc = json.loads(out)
+            assert row == {"x": 0.75, "value": doc["value"], "abs_err": doc["abs_err"]}, head

@@ -18,6 +18,7 @@ from .core import (
     TAU_POLE,
     DomainError,
     EvalReal,
+    GammaEval,
     Method,
     OverflowNote,
     PkParams,
@@ -43,7 +44,6 @@ from .pochhammer import (
     poch_symmetric,
 )
 from .gamma import (
-    GammaEval,
     gamma_closed,
     gamma_euler_product,
     gamma_integral,
@@ -53,7 +53,6 @@ from .gamma import (
 )
 from .betapsi import (
     BetaArgs,
-    PsiEval,
     beta_closed,
     beta_integral,
     k_zeta,

@@ -37,7 +37,6 @@ from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_semiaxis, integr
 
 __all__ = [
     "BetaArgs",
-    "PsiEval",
     "beta_closed",
     "beta_integral",
     "psi",
@@ -70,21 +69,15 @@ class BetaArgs:
                 raise DomainError(f"{name} must be a positive real, got {v!r}")
 
 
-@dataclass(frozen=True)
-class PsiEval:
-    value: float
-    abs_err: float
-
-
 def beta_closed(args: BetaArgs) -> EvalReal:
     """(1/k) B(x/k, y/k) through the classical log-gamma kernel."""
     k = args.params.k
     a, b = args.x / k, args.y / k
     terms = (ln_gamma_classical(a), ln_gamma_classical(b), ln_gamma_classical(a + b))
     lnk = math.log(k)
-    ln = terms[0].value + terms[1].value - terms[2].value - lnk
+    ln = terms[0].ln_value + terms[1].ln_value - terms[2].ln_value - lnk
     # each log-gamma's own error, plus the rounding of the sum of the logs
-    err_ln = sum(t.abs_err + _EPS * abs(t.value) for t in terms) + _EPS * abs(lnk)
+    err_ln = sum(t.abs_err_ln + _EPS * abs(t.ln_value) for t in terms) + _EPS * abs(lnk)
     value = math.exp(ln)
     err = value * (1e-14 * (1 + abs(ln)) + err_ln)
     return EvalReal(value=value, abs_err=err, method=Method.CLOSED)
@@ -140,7 +133,7 @@ def beta_integral(args: BetaArgs, form: str = "unit", quad: QuadratureSpec = DEF
     return EvalReal(value=value, abs_err=err, method=Method.INTEGRAL)
 
 
-def psi(params: PkParams, x: float) -> PsiEval:
+def psi(params: PkParams, x: float) -> EvalReal:
     """log(p)/k + digamma(x/k)/k, the logarithmic derivative of the family Gamma."""
     if pole_check(params, x).is_pole:
         raise PoleError(f"psi: x={x} lies on the pole lattice of k={params.k}")
@@ -152,7 +145,7 @@ def psi(params: PkParams, x: float) -> PsiEval:
         # the rounding of z = x/k, amplified near the poles by
         # psi'(z) + psi'(1-z) = (pi / sin(pi z))^2
         err += 4.0 * _EPS * (1.0 + abs(z)) * (math.pi / math.sin(math.pi * (z - round(z)))) ** 2 / k
-    return PsiEval(value=v, abs_err=err)
+    return EvalReal(value=v, abs_err=err, method=Method.CLOSED)
 
 
 def psi_printed(params: PkParams, x: float) -> float:
@@ -166,7 +159,7 @@ def psi_printed(params: PkParams, x: float) -> float:
     return math.log(params.p) / params.k + digamma_classical(x / params.k)
 
 
-def psi_series(params: PkParams, x: float, form: str = "3.9", terms: int = 100_000) -> PsiEval:
+def psi_series(params: PkParams, x: float, form: str = "3.9", terms: int = 100_000) -> EvalReal:
     """Series route for psi, 1/k-normalized, with analytic tail corrections.
 
     form "3.9":  log(p)/k - g/k - 1/x + (x/k) sum_{n>=1} 1/(n (x+nk))
@@ -210,7 +203,7 @@ def psi_series(params: PkParams, x: float, form: str = "3.9", terms: int = 100_0
         err = abs(x - k) / k * (1.0 + w**4) / (k * N**4) + 1e-13
     else:
         raise DomainError(f"form must be one of {PSI_SERIES_FORMS}, got {form!r}")
-    return PsiEval(value=v, abs_err=err)
+    return EvalReal(value=v, abs_err=err, method=Method.SERIES)
 
 
 def ln_gamma_via_psi(params: PkParams, x: float, quad: QuadratureSpec = DEFAULT_SPEC) -> EvalReal:
@@ -222,7 +215,7 @@ def ln_gamma_via_psi(params: PkParams, x: float, quad: QuadratureSpec = DEFAULT_
     if not (math.isfinite(x) and x > 0):
         raise DomainError(f"ln_gamma_via_psi requires x > 0, got {x!r}")
     p, k = params.p, params.k
-    ln_at_one = math.log(p) / k - math.log(k) + ln_gamma_classical(1.0 / k).value
+    ln_at_one = math.log(p) / k - math.log(k) + ln_gamma_classical(1.0 / k).ln_value
     span = x - 1.0
     if span == 0.0:
         return EvalReal(value=ln_at_one, abs_err=1e-14, method=Method.INTEGRAL)
@@ -267,7 +260,7 @@ def k_zeta(x: float, r: int, k: float, terms: int = 10_000) -> EvalReal:
     return EvalReal(value=value, abs_err=err, method=Method.SERIES)
 
 
-def polygamma(params: PkParams, x: float, r: int) -> PsiEval:
+def polygamma(params: PkParams, x: float, r: int) -> EvalReal:
     """r-th derivative of log G: (-1)^r (r-1)! zeta_k(x, r); independent of p.
 
     Orders past 171 are rejected: (r-1)! no longer fits in a double.
@@ -278,7 +271,7 @@ def polygamma(params: PkParams, x: float, r: int) -> PsiEval:
         raise DomainError(f"x must be a positive real, got {x!r}")
     z = k_zeta(x, r, params.k)
     coeff = (-1.0) ** r * math.factorial(r - 1)
-    return PsiEval(value=coeff * z.value, abs_err=abs(coeff) * z.abs_err)
+    return EvalReal(value=coeff * z.value, abs_err=abs(coeff) * z.abs_err, method=Method.SERIES)
 
 
 def polygamma_printed(params: PkParams, x: float, r: int) -> float:

@@ -7,6 +7,7 @@ row-limit error, 2 domain/pole error, 3 report I/O error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -22,7 +23,7 @@ from .betapsi import (
     psi,
     psi_series,
 )
-from .core import DomainError, PkParams, PoleError, pole_check
+from .core import DomainError, EvalReal, GammaEval, PkParams, PoleError, pole_check
 from .gamma import (
     gamma_closed,
     gamma_euler_product,
@@ -57,11 +58,6 @@ EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_IO = 3
 
-FUNCTIONS = ("gamma", "beta", "psi", "poch", "hyper", "polygamma")
-
-GAMMA_METHODS = ("closed", "limit", "integral", "euler-product", "weierstrass")
-POCH_METHODS = ("direct", "symmetric", "reduce", "gamma-ratio", "generalized")
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with 2 on usage errors; the contract here wants 1."""
@@ -83,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     ev = sub.add_parser("eval", help="evaluate one function at one point")
-    ev.add_argument("function", choices=FUNCTIONS)
+    ev.add_argument("function", choices=tuple(ROUTES))
     _add_point_flags(ev)
     ev.add_argument("--method", default=None, help="evaluation route (per function)")
     ev.add_argument("--form", default=None, help="integral/series form where applicable")
@@ -102,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     tb = sub.add_parser("table", help="sweep one variable and emit rows")
-    tb.add_argument("function", choices=FUNCTIONS)
+    tb.add_argument("function", choices=tuple(ROUTES))
     _add_point_flags(tb, sweep=True)
     tb.add_argument("--method", default=None)
     tb.add_argument("--form", default=None)
@@ -120,7 +116,7 @@ def _add_point_flags(p: argparse.ArgumentParser, sweep: bool = False) -> None:
     p.add_argument("--y", default=None, help=f"second argument (beta){sweep_note}")
     p.add_argument("--n", type=int, default=None, help="factor count (poch)")
     p.add_argument("--r", type=int, default=None, help="derivative order (polygamma)")
-    p.add_argument("--q", type=int, default=None, help="block count (poch generalized)")
+    p.add_argument("--q", type=int, default=1, help="block count (poch generalized)")
     p.add_argument(
         "--a",
         action="append",
@@ -162,107 +158,110 @@ def _require(args, name: str) -> float:
     return _parse_float(name, raw)
 
 
-def _eval_point(args, x: float) -> dict:
-    """Evaluate args.function at x; returns {value, abs_err, method, ...}."""
-    fn = args.function
-    params = PkParams(args.p, args.k)
-    method = args.method
-    if fn == "gamma":
-        method = method or "closed"
-        if method not in GAMMA_METHODS:
-            raise CliDomainError(f"gamma methods are {GAMMA_METHODS}")
-        rep = pole_check(params, x)
-        if rep.is_pole:
-            raise CliDomainError(f"pole at index {rep.pole_index}")
-        if method == "closed":
-            g = gamma_closed(params, x)
-        elif method == "limit":
-            g = gamma_limit(params, x, 100_000)
-        elif method == "integral":
-            g = gamma_integral(params, x)
-        elif method == "euler-product":
-            g = gamma_euler_product(params, x)
-        else:
-            recip = gamma_weierstrass_recip(params, x)
-            g = type(recip)(
-                ln_value=-recip.ln_value,
-                sign=recip.sign,
-                abs_err_ln=recip.abs_err_ln,
-                method=recip.method,
-            )
-        value = g.value
+def _off_pole(params: PkParams, x: float) -> PkParams:
+    rep = pole_check(params, x)
+    if rep.is_pole:
+        raise CliDomainError(f"pole at index {rep.pole_index}")
+    return params
+
+
+def _beta_args(args, params: PkParams, x: float) -> BetaArgs:
+    return BetaArgs(x, _require(args, "y"), params)
+
+
+def _poch_spec(args, params: PkParams, x: float) -> PochSpec:
+    if args.n is None:
+        raise CliDomainError("--n is required for poch")
+    return PochSpec(x, args.n, params)
+
+
+def _hyper_params(args) -> HyperParams:
+    return HyperParams(upper=_parse_triples(args.a, "--a"), lower=_parse_triples(args.b, "--b"))
+
+
+def _weierstrass(params: PkParams, x: float) -> GammaEval:
+    recip = gamma_weierstrass_recip(params, x)
+    return dataclasses.replace(recip, ln_value=-recip.ln_value)
+
+
+# function -> route key -> adapter(args, params, x); the first key is the
+# default.  Adapters look routes up as module globals at call time.
+ROUTES = {
+    "gamma": {
+        "closed": lambda a, pk, x: gamma_closed(_off_pole(pk, x), x),
+        "limit": lambda a, pk, x: gamma_limit(_off_pole(pk, x), x, 100_000),
+        "integral": lambda a, pk, x: gamma_integral(_off_pole(pk, x), x),
+        "euler-product": lambda a, pk, x: gamma_euler_product(_off_pole(pk, x), x),
+        "weierstrass": lambda a, pk, x: _weierstrass(_off_pole(pk, x), x),
+    },
+    "beta": {
+        "closed": lambda a, pk, x: beta_closed(_beta_args(a, pk, x)),
+        **{
+            form: lambda a, pk, x, form=form: beta_integral(_beta_args(a, pk, x), form)
+            for form in BETA_FORMS
+        },
+    },
+    "psi": {
+        "closed": lambda a, pk, x: psi(_off_pole(pk, x), x),
+        **{
+            form: lambda a, pk, x, form=form: psi_series(pk, x, form)
+            for form in PSI_SERIES_FORMS
+        },
+    },
+    "poch": {
+        "direct": lambda a, pk, x: poch_direct(_poch_spec(a, pk, x)),
+        "symmetric": lambda a, pk, x: poch_symmetric(_poch_spec(a, pk, x)),
+        "reduce": lambda a, pk, x: poch_reduce(_poch_spec(a, pk, x)),
+        "gamma-ratio": lambda a, pk, x: poch_gamma_ratio(_poch_spec(a, pk, x)),
+        "generalized": lambda a, pk, x: poch_generalized(_poch_spec(a, pk, x), a.q),
+    },
+    "hyper": {
+        "series": lambda a, pk, x: hyper_series(_hyper_params(a), x, tol=a.tol),
+        "integral": lambda a, pk, x: confluent_integral(_hyper_params(a), x),
+    },
+    "polygamma": {
+        "series": lambda a, pk, x: polygamma(pk, x, a.r if a.r is not None else 2),
+    },
+}
+
+# what an eval or table command reports as a domain error (exit 2)
+_DOMAIN_ERRORS = (CliDomainError, PoleError, DomainError, DivergentInput, LowerPoleError,
+                 UnsupportedShape, NoConvergence, MaxTermsExceeded)
+
+
+def _route(args) -> str:
+    """The route key: --form if given, else --method, else the function's default."""
+    routes = ROUTES[args.function]
+    key = args.form or args.method or next(iter(routes))
+    if key not in routes:
+        raise CliDomainError(f"{args.function} methods are {tuple(routes)}")
+    return key
+
+
+def _eval_point(args, key: str, x: float) -> dict:
+    """Evaluate args.function at x by route key; returns {value, abs_err, method, ...}."""
+    result = ROUTES[args.function][key](args, PkParams(args.p, args.k), x)
+    if isinstance(result, GammaEval):
+        value = result.value
+        finite = math.isfinite(value)
         return {
-            "value": value if math.isfinite(value) else None,
-            "abs_err": abs(value) * g.abs_err_ln if math.isfinite(value) else None,
-            "ln_value": g.ln_value,
-            "sign": g.sign,
-            "method": g.method.value,
+            "value": value if finite else None,
+            "abs_err": abs(value) * result.abs_err_ln if finite else None,
+            "ln_value": result.ln_value,
+            "sign": result.sign,
+            "method": result.method.value,
         }
-    if fn == "beta":
-        y = _require(args, "y")
-        bargs = BetaArgs(x, y, params)
-        if args.form:
-            if args.form not in BETA_FORMS:
-                raise CliDomainError(f"beta forms are {BETA_FORMS}")
-            ev = beta_integral(bargs, args.form)
-        elif method in (None, "closed"):
-            ev = beta_closed(bargs)
-        else:
-            raise CliDomainError("beta methods: closed, or pass --form for an integral route")
-        return {"value": ev.value, "abs_err": ev.abs_err, "method": ev.method.value}
-    if fn == "psi":
-        if args.form:
-            if args.form not in PSI_SERIES_FORMS:
-                raise CliDomainError(f"psi series forms are {PSI_SERIES_FORMS}")
-            pe = psi_series(params, x, args.form)
-            return {"value": pe.value, "abs_err": pe.abs_err, "method": "series"}
-        rep = pole_check(params, x)
-        if rep.is_pole:
-            raise CliDomainError(f"pole at index {rep.pole_index}")
-        pe = psi(params, x)
-        return {"value": pe.value, "abs_err": pe.abs_err, "method": "closed"}
-    if fn == "polygamma":
-        r = args.r if args.r is not None else 2
-        pe = polygamma(params, x, r)
-        return {"value": pe.value, "abs_err": pe.abs_err, "method": "series"}
-    if fn == "poch":
-        if args.n is None:
-            raise CliDomainError("--n is required for poch")
-        spec = PochSpec(x, args.n, params)
-        method = method or "direct"
-        if method == "generalized":
-            value = poch_generalized(spec, args.q if args.q is not None else 1)
-        else:
-            routes = {
-                "direct": poch_direct,
-                "symmetric": poch_symmetric,
-                "reduce": poch_reduce,
-                "gamma-ratio": poch_gamma_ratio,
-            }
-            if method not in routes:
-                raise CliDomainError(f"poch methods are {POCH_METHODS}")
-            value = routes[method](spec)
-        return {"value": value, "abs_err": abs(value) * 1e-15 * (spec.n + 1), "method": method}
-    if fn == "hyper":
-        hp = HyperParams(
-            upper=_parse_triples(args.a, "--a"), lower=_parse_triples(args.b, "--b")
-        )
-        if method in (None, "series"):
-            ev = hyper_series(hp, x, tol=args.tol)
-        elif method == "integral":
-            ev = confluent_integral(hp, x)
-        else:
-            raise CliDomainError("hyper methods are ('series', 'integral')")
-        return {"value": ev.value, "abs_err": ev.abs_err, "method": ev.method.value}
-    raise CliDomainError(f"unknown function {fn!r}")
+    if isinstance(result, EvalReal):
+        return {"value": result.value, "abs_err": result.abs_err, "method": result.method.value}
+    # the Pochhammer routes return a bare float with no error estimate
+    return {"value": result, "abs_err": abs(result) * 1e-15 * (args.n + 1), "method": key}
 
 
 def _cmd_eval(args) -> int:
     try:
         x = _require(args, "x")
-        result = _eval_point(args, x)
-    except (CliDomainError, PoleError, DomainError, DivergentInput, LowerPoleError,
-            UnsupportedShape, NoConvergence, MaxTermsExceeded) as exc:
+        result = _eval_point(args, _route(args), x)
+    except _DOMAIN_ERRORS as exc:
         reason = getattr(exc, "reason", str(exc))
         if args.format == "json":
             print(json.dumps({"error": "domain", "reason": reason}))
@@ -339,12 +338,7 @@ def _parse_sweep(raw: str) -> list[float]:
 
 
 def _cmd_table(args) -> int:
-    sweep_var = None
-    for name in ("x", "y"):
-        raw = getattr(args, name)
-        if raw is not None and isinstance(raw, str) and ":" in raw:
-            sweep_var = name
-            break
+    sweep_var = next((name for name in ("x", "y") if ":" in (getattr(args, name) or "")), None)
     try:
         if sweep_var is None:
             raise CliDomainError("one of --x/--y must be a sweep 'start:stop:step'")
@@ -352,16 +346,20 @@ def _cmd_table(args) -> int:
     except CliDomainError as exc:
         print(f"error: {exc.reason}", file=sys.stderr)
         return EXIT_USAGE
+    try:
+        key = _route(args)
+    except CliDomainError as exc:
+        print(f"error: {exc.reason}", file=sys.stderr)
+        return EXIT_DOMAIN
     rows = []
     for v in values:
         try:
             if sweep_var == "x":
-                result = _eval_point(args, v)
+                result = _eval_point(args, key, v)
             else:
                 args.y = v
-                result = _eval_point(args, _require(args, "x"))
-        except (CliDomainError, PoleError, DomainError, DivergentInput, LowerPoleError,
-                UnsupportedShape, NoConvergence, MaxTermsExceeded) as exc:
+                result = _eval_point(args, key, _require(args, "x"))
+        except _DOMAIN_ERRORS as exc:
             reason = getattr(exc, "reason", str(exc))
             print(f"error at {sweep_var}={v}: {reason}", file=sys.stderr)
             return EXIT_DOMAIN

@@ -5,9 +5,11 @@ evaluated at x/k, so this module owns the classical backend (log-gamma with
 an explicit sign channel, digamma, polygamma), parameter validation, and
 pole detection on the lattice x = -n*k.
 
-Gamma-type values are computed and stored in log space; linear values are
-materialized on demand.  Rationale: the family's closed form multiplies
-p**(x/k) by Gamma(x/k), and both factors overflow long before the log does.
+Gamma-type values are computed and stored in log space, as a ``GammaEval``
+with a sign, and their linear value is materialized on demand; an
+``EvalReal`` holds a linear value.  Rationale: the family's closed form
+multiplies p**(x/k) by Gamma(x/k), and both factors overflow long before
+the log does.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ __all__ = [
     "Method",
     "PkParams",
     "EvalReal",
+    "GammaEval",
     "PoleReport",
     "PoleError",
     "DomainError",
@@ -92,22 +95,32 @@ class PkParams:
 
 @dataclass(frozen=True)
 class EvalReal:
-    """A computed value with an absolute-error estimate and a method tag.
-
-    ``sign`` matters only when ``value`` holds a log-space magnitude; linear
-    producers leave it at +1.
-    """
+    """A computed linear value with an absolute-error estimate and a method tag."""
 
     value: float
     abs_err: float
-    sign: int = 1
     method: Method = Method.CLOSED
 
     def __post_init__(self) -> None:
         if math.isfinite(self.value) and not (math.isfinite(self.abs_err) and self.abs_err >= 0.0):
             raise ValueError(f"abs_err must be finite and >= 0, got {self.abs_err!r}")
-        if self.sign not in (-1, 1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
+
+
+@dataclass(frozen=True)
+class GammaEval:
+    """A Gamma-type value in log space, sign * exp(ln_value), with its log's error."""
+
+    ln_value: float
+    sign: int
+    abs_err_ln: float
+    method: Method
+
+    @property
+    def value(self) -> float:
+        """Materialize the linear value (inf past the double range)."""
+        if self.ln_value > _LN_OVERFLOW:
+            return self.sign * math.inf
+        return self.sign * math.exp(self.ln_value)
 
 
 @dataclass(frozen=True)
@@ -143,7 +156,7 @@ def _pole_distance(z: float) -> float:
     return abs(z - min(round(z), 0))
 
 
-def ln_gamma_classical(z: float) -> EvalReal:
+def ln_gamma_classical(z: float) -> GammaEval:
     """log|Gamma(z)| with the sign of Gamma(z), for real non-pole z.
 
     Raises PoleError within TAU_POLE of a non-positive integer.  Near-pole
@@ -168,7 +181,7 @@ def ln_gamma_classical(z: float) -> EvalReal:
             OverflowNote,
             stacklevel=2,
         )
-    return EvalReal(value=val, abs_err=err, sign=gamma_sign(z), method=Method.CLOSED)
+    return GammaEval(ln_value=val, sign=gamma_sign(z), abs_err_ln=err, method=Method.CLOSED)
 
 
 # B_2j / (2j), j = 1..7: the coefficients of the asymptotic series

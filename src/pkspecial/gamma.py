@@ -14,16 +14,15 @@ All evaluators work in log space with an explicit sign channel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .core import (
     _EPS,
-    _LN_OVERFLOW,
     _tail_s2,
     _tail_s3,
     _tail_s4,
     EULER_GAMMA,
     DomainError,
+    GammaEval,
     Method,
     PkParams,
     PoleError,
@@ -33,7 +32,6 @@ from .core import (
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_semiaxis
 
 __all__ = [
-    "GammaEval",
     "gamma_closed",
     "gamma_limit",
     "gamma_integral",
@@ -41,23 +39,6 @@ __all__ = [
     "gamma_weierstrass_recip",
     "gamma_rescale",
 ]
-
-
-@dataclass(frozen=True)
-class GammaEval:
-    """A family-Gamma value in log space: sign * exp(ln_value)."""
-
-    ln_value: float
-    sign: int
-    abs_err_ln: float
-    method: Method
-
-    @property
-    def value(self) -> float:
-        """Materialize the linear value (inf past the double range)."""
-        if self.ln_value > _LN_OVERFLOW:
-            return self.sign * math.inf
-        return self.sign * math.exp(self.ln_value)
 
 
 def _require_params(params: PkParams) -> PkParams:
@@ -78,9 +59,9 @@ def gamma_closed(params: PkParams, x: float) -> GammaEval:
     z = x / params.k
     lg = ln_gamma_classical(z)
     lnp_z, lnk = z * math.log(params.p), math.log(params.k)
-    ln = lnp_z - lnk + lg.value
+    ln = lnp_z - lnk + lg.ln_value
     # the rounding of z enters z ln p once more on top of the rounding of the sum
-    err = lg.abs_err + _EPS * (1.0 + 2.0 * abs(lnp_z) + abs(lnk) + abs(lg.value))
+    err = lg.abs_err_ln + _EPS * (1.0 + 2.0 * abs(lnp_z) + abs(lnk) + abs(lg.ln_value))
     return GammaEval(ln_value=ln, sign=lg.sign, abs_err_ln=err, method=Method.CLOSED)
 
 
@@ -202,26 +183,27 @@ def gamma_euler_product(params: PkParams, x: float, terms: int = 100_000) -> Gam
     return GammaEval(ln_value=ln, sign=1, abs_err_ln=err, method=Method.EULER_PRODUCT)
 
 
-def _weierstrass_recip_ln(z: float, terms: int) -> tuple[float, int]:
-    """log|prod (1+z/n) e^(-z/n)| with its sign, tail-corrected."""
-    import numpy as np
+def _negative_head(z: float, terms: int, damped: bool) -> tuple[int, float, int]:
+    """The factors 1 + z/n that are negative at z < 0, n = 1..m0, which log1p cannot take.
 
+    Returns m0, the sum of log|1 + z/n| over them (each less z/n when
+    ``damped``, as in the Weierstrass factors) and the sign of their product.
+    Off the pole lattice no factor is zero.
+    """
     m0 = min(terms, max(0, math.ceil(-z) - 1)) if z < 0 else 0
     sign = 1
     head = 0.0
     for n in range(1, m0 + 1):
         f = 1.0 + z / n
-        if f == 0.0:
-            return -math.inf, 0
         if f < 0.0:
             sign = -sign
-        head += math.log(abs(f)) - z / n
-    n = np.arange(m0 + 1, terms + 1, dtype=float)
-    r = z / n
-    body = float(np.sum((np.log1p(r) - r)[::-1]))
-    N = float(terms)
-    tail = -(z * z) / 2.0 * _tail_s2(N) + z**3 / 3.0 * _tail_s3(N) - z**4 / 4.0 * _tail_s4(N)
-    return head + body + tail, sign
+        head += math.log(abs(f)) - z / n if damped else math.log(abs(f))
+    return m0, head, sign
+
+
+def _product_tail(z: float, N: float) -> float:
+    """sum over n > N of log(1 + z/n) - z/n, to order z^4."""
+    return -(z * z) / 2.0 * _tail_s2(N) + z**3 / 3.0 * _tail_s3(N) - z**4 / 4.0 * _tail_s4(N)
 
 
 def gamma_weierstrass_recip(params: PkParams, x: float, terms: int = 100_000) -> GammaEval:
@@ -231,17 +213,22 @@ def gamma_weierstrass_recip(params: PkParams, x: float, terms: int = 100_000) ->
     restriction.  On the pole lattice the reciprocal vanishes identically,
     so a zero eval (ln = -inf) is returned rather than raising.
     """
+    import numpy as np
+
     _require_params(params)
-    if not math.isfinite(x):
-        raise DomainError(f"x must be finite, got {x!r}")
     if not (isinstance(terms, int) and terms >= 10):
         raise DomainError(f"terms must be an integer >= 10, got {terms!r}")
+    # pole_check also rejects a non-finite x with DomainError
     if pole_check(params, x).is_pole:
         return GammaEval(ln_value=-math.inf, sign=1, abs_err_ln=0.0, method=Method.WEIERSTRASS)
     z = x / params.k
-    prod_ln, prod_sign = _weierstrass_recip_ln(z, terms)
+    m0, head, sign = _negative_head(z, terms, damped=True)
+    n = np.arange(m0 + 1, terms + 1, dtype=float)
+    r = z / n
+    body = float(np.sum((np.log1p(r) - r)[::-1]))
+    prod_ln = head + body + _product_tail(z, float(terms))
     ln = math.log(abs(x)) - z * math.log(params.p) + z * EULER_GAMMA + prod_ln
-    sign = prod_sign * (1 if x > 0 else -1)
+    sign = sign * (1 if x > 0 else -1)
     err = (abs(z) ** 5 + abs(z)) / (4.0 * float(terms) ** 4) + 1e-12
     return GammaEval(ln_value=ln, sign=sign, abs_err_ln=err, method=Method.WEIERSTRASS)
 
@@ -256,25 +243,17 @@ def gamma_limit_product_recip(params: PkParams, x: float, terms: int = 100_000) 
     import numpy as np
 
     _require_params(params)
-    if not math.isfinite(x):
-        raise DomainError(f"x must be finite, got {x!r}")
     if not (isinstance(terms, int) and terms >= 10):
         raise DomainError(f"terms must be an integer >= 10, got {terms!r}")
+    # pole_check also rejects a non-finite x with DomainError
     if pole_check(params, x).is_pole:
         return GammaEval(ln_value=-math.inf, sign=1, abs_err_ln=0.0, method=Method.LIMIT)
     z = x / params.k
     N = float(terms)
-    m0 = min(terms, max(0, math.ceil(-z) - 1)) if z < 0 else 0
-    sign = 1
-    head = 0.0
-    for n in range(1, m0 + 1):
-        f = 1.0 + z / n
-        if f < 0.0:
-            sign = -sign
-        head += math.log(abs(f))
+    m0, head, sign = _negative_head(z, terms, damped=False)
     n = np.arange(m0 + 1, terms + 1, dtype=float)
     body = float(np.sum(np.log1p(z / n)[::-1]))
-    tail = -(z * z) / 2.0 * _tail_s2(N) + z**3 / 3.0 * _tail_s3(N) - z**4 / 4.0 * _tail_s4(N)
+    tail = _product_tail(z, N)
     harmonic_residual = z * (1.0 / (2.0 * N) - 1.0 / (12.0 * N**2))
     ln = (
         math.log(abs(x))

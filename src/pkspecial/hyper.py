@@ -197,6 +197,13 @@ def hyper_series(
         term = term * ratio
         total += term
         mass += abs(term)
+        if not ratio > 0.0 and not math.isfinite(term):
+            # overflowed terms of both signs sum to nan, which no later term
+            # mends; a run of one sign is a true overflow, returned as inf below
+            raise MaxTermsExceeded(
+                f"term {n + 1} left the double range with a sign change; the sum is lost",
+                EvalReal(value=total, abs_err=abs(term) + _EPS * mass, method=Method.SERIES),
+            )
         last_ratio = abs(ratio)
         # non-strict: a terminated (polynomial) series has term == total == 0
         if abs(term) <= tol * abs(total):
@@ -395,9 +402,9 @@ def confluent_integral(hp: HyperParams, x: float, quad: QuadratureSpec = DEFAULT
     lo = integrate_unit(lower_half, quad)
     hi = integrate_unit(upper_half, quad)
     ln_pref = (
-        ln_gamma_classical(beta).value
-        - ln_gamma_classical(alpha).value
-        - ln_gamma_classical(lam).value
+        ln_gamma_classical(beta).ln_value
+        - ln_gamma_classical(alpha).ln_value
+        - ln_gamma_classical(lam).ln_value
     )
     pref = math.exp(ln_pref)
     value = pref * (lo.value + hi.value)

@@ -318,7 +318,7 @@ def _k_reduction(pt, grid):
     lhs = _g(_params(pt), x)
     # route through the one-parameter reduction (p/k)^(x/k) * k^(x/k-1) Gamma(x/k)
     lg = ln_gamma_classical(z)
-    rhs = lg.sign * math.exp(z * math.log(p / k) + (z - 1.0) * math.log(k) + lg.value)
+    rhs = lg.sign * math.exp(z * math.log(p / k) + (z - 1.0) * math.log(k) + lg.ln_value)
     return lhs, rhs, rhs
 
 
@@ -390,7 +390,7 @@ def _alternating(pt, grid):
 def _value_at_one(pt, grid):
     p, k = pt["p"], pt["k"]
     lg = ln_gamma_classical(1.0 / k)
-    rhs = lg.sign * math.exp(math.log(p) / k - math.log(k) + lg.value)
+    rhs = lg.sign * math.exp(math.log(p) / k - math.log(k) + lg.ln_value)
     return _g(_params(pt), 1.0), rhs, rhs
 
 
@@ -404,7 +404,7 @@ def _value_at_k(pt, grid):
 def _value_at_p(pt, grid):
     p, k = pt["p"], pt["k"]
     lg = ln_gamma_classical(p / k)
-    rhs = lg.sign * math.exp((p / k) * math.log(p) - math.log(k) + lg.value)
+    rhs = lg.sign * math.exp((p / k) * math.log(p) - math.log(k) + lg.ln_value)
     return _g(_params(pt), p), rhs, rhs
 
 

@@ -13,6 +13,7 @@ rescalings between step sizes.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -136,12 +137,21 @@ def poch_symmetric(spec: PochSpec) -> float:
     if spec.n < 1:
         raise DomainError("the symmetric expansion needs n >= 1")
     n = spec.n
+    p = spec.params.p
     z = spec.x / spec.params.k
-    pn = _power(spec.params.p, n)
+    pn = _power(p, n)
+    # a subnormal p^n would carry its few digits into every term: sum the
+    # classical terms instead and scale by p^n after, in two halves
+    scaled = pn < sys.float_info.min
+    lead = 1.0 if scaled else pn
     e = _elementary_table(range(1, n), n - 1)
     total = 0.0
     for s in range(n):
-        total += pn * e[s] * _power(z, n - s)
+        total += lead * e[s] * _power(z, n - s)
+    if scaled and total != 0.0:
+        total = total * _power(p, n // 2) * _power(p, n - n // 2)
+        if abs(total) < sys.float_info.min:
+            raise DomainError(f"the symmetric expansion underflows at n={n}; use poch_ln")
     if not math.isfinite(total):
         # terms leave the double range before the symbol does, and at x/k < 0
         # overflowed terms of both signs sum to nan: only the symbol's own
@@ -194,7 +204,7 @@ def poch_gamma_ratio(spec: PochSpec) -> float:
     z = spec.x / params.k
     num = ln_gamma_classical(z + spec.n)
     den = ln_gamma_classical(z)
-    ln = spec.n * math.log(params.p) + num.value - den.value
+    ln = spec.n * math.log(params.p) + num.ln_value - den.ln_value
     sign = num.sign * den.sign
     return _noted(sign * math.exp(ln) if ln <= _LN_OVERFLOW else sign * math.inf)
 

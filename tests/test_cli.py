@@ -91,6 +91,26 @@ class TestEval:
         assert code == 2
         assert "radius" in json.loads(out)["reason"]
 
+    def test_inapplicable_route_is_an_error(self, capsys):
+        # each of these once ran another route and exited 0
+        cases = (
+            (("psi", "--x", "1.5", "--method", "limit"), "psi", ("closed", "3.9", "3.10")),
+            (("polygamma", "--x", "1.5", "--method", "bogus"), "polygamma", ("series",)),
+            (("gamma", "--x", "1.5", "--form", "unit"), "gamma",
+             ("closed", "limit", "integral", "euler-product", "weierstrass")),
+            (("hyper", "--x", "0.5", "--a", "1,1,1", "--b", "2,1,1", "--form", "3.9"), "hyper",
+             ("series", "integral")),
+            (("poch", "--x", "1.5", "--n", "3", "--form", "unit"), "poch",
+             ("direct", "symmetric", "reduce", "gamma-ratio", "generalized")),
+        )
+        for argv, fn, routes in cases:
+            code, out, _ = run_cli(capsys, "eval", *argv, "--format", "json")
+            assert code == 2, argv
+            assert json.loads(out)["reason"] == f"{fn} methods are {routes}", argv
+        code, out, err = run_cli(capsys, "table", "psi", "--x", "1:2:1", "--method", "limit")
+        assert code == 2 and out == ""
+        assert "psi methods are" in err
+
     def test_missing_argument(self, capsys):
         code, out, err = run_cli(capsys, "eval", "gamma", "--p", "1", "--k", "1")
         assert code == 2

@@ -48,19 +48,19 @@ class TestLnGamma:
     def test_factorial_point(self):
         ev = ln_gamma_classical(5.0)
         assert ev.sign == 1
-        assert ev.value == pytest.approx(math.log(24.0), rel=1e-15)
+        assert ev.ln_value == pytest.approx(math.log(24.0), rel=1e-15)
 
     def test_half(self):
         ev = ln_gamma_classical(0.5)
         assert ev.sign == 1
-        assert ev.value == pytest.approx(LN_GAMMA_HALF, abs=1e-14)
+        assert ev.ln_value == pytest.approx(LN_GAMMA_HALF, abs=1e-14)
         # oracle recomputation
         assert oracles.mp_ln_gamma(0.5) == pytest.approx(LN_GAMMA_HALF, abs=1e-15)
 
     def test_negative_reflection_point(self):
         ev = ln_gamma_classical(-1.5)
         assert ev.sign == 1
-        assert ev.value == pytest.approx(LN_GAMMA_NEG_1_5, abs=1e-14)
+        assert ev.ln_value == pytest.approx(LN_GAMMA_NEG_1_5, abs=1e-14)
         # downward recurrence oracle: Gamma(-1.5) = Gamma(0.5) / (-1.5 * -0.5)
         recur = math.log(math.sqrt(math.pi) / 0.75)
         assert recur == pytest.approx(LN_GAMMA_NEG_1_5, abs=1e-15)
@@ -74,14 +74,14 @@ class TestLnGamma:
     @pytest.mark.filterwarnings("ignore::pkspecial.OverflowNote")
     def test_accuracy_against_mpmath(self):
         for z in np.logspace(-6, 6, 40):
-            got = ln_gamma_classical(float(z)).value
+            got = ln_gamma_classical(float(z)).ln_value
             want = oracles.mp_ln_gamma(float(z))
             assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), f"z={z}"
 
     def test_negative_accuracy(self):
         for z in (-0.5, -1.5, -2.5, -7.3, -15.2, -99.7):
             got = ln_gamma_classical(z)
-            assert got.value == pytest.approx(oracles.mp_ln_gamma(z), rel=1e-12)
+            assert got.ln_value == pytest.approx(oracles.mp_ln_gamma(z), rel=1e-12)
             assert got.sign == (1 if oracles.mp_pk_gamma(1, 1, z) > 0 else -1)
 
     def test_pole_rejection(self):
@@ -93,8 +93,8 @@ class TestLnGamma:
     def test_recurrence_log_space(self):
         for z in np.logspace(-3, 3, 60):
             z = float(z)
-            lhs = ln_gamma_classical(z + 1.0).value
-            rhs = math.log(z) + ln_gamma_classical(z).value
+            lhs = ln_gamma_classical(z + 1.0).ln_value
+            rhs = math.log(z) + ln_gamma_classical(z).ln_value
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
     def test_reflection(self):
@@ -102,7 +102,7 @@ class TestLnGamma:
             z = float(z)
             g1 = ln_gamma_classical(z)
             g2 = ln_gamma_classical(1.0 - z)
-            product = math.exp(g1.value + g2.value) * math.sin(math.pi * z) / math.pi
+            product = math.exp(g1.ln_value + g2.ln_value) * math.sin(math.pi * z) / math.pi
             assert product == pytest.approx(1.0, rel=1e-11)
 
 
@@ -121,7 +121,7 @@ class TestDigamma:
     @pytest.mark.filterwarnings("ignore::pkspecial.OverflowNote")
     def test_is_derivative_of_ln_gamma(self):
         for z in (0.3, 1.0, 2.7, 17.5, 240.0):
-            fd = best_central_diff(lambda t: ln_gamma_classical(t).value, z)
+            fd = best_central_diff(lambda t: ln_gamma_classical(t).ln_value, z)
             assert fd == pytest.approx(digamma_classical(z), rel=1e-6)
 
     def test_accuracy_against_mpmath(self):
@@ -235,12 +235,10 @@ class TestDomainTypes:
     def test_eval_real_invariants(self):
         with pytest.raises(ValueError):
             EvalReal(value=1.0, abs_err=-1.0)
-        with pytest.raises(ValueError):
-            EvalReal(value=1.0, abs_err=0.0, sign=2)
 
     @settings(max_examples=50)
     @given(st.floats(min_value=0.01, max_value=100.0))
     def test_recurrence_property(self, z):
-        lhs = ln_gamma_classical(z + 1.0).value
-        rhs = math.log(z) + ln_gamma_classical(z).value
+        lhs = ln_gamma_classical(z + 1.0).ln_value
+        rhs = math.log(z) + ln_gamma_classical(z).ln_value
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))

@@ -93,6 +93,24 @@ class TestSeries:
             hyper_series(h, 0.999999, max_terms=50)
         assert math.isfinite(exc_info.value.partial.value)
 
+    def test_overflow_with_sign_changes_raises_at_once(self):
+        # the 2F2 draw 63 of the seed-51 sweep below, at effective argument
+        # -1419: its alternating terms overflow at index 262, after which the
+        # sum is nan or inf for good
+        h = hp(
+            ((0.5121303934955194, 6.299438979116415, 0.35530781636757386),
+             (1.465963193291332, 4.353452875768793, 2.756146910965783)),
+            ((0.2212126807737549, 0.23819173105978023, 0.270132144077559),
+             (0.2930830006403443, 1.046459075131922, 6.757077914123557)),
+        )
+        with pytest.raises(MaxTermsExceeded, match="term 262 left the double range"):
+            hyper_series(h, -12.898199323238837)
+
+    def test_one_signed_overflow_is_inf(self):
+        # 1F1(1; 2; x) = (e^x - 1)/x overflows at x = 800 with its terms
+        got = hyper_series(hp(((1, 1, 1),), ((2, 1, 1),)), 800.0)
+        assert got.value == math.inf
+
     def test_lower_pole_at_construction(self):
         with pytest.raises(LowerPoleError):
             hp(((1, 1, 1),), ((-2.0, 1.0, 1.0),))

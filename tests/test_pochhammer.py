@@ -4,6 +4,7 @@ import math
 import warnings
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -139,6 +140,17 @@ class TestFourRoutes:
         for x, p in ((1.0, 0.01), (-25.0, 2.0)):
             with pytest.raises(DomainError):
                 poch_symmetric(spec(x, 300, p, 1.0))
+
+    def test_symmetric_subnormal_power_keeps_its_digits(self):
+        # p^n is subnormal at n = 160 and zero at n = 170, while the symbol
+        # p^n n! stays a normal double
+        for n in (150, 160, 170):
+            want = mp.mpf(0.01) ** n * mp.rf(1, n)
+            got = poch_symmetric(spec(1.0, n, 0.01, 1.0))
+            assert abs(got - want) <= 1e-15 * (n + 1) * abs(want), n
+        # a symbol below the normal range is an error, not a silent 0
+        with pytest.raises(DomainError):
+            poch_symmetric(spec(1.0, 4, 1e-200, 1.0))
 
     def test_gamma_ratio_examples(self):
         assert poch_gamma_ratio(spec(2, 3, 1, 1)) == pytest.approx(24.0, rel=1e-13)

@@ -184,8 +184,8 @@ def _weierstrass(params: PkParams, x: float) -> GammaEval:
     return dataclasses.replace(recip, ln_value=-recip.ln_value)
 
 
-# function -> route key -> adapter(args, params, x); the first key is the
-# default.  Adapters look routes up as module globals at call time.
+# function -> route key -> adapter(args, params, x), the first key the default.
+# Adapters look routes up as module globals at call time, so wrappers bound there run.
 ROUTES = {
     "gamma": {
         "closed": lambda a, pk, x: gamma_closed(_off_pole(pk, x), x),

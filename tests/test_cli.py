@@ -205,6 +205,62 @@ class TestTable:
         value_field = out.strip().splitlines()[1].split(",")[1]
         assert len(value_field.replace("-", "").replace(".", "")) >= 16
 
+    def test_bad_params_report_the_first_row(self, capsys):
+        code, out, err = run_cli(capsys, "table", "gamma", "--p", "-1", "--x", "1:3:1")
+        assert code == 2
+        assert out == ""
+        assert err == "error at x=1.0: p must be a positive finite real, got -1.0\n"
+
+    def test_pole_mid_sweep_writes_nothing(self, capsys, tmp_path):
+        dest = tmp_path / "F"
+        code, out, err = run_cli(
+            capsys, "table", "gamma", "--k", "1", "--x=-3.5:3:0.5", "--out", str(dest)
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error at x=-3.0: pole at index 3\n"
+        assert not dest.exists()
+
+    # (head flags, swept variable, sweep): closed forms on both sides of zero,
+    # a --y sweep, non-default routes and Gamma rows past the double range
+    SWEEPS = (
+        (("gamma", "--p", "2", "--k", "0.5"), "x", "-2.35:3.1:0.2"),
+        (("gamma", "--k", "1"), "x", "168.5:173:0.5"),
+        (("gamma", "--p", "3", "--k", "2", "--method", "weierstrass"), "x", "0.3:2.1:0.3"),
+        (("psi", "--p", "2", "--k", "0.5"), "x", "-2.35:3.1:0.2"),
+        (("psi", "--p", "2", "--k", "0.5", "--form", "3.10"), "x", "0.5:3:0.5"),
+        (("beta", "--p", "2", "--k", "0.5", "--y", "2.5"), "x", "0.25:4:0.25"),
+        (("beta", "--p", "2", "--k", "0.5", "--x", "1.5"), "y", "0.25:4:0.25"),
+        (("poch", "--p", "2", "--k", "0.5", "--n", "4"), "x", "-2.35:3.1:0.2"),
+        (("poch", "--p", "2", "--k", "0.5", "--n", "6", "--method", "symmetric"), "x", "-1:2:0.25"),
+    )
+
+    def test_every_row_matches_eval(self, capsys):
+        """CSV and JSON rows equal eval at the row's point, bit for bit.
+
+        A Gamma value past the double range is a signed inf with abs_err 0
+        in a table, where eval reports value and abs_err null.
+        """
+        for head, var, sweep in self.SWEEPS:
+            code, out, err = run_cli(capsys, "table", *head, f"--{var}={sweep}", "--format", "json")
+            assert code == 0, (head, err)
+            rows = json.loads(out)
+            assert len(rows) > 1, head
+            expected = []
+            for row in rows:
+                code, out, err = run_cli(
+                    capsys, "eval", *head, f"--{var}={row['x']!r}", "--format", "json"
+                )
+                assert code == 0, (head, row, err)
+                doc = json.loads(out)
+                value = doc["value"] if doc["value"] is not None else math.inf * doc["sign"]
+                expected.append({"x": row["x"], "value": value, "abs_err": doc["abs_err"] or 0.0})
+            assert rows == expected, head
+            code, out, err = run_cli(capsys, "table", *head, f"--{var}={sweep}")
+            assert code == 0, (head, err)
+            lines = [f"{r['x']:.17g},{r['value']:.17g},{r['abs_err']:.17g}\n" for r in expected]
+            assert out == "".join(["x,value,abs_err\n", *lines]), head
+
 
 class TestImportGraph:
     def test_scipy_is_never_imported(self):

@@ -11,6 +11,8 @@ relations whose customary statements need a fixup to be self-consistent.
 numpy is imported inside the functions that use arrays, never at module
 scope: the closed-form routes are pure ``math``, and a process that calls
 only them (``pkspecial eval`` on a default route) never pays numpy's import.
+The identity catalog (``identities``, ``records``) loads only where an audit
+runs, so no ``eval`` or ``table`` process imports it.
 """
 
 from .core import (
@@ -78,8 +80,18 @@ from .hyper import (
     pk_binomial,
     reduce_classical,
 )
-from .identities import AuditGrid, check_point
 from .audit import AuditReport, run_suite, validate_report, write_report
-from .records import AuditSummary, IdentityRecord
 
 __version__ = "0.1.0"
+
+# the audit catalog loads on first use: eval and table processes never import it
+_AUDIT_NAMES = {"AuditGrid": "identities", "check_point": "identities",
+                "AuditSummary": "records", "IdentityRecord": "records"}
+
+
+def __getattr__(name: str):
+    if name not in _AUDIT_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f".{_AUDIT_NAMES[name]}", __name__), name)

@@ -11,10 +11,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from importlib import resources
-
-from .identities import AuditGrid, catalog_for_suite
-from .records import AuditSummary, IdentityRecord
 
 __all__ = [
     "AuditReport",
@@ -49,6 +45,9 @@ def run_suite(
     tol_overrides: dict[str, float] | None = None,
 ) -> AuditReport:
     """Evaluate every catalog identity of the suite over the grid."""
+    from .identities import AuditGrid, catalog_for_suite
+    from .records import AuditSummary
+
     grid = grid or AuditGrid.default()
     overrides = tol_overrides or {}
     records: list[IdentityRecord] = []
@@ -123,6 +122,8 @@ def write_report(report: AuditReport, path: str) -> None:
 
 
 def load_schema() -> dict:
+    from importlib import resources
+
     text = resources.files("pkspecial").joinpath("report_schema.json").read_text("utf-8")
     return json.loads(text)
 

@@ -40,7 +40,6 @@ from .hyper import (
     confluent_integral,
     hyper_series,
 )
-from .identities import AuditGrid
 from .pochhammer import (
     PochSpec,
     poch_direct,
@@ -238,29 +237,22 @@ def _route(args) -> str:
     return key
 
 
-def _eval_point(args, key: str, x: float) -> dict:
-    """Evaluate args.function at x by route key; returns {value, abs_err, method, ...}."""
-    result = ROUTES[args.function][key](args, PkParams(args.p, args.k), x)
+def _value_err(args, result) -> tuple[float, float | None]:
+    """A route result as (value, abs_err); abs_err is None for a Gamma past the double range."""
     if isinstance(result, GammaEval):
         value = result.value
-        finite = math.isfinite(value)
-        return {
-            "value": value if finite else None,
-            "abs_err": abs(value) * result.abs_err_ln if finite else None,
-            "ln_value": result.ln_value,
-            "sign": result.sign,
-            "method": result.method.value,
-        }
+        return value, abs(value) * result.abs_err_ln if math.isfinite(value) else None
     if isinstance(result, EvalReal):
-        return {"value": result.value, "abs_err": result.abs_err, "method": result.method.value}
+        return result.value, result.abs_err
     # the Pochhammer routes return a bare float with no error estimate
-    return {"value": result, "abs_err": abs(result) * 1e-15 * (args.n + 1), "method": key}
+    return result, abs(result) * 1e-15 * (args.n + 1)
 
 
 def _cmd_eval(args) -> int:
     try:
         x = _require(args, "x")
-        result = _eval_point(args, _route(args), x)
+        key = _route(args)
+        result = ROUTES[args.function][key](args, PkParams(args.p, args.k), x)
     except _DOMAIN_ERRORS as exc:
         reason = getattr(exc, "reason", str(exc))
         if args.format == "json":
@@ -268,21 +260,27 @@ def _cmd_eval(args) -> int:
         else:
             print(f"error: {reason}", file=sys.stderr)
         return EXIT_DOMAIN
+    value, abs_err = _value_err(args, result)
+    method = result.method.value if isinstance(result, (GammaEval, EvalReal)) else key
+    doc = {"value": value, "abs_err": abs_err, "method": method}
+    if isinstance(result, GammaEval):  # past the double range: only the log and the sign
+        doc.update(value=None if abs_err is None else value, ln_value=result.ln_value,
+                   sign=result.sign)
     inputs = {"function": args.function, "p": args.p, "k": args.k, "x": x}
     for extra in ("y", "n", "r"):
         v = getattr(args, extra)
         if v is not None:
             inputs[extra] = float(v) if extra == "y" else v
     if args.format == "json":
-        print(json.dumps({**result, "inputs": inputs}, sort_keys=True))
+        print(json.dumps({**doc, "inputs": inputs}, sort_keys=True))
     else:
-        if result["value"] is None:
-            print(f"value   = overflow; ln|value| = {result['ln_value']:.17g}, sign {result['sign']:+d}")
+        if doc["value"] is None:
+            print(f"value   = overflow; ln|value| = {doc['ln_value']:.17g}, sign {doc['sign']:+d}")
         else:
-            print(f"value   = {result['value']:.17g}")
-        if result.get("abs_err") is not None:
-            print(f"abs_err = {result['abs_err']:.3g}")
-        print(f"method  = {result['method']}")
+            print(f"value   = {doc['value']:.17g}")
+        if abs_err is not None:
+            print(f"abs_err = {abs_err:.3g}")
+        print(f"method  = {doc['method']}")
     return EXIT_OK
 
 
@@ -304,6 +302,8 @@ def _cmd_audit(args) -> int:
     except CliDomainError as exc:
         print(f"error: {exc.reason}", file=sys.stderr)
         return EXIT_USAGE
+    from .identities import AuditGrid
+
     grid = AuditGrid.default() if args.grid == "default" else AuditGrid.small()
     report = run_suite(args.suite, grid, overrides)
     if args.out:
@@ -347,37 +347,33 @@ def _cmd_table(args) -> int:
         print(f"error: {exc.reason}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        key = _route(args)
+        route = ROUTES[args.function][_route(args)]
     except CliDomainError as exc:
         print(f"error: {exc.reason}", file=sys.stderr)
         return EXIT_DOMAIN
-    rows = []
-    for v in values:
-        try:
-            if sweep_var == "x":
-                result = _eval_point(args, key, v)
-            else:
-                args.y = v
-                result = _eval_point(args, key, _require(args, "x"))
-        except _DOMAIN_ERRORS as exc:
-            reason = getattr(exc, "reason", str(exc))
-            print(f"error at {sweep_var}={v}: {reason}", file=sys.stderr)
-            return EXIT_DOMAIN
-        value = result["value"] if result["value"] is not None else math.inf * result.get("sign", 1)
-        rows.append((v, value, result.get("abs_err") or 0.0))
+    csv = args.format == "csv"
+    rows = ["x,value,abs_err\n"] if csv else []
+    v = values[0]
+    try:
+        x = _require(args, "x") if sweep_var == "y" else None
+        params = PkParams(args.p, args.k)
+        for v in values:
+            setattr(args, sweep_var, v)  # the beta adapter reads args.y
+            value, err = _value_err(args, route(args, params, x if sweep_var == "y" else v))
+            err = err or 0.0  # a Gamma past the double range: signed inf, abs_err 0
+            rows.append(f"{v:.17g},{value:.17g},{err:.17g}\n" if csv
+                        else {"x": v, "value": value, "abs_err": err})
+    except _DOMAIN_ERRORS as exc:
+        reason = getattr(exc, "reason", str(exc))
+        print(f"error at {sweep_var}={v}: {reason}", file=sys.stderr)
+        return EXIT_DOMAIN
     try:
         out = sys.stdout if not args.out else open(args.out, "w", encoding="utf-8")
     except OSError as exc:
         print(f"error: cannot open output: {exc}", file=sys.stderr)
         return EXIT_IO
     try:
-        if args.format == "csv":
-            print("x,value,abs_err", file=out)
-            for v, val, err in rows:
-                print(f"{v:.17g},{val:.17g},{err:.17g}", file=out)
-        else:
-            payload = [{"x": v, "value": val, "abs_err": err} for v, val, err in rows]
-            print(json.dumps(payload), file=out)
+        out.writelines(rows if csv else [json.dumps(rows) + "\n"])
     finally:
         if out is not sys.stdout:
             out.close()

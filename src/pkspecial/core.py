@@ -131,6 +131,9 @@ class PoleReport:
     pole_index: int | None = None
 
 
+_OFF_POLE = PoleReport(False, None)
+
+
 def pole_check(params: PkParams, x: float) -> PoleReport:
     """Detect whether x sits on the pole lattice {0, -k, -2k, ...}."""
     q = x / params.k
@@ -139,7 +142,7 @@ def pole_check(params: PkParams, x: float) -> PoleReport:
     n = round(q)
     if n <= 0 and abs(q - n) <= TAU_POLE:
         return PoleReport(True, -n)
-    return PoleReport(False, None)
+    return _OFF_POLE
 
 
 def gamma_sign(z: float) -> int:

@@ -197,6 +197,12 @@ def hyper_series(
         term = term * ratio
         total += term
         mass += abs(term)
+        if mass == math.inf and math.isfinite(total):
+            # eps * sum|term| is no longer a finite error bound: no digit survives
+            raise MaxTermsExceeded(
+                f"sum of |term| left the double range at term {n + 1}; the sum is lost",
+                EvalReal(value=math.nan, abs_err=math.inf, method=Method.SERIES),
+            )
         if not ratio > 0.0 and not math.isfinite(term):
             # overflowed terms of both signs sum to nan, which no later term
             # mends; a run of one sign is a true overflow, returned as inf below

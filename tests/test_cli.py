@@ -91,6 +91,15 @@ class TestEval:
         assert code == 2
         assert "radius" in json.loads(out)["reason"]
 
+    def test_hyper_term_mass_overflow_is_domain_error(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "eval", "hyper", "--a", "1,1,1", "--b", "2,1,1", "--x=-718", "--format", "json"
+        )
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["error"] == "domain"
+        assert "left the double range" in doc["reason"]
+
     def test_inapplicable_route_is_an_error(self, capsys):
         # each of these once ran another route and exited 0
         cases = (
@@ -311,6 +320,44 @@ class TestImportGraph:
         for argv in closed_form:
             assert not loads_numpy(*argv), argv
         assert loads_numpy("eval", "gamma", "--x", "2.2", "--method", "limit")
+
+
+    # every name the package root exported while it imported the catalog eagerly
+    ROOT_NAMES = (
+        "AuditGrid AuditReport AuditSummary BetaArgs ConvergenceClass ConvergenceKind "
+        "DivergentInput DomainError EULER_GAMMA EvalReal GammaEval HyperParams HyperReduction "
+        "IdentityRecord LowerPoleError MaxTermsExceeded Method NoConvergence OverflowNote "
+        "PkParams PochSpec PoleError PoleReport QuadratureSpec TAU_POLE UnsupportedShape "
+        "beta_closed beta_integral check_point classify confluent_integral digamma_classical "
+        "elementary_symmetric gamma_closed gamma_euler_product gamma_integral gamma_limit "
+        "gamma_rescale gamma_weierstrass_recip hyper_series integrate_semiaxis integrate_unit "
+        "k_zeta ln_gamma_classical ln_gamma_via_psi ode_coefficient_residual ode_residual "
+        "pk_binomial poch_direct poch_dk poch_dp poch_gamma_ratio poch_generalized poch_ln "
+        "poch_reduce poch_rescale poch_symmetric pole_check polygamma polygamma_classical psi "
+        "psi_series reduce_classical run_suite validate_report write_report"
+    ).split()
+
+    def test_audit_catalog_loads_only_for_audits(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        probe = (
+            "import sys\n"
+            "import pkspecial.cli\n"
+            "print(*(m in sys.modules for m in ('pkspecial.identities', 'pkspecial.records',"
+            " 'pkspecial.audit')))\n"
+            "import pkspecial\n"
+            "missing = [n for n in sys.argv[1:] if not hasattr(pkspecial, n)]\n"
+            "from pkspecial import AuditGrid, AuditSummary, IdentityRecord, check_point\n"
+            "from pkspecial.identities import AuditGrid as grid\n"
+            "from pkspecial.records import IdentityRecord as record\n"
+            "print(missing, AuditGrid is grid and IdentityRecord is record)\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", probe, *self.ROOT_NAMES], env=env, capture_output=True, text=True
+        )
+        assert run.returncode == 0, run.stderr
+        # the perfbench tracer wraps pkspecial.audit right after importing the cli
+        assert run.stdout.splitlines() == ["False False True", "[] True"]
 
 
 class TestRouteTable:

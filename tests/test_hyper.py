@@ -106,6 +106,16 @@ class TestSeries:
         with pytest.raises(MaxTermsExceeded, match="term 262 left the double range"):
             hyper_series(h, -12.898199323238837)
 
+    def test_overflowed_term_mass_raises_typed(self):
+        # 1F1(1; 2; x) at x = -717..-720: every term stays finite but their
+        # absolute sum overflows, so eps * sum|term| bounds nothing
+        h = hp(((1, 1, 1),), ((2, 1, 1),))
+        for x in (-717.0, -718.0, -719.0, -720.0):
+            with pytest.raises(MaxTermsExceeded, match="left the double range") as exc_info:
+                hyper_series(h, x)
+            partial = exc_info.value.partial
+            assert math.isnan(partial.value) and partial.abs_err == math.inf
+
     def test_one_signed_overflow_is_inf(self):
         # 1F1(1; 2; x) = (e^x - 1)/x overflows at x = 800 with its terms
         got = hyper_series(hp(((1, 1, 1),), ((2, 1, 1),)), 800.0)

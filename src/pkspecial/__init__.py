@@ -9,8 +9,8 @@ parameter grids, reporting printed-vs-corrected outcomes for the handful of
 relations whose customary statements need a fixup to be self-consistent.
 
 numpy is imported inside the functions that use arrays, never at module
-scope: the closed-form routes are pure ``math``, and a process that calls
-only them (``pkspecial eval`` on a default route) never pays numpy's import.
+scope: closed-form routes and ``polygamma`` are pure ``math``, and a process
+calling only them (``pkspecial eval`` on a default route) skips numpy's import.
 The identity catalog (``identities``, ``records``) loads only where an audit
 runs, so no ``eval`` or ``table`` process imports it.
 """

@@ -14,10 +14,12 @@ so that they are derivatives of one another.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 from .core import (
     _EPS,
+    _PSI_ASYMPTOTIC,
     _digamma_array,
     _tail_s2,
     _tail_s3,
@@ -27,6 +29,7 @@ from .core import (
     DomainError,
     EvalReal,
     Method,
+    OverflowNote,
     PkParams,
     PoleError,
     digamma_classical,
@@ -229,15 +232,14 @@ def ln_gamma_via_psi(params: PkParams, x: float, quad: QuadratureSpec = DEFAULT_
     return EvalReal(value=ln_at_one + res.value, abs_err=res.abs_err + 1e-14, method=Method.INTEGRAL)
 
 
-def k_zeta(x: float, r: int, k: float, terms: int = 10_000) -> EvalReal:
+def k_zeta(x: float, r: int, k: float, terms: int = 12) -> EvalReal:
     """zeta_k(x, r) = sum_{n>=0} (x + nk)^-r for r >= 2, x > 0, k > 0.
 
-    Partial sum of ``terms`` terms plus the Euler-Maclaurin continuation;
-    the reported abs_err is the next correction's magnitude, far inside the
-    coarse integral bound (x+Nk)^(1-r) / ((r-1) k).
+    ``terms`` terms summed directly, plus the Euler-Maclaurin tail from a = x + terms*k
+    (DLMF 2.10.1): a^(1-r)/((r-1)k) + a^-r/2 + sum_j=1..7 B_2j/(2j)! (r)_(2j-1) (k/a)^(2j-1) a^-r.
+    abs_err is the first omitted term plus eps (r+2) value, the rounding of (x + nk)^-r.
+    Past the double range the value is inf, with an OverflowNote.
     """
-    import numpy as np
-
     if not (isinstance(r, int) and r >= 2):
         raise DomainError(f"r must be an integer >= 2 for convergence, got {r!r}")
     if not (math.isfinite(x) and x > 0):
@@ -246,17 +248,20 @@ def k_zeta(x: float, r: int, k: float, terms: int = 10_000) -> EvalReal:
         raise DomainError(f"k must be a positive real, got {k!r}")
     if not (isinstance(terms, int) and terms >= 2):
         raise DomainError(f"terms must be an integer >= 2, got {terms!r}")
-    n = np.arange(0, terms, dtype=float)
-    s = float(np.sum(((x + n * k) ** -float(r))[::-1]))
-    # continuation from n = terms: integral + f/2 - f'/12 + f'''/720
     a = x + terms * k
-    f0 = a ** -float(r)
-    integral = a ** (1.0 - r) / ((r - 1.0) * k)
-    fp = -r * a ** -(r + 1.0) * k
-    fppp = -r * (r + 1.0) * (r + 2.0) * a ** -(r + 3.0) * k**3
-    value = s + integral + 0.5 * f0 - fp / 12.0 + fppp / 720.0
-    # each term (x + nk)^-r carries the rounding of x + nk raised to the r-th power
-    err = abs(fppp) / 720.0 + _EPS * (r + 2) * value
+    w = k / a
+    # B_2j/(2j)! (r)_(2j-1) = _PSI_ASYMPTOTIC[j-1] C(r+2j-2, 2j-1), j = 1..7 (j-1 below)
+    poly = sum(c * math.comb(r + 2 * j, 2 * j + 1) * w ** (2 * j) for j, c in enumerate(_PSI_ASYMPTOTIC))
+    try:
+        f0 = a**-r
+        tail = a ** (1 - r) / ((r - 1) * k) + f0 * (0.5 + w * poly)
+        value = sum(((x + n * k) ** -r for n in reversed(range(terms))), tail)  # smallest first
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        warnings.warn(f"zeta_k({x}, {r}) overflows double precision", OverflowNote, stacklevel=2)
+        return EvalReal(value=value, abs_err=value, method=Method.SERIES)
+    err = 3617 / 8160 * math.comb(r + 14, 15) * w**15 * f0 + _EPS * (r + 2) * value  # |B_16|/16
     return EvalReal(value=value, abs_err=err, method=Method.SERIES)
 
 

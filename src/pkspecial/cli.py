@@ -284,25 +284,30 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _parse_tol_overrides(raw: str | None) -> dict[str, float]:
+def _parse_tol_overrides(raw: str | None, audited: set[str]) -> dict[str, float]:
     if not raw:
         return {}
     out = {}
     for chunk in raw.split(","):
         if "=" not in chunk:
             raise CliDomainError(f"tolerance override needs 'id=value', got {chunk!r}")
-        key, val = chunk.split("=", 1)
-        out[key.strip()] = _parse_float("tol", val)
+        key, val = (part.strip() for part in chunk.split("=", 1))
+        if key not in audited:
+            raise CliDomainError(f"identity {key!r} is not audited by this suite")
+        out[key] = _parse_float(f"tolerance for identity {key!r}", val)
+        if out[key] <= 0:
+            raise CliDomainError(f"tolerance for identity {key!r} must be positive, got {val!r}")
     return out
 
 
 def _cmd_audit(args) -> int:
+    from .identities import AuditGrid, catalog_for_suite
+
     try:
-        overrides = _parse_tol_overrides(args.tol)
+        overrides = _parse_tol_overrides(args.tol, {c.identity_id for c in catalog_for_suite(args.suite)})
     except CliDomainError as exc:
         print(f"error: {exc.reason}", file=sys.stderr)
         return EXIT_USAGE
-    from .identities import AuditGrid
 
     grid = AuditGrid.default() if args.grid == "default" else AuditGrid.small()
     report = run_suite(args.suite, grid, overrides)

@@ -13,6 +13,13 @@ GRID_KS = (0.5, 1.0, 2.0, 3.0)
 GRID_XS = (0.3, 0.7, 1.1, 2.5, 4.9, 7.3)
 
 
+def pytest_configure(config):
+    # a stray RuntimeWarning (numpy's overflow in power, say) fails the test;
+    # the library's own OverflowNote, a RuntimeWarning subclass, does not
+    config.addinivalue_line("filterwarnings", "error::RuntimeWarning")
+    config.addinivalue_line("filterwarnings", "default::pkspecial.core.OverflowNote")
+
+
 @pytest.fixture
 def grid_points():
     return [(p, k, x) for p in GRID_PS for k in GRID_KS for x in GRID_XS]

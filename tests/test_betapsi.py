@@ -1,6 +1,7 @@
 """Beta function forms and the normalized Psi/polygamma family."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import oracles
 from pkspecial import (
     BetaArgs,
     DomainError,
+    OverflowNote,
     PkParams,
     PoleError,
     beta_closed,
@@ -268,6 +270,33 @@ class TestKZetaPolygamma:
             r = int(rng.integers(2, 7))
             got = polygamma(PkParams(p, k), x, r)
             assert abs(got.value - oracles.mp_pk_polygamma(k, x, r)) <= got.abs_err, (p, k, x, r)
+
+    def test_abs_err_covers_orders_to_171(self):
+        # r in 2..171, x log-uniform in [e^-6, e^6] and k in [e^-4, e^4]; each value
+        # whose truth lies inside the normal double range is checked, in mpmath
+        rng = np.random.default_rng(53)
+        checked = 0
+        for _ in range(100):
+            r = int(rng.integers(2, 172))
+            x = float(np.exp(rng.uniform(-6.0, 6.0)))
+            k = float(np.exp(rng.uniform(-4.0, 4.0)))
+            truth = oracles.mp_k_zeta_direct(x, r, k)
+            if not sys.float_info.min <= truth <= sys.float_info.max:
+                continue
+            got = k_zeta(x, r, k)
+            assert abs(got.value - truth) <= got.abs_err, (x, r, k)
+            truth *= (-1) ** r * math.factorial(r - 1)
+            if abs(truth) <= sys.float_info.max:
+                got = polygamma(PkParams(1.0, k), x, r)
+                assert abs(got.value - truth) <= got.abs_err, (x, r, k)
+            checked += 1
+        assert checked >= 80
+
+    @pytest.mark.parametrize("x, r, sign", [(0.001, 171, -1), (0.001, 120, 1), (1e-300, 2, 1)])
+    def test_overflow_is_signed_inf_with_note(self, x, r, sign):
+        with pytest.warns(OverflowNote):
+            got = polygamma(PkParams(1, 1), x, r)
+        assert got.value == sign * math.inf
 
     def test_polygamma_points(self):
         assert polygamma(PkParams(1, 1), 1.0, 2).value == pytest.approx(ZETA_2, rel=1e-12)

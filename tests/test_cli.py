@@ -161,6 +161,19 @@ class TestAudit:
         )
         assert code != 0
 
+    @pytest.mark.parametrize("override, identity", [("9.99=1e-3", "9.99"), ("2.6=1e-3", "2.6")])
+    def test_audit_rejects_override_outside_suite(self, capsys, override, identity):
+        # 9.99 is no catalog id and 2.6 belongs to the gamma suite
+        code, _, err = run_cli(capsys, "audit", "pochhammer", "--grid", "small", "--tol", override)
+        assert code == 1
+        assert repr(identity) in err
+
+    @pytest.mark.parametrize("override", ["2.2=-1", "2.2=0"])
+    def test_audit_rejects_nonpositive_tolerance(self, capsys, override):
+        code, _, err = run_cli(capsys, "audit", "pochhammer", "--grid", "small", "--tol", override)
+        assert code == 1
+        assert "'2.2'" in err
+
     def test_audit_io_error(self, capsys):
         code, _, err = run_cli(
             capsys, "audit", "beta", "--grid", "small", "--out", "/nonexistent/dir/x.json"
@@ -309,15 +322,16 @@ class TestImportGraph:
             assert code == "0", argv
             return loaded == "True"
 
-        closed_form = (
+        pure_math = (
             ("eval", "gamma", "--p", "2", "--k", "3", "--x", "2.2"),
             ("eval", "beta", "--p", "2", "--k", "3", "--x", "1.5", "--y", "2.5"),
             ("eval", "psi", "--p", "2", "--k", "3", "--x", "-1.5"),
             ("eval", "poch", "--p", "2", "--k", "3", "--x", "1.5", "--n", "4"),
             ("eval", "hyper", "--x", "0.3", "--a", "1,1,1", "--b", "2,1,1"),
+            ("eval", "polygamma", "--p", "2", "--k", "3", "--x", "1.5", "--r", "4"),
             ("table", "gamma", "--p", "2", "--k", "3", "--x", "0.5:3:0.25"),
         )
-        for argv in closed_form:
+        for argv in pure_math:
             assert not loads_numpy(*argv), argv
         assert loads_numpy("eval", "gamma", "--x", "2.2", "--method", "limit")
 

@@ -16,9 +16,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .core import (
     _EPS,
+    _MEMO_SIZE,
     _PSI_ASYMPTOTIC,
     _digamma_array,
     _tail_s2,
@@ -170,19 +172,21 @@ def psi_series(params: PkParams, x: float, form: str = "3.9", terms: int = 100_0
 
     Raw truncation converges like 1/N; the corrections push the residual to
     O(1/N^4)-level so the default budget leaves nothing visible at 1e-9.
+    The corrections expand in x/(nk) for n > terms, which needs x/k < terms.
     """
-    import numpy as np
-
     if not (math.isfinite(x) and x > 0):
         raise DomainError(f"psi_series requires x > 0, got {x!r}")
     if not (isinstance(terms, int) and terms >= 10):
         raise DomainError(f"terms must be an integer >= 10, got {terms!r}")
+    if form not in PSI_SERIES_FORMS:
+        raise DomainError(f"form must be one of {PSI_SERIES_FORMS}, got {form!r}")
     p, k = params.p, params.k
+    if not x / k < terms:
+        raise DomainError(f"x/k must be below terms = {terms}, got {x / k!r}")
     N = float(terms)
     base = math.log(p) / k - EULER_GAMMA / k
+    s = _psi_lattice_sum(x, k, terms, form)
     if form == "3.9":
-        n = np.arange(1, terms + 1, dtype=float)
-        s = float(np.sum((1.0 / (n * (x + n * k)))[::-1]))
         tail = (
             _tail_s2(N) / k
             - x / k**2 * _tail_s3(N)
@@ -191,9 +195,7 @@ def psi_series(params: PkParams, x: float, form: str = "3.9", terms: int = 100_0
         )
         v = base - 1.0 / x + (x / k) * (s + tail)
         err = (x / k) * (x**4 / k**5) / (4.0 * N**4) + 1e-13
-    elif form == "3.10":
-        n = np.arange(0, terms + 1, dtype=float)
-        s = float(np.sum((1.0 / ((n + 1.0) * (x + n * k)))[::-1]))
+    else:
         # terms expand as (1/k n^2)(1 - (1 + x/k)/n + (1 + x/k + (x/k)^2)/n^2 - ...)
         w = x / k
         tail = (
@@ -204,9 +206,19 @@ def psi_series(params: PkParams, x: float, form: str = "3.9", terms: int = 100_0
         )
         v = base + (x - k) / k * (s + tail)
         err = abs(x - k) / k * (1.0 + w**4) / (k * N**4) + 1e-13
-    else:
-        raise DomainError(f"form must be one of {PSI_SERIES_FORMS}, got {form!r}")
     return EvalReal(value=v, abs_err=err, method=Method.SERIES)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _psi_lattice_sum(x: float, k: float, terms: int, form: str) -> float:
+    """sum_{n=1..terms} 1/(n (x + nk)) ("3.9") or sum_{n=0..terms} 1/((n+1)(x + nk)) ("3.10")."""
+    import numpy as np
+
+    if form == "3.9":
+        n = np.arange(1, terms + 1, dtype=float)
+        return float(np.sum((1.0 / (n * (x + n * k)))[::-1]))
+    n = np.arange(0, terms + 1, dtype=float)
+    return float(np.sum((1.0 / ((n + 1.0) * (x + n * k)))[::-1]))
 
 
 def ln_gamma_via_psi(params: PkParams, x: float, quad: QuadratureSpec = DEFAULT_SPEC) -> EvalReal:
@@ -268,7 +280,8 @@ def k_zeta(x: float, r: int, k: float, terms: int = 12) -> EvalReal:
 def polygamma(params: PkParams, x: float, r: int) -> EvalReal:
     """r-th derivative of log G: (-1)^r (r-1)! zeta_k(x, r); independent of p.
 
-    Orders past 171 are rejected: (r-1)! no longer fits in a double.
+    Orders past 171 are rejected: (r-1)! no longer fits in a double.  Past
+    the double range the value is a signed inf, with an OverflowNote.
     """
     if not (isinstance(r, int) and 2 <= r <= 171):
         raise DomainError(f"r must be an integer in [2, 171], got {r!r}")
@@ -276,7 +289,12 @@ def polygamma(params: PkParams, x: float, r: int) -> EvalReal:
         raise DomainError(f"x must be a positive real, got {x!r}")
     z = k_zeta(x, r, params.k)
     coeff = (-1.0) ** r * math.factorial(r - 1)
-    return EvalReal(value=coeff * z.value, abs_err=abs(coeff) * z.abs_err, method=Method.SERIES)
+    value = coeff * z.value
+    if math.isinf(value):
+        if math.isfinite(z.value):
+            warnings.warn(f"polygamma({x}, {r}) overflows double precision", OverflowNote, stacklevel=2)
+        return EvalReal(value=value, abs_err=math.inf, method=Method.SERIES)
+    return EvalReal(value=value, abs_err=abs(coeff) * z.abs_err, method=Method.SERIES)
 
 
 def polygamma_printed(params: PkParams, x: float, r: int) -> float:

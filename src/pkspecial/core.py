@@ -53,6 +53,11 @@ _LN_OVERFLOW = 709.782712893384
 
 _EPS = 2.220446049250313e-16
 
+# Entries kept by each memoised lattice sum of the series and product routes.
+# The sums do not depend on p, so an audit sweep over p reuses them; one sweep
+# holds 24 (k, x) points per p.
+_MEMO_SIZE = 128
+
 
 class Method(enum.Enum):
     """Which evaluation route produced a value."""

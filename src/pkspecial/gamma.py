@@ -14,9 +14,11 @@ All evaluators work in log space with an explicit sign channel.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 from .core import (
     _EPS,
+    _MEMO_SIZE,
     _tail_s2,
     _tail_s3,
     _tail_s4,
@@ -78,11 +80,10 @@ def gamma_limit(
     is  m! p^(m+1) (mp)^(x/k-1) / (k P(x; m)),  and "2.6" has one factor
     more,  m! p^(m+1) (mp)^(x/k) / (k P(x; m+1)).  In log space both read
     lgamma(m+1) + (z-1 or z) ln m + z ln p - sum log(z+j) - ln k,  z = x/k.
-    The sequence converges like 1/n with leading coefficient z(z-1)/2, so
-    two extrapolation levels over {n, 2n, 4n} leave an O(1/n^3) residual.
+    The sequence converges like 1/n with leading coefficient z(z-1)/2
+    (z(z+1)/2 for "2.6"), so two extrapolation levels over {n, 2n, 4n}
+    leave an O(1/n^3) residual, which abs_err_ln covers.
     """
-    import numpy as np
-
     _require_params(params)
     if not (math.isfinite(x) and x > 0):
         raise DomainError(f"gamma_limit requires x > 0, got {x!r}")
@@ -94,31 +95,45 @@ def gamma_limit(
     z = x / params.k
     power = z if extra else z - 1.0
     lnk, lnp = math.log(params.k), math.log(params.p)
-    # One buffer of log(z + j), filled in place and shared by every index:
-    # fresh arrays of this size cost more in page faults than the logs.
-    logs = np.arange((4 * n if accelerate else n) + extra, dtype=float)
-    logs += z
-    np.log(logs, out=logs)
+    sums = _limit_sums(z, n, accelerate, extra)
+    # The m-th term is ln G + sum_j d_j / m^j with d_j = (-1)^(j+1) (B_j+1(1) -
+    # B_j+1(zs)) / j(j+1) (DLMF 5.11.13): d_1 = -q/2, d_2 = q (zs - 1/2)/6, d_3 = -q^2/12.
+    zs = z + extra
+    q = zs * (zs - 1.0)
 
-    def at(m: int) -> tuple[float, float]:
+    def at(m: int, s: float) -> tuple[float, float]:
         """The m-th term and the sum of the magnitudes it adds up."""
         head, tilt = math.lgamma(m + 1), power * math.log(m)
-        s = float(np.sum(logs[: m + extra]))
         return head + tilt + z * lnp - s - lnk, head + abs(tilt) + abs(z * lnp) + abs(s) + abs(lnk)
 
     # Each term cancels sums of size ~lgamma(m+1) down to O(1): its rounding is
     # eps times those magnitudes, carried through the Richardson weights
     # c = (8 a4 - 6 a2 + a1) / 3 at their absolute values.
     if not accelerate:
-        ln, mag = at(n)
-        err = abs(z * (z - 1.0)) / (2.0 * n) + _EPS * mag + 1e-14
+        ln, mag = at(n, *sums)
+        err = abs(q) / (2.0 * n) + abs(q * (zs - 0.5)) / (6.0 * n**2) + _EPS * mag + 1e-14
         return GammaEval(ln_value=ln, sign=1, abs_err_ln=err, method=Method.LIMIT)
-    (a1, m1), (a2, m2), (a4, m4) = at(n), at(2 * n), at(4 * n)
+    (a1, m1), (a2, m2), (a4, m4) = (at(m, s) for m, s in zip((n, 2 * n, 4 * n), sums))
     b1 = 2.0 * a2 - a1
     b2 = 2.0 * a4 - a2
     c = (4.0 * b2 - b1) / 3.0
-    err = abs(c - b2) + _EPS * (8.0 * m4 + 6.0 * m2 + m1) / 3.0 + 1e-13
+    # |c - b2| estimates the d_2 order; the weights leave d_3 / 8n^3, which
+    # outgrows that estimate once z is not small against n
+    err = abs(c - b2) + q * q / (96.0 * n**3) + _EPS * (8.0 * m4 + 6.0 * m2 + m1) / 3.0 + 1e-13
     return GammaEval(ln_value=c, sign=1, abs_err_ln=err, method=Method.LIMIT)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _limit_sums(z: float, n: int, accelerate: bool, extra: int) -> tuple[float, ...]:
+    """sum_{j < m + extra} log(z + j) at m = n, 2n, 4n (at m = n alone unless ``accelerate``)."""
+    import numpy as np
+
+    # One buffer of log(z + j), filled in place and shared by every index:
+    # fresh arrays of this size cost more in page faults than the logs.
+    logs = np.arange((4 * n if accelerate else n) + extra, dtype=float)
+    logs += z
+    np.log(logs, out=logs)
+    return tuple(float(np.sum(logs[: m + extra])) for m in ((n, 2 * n, 4 * n) if accelerate else (n,)))
 
 
 def gamma_integral(
@@ -159,19 +174,17 @@ def gamma_euler_product(params: PkParams, x: float, terms: int = 100_000) -> Gam
 
     The log of the n-th factor is z log1p(1/n) - log1p(z/n), whose tail
     expands as (z^2-z)/2n^2 + (z-z^3)/3n^3 + (z^4-z)/4n^4 + O(n^-5); summing
-    those orders analytically past N buys ~N^3 worth of extra terms.
+    those orders analytically past N buys ~N^3 worth of extra terms.  That
+    expansion needs x/k < terms.
     """
-    import numpy as np
-
     _require_params(params)
     if not (math.isfinite(x) and x > 0):
         raise DomainError(f"gamma_euler_product requires x > 0, got {x!r}")
     if not (isinstance(terms, int) and terms >= 10):
         raise DomainError(f"terms must be an integer >= 10, got {terms!r}")
     z = x / params.k
-    n = np.arange(1, terms + 1, dtype=float)
-    body = z * np.log1p(1.0 / n) - np.log1p(z / n)
-    s = float(np.sum(body[::-1]))
+    _require_inside_tail(z, terms)
+    s = _euler_body(z, terms)
     N = float(terms)
     tail = (
         (z * z - z) / 2.0 * _tail_s2(N)
@@ -183,13 +196,33 @@ def gamma_euler_product(params: PkParams, x: float, terms: int = 100_000) -> Gam
     return GammaEval(ln_value=ln, sign=1, abs_err_ln=err, method=Method.EULER_PRODUCT)
 
 
-def _negative_head(z: float, terms: int, damped: bool) -> tuple[int, float, int]:
-    """The factors 1 + z/n that are negative at z < 0, n = 1..m0, which log1p cannot take.
+def _require_inside_tail(z: float, terms: int) -> None:
+    """The product tails expand in z/n for n > terms, which needs |z| < terms."""
+    if not abs(z) < terms:
+        raise DomainError(f"|x/k| must be below terms = {terms}, got {abs(z)!r}")
 
-    Returns m0, the sum of log|1 + z/n| over them (each less z/n when
-    ``damped``, as in the Weierstrass factors) and the sign of their product.
-    Off the pole lattice no factor is zero.
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _euler_body(z: float, terms: int) -> float:
+    """sum_{n=1..terms} z log1p(1/n) - log1p(z/n), smallest terms first."""
+    import numpy as np
+
+    n = np.arange(1, terms + 1, dtype=float)
+    body = z * np.log1p(1.0 / n) - np.log1p(z / n)
+    return float(np.sum(body[::-1]))
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _reciprocal_sums(z: float, terms: int, damped: bool) -> tuple[float, int, float]:
+    """The log of prod_{n=1..terms} (1 + z/n), each factor times e^(-z/n) when ``damped``.
+
+    Returns the sum of log|factor| over the factors n = 1..m0 that are
+    negative at z < 0 (log1p cannot take them), the sign of their product,
+    and the sum over the rest, smallest terms first.  Off the pole lattice no
+    factor is zero.
     """
+    import numpy as np
+
     m0 = min(terms, max(0, math.ceil(-z) - 1)) if z < 0 else 0
     sign = 1
     head = 0.0
@@ -198,7 +231,9 @@ def _negative_head(z: float, terms: int, damped: bool) -> tuple[int, float, int]
         if f < 0.0:
             sign = -sign
         head += math.log(abs(f)) - z / n if damped else math.log(abs(f))
-    return m0, head, sign
+    r = z / np.arange(m0 + 1, terms + 1, dtype=float)
+    body = np.log1p(r) - r if damped else np.log1p(r)
+    return head, sign, float(np.sum(body[::-1]))
 
 
 def _product_tail(z: float, N: float) -> float:
@@ -211,10 +246,9 @@ def gamma_weierstrass_recip(params: PkParams, x: float, terms: int = 100_000) ->
 
     Valid for negative non-pole x as well: the product has no positivity
     restriction.  On the pole lattice the reciprocal vanishes identically,
-    so a zero eval (ln = -inf) is returned rather than raising.
+    so a zero eval (ln = -inf) is returned rather than raising.  The tail
+    correction needs |x/k| < terms.
     """
-    import numpy as np
-
     _require_params(params)
     if not (isinstance(terms, int) and terms >= 10):
         raise DomainError(f"terms must be an integer >= 10, got {terms!r}")
@@ -222,10 +256,8 @@ def gamma_weierstrass_recip(params: PkParams, x: float, terms: int = 100_000) ->
     if pole_check(params, x).is_pole:
         return GammaEval(ln_value=-math.inf, sign=1, abs_err_ln=0.0, method=Method.WEIERSTRASS)
     z = x / params.k
-    m0, head, sign = _negative_head(z, terms, damped=True)
-    n = np.arange(m0 + 1, terms + 1, dtype=float)
-    r = z / n
-    body = float(np.sum((np.log1p(r) - r)[::-1]))
+    _require_inside_tail(z, terms)
+    head, sign, body = _reciprocal_sums(z, terms, True)
     prod_ln = head + body + _product_tail(z, float(terms))
     ln = math.log(abs(x)) - z * math.log(params.p) + z * EULER_GAMMA + prod_ln
     sign = sign * (1 if x > 0 else -1)
@@ -238,10 +270,9 @@ def gamma_limit_product_recip(params: PkParams, x: float, terms: int = 100_000) 
 
     Equivalent to the Weierstrass form but free of the Euler constant: the
     partial product supplies z*(H_N - log N) itself.  Corrected past N by
-    the harmonic remainder z*(1/2N - 1/12N^2) and the usual product tail.
+    the harmonic remainder z*(1/2N - 1/12N^2) and the usual product tail,
+    which needs |x/k| < terms.
     """
-    import numpy as np
-
     _require_params(params)
     if not (isinstance(terms, int) and terms >= 10):
         raise DomainError(f"terms must be an integer >= 10, got {terms!r}")
@@ -249,10 +280,9 @@ def gamma_limit_product_recip(params: PkParams, x: float, terms: int = 100_000) 
     if pole_check(params, x).is_pole:
         return GammaEval(ln_value=-math.inf, sign=1, abs_err_ln=0.0, method=Method.LIMIT)
     z = x / params.k
+    _require_inside_tail(z, terms)
     N = float(terms)
-    m0, head, sign = _negative_head(z, terms, damped=False)
-    n = np.arange(m0 + 1, terms + 1, dtype=float)
-    body = float(np.sum(np.log1p(z / n)[::-1]))
+    head, sign, body = _reciprocal_sums(z, terms, False)
     tail = _product_tail(z, N)
     harmonic_residual = z * (1.0 / (2.0 * N) - 1.0 / (12.0 * N**2))
     ln = (

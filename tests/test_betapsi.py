@@ -25,10 +25,10 @@ from pkspecial import (
     psi,
     psi_series,
 )
-from pkspecial.betapsi import BETA_FORMS, polygamma_printed, psi_printed
+from pkspecial.betapsi import BETA_FORMS, _psi_lattice_sum, polygamma_printed, psi_printed
 from pkspecial.core import richardson_diff
 
-from conftest import GRID_KS, GRID_PS, GRID_XS
+from conftest import GRID_KS, GRID_PS, GRID_XS, check_memo_is_bounded, check_memo_is_transparent
 
 PI_HALF = 1.57079632679489662
 NEG_GAMMA = -0.57721566490153286
@@ -202,6 +202,19 @@ class TestPsiSeries:
                         got = psi_series(params, x, form, terms=100_000).value
                         assert got == pytest.approx(want, abs=1e-6), (form, p, k, x)
 
+    @pytest.mark.parametrize("form", ["3.9", "3.10"])
+    def test_warm_and_cleared_memo_agree_over_p(self, form):
+        def route(params, x, terms):
+            return psi_series(params, x, form, terms)
+
+        points = [(k, x, terms) for terms in (64, 1000) for k in (0.5, 2.0) for x in (0.3, 2.5, 7.3)]
+        calls = [(PkParams(p, k), x, terms) for p in (0.5, 1.0, 3.5) for k, x, terms in points]
+        check_memo_is_transparent(route, _psi_lattice_sum, calls, len(points))
+
+    @pytest.mark.parametrize("form", ["3.9", "3.10"])
+    def test_memo_is_bounded(self, form):
+        check_memo_is_bounded(lambda params, x, terms: psi_series(params, x, form, terms), _psi_lattice_sum, 10)
+
     def test_forms_agree_closely(self):
         for k in GRID_KS:
             for x in (0.3, 1.1, 7.3):
@@ -292,7 +305,7 @@ class TestKZetaPolygamma:
             checked += 1
         assert checked >= 80
 
-    @pytest.mark.parametrize("x, r, sign", [(0.001, 171, -1), (0.001, 120, 1), (1e-300, 2, 1)])
+    @pytest.mark.parametrize("x, r, sign", [(0.001, 171, -1), (0.001, 120, 1), (1e-300, 2, 1), (0.1, 171, -1)])
     def test_overflow_is_signed_inf_with_note(self, x, r, sign):
         with pytest.warns(OverflowNote):
             got = polygamma(PkParams(1, 1), x, r)

@@ -19,9 +19,11 @@ from pkspecial import (
     gamma_rescale,
     gamma_weierstrass_recip,
 )
+from pkspecial import gamma as gamma_module
+from pkspecial import psi_series
 from pkspecial.gamma import gamma_limit_product_recip
 
-from conftest import GRID_KS, GRID_PS, GRID_XS
+from conftest import GRID_KS, GRID_PS, GRID_XS, check_memo_is_bounded, check_memo_is_transparent
 
 SQRT_PI_HALF = 0.88622692545275801
 NEG_SQRT_PI_THIRD = -1.02332670794648849  # 3^(-1/2)/2 * Gamma(-1/2), recurrence oracle
@@ -108,6 +110,25 @@ class TestLimit:
                 got = gamma_limit(PkParams(float(p), float(k)), x, 100_000, variant=variant)
                 assert abs(got.ln_value - truth) <= got.abs_err_ln, (p, k, x, variant)
 
+    def test_abs_err_covers_large_argument(self):
+        # once z = x/k is not small against n, the Richardson estimate alone
+        # misses the O(1/n^3) residual (2.5x at z = 1e6, 55x at 1e12)
+        rng = np.random.default_rng(21)
+        for z in np.exp(rng.uniform(math.log(1e3), math.log(1e12), size=40)):
+            z = float(z)
+            for variant in ("2.6", "2.7"):
+                got = gamma_limit(PkParams(1, 1), z, 100_000, variant=variant)
+                assert abs(got.ln_value - math.lgamma(z)) <= got.abs_err_ln, (z, variant)
+
+    def test_unaccelerated_abs_err_covers_both_variants(self):
+        # the 1/n coefficient is z(z-1)/2 for "2.7" but z(z+1)/2 for "2.6"
+        rng = np.random.default_rng(22)
+        for z in np.exp(rng.uniform(math.log(1e-2), math.log(1e3), size=100)):
+            z = float(z)
+            for variant in ("2.6", "2.7"):
+                got = gamma_limit(PkParams(1, 1), z, 64, accelerate=False, variant=variant)
+                assert abs(got.ln_value - math.lgamma(z)) <= got.abs_err_ln, (z, variant)
+
     def test_preconditions(self):
         with pytest.raises(DomainError):
             gamma_limit(PkParams(1, 1), -1.0, 100)
@@ -189,6 +210,54 @@ class TestProducts:
             got = gamma_limit_product_recip(params, x)
             want = -gamma_closed(params, x).ln_value
             assert got.ln_value == pytest.approx(want, abs=1e-8)
+
+
+# Each route whose tail expands in (x/k)/n past its last term, with the size argument
+PAST_TERMS_ROUTES = {
+    "euler_product": lambda pk, x, terms: gamma_euler_product(pk, x, terms),
+    "weierstrass": lambda pk, x, terms: gamma_weierstrass_recip(pk, x, terms),
+    "limit_product_recip": lambda pk, x, terms: gamma_limit_product_recip(pk, x, terms),
+    "psi_series_3.9": lambda pk, x, terms: psi_series(pk, x, "3.9", terms),
+    "psi_series_3.10": lambda pk, x, terms: psi_series(pk, x, "3.10", terms),
+}
+
+
+@pytest.mark.parametrize("route", sorted(PAST_TERMS_ROUTES))
+@pytest.mark.parametrize("x, terms", [(1e62, 100_000), (1e80, 100_000), (1e200, 100_000), (100.0, 100)])
+def test_past_the_tail_expansion_raises_domain_error(route, x, terms):
+    # the raw OverflowError/ValueError of z**4 and abs(z)**5 must not escape
+    with pytest.raises(DomainError):
+        PAST_TERMS_ROUTES[route](PkParams(1, 1), x, terms)
+    PAST_TERMS_ROUTES[route](PkParams(1, 1), 0.99 * terms, terms)
+    if route in ("weierstrass", "limit_product_recip"):
+        with pytest.raises(DomainError):
+            PAST_TERMS_ROUTES[route](PkParams(1, 1), -100.5, 100)
+
+
+# Each memoised route, with its kernel, as route(params, x, size)
+MEMOISED_ROUTES = {
+    "limit_2.6": (lambda pk, x, n: gamma_limit(pk, x, n, variant="2.6"), gamma_module._limit_sums),
+    "limit_2.7": (lambda pk, x, n: gamma_limit(pk, x, n, variant="2.7"), gamma_module._limit_sums),
+    "limit_raw": (lambda pk, x, n: gamma_limit(pk, x, n, accelerate=False), gamma_module._limit_sums),
+    "euler_product": (gamma_euler_product, gamma_module._euler_body),
+    "weierstrass": (gamma_weierstrass_recip, gamma_module._reciprocal_sums),
+    "limit_product_recip": (gamma_limit_product_recip, gamma_module._reciprocal_sums),
+}
+
+
+class TestLatticeSumMemo:
+    @pytest.mark.parametrize("name", sorted(MEMOISED_ROUTES))
+    def test_warm_and_cleared_memo_agree_over_p(self, name):
+        route, kernel = MEMOISED_ROUTES[name]
+        xs = (0.3, 2.5, 7.3) if name.startswith(("limit_2", "limit_raw", "euler")) else (-1.3, 0.3, 7.3)
+        points = [(k, x, size) for size in (64, 1000) for k in (0.5, 2.0) for x in xs]
+        calls = [(PkParams(p, k), x, size) for p in (0.5, 1.0, 3.5) for k, x, size in points]
+        check_memo_is_transparent(route, kernel, calls, len(points))
+
+    @pytest.mark.parametrize("name", sorted(MEMOISED_ROUTES))
+    def test_memo_is_bounded(self, name):
+        route, kernel = MEMOISED_ROUTES[name]
+        check_memo_is_bounded(route, kernel, 10)
 
 
 class TestCrossEvaluator:

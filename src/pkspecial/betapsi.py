@@ -23,6 +23,7 @@ from .core import (
     _MEMO_SIZE,
     _PSI_ASYMPTOTIC,
     _digamma_array,
+    _require_inside_tail,
     _tail_s2,
     _tail_s3,
     _tail_s4,
@@ -181,8 +182,7 @@ def psi_series(params: PkParams, x: float, form: str = "3.9", terms: int = 100_0
     if form not in PSI_SERIES_FORMS:
         raise DomainError(f"form must be one of {PSI_SERIES_FORMS}, got {form!r}")
     p, k = params.p, params.k
-    if not x / k < terms:
-        raise DomainError(f"x/k must be below terms = {terms}, got {x / k!r}")
+    _require_inside_tail(x / k, terms)
     N = float(terms)
     base = math.log(p) / k - EULER_GAMMA / k
     s = _psi_lattice_sum(x, k, terms, form)

@@ -293,6 +293,12 @@ def _tail_s5(N: float) -> float:
     return 1.0 / (4.0 * N**4)
 
 
+def _require_inside_tail(z: float, terms: int) -> None:
+    """The tails above expand in z/n for n > terms, which needs |z| < terms."""
+    if not abs(z) < terms:
+        raise DomainError(f"|x/k| must be below terms = {terms}, got {abs(z)!r}")
+
+
 def central_diff(f, x: float, h: float, order: int = 1) -> float:
     """Central finite difference of f at x: first or second derivative."""
     if order == 1:

@@ -19,6 +19,7 @@ from functools import lru_cache
 from .core import (
     _EPS,
     _MEMO_SIZE,
+    _require_inside_tail,
     _tail_s2,
     _tail_s3,
     _tail_s4,
@@ -194,12 +195,6 @@ def gamma_euler_product(params: PkParams, x: float, terms: int = 100_000) -> Gam
     ln = z * math.log(params.p) - math.log(x) + s + tail
     err = (abs(z) ** 5 + abs(z)) / (4.0 * N**4) + 1e-12
     return GammaEval(ln_value=ln, sign=1, abs_err_ln=err, method=Method.EULER_PRODUCT)
-
-
-def _require_inside_tail(z: float, terms: int) -> None:
-    """The product tails expand in z/n for n > terms, which needs |z| < terms."""
-    if not abs(z) < terms:
-        raise DomainError(f"|x/k| must be below terms = {terms}, got {abs(z)!r}")
 
 
 @lru_cache(maxsize=_MEMO_SIZE)

@@ -6,6 +6,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from pkspecial import PkParams
+from pkspecial.core import _MEMO_SIZE
 
 # the default audit axes, used by several suites
 GRID_PS = (0.5, 1.0, 2.0, 3.5)
@@ -49,8 +50,6 @@ def check_memo_is_transparent(route, kernel, calls, distinct):
 
 def check_memo_is_bounded(route, kernel, size):
     """1,000 distinct arguments never hold more than _MEMO_SIZE entries."""
-    from pkspecial.core import _MEMO_SIZE
-
     kernel.cache_clear()
     for i in range(1000):
         route(PkParams(1.0, 1.0), 1.0 + i / 1000, size)

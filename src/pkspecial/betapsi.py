@@ -28,6 +28,7 @@ from .core import (
     _tail_s3,
     _tail_s4,
     _tail_s5,
+    _tail_gaps,
     EULER_GAMMA,
     DomainError,
     EvalReal,
@@ -39,7 +40,7 @@ from .core import (
     ln_gamma_classical,
     pole_check,
 )
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_semiaxis, integrate_unit
+from .quadrature import _split_beta_kernel, integrate_semiaxis, integrate_unit
 
 __all__ = [
     "BetaArgs",
@@ -89,32 +90,21 @@ def beta_closed(args: BetaArgs) -> EvalReal:
     return EvalReal(value=value, abs_err=err, method=Method.CLOSED)
 
 
-def beta_integral(args: BetaArgs, form: str = "unit", quad: QuadratureSpec = DEFAULT_SPEC) -> EvalReal:
+def beta_integral(args: BetaArgs, form: str = "unit") -> EvalReal:
     """One of the three integral representations.
 
     unit:       (1/k) int_0^1 t^(x/k-1) (1-t)^(y/k-1) dt
     symmetric:  (1/k) int_0^1 (t^(x/k-1) + t^(y/k-1)) (1+t)^(-(x+y)/k) dt
     semiaxis:   int_0^inf t^(x-1) (1+t^k)^(-(x+y)/k) dt
 
-    The unit form is integrated as two halves with the upper half reflected
-    onto (0, 1/2), so each piece is singular only at the origin where the
-    quadrature grid is dense.
+    The unit form is quadrature._split_beta_kernel at z = 0.
     """
     import numpy as np
 
     k = args.params.k
     a, b = args.x / k, args.y / k
     if form == "unit":
-        def lower(u):
-            t = 0.5 * u
-            return 0.5 * np.exp((a - 1.0) * np.log(t) + (b - 1.0) * np.log1p(-t))
-
-        def upper(u):
-            s = 0.5 * u  # distance below 1 in the original variable
-            return 0.5 * np.exp((b - 1.0) * np.log(s) + (a - 1.0) * np.log1p(-s))
-
-        lo = integrate_unit(lower, quad)
-        hi = integrate_unit(upper, quad)
+        lo, hi = _split_beta_kernel(a, b, 0.0)
         value = (lo.value + hi.value) / k
         err = (lo.abs_err + hi.abs_err) / k
     elif form == "symmetric":
@@ -123,7 +113,7 @@ def beta_integral(args: BetaArgs, form: str = "unit", quad: QuadratureSpec = DEF
             damp = -(a + b) * np.log1p(t)
             return np.exp((a - 1.0) * lt + damp) + np.exp((b - 1.0) * lt + damp)
 
-        res = integrate_unit(integrand, quad)
+        res = integrate_unit(integrand)
         value, err = res.value / k, res.abs_err / k
     elif form == "semiaxis":
         x, y = args.x, args.y
@@ -132,7 +122,7 @@ def beta_integral(args: BetaArgs, form: str = "unit", quad: QuadratureSpec = DEF
             lt = np.log(t)
             return np.exp((x - 1.0) * lt - (x + y) / k * np.log1p(np.exp(k * lt)))
 
-        res = integrate_semiaxis(integrand, quad)
+        res = integrate_semiaxis(integrand)
         value, err = res.value, res.abs_err
     else:
         raise DomainError(f"form must be one of {BETA_FORMS}, got {form!r}")
@@ -171,9 +161,11 @@ def psi_series(params: PkParams, x: float, form: str = "3.9", terms: int = 100_0
     form "3.9":  log(p)/k - g/k - 1/x + (x/k) sum_{n>=1} 1/(n (x+nk))
     form "3.10": log(p)/k - g/k + ((x-k)/k) sum_{n>=0} 1/((n+1)(x+nk))
 
-    Raw truncation converges like 1/N; the corrections push the residual to
-    O(1/N^4)-level so the default budget leaves nothing visible at 1e-9.
-    The corrections expand in x/(nk) for n > terms, which needs x/k < terms.
+    Raw truncation converges like 1/N; the Euler-Maclaurin tails of the
+    expansion in x/(nk) for n > terms, which needs x/k < terms, leave
+    O((x/k)^5/N^5).  abs_err bounds what they leave (the first term each tail
+    sum drops and the n^-6 term of the expansion) plus the rounding,
+    4 eps times the sum of the parts' magnitudes.
     """
     if not (math.isfinite(x) and x > 0):
         raise DomainError(f"psi_series requires x > 0, got {x!r}")
@@ -186,26 +178,31 @@ def psi_series(params: PkParams, x: float, form: str = "3.9", terms: int = 100_0
     N = float(terms)
     base = math.log(p) / k - EULER_GAMMA / k
     s = _psi_lattice_sum(x, k, terms, form)
+    w = x / k
+    g2, g3, g4, g5 = _tail_gaps(N)
     if form == "3.9":
+        # terms expand as (1/k n^2)(1 - w/n + w^2/n^2 - ...)
         tail = (
             _tail_s2(N) / k
             - x / k**2 * _tail_s3(N)
             + x**2 / k**3 * _tail_s4(N)
             - x**3 / k**4 * _tail_s5(N)
         )
-        v = base - 1.0 / x + (x / k) * (s + tail)
-        err = (x / k) * (x**4 / k**5) / (4.0 * N**4) + 1e-13
+        scale, head = w, base - 1.0 / x
+        # the expansion drops at most w^4 sum_{n>N} n^-6 < w^4 / (5 N^5)
+        gap = g2 + w * g3 + w**2 * g4 + w**3 * g5 + w**4 / (5.0 * N**5)
     else:
-        # terms expand as (1/k n^2)(1 - (1 + x/k)/n + (1 + x/k + (x/k)^2)/n^2 - ...)
-        w = x / k
-        tail = (
-            _tail_s2(N) / k
-            - (1.0 + w) / k * _tail_s3(N)
-            + (1.0 + w + w * w) / k * _tail_s4(N)
-            - (1.0 + w + w * w + w**3) / k * _tail_s5(N)
-        )
-        v = base + (x - k) / k * (s + tail)
-        err = abs(x - k) / k * (1.0 + w**4) / (k * N**4) + 1e-13
+        # terms expand as (1/k n^2)(1 - h1/n + h2/n^2 - ...), h_j = 1 + w + ... + w^j
+        h1 = 1.0 + w
+        h2 = 1.0 + w + w * w
+        h3 = 1.0 + w + w * w + w**3
+        tail = _tail_s2(N) / k - h1 / k * _tail_s3(N) + h2 / k * _tail_s4(N) - h3 / k * _tail_s5(N)
+        scale, head = (x - k) / k, base
+        # the expansion drops at most h4 sum_{n>N} n^-6 < h4 / (5 N^5)
+        gap = g2 + h1 * g3 + h2 * g4 + h3 * g5 + (h3 + w**4) / (5.0 * N**5)
+    v = head + scale * (s + tail)
+    parts = (abs(math.log(p)) + EULER_GAMMA) / k + abs(head) + abs(scale * (s + tail))
+    err = abs(scale) * gap / k + 4.0 * _EPS * parts
     return EvalReal(value=v, abs_err=err, method=Method.SERIES)
 
 
@@ -221,7 +218,7 @@ def _psi_lattice_sum(x: float, k: float, terms: int, form: str) -> float:
     return float(np.sum((1.0 / ((n + 1.0) * (x + n * k)))[::-1]))
 
 
-def ln_gamma_via_psi(params: PkParams, x: float, quad: QuadratureSpec = DEFAULT_SPEC) -> EvalReal:
+def ln_gamma_via_psi(params: PkParams, x: float) -> EvalReal:
     """log G(x) recovered as int_1^x psi(t) dt + log G(1).
 
     The integration constant log G(1) = log(p^(1/k) Gamma(1/k) / k) is
@@ -240,7 +237,7 @@ def ln_gamma_via_psi(params: PkParams, x: float, quad: QuadratureSpec = DEFAULT_
         t = 1.0 + span * u
         return span * (lnp_k + _digamma_array(t / k) / k)
 
-    res = integrate_unit(integrand, quad)
+    res = integrate_unit(integrand)
     return EvalReal(value=ln_at_one + res.value, abs_err=res.abs_err + 1e-14, method=Method.INTEGRAL)
 
 

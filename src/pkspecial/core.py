@@ -278,7 +278,7 @@ def polygamma_classical(m: int, z: float) -> float:
 
 # Sums over n > N of n^-s, by Euler-Maclaurin, for the product and series tails.
 def _tail_s2(N: float) -> float:
-    return 1.0 / N - 1.0 / (2.0 * N**2) + 1.0 / (6.0 * N**3)
+    return 1.0 / N - 1.0 / (2.0 * N**2) + 1.0 / (6.0 * N**3) - 1.0 / (30.0 * N**5)
 
 
 def _tail_s3(N: float) -> float:
@@ -291,6 +291,11 @@ def _tail_s4(N: float) -> float:
 
 def _tail_s5(N: float) -> float:
     return 1.0 / (4.0 * N**4)
+
+
+def _tail_gaps(N: float) -> tuple[float, float, float, float]:
+    """|first term| that _tail_s2.._tail_s5 leave out: it bounds their error, n^-s being completely monotone."""
+    return 1.0 / (42.0 * N**7), 1.0 / (12.0 * N**6), 1.0 / (3.0 * N**5), 1.0 / (2.0 * N**5)
 
 
 def _require_inside_tail(z: float, terms: int) -> None:
@@ -313,20 +318,18 @@ def richardson_diff(f, x: float, h: float = 1e-3) -> float:
     return (4.0 * central_diff(f, x, h / 2.0) - central_diff(f, x, h)) / 3.0
 
 
-def best_central_diff(f, x: float, steps=(1e-3, 1e-4, 1e-5, 1e-6, 1e-7)) -> float:
+def best_central_diff(f, x: float) -> float:
     """Central difference at the step that minimizes the two-step disagreement.
 
-    Sweeps the given steps and returns the estimate whose neighbours agree
-    best, a cheap proxy for the truncation/roundoff crossover.
+    Sweeps steps 1e-3 down to 1e-7 and returns the estimate whose neighbours
+    agree best, a cheap proxy for the truncation/roundoff crossover.
     """
-    vals = [central_diff(f, x, h) for h in steps]
-    if len(vals) == 1:
-        return vals[0]
+    vals = [central_diff(f, x, h) for h in (1e-3, 1e-4, 1e-5, 1e-6, 1e-7)]
     best = vals[0]
     best_gap = math.inf
     for i in range(len(vals) - 1):
         gap = abs(vals[i + 1] - vals[i])
         if gap < best_gap:
             best_gap = gap
-            best = vals[i + 1] if i + 1 < len(vals) else vals[i]
+            best = vals[i + 1]
     return best

@@ -32,7 +32,7 @@ from .core import (
     ln_gamma_classical,
     pole_check,
 )
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_semiaxis
+from .quadrature import integrate_semiaxis
 
 __all__ = [
     "gamma_closed",
@@ -137,12 +137,7 @@ def _limit_sums(z: float, n: int, accelerate: bool, extra: int) -> tuple[float, 
     return tuple(float(np.sum(logs[: m + extra])) for m in ((n, 2 * n, 4 * n) if accelerate else (n,)))
 
 
-def gamma_integral(
-    params: PkParams,
-    x: float,
-    a_scale: float = 1.0,
-    quad: QuadratureSpec = DEFAULT_SPEC,
-) -> GammaEval:
+def gamma_integral(params: PkParams, x: float, a_scale: float = 1.0) -> GammaEval:
     """Integral-representation evaluator a^(x/k) * int_0^inf e^(-a t^k / p) t^(x-1) dt.
 
     The result is independent of the free scale a > 0 (a=1 is the plain
@@ -163,7 +158,7 @@ def gamma_integral(
         # log-robust: t^k may overflow to inf, exp(-inf) flushes to 0
         return np.exp(xm1 * np.log(t) - coeff * np.exp(k * np.log(t)))
 
-    res = integrate_semiaxis(integrand, quad)
+    res = integrate_semiaxis(integrand)
     z = x / k
     ln = z * math.log(a_scale) + math.log(res.value)
     err = res.abs_err / res.value + 1e-15 * (1.0 + abs(ln))

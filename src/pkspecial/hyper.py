@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .core import _EPS, DomainError, EvalReal, Method, PkParams, ln_gamma_classical
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_unit
+from .quadrature import _split_beta_kernel
 
 __all__ = [
     "HyperParams",
@@ -151,52 +151,54 @@ def reduce_classical(hp: HyperParams) -> HyperReduction:
     return HyperReduction(hp.alphas, hp.betas, hp.scale)
 
 
+def _term_ratio(hp: HyperParams, x: float, n: int) -> float:
+    """term_{n+1} / term_n = x prod p_i (a_i/k_i + n) / ((n+1) prod t_j (b_j/s_j + n))."""
+    num = x
+    for a, p, k in hp.upper:
+        num *= p * (a / k + n)
+    den = float(n + 1)
+    for b, t, s in hp.lower:
+        d = t * (b / s + n)
+        if d == 0.0:
+            raise LowerPoleError(f"lower ratio hit zero at index {n}")
+        den *= d
+    return num / den
+
+
 def hyper_series(
     hp: HyperParams,
     x: float,
     tol: float = DEFAULT_TOL,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> EvalReal:
-    """Partial sum via the term recurrence, with a three-strike stopping rule.
-
-    term_{n+1} = term_n * x * prod p_i (a_i/k_i + n) / (prod t_j (b_j/s_j + n) (n+1))
+    """Partial sum via the term recurrence (_term_ratio), with a three-strike stopping rule.
 
     Stops once |term| < tol*|sum| three times in a row (guards against
     alternating-term false stops).  An upper ratio at a non-positive integer
     terminates the series exactly (polynomial case).  abs_err carries the
-    rounding of the sum, eps*sum|term|: alternating terms far larger than
-    the sum (1F1 at large negative argument) cancel to few or no digits.
+    tail and the rounding of the sum and of the n ratios behind term n:
+    alternating terms far larger than the sum (1F1 at large negative
+    argument) cancel to few or no digits.
     """
     cls = classify(hp)
-    alphas, betas = hp.alphas, hp.betas
     # an upper ratio at a non-positive integer terminates the series exactly
-    polynomial = any(a <= 0.0 and abs(a - round(a)) < 1e-12 for a in alphas)
+    polynomial = any(a <= 0.0 and abs(a - round(a)) < 1e-12 for a in hp.alphas)
     if not polynomial:
         if cls.kind is ConvergenceKind.DIVERGENT_FORMAL:
             raise DivergentInput(f"series has no convergence domain for r={hp.r}, q={hp.q}")
         if cls.kind is ConvergenceKind.FINITE_RADIUS and abs(x) >= cls.radius:
             raise DivergentInput(f"|x|={abs(x)} outside the convergence radius {cls.radius}")
-    ps = [p for _, p, _ in hp.upper]
-    ts = [t for _, t, _ in hp.lower]
     term = 1.0
     total = 1.0
     mass = 1.0  # sum of |term|
+    drift = 0.0  # sum of n |term_n|: term n carries the rounding of n ratios
     quiet = 0
-    last_ratio = 0.0
     for n in range(max_terms):
-        num = x
-        for alpha, p in zip(alphas, ps):
-            num *= p * (alpha + n)
-        den = float(n + 1)
-        for beta, t in zip(betas, ts):
-            d = t * (beta + n)
-            if d == 0.0:
-                raise LowerPoleError(f"lower ratio hit zero at index {n}")
-            den *= d
-        ratio = num / den
+        ratio = _term_ratio(hp, x, n)
         term = term * ratio
         total += term
         mass += abs(term)
+        drift += (n + 1) * abs(term)
         if mass == math.inf and math.isfinite(total):
             # eps * sum|term| is no longer a finite error bound: no digit survives
             raise MaxTermsExceeded(
@@ -210,13 +212,15 @@ def hyper_series(
                 f"term {n + 1} left the double range with a sign change; the sum is lost",
                 EvalReal(value=total, abs_err=abs(term) + _EPS * mass, method=Method.SERIES),
             )
-        last_ratio = abs(ratio)
         # non-strict: a terminated (polynomial) series has term == total == 0
         if abs(term) <= tol * abs(total):
             quiet += 1
             if quiet >= 3:
-                tail = abs(term) * last_ratio / (1.0 - last_ratio) if last_ratio < 1.0 else tol * abs(total)
-                err = abs(tail) + tol * abs(total) + _EPS * mass
+                # r = q + 1: the ratios tend to |x|/radius, and rising ones stay below it
+                rho = abs(ratio) if cls.radius is None else max(abs(ratio), abs(x) / cls.radius)
+                tail = abs(term) * rho / (1.0 - rho) if rho < 1.0 else tol * abs(total)
+                # each ratio rounds 3 (r + q) + 2 times, each by at most eps/2
+                err = abs(tail) + tol * abs(total) + _EPS * (mass + (1.5 * (hp.r + hp.q) + 1.0) * drift)
                 return EvalReal(value=total, abs_err=err, method=Method.SERIES)
         else:
             quiet = 0
@@ -237,22 +241,13 @@ def ode_coefficient_residual(hp: HyperParams, n_terms: int = 50) -> float:
         raise DivergentInput("no ODE normal form past r = q + 1")
     alphas, betas = hp.alphas, hp.betas
     a_scale = hp.scale
-    # coefficients of the reduced classical series at argument A
-    c = [1.0]
-    for n in range(n_terms):
-        num = a_scale
-        for alpha in alphas:
-            num *= alpha + n
-        den = float(n + 1)
-        for beta in betas:
-            den *= beta + n
-        c.append(c[-1] * num / den)
     worst = 0.0
     for n in range(1, n_terms + 1):
-        lhs = n * c[n]
+        # both sides over c_{n-1}: c_n / c_{n-1} is the series' own term ratio at x = 1
+        lhs = n * _term_ratio(hp, 1.0, n - 1)
         for beta in betas:
             lhs *= n + beta - 1.0
-        rhs = a_scale * c[n - 1]
+        rhs = a_scale
         for alpha in alphas:
             rhs *= alpha + n - 1.0
         scale = max(abs(lhs), abs(rhs), 1e-300)
@@ -341,9 +336,8 @@ def _poly_mul(a: list[float], b: list[float]) -> list[float]:
 def pk_binomial(a: float, params: PkParams, x: float) -> EvalReal:
     """Binomial identity: sum_n P(a; n) x^n / n! = (1 - x p)^(-a/k), |x| < 1/p.
 
-    The series side runs on the Pochhammer term recurrence; the closed side
-    is evaluated through log1p.  The returned abs_err folds in the observed
-    gap between the two, so a caller sees immediately if they drift apart.
+    The series is the 1F0 case of hyper_series, upper triple (a, p, k), and
+    carries its abs_err: eps*sum|term| plus the tail.
     """
     if not isinstance(params, PkParams):
         raise DomainError("params must be a PkParams instance")
@@ -351,42 +345,17 @@ def pk_binomial(a: float, params: PkParams, x: float) -> EvalReal:
         raise DomainError("a and x must be finite")
     if abs(x) >= 1.0 / params.p:
         raise DivergentInput(f"|x|={abs(x)} is outside the radius 1/p = {1.0 / params.p}")
-    alpha = a / params.k
-    p = params.p
-    term = 1.0
-    total = 1.0
-    mass = 1.0  # sum of |term|
-    quiet = 0
-    for n in range(DEFAULT_MAX_TERMS):
-        term *= x * p * (alpha + n) / (n + 1.0)
-        total += term
-        if abs(term) < DEFAULT_TOL * abs(total):
-            quiet += 1
-            if quiet >= 3:
-                break
-        else:
-            quiet = 0
-    else:
-        raise MaxTermsExceeded(
-            "binomial series did not settle",
-            EvalReal(value=total, abs_err=abs(term) + _EPS * mass, method=Method.SERIES),
-        )
-    closed = math.exp(-alpha * math.log1p(-x * p))
-    err = abs(total - closed) + DEFAULT_TOL * abs(total)
-    return EvalReal(value=total, abs_err=err, method=Method.SERIES)
+    return hyper_series(HyperParams(((a, params.p, params.k),), ()), x)
 
 
-def confluent_integral(hp: HyperParams, x: float, quad: QuadratureSpec = DEFAULT_SPEC) -> EvalReal:
+def confluent_integral(hp: HyperParams, x: float) -> EvalReal:
     """Integral representation, supported for exactly one upper and one lower triple:
 
         G(b/s) / (G(a/k) G(b/s - a/k)) int_0^1 t^(a/k-1) (1-t)^(b/s-a/k-1) e^((p/t1) x t) dt
 
-    requiring 0 < a/k < b/s for integrability at both endpoints.  The
-    integral is split at 1/2 with the upper half reflected so each piece is
-    singular only at the origin.
+    requiring 0 < a/k < b/s for integrability at both endpoints; the
+    integral is quadrature._split_beta_kernel.
     """
-    import numpy as np
-
     if hp.r != 1 or hp.q != 1:
         raise UnsupportedShape(f"integral form supports r = q = 1 only, got r={hp.r}, q={hp.q}")
     (a, p, k), (b, t1, s) = hp.upper[0], hp.lower[0]
@@ -395,18 +364,7 @@ def confluent_integral(hp: HyperParams, x: float, quad: QuadratureSpec = DEFAULT
     lam = beta - alpha
     if not (0.0 < alpha < beta):
         raise DomainError(f"need 0 < a/k < b/s, got a/k={alpha}, b/s={beta}")
-    z = p / t1 * x
-
-    def lower_half(u):
-        tt = 0.5 * u
-        return 0.5 * np.exp((alpha - 1.0) * np.log(tt) + (lam - 1.0) * np.log1p(-tt) + z * tt)
-
-    def upper_half(u):
-        ss = 0.5 * u  # distance below 1
-        return 0.5 * np.exp((lam - 1.0) * np.log(ss) + (alpha - 1.0) * np.log1p(-ss) + z * (1.0 - ss))
-
-    lo = integrate_unit(lower_half, quad)
-    hi = integrate_unit(upper_half, quad)
+    lo, hi = _split_beta_kernel(alpha, lam, p / t1 * x)
     ln_pref = (
         ln_gamma_classical(beta).ln_value
         - ln_gamma_classical(alpha).ln_value

@@ -231,3 +231,23 @@ def integrate_unit(f, spec: QuadratureSpec = DEFAULT_SPEC) -> EvalReal:
 def integrate_semiaxis(f, spec: QuadratureSpec = DEFAULT_SPEC) -> EvalReal:
     """Integrate f over (0,inf); f must decay at least like t**-beta, beta > 1."""
     return _integrate("semiaxis", f, spec)
+
+
+def _split_beta_kernel(a: float, b: float, z: float) -> tuple[EvalReal, EvalReal]:
+    """int_0^1 t^(a-1) (1-t)^(b-1) e^(z t) dt, a, b > 0, as its halves on (0, 1/2) and (1/2, 1).
+
+    The upper half is reflected, s = 1 - t, so each half is singular only at
+    the origin, where the grid is dense.
+    """
+    import numpy as np
+
+    def lower(u):
+        t = 0.5 * u
+        return 0.5 * np.exp((a - 1.0) * np.log(t) + (b - 1.0) * np.log1p(-t) + z * t)
+
+    def upper(u):
+        s = 0.5 * u  # distance below 1 in the original variable
+        return 0.5 * np.exp((b - 1.0) * np.log(s) + (a - 1.0) * np.log1p(-s) + z * (1.0 - s))
+
+    # through the module global, so a wrapped integrate_unit sees both halves
+    return integrate_unit(lower), integrate_unit(upper)

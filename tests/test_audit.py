@@ -1,6 +1,9 @@
 """Audit engine: determinism, schema conformance, summary bookkeeping."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -122,3 +125,27 @@ class TestReport:
         doc = report_to_dict(run_suite("gamma", AuditGrid.small()))
         text = json.dumps(doc, allow_nan=False)  # would raise on NaN/inf
         assert "NaN" not in text
+
+    def test_report_diff_script(self, tmp_path):
+        script = Path(__file__).parent.parent / "scripts" / "report_diff.py"
+        doc = report_to_dict(run_suite("beta", AuditGrid.small()))
+        old, new = tmp_path / "old.json", tmp_path / "new.json"
+        old.write_text(json.dumps(doc))
+
+        def diff():
+            return subprocess.run([sys.executable, str(script), str(old), str(new)], capture_output=True, text=True)
+
+        new.write_text(json.dumps(doc))
+        same = diff()
+        assert same.returncode == 0 and "summaries: identical" in same.stdout
+        doc["records"][0]["rel_err_corrected"] += 1e-16
+        new.write_text(json.dumps(doc))
+        moved = diff()
+        ident = doc["records"][0]["identity_id"]
+        count = sum(r["identity_id"] == ident for r in doc["records"])
+        assert moved.returncode == 1
+        assert [ident, str(count), "1"] in [line.split()[:3] for line in moved.stdout.splitlines()]
+        assert "summaries: identical" in moved.stdout
+        doc["summary"]["identities"][ident]["verdict"] = "fail"
+        new.write_text(json.dumps(doc))
+        assert f"{ident} (verdict)" in diff().stdout

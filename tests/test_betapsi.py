@@ -215,6 +215,20 @@ class TestPsiSeries:
     def test_memo_is_bounded(self, form):
         check_memo_is_bounded(lambda params, x, terms: psi_series(params, x, form, terms), _psi_lattice_sum, 10)
 
+    def test_abs_err_covers_wide_draws(self):
+        # x/k log-uniform in [1e-6, terms), p log-uniform in [e^-2, e^2]: at small x/k
+        # the rounding of the 1/x-sized parts dominates, at large x/k the tails
+        rng = np.random.default_rng(43)
+        for terms in (10, 100, 1000, 100_000):
+            for _ in range(60):
+                k = float(rng.choice((0.5, 1.0, 2.0)))
+                p = float(np.exp(rng.uniform(-2.0, 2.0)))
+                x = k * float(np.exp(rng.uniform(math.log(1e-6), math.log(terms))))
+                want = oracles.mp_pk_psi(p, k, x)
+                for form in ("3.9", "3.10"):
+                    got = psi_series(PkParams(p, k), x, form, terms)
+                    assert abs(got.value - want) <= got.abs_err, (form, terms, p, k, x)
+
     def test_forms_agree_closely(self):
         for k in GRID_KS:
             for x in (0.3, 1.1, 7.3):

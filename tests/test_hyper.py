@@ -286,9 +286,36 @@ class TestBinomial:
 
     def test_matches_single_upper_series(self):
         for (a, p, k, x) in ((1.0, 1.0, 1.0, 0.5), (2.5, 2.0, 0.5, 0.3), (0.3, 0.5, 3.0, 1.2)):
-            got = pk_binomial(a, PkParams(p, k), x).value
-            want = hyper_series(hp(((a, p, k),), ()), x).value
-            assert got == pytest.approx(want, rel=1e-12)
+            got = pk_binomial(a, PkParams(p, k), x)
+            assert got == hyper_series(hp(((a, p, k),), ()), x)
+
+    def test_abs_err_covers_wide_draws(self):
+        # a = +-e^U, U in [log 0.01, log 20], log-uniform p, k in [e^-2, e^2] and
+        # xp uniform in [-0.95, 0.95], plus the alternating xp = -0.5 and -0.9;
+        # the truth (1 - xp)^(-a/k) is taken at the exact a/k
+        rng = np.random.default_rng(41)
+        for i in range(1200):
+            a = float(rng.choice((-1.0, 1.0)) * np.exp(rng.uniform(math.log(0.01), math.log(20.0))))
+            p, k = (float(v) for v in np.exp(rng.uniform(-2.0, 2.0, size=2)))
+            xp = (-0.5, -0.9, float(rng.uniform(-0.95, 0.95)))[i % 3]
+            x = xp / p
+            got = pk_binomial(a, PkParams(p, k), x)
+            want = (1 - mp.mpf(x) * p) ** (-mp.mpf(a) / k)
+            assert abs(got.value - want) <= got.abs_err, (a, p, k, x)
+
+    @pytest.mark.parametrize(
+        "a, p, k, xp",
+        [
+            # a/k = 60.7: term n carries the rounding of its n ratios (2.4e-14 relative)
+            (8.23672793410275, 0.3710979186359553, 0.13568032039431893, 0.8828633174285059),
+            # a/k = 0.0067 next to the radius: the ratios rise towards xp
+            (0.027541950354632635, 0.33782096156667196, 4.120426538957336, 0.9957806540779792),
+        ],
+    )
+    def test_abs_err_covers_slow_series(self, a, p, k, xp):
+        got = pk_binomial(a, PkParams(p, k), xp / p)
+        want = (1 - mp.mpf(xp / p) * p) ** (-mp.mpf(a) / k)
+        assert abs(got.value - want) <= got.abs_err
 
 
 class TestConfluentIntegral:

@@ -29,12 +29,10 @@ from .core import (
     digamma_classical,
     ln_gamma_classical,
     pole_check,
-    polygamma_classical,
 )
 from .quadrature import NoConvergence, QuadratureSpec, integrate_semiaxis, integrate_unit
 from .pochhammer import (
     PochSpec,
-    elementary_symmetric,
     poch_direct,
     poch_dk,
     poch_dp,
@@ -50,7 +48,6 @@ from .gamma import (
     gamma_euler_product,
     gamma_integral,
     gamma_limit,
-    gamma_rescale,
     gamma_weierstrass_recip,
 )
 from .betapsi import (
@@ -68,7 +65,6 @@ from .hyper import (
     ConvergenceKind,
     DivergentInput,
     HyperParams,
-    HyperReduction,
     LowerPoleError,
     MaxTermsExceeded,
     UnsupportedShape,
@@ -76,9 +72,7 @@ from .hyper import (
     confluent_integral,
     hyper_series,
     ode_coefficient_residual,
-    ode_residual,
     pk_binomial,
-    reduce_classical,
 )
 from .audit import AuditReport, run_suite, validate_report, write_report
 

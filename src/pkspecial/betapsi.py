@@ -246,7 +246,8 @@ def k_zeta(x: float, r: int, k: float, terms: int = 12) -> EvalReal:
 
     ``terms`` terms summed directly, plus the Euler-Maclaurin tail from a = x + terms*k
     (DLMF 2.10.1): a^(1-r)/((r-1)k) + a^-r/2 + sum_j=1..7 B_2j/(2j)! (r)_(2j-1) (k/a)^(2j-1) a^-r.
-    abs_err is the first omitted term plus eps (r+2) value, the rounding of (x + nk)^-r.
+    abs_err is the first omitted term plus eps (r+2) value, the rounding of (x + nk)^-r,
+    plus an absolute floor for the roundings that land below the normal range.
     Past the double range the value is inf, with an OverflowNote.
     """
     if not (isinstance(r, int) and r >= 2):
@@ -270,7 +271,12 @@ def k_zeta(x: float, r: int, k: float, terms: int = 12) -> EvalReal:
     if value == math.inf:
         warnings.warn(f"zeta_k({x}, {r}) overflows double precision", OverflowNote, stacklevel=2)
         return EvalReal(value=value, abs_err=value, method=Method.SERIES)
-    err = 3617 / 8160 * math.comb(r + 14, 15) * w**15 * f0 + _EPS * (r + 2) * value  # |B_16|/16
+    # below the normal range a result is off by up to one spacing 2^-1074 absolute,
+    # which eps (r+2) value does not cover: one for each power (x + nk)^-r and for
+    # a^-r and a^(1-r), which the tail scales by 0.5 + w*poly and by 1/((r-1)k), and
+    # half of one each for that product and that quotient; sums of subnormals are exact
+    floor = (terms + abs(0.5 + w * poly) + 1.0 / ((r - 1) * k) + 1.0) * math.ulp(0.0)
+    err = 3617 / 8160 * math.comb(r + 14, 15) * w**15 * f0 + _EPS * (r + 2) * value + floor  # |B_16|/16
     return EvalReal(value=value, abs_err=err, method=Method.SERIES)
 
 

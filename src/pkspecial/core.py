@@ -2,7 +2,7 @@
 
 Every member of the two-parameter family reduces to a classical function
 evaluated at x/k, so this module owns the classical backend (log-gamma with
-an explicit sign channel, digamma, polygamma), parameter validation, and
+an explicit sign channel and digamma), parameter validation, and
 pole detection on the lattice x = -n*k.
 
 Gamma-type values are computed and stored in log space, as a ``GammaEval``
@@ -34,7 +34,6 @@ __all__ = [
     "gamma_sign",
     "ln_gamma_classical",
     "digamma_classical",
-    "polygamma_classical",
     "central_diff",
     "richardson_diff",
     "best_central_diff",
@@ -240,40 +239,6 @@ def _digamma_array(z: np.ndarray) -> np.ndarray:
     z = z + n
     tail = (z[:, None] ** exponents) @ _PSI_ASYMPTOTIC
     return np.log(z) - 0.5 / z - tail - shift
-
-
-def polygamma_classical(m: int, z: float) -> float:
-    """psi^(m)(z), the m-th derivative of digamma, for 1 <= m <= 170 and z > 0.
-
-    Shifts z up to at least 10 + 2m with the recurrence
-    psi^(m)(z) = psi^(m)(z+1) + (-1)^(m+1) m! / z^(m+1), then sums the
-    asymptotic series (DLMF 5.15.8).  Orders past 170 are rejected: m! no
-    longer fits in a double.  Past the double range the value is a signed inf.
-    """
-    if not (isinstance(m, int) and 1 <= m <= 170):
-        raise DomainError(f"order m must be an integer in [1, 170], got {m!r}")
-    if not (math.isfinite(z) and z > 0):
-        raise DomainError(f"z must be a positive real, got {z!r}")
-    sign = 1.0 if m % 2 else -1.0
-    # powers of z in two halves, scaled by the factorial before they are summed,
-    # so that they underflow only with the result
-    fm = float(math.factorial(m))
-    shift = 0.0
-    try:
-        while z < _PSI_SHIFT + 2 * m:
-            shift += fm * z ** -(m // 2 + 1) * z ** -(m - m // 2)
-            z += 1.0
-    except OverflowError:
-        # every term has the sign of the result, so the sum overflows with it
-        return sign * math.inf
-    # the series over its leading term (m-1)!/z^m:
-    # 1 + m/(2z) + sum_j B_2j/(2j) * 2j * C(2j+m-1, m-1) / z^2j
-    w = 1.0 / (z * z)
-    tail = 0.0
-    for j in range(len(_PSI_ASYMPTOTIC), 0, -1):
-        tail = tail * w + _PSI_ASYMPTOTIC[j - 1] * 2 * j * math.comb(2 * j + m - 1, m - 1)
-    lead = math.factorial(m - 1) * z ** -(m // 2) * z ** -(m - m // 2)
-    return sign * (shift + lead * (1.0 + 0.5 * m / z + tail * w))
 
 
 # Sums over n > N of n^-s, by Euler-Maclaurin, for the product and series tails.

@@ -40,7 +40,6 @@ __all__ = [
     "gamma_integral",
     "gamma_euler_product",
     "gamma_weierstrass_recip",
-    "gamma_rescale",
 ]
 
 
@@ -105,7 +104,9 @@ def gamma_limit(
     def at(m: int, s: float) -> tuple[float, float]:
         """The m-th term and the sum of the magnitudes it adds up."""
         head, tilt = math.lgamma(m + 1), power * math.log(m)
-        return head + tilt + z * lnp - s - lnk, head + abs(tilt) + abs(z * lnp) + abs(s) + abs(lnk)
+        # math.lgamma itself errs by eps (8 + 2 head), as core.ln_gamma_classical counts it
+        mag = 8.0 + 3.0 * head + abs(tilt) + abs(z * lnp) + abs(s) + abs(lnk)
+        return head + tilt + z * lnp - s - lnk, mag
 
     # Each term cancels sums of size ~lgamma(m+1) down to O(1): its rounding is
     # eps times those magnitudes, carried through the Richardson weights
@@ -287,24 +288,3 @@ def gamma_limit_product_recip(params: PkParams, x: float, terms: int = 100_000) 
     sign = sign * (1 if x > 0 else -1)
     err = (abs(z) ** 5 + abs(z)) / (4.0 * N**4) + abs(z) / (6.0 * N**3) + 1e-12
     return GammaEval(ln_value=ln, sign=sign, abs_err_ln=err, method=Method.LIMIT)
-
-
-def gamma_rescale(src: PkParams, target_k: float, target_p: float, x: float) -> GammaEval:
-    """Family value at (r, s) = src computed through the (p, k) = target family:
-
-        G_{r,s}(x) = (k/s) (r/p)^(x/s) G_{p,k}(k x / s).
-
-    Agrees with gamma_closed(src, x) whenever the transformed argument is
-    off the target family's pole lattice.
-    """
-    _require_params(src)
-    target = PkParams(target_p, target_k)
-    r, s = src.p, src.k
-    inner = gamma_closed(target, target_k * x / s)
-    ln = math.log(target_k / s) + (x / s) * math.log(r / target_p) + inner.ln_value
-    return GammaEval(
-        ln_value=ln,
-        sign=inner.sign,
-        abs_err_ln=inner.abs_err_ln + 4.6e-16 * (1.0 + abs(ln)),
-        method=Method.CLOSED,
-    )

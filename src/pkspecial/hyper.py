@@ -20,16 +20,13 @@ __all__ = [
     "HyperParams",
     "ConvergenceKind",
     "ConvergenceClass",
-    "HyperReduction",
     "DivergentInput",
     "MaxTermsExceeded",
     "LowerPoleError",
     "UnsupportedShape",
     "classify",
     "hyper_series",
-    "reduce_classical",
     "ode_coefficient_residual",
-    "ode_residual",
     "pk_binomial",
     "confluent_integral",
 ]
@@ -68,15 +65,6 @@ class ConvergenceKind(enum.Enum):
 class ConvergenceClass:
     kind: ConvergenceKind
     radius: float | None = None
-
-
-@dataclass(frozen=True)
-class HyperReduction:
-    """Classical parameters and argument scale equivalent to a HyperParams."""
-
-    classical_upper: tuple[float, ...]
-    classical_lower: tuple[float, ...]
-    scale: float
 
 
 def _as_triples(seq, what: str) -> tuple[tuple[float, float, float], ...]:
@@ -144,11 +132,6 @@ def classify(hp: HyperParams) -> ConvergenceClass:
     if hp.r == hp.q + 1:
         return ConvergenceClass(ConvergenceKind.FINITE_RADIUS, 1.0 / hp.scale)
     return ConvergenceClass(ConvergenceKind.DIVERGENT_FORMAL, None)
-
-
-def reduce_classical(hp: HyperParams) -> HyperReduction:
-    """Equivalent classical parameter lists (a/k; b/s) and scale A."""
-    return HyperReduction(hp.alphas, hp.betas, hp.scale)
 
 
 def _term_ratio(hp: HyperParams, x: float, n: int) -> float:
@@ -230,19 +213,19 @@ def hyper_series(
     )
 
 
-def ode_coefficient_residual(hp: HyperParams, n_terms: int = 50) -> float:
+def ode_coefficient_residual(hp: HyperParams) -> float:
     """Max relative residual of the ODE's coefficient recurrence.
 
     The series solves [theta prod(theta + b/s - 1) - A x prod(theta + a/k)] W = 0
     iff  n prod_j (n + b_j/s_j - 1) c_n = A prod_i (n - 1 + a_i/k_i) c_{n-1};
-    this checks that per-term identity over n = 1..n_terms.
+    this checks that per-term identity over n = 1..50.
     """
     if hp.r > hp.q + 1:
         raise DivergentInput("no ODE normal form past r = q + 1")
     alphas, betas = hp.alphas, hp.betas
     a_scale = hp.scale
     worst = 0.0
-    for n in range(1, n_terms + 1):
+    for n in range(1, 51):
         # both sides over c_{n-1}: c_n / c_{n-1} is the series' own term ratio at x = 1
         lhs = n * _term_ratio(hp, 1.0, n - 1)
         for beta in betas:
@@ -253,84 +236,6 @@ def ode_coefficient_residual(hp: HyperParams, n_terms: int = 50) -> float:
         scale = max(abs(lhs), abs(rhs), 1e-300)
         worst = max(worst, abs(lhs - rhs) / scale)
     return worst
-
-
-def _stirling2_row(m: int) -> list[float]:
-    """Stirling numbers of the second kind S(m, 0..m)."""
-    row = [1.0]
-    for mm in range(1, m + 1):
-        new = [0.0] * (mm + 1)
-        for j in range(1, mm + 1):
-            prev_j = row[j] if j < len(row) else 0.0
-            new[j] = j * prev_j + row[j - 1]
-        row = new
-    return row
-
-
-def _fd_derivative(f, x: float, order: int, h: float) -> float:
-    """Minimal central finite-difference derivative: O(h^2) truncation."""
-    import numpy as np
-
-    if order == 0:
-        return f(x)
-    npts = 2 * ((order + 1) // 2) + 1
-    half = npts // 2
-    offsets = np.arange(-half, half + 1, dtype=float)
-    rhs = np.zeros(npts)
-    rhs[order] = math.factorial(order)
-    mat = np.vander(offsets, npts, increasing=True).T
-    weights = np.linalg.solve(mat, rhs)
-    vals = np.array([f(x + o * h) for o in offsets])
-    return float(np.dot(weights, vals)) / h**order
-
-
-def ode_residual(hp: HyperParams, x: float, h: float) -> float:
-    """Finite-difference residual of the ODE at x for the truncated series.
-
-    theta^m is expanded as sum_j S(m,j) x^j d^j/dx^j with Stirling numbers
-    of the second kind; derivatives come from central stencils of step h, so
-    the residual carries the O(h^2) differencing error on top of series
-    truncation.  Smaller is better; exact solutions give ~0.
-    """
-    if hp.r > hp.q + 1:
-        raise DivergentInput("no ODE normal form past r = q + 1")
-    cls = classify(hp)
-    if cls.kind is ConvergenceKind.FINITE_RADIUS and abs(x) >= cls.radius / 2.0:
-        raise DivergentInput("x too close to the convergence boundary for differencing")
-    if x == 0.0:
-        raise DomainError("the scale derivative theta degenerates at x = 0")
-
-    def w(arg: float) -> float:
-        return hyper_series(hp, arg).value
-
-    # polynomial in theta: theta * prod(theta + beta - 1) - A x prod(theta + alpha)
-    left = [0.0, 1.0]  # theta
-    for beta in hp.betas:
-        left = _poly_mul(left, [beta - 1.0, 1.0])
-    right = [1.0]
-    for alpha in hp.alphas:
-        right = _poly_mul(right, [alpha, 1.0])
-    max_order = max(len(left), len(right)) - 1
-    derivs = [_fd_derivative(w, x, j, h) for j in range(max_order + 1)]
-
-    def apply_theta_poly(coeffs: list[float]) -> float:
-        total = 0.0
-        for m, cm in enumerate(coeffs):
-            if cm == 0.0:
-                continue
-            srow = _stirling2_row(m)
-            total += cm * sum(srow[j] * x**j * derivs[j] for j in range(m + 1))
-        return total
-
-    return abs(apply_theta_poly(left) - hp.scale * x * apply_theta_poly(right))
-
-
-def _poly_mul(a: list[float], b: list[float]) -> list[float]:
-    out = [0.0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
 
 
 def pk_binomial(a: float, params: PkParams, x: float) -> EvalReal:

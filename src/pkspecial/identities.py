@@ -608,12 +608,11 @@ def _reduction_points(grid: AuditGrid) -> Iterator[dict]:
 def _reduction(pt, grid):
     hp, x = _hyper_draws(_REDUCTION_SEED, grid.draws, True)[int(pt["draw"])][0], pt["x"]
     lhs = hyper.hyper_series(hp, x).value
-    reduced = hyper.reduce_classical(hp)
     classical = hyper.HyperParams(
-        upper=tuple((a, 1.0, 1.0) for a in reduced.classical_upper),
-        lower=tuple((b, 1.0, 1.0) for b in reduced.classical_lower),
+        upper=tuple((a, 1.0, 1.0) for a in hp.alphas),
+        lower=tuple((b, 1.0, 1.0) for b in hp.betas),
     )
-    rhs = hyper.hyper_series(classical, reduced.scale * x).value
+    rhs = hyper.hyper_series(classical, hp.scale * x).value
     return lhs, rhs, rhs
 
 
@@ -628,7 +627,7 @@ def _absolute_error(lhs: float, rhs: float) -> float:
 def _ode_coefficients(pt, grid):
     # the residual is itself the error: it is held to the tolerance against 0
     hp = _hyper_draws(_ODE_SEED, grid.draws, False)[int(pt["draw"])][0]
-    return hyper.ode_coefficient_residual(hp, n_terms=50), 0.0, 0.0
+    return hyper.ode_coefficient_residual(hp), 0.0, 0.0
 
 
 def _binomial_points(grid: AuditGrid) -> Iterator[dict]:

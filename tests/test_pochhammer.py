@@ -16,7 +16,6 @@ from pkspecial import (
     PkParams,
     PochSpec,
     check_point,
-    elementary_symmetric,
     poch_direct,
     poch_dk,
     poch_dp,
@@ -70,20 +69,14 @@ class TestDirect:
 
 class TestElementarySymmetric:
     def test_basics(self):
-        assert elementary_symmetric([1, 2, 3], 0) == 1.0
-        assert elementary_symmetric([1, 2, 3], 2) == 11.0  # 2 + 3 + 6
-        assert elementary_symmetric([1, 2, 3], 3) == 6.0
-
-    def test_index_error(self):
-        with pytest.raises(IndexError):
-            elementary_symmetric([1.0, 2.0], 3)
+        assert _elementary_table([1, 2, 3], 3) == [1.0, 6.0, 11.0, 6.0]  # e_2 = 2 + 3 + 6
 
     def test_one_pass_table_is_bit_identical(self):
         # poch_symmetric reads every e_s(1..n-1) from one table
         for n in range(1, 31):
             vars_ = list(range(1, n))
             table = _elementary_table(vars_, n - 1)
-            assert table == [elementary_symmetric(vars_, s) for s in range(n)], n
+            assert table == [_elementary_table(vars_, s)[s] for s in range(n)], n
 
     @settings(max_examples=60)
     @given(
@@ -93,7 +86,7 @@ class TestElementarySymmetric:
     def test_matches_bruteforce(self, values, s):
         if s > len(values):
             return
-        got = elementary_symmetric(values, s)
+        got = _elementary_table(values, s)[s]
         want = oracles.elementary_symmetric_bruteforce(values, s)
         assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
 

@@ -40,7 +40,7 @@ from .core import (
     ln_gamma_classical,
     pole_check,
 )
-from .quadrature import _split_beta_kernel, integrate_semiaxis, integrate_unit
+from .quadrature import _power_integral, _split_beta_kernel, integrate_unit
 
 __all__ = [
     "BetaArgs",
@@ -97,36 +97,29 @@ def beta_integral(args: BetaArgs, form: str = "unit") -> EvalReal:
     symmetric:  (1/k) int_0^1 (t^(x/k-1) + t^(y/k-1)) (1+t)^(-(x+y)/k) dt
     semiaxis:   int_0^inf t^(x-1) (1+t^k)^(-(x+y)/k) dt
 
-    The unit form is quadrature._split_beta_kernel at z = 0.
+    Each is a sum of quadrature power pieces int_0^h t^(alpha-1) g(t) dt: unit
+    is quadrature._split_beta_kernel at z = 0, symmetric the pieces x/k and y/k,
+    and semiaxis, split at t = 1 with s = 1/t on the right, the pieces x and y.
     """
     import numpy as np
 
     k = args.params.k
     a, b = args.x / k, args.y / k
+    if form == "semiaxis":
+        def log_g(t, lt):
+            return -(a + b) * np.log1p(np.exp(k * lt))
+
+        return _power_integral(((args.x, 1.0, log_g), (args.y, 1.0, log_g)))
     if form == "unit":
-        lo, hi = _split_beta_kernel(a, b, 0.0)
-        value = (lo.value + hi.value) / k
-        err = (lo.abs_err + hi.abs_err) / k
+        res = _split_beta_kernel(a, b, 0.0)
     elif form == "symmetric":
-        def integrand(t):
-            lt = np.log(t)
-            damp = -(a + b) * np.log1p(t)
-            return np.exp((a - 1.0) * lt + damp) + np.exp((b - 1.0) * lt + damp)
+        def log_g(t, lt):
+            return -(a + b) * np.log1p(t)
 
-        res = integrate_unit(integrand)
-        value, err = res.value / k, res.abs_err / k
-    elif form == "semiaxis":
-        x, y = args.x, args.y
-
-        def integrand(t):
-            lt = np.log(t)
-            return np.exp((x - 1.0) * lt - (x + y) / k * np.log1p(np.exp(k * lt)))
-
-        res = integrate_semiaxis(integrand)
-        value, err = res.value, res.abs_err
+        res = _power_integral(((a, 1.0, log_g), (b, 1.0, log_g)))
     else:
         raise DomainError(f"form must be one of {BETA_FORMS}, got {form!r}")
-    return EvalReal(value=value, abs_err=err, method=Method.INTEGRAL)
+    return EvalReal(value=res.value / k, abs_err=res.abs_err / k, method=Method.INTEGRAL)
 
 
 def psi(params: PkParams, x: float) -> EvalReal:

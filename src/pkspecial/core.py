@@ -121,8 +121,13 @@ class GammaEval:
 
     @property
     def value(self) -> float:
-        """Materialize the linear value (inf past the double range)."""
+        """Materialize the linear value (inf past the double range, with an OverflowNote)."""
         if self.ln_value > _LN_OVERFLOW:
+            warnings.warn(
+                f"exp({self.ln_value!r}) overflows double precision; ln_value holds the value",
+                OverflowNote,
+                stacklevel=2,
+            )
             return self.sign * math.inf
         return self.sign * math.exp(self.ln_value)
 
@@ -168,7 +173,8 @@ def ln_gamma_classical(z: float) -> GammaEval:
 
     Raises PoleError within TAU_POLE of a non-positive integer.  Near-pole
     arguments outside that band are evaluated with an inflated abs_err.
-    Emits an OverflowNote warning when exp(value) is not representable.
+    The log is finite wherever Gamma(z) overflows; only materializing
+    ``.value`` there warns.
     """
     if not math.isfinite(z):
         raise DomainError(f"z must be finite, got {z!r}")
@@ -182,12 +188,6 @@ def ln_gamma_classical(z: float) -> GammaEval:
     if d < 1e-3:
         # |d/dz ln Gamma| ~ 1/d near a pole: argument rounding inflates the error
         err += _EPS * (1.0 + abs(z)) / d
-    if val > _LN_OVERFLOW:
-        warnings.warn(
-            f"|Gamma({z})| overflows double precision; log-space value returned",
-            OverflowNote,
-            stacklevel=2,
-        )
     return GammaEval(ln_value=val, sign=gamma_sign(z), abs_err_ln=err, method=Method.CLOSED)
 
 

@@ -32,7 +32,7 @@ from .core import (
     ln_gamma_classical,
     pole_check,
 )
-from .quadrature import integrate_semiaxis
+from .quadrature import _power_integral
 
 __all__ = [
     "gamma_closed",
@@ -139,10 +139,14 @@ def _limit_sums(z: float, n: int, accelerate: bool, extra: int) -> tuple[float, 
 
 
 def gamma_integral(params: PkParams, x: float, a_scale: float = 1.0) -> GammaEval:
-    """Integral-representation evaluator a^(x/k) * int_0^inf e^(-a t^k / p) t^(x-1) dt.
+    """Integral-representation evaluator a^(x/k) * int_0^inf e^(-c t^k) t^(x-1) dt, c = a/p.
 
     The result is independent of the free scale a > 0 (a=1 is the plain
     representation).  Requires x > 0 for integrability at the origin.
+    Split at T, where c T^k = m = max((x-1)/k, 1), with the log of the peak
+    taken out, u = t/T on the left and r = (T/t)^k on the right, the integral is
+    T^x e^-m (int_0^1 u^(x-1) e^(-m(u^k-1)) du + int_0^1 r^(-x/k-1) e^(-m(1/r-1)) dr / k);
+    in r, unlike T/t, the right piece's edge at 0 stays soft for large k.
     """
     import numpy as np
 
@@ -152,17 +156,17 @@ def gamma_integral(params: PkParams, x: float, a_scale: float = 1.0) -> GammaEva
     if not (math.isfinite(a_scale) and a_scale > 0):
         raise DomainError(f"a_scale must be a positive real, got {a_scale!r}")
     p, k = params.p, params.k
-    xm1 = x - 1.0
-    coeff = a_scale / p
-
-    def integrand(t):
-        # log-robust: t^k may overflow to inf, exp(-inf) flushes to 0
-        return np.exp(xm1 * np.log(t) - coeff * np.exp(k * np.log(t)))
-
-    res = integrate_semiaxis(integrand)
     z = x / k
-    ln = z * math.log(a_scale) + math.log(res.value)
-    err = res.abs_err / res.value + 1e-15 * (1.0 + abs(ln))
+    m = max(z - 1.0 / k, 1.0)
+    ln_k = math.log(k)
+    res = _power_integral((
+        (x, 1.0, lambda u, lu: -m * np.expm1(k * lu)),
+        (1.0, 1.0, lambda r, lr: -(z + 1.0) * lr - m * np.expm1(-lr) - ln_k),
+    ))
+    ln_a, ln_m, ln_c, ln_res = math.log(a_scale), math.log(m), math.log(a_scale / p), math.log(res.value)
+    ln = z * ln_a + z * (ln_m - ln_c) - m + ln_res
+    # the quadrature's error, plus 4 eps times the magnitudes of the logs summed
+    err = res.abs_err / res.value + 4.0 * _EPS * (z * (abs(ln_a) + abs(ln_m) + abs(ln_c) + 1.0) + m + abs(ln_res))
     return GammaEval(ln_value=ln, sign=1, abs_err_ln=err, method=Method.INTEGRAL)
 
 

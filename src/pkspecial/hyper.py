@@ -258,8 +258,9 @@ def confluent_integral(hp: HyperParams, x: float) -> EvalReal:
 
         G(b/s) / (G(a/k) G(b/s - a/k)) int_0^1 t^(a/k-1) (1-t)^(b/s-a/k-1) e^((p/t1) x t) dt
 
-    requiring 0 < a/k < b/s for integrability at both endpoints; the
-    integral is quadrature._split_beta_kernel.
+    requiring 0 < a/k < b/s for integrability at both endpoints.  The integral
+    is quadrature._split_beta_kernel, two power pieces; abs_err adds the errors
+    and the rounding of the prefactor's three log-gammas.
     """
     if hp.r != 1 or hp.q != 1:
         raise UnsupportedShape(f"integral form supports r = q = 1 only, got r={hp.r}, q={hp.q}")
@@ -269,13 +270,11 @@ def confluent_integral(hp: HyperParams, x: float) -> EvalReal:
     lam = beta - alpha
     if not (0.0 < alpha < beta):
         raise DomainError(f"need 0 < a/k < b/s, got a/k={alpha}, b/s={beta}")
-    lo, hi = _split_beta_kernel(alpha, lam, p / t1 * x)
-    ln_pref = (
-        ln_gamma_classical(beta).ln_value
-        - ln_gamma_classical(alpha).ln_value
-        - ln_gamma_classical(lam).ln_value
-    )
-    pref = math.exp(ln_pref)
-    value = pref * (lo.value + hi.value)
-    err = pref * (lo.abs_err + hi.abs_err) + 1e-14 * abs(value)
+    res = _split_beta_kernel(alpha, lam, p / t1 * x)
+    terms = (ln_gamma_classical(beta), ln_gamma_classical(alpha), ln_gamma_classical(lam))
+    pref = math.exp(terms[0].ln_value - terms[1].ln_value - terms[2].ln_value)
+    value = pref * res.value
+    # each log-gamma's own error, plus the rounding of the sum of the logs
+    err_ln = sum(t.abs_err_ln + _EPS * abs(t.ln_value) for t in terms)
+    err = pref * res.abs_err + abs(value) * err_ln
     return EvalReal(value=value, abs_err=err, method=Method.INTEGRAL)

@@ -1,25 +1,24 @@
-"""Deterministic double-exponential quadrature on (0,1) and (0,inf).
+"""Deterministic double-exponential quadrature on (0,1): one tanh-sinh rule.
 
-Two variable transformations of the trapezoid rule:
-
-* tanh-sinh for the unit interval, t(u) = sigmoid(pi*sinh(u)), which pushes
-  algebraic endpoint singularities into doubly-exponential decay;
-* exp-sinh for the semiaxis, t(u) = exp((pi/2)*sinh(u)), which handles both
-  an algebraic singularity at 0 and either stretched-exponential or
-  algebraic (t^-beta, beta > 1) decay at infinity.
-
-Each refinement level halves the step; abscissae of earlier levels are
-reused, and node tables are cached per level.  The error estimate follows
-the Borwein-Bailey-Girgensohn extrapolation of successive level differences,
-floored at a few ulps of the accumulated value.
+The trapezoid rule after the tanh-sinh change of variable,
+t(u) = sigmoid(pi*sinh(u)) (Takahasi & Mori, 1974), pushes endpoint
+behaviour into doubly-exponential decay.  Each refinement level halves the
+step; abscissae of earlier levels are reused, and node tables are cached per
+level.  The error estimate follows the Borwein-Bailey-Girgensohn
+extrapolation of successive level differences, floored at a few ulps of the
+accumulated value.
 
 Integrands must accept numpy arrays (plain arithmetic expressions on the
-argument are enough).  Nodes are generated only where the transformed
-abscissa is representable in double precision, so the integrand is never
-called at exactly 0, 1, or inf; left-endpoint singularities t**(a-1) with
-a > 0 are well supported, while a strong singularity at t=1 should be moved
-to the origin by the caller (substitute t -> 1-t), since doubles thin out
-near 1.
+argument are enough).  Nodes exist only where t and 1-t are representable
+in double precision, so the integrand is never called at exactly 0 or 1.
+The semiaxis (0,inf) is folded onto (0,1) by s = 1/t.
+
+The integral routes do not hand the rule a singular integrand.  They write
+each integral as pieces int_0^h t^(alpha-1) g(t) dt, alpha > 0, with g given
+as a log, and ``_power_integral`` substitutes t = h v^(1/beta),
+beta = min(alpha, 1): for alpha < 1 this absorbs the singularity, so no mass
+lies below the first node (Mori & Sugihara, 2001), and for alpha >= 1 it is
+the plain form.  Its error claim adds the rounding of the exponentiated log.
 """
 
 from __future__ import annotations
@@ -27,8 +26,9 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .core import EvalReal, Method
+from .core import _EPS, EvalReal, Method
 
 __all__ = [
     "QuadratureSpec",
@@ -42,8 +42,10 @@ __all__ = [
 _MAX_LEVEL = 14
 
 _H0 = 0.5  # level-1 step in the transformed variable
+_UMAX = 6.2  # past this the weights underflow
 
-_LOG10_MAX = math.log10(sys.float_info.max)  # 10.0 ** est overflows past this
+_BIG = sys.float_info.max
+_LOG10_MAX = math.log10(_BIG)  # 10.0 ** est overflows past this
 
 
 @dataclass(frozen=True)
@@ -73,98 +75,67 @@ class NoConvergence(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# node tables
+# node table
 
 
-def _unit_nodes(level: int):
-    """(t, w) arrays of new nodes at this level for the tanh-sinh rule.
+@lru_cache(maxsize=None)
+def _nodes(level: int):
+    """(t, ln t, w) arrays of the nodes new to this level, built once per level.
 
     t = 1/(1+exp(-2v)) with v = (pi/2) sinh(u); w = pi cosh(u) t (1-t).
-    t and 1-t are formed from exp(-2|v|) directly so that nodes hug both
-    endpoints without cancellation; nodes whose t or 1-t underflow are
+    t, 1-t and ln t are formed from exp(-2|v|) directly so that nodes hug
+    both endpoints without cancellation; nodes whose t or 1-t underflow are
     dropped (their weights underflow with them).
     """
     import numpy as np
 
-    u = _level_abscissae(level, 6.2)
+    h = _H0 / 2 ** (level - 1)
+    m = int(math.floor(_UMAX / h))
+    if level == 1:
+        u = h * np.arange(-m, m + 1)
+    else:
+        odd = np.arange(1, m + 1, 2)
+        u = h * np.concatenate((-odd[::-1], odd))
     v = 0.5 * math.pi * np.sinh(u)
     e = np.exp(-2.0 * np.abs(v))
     near = e / (1.0 + e)          # distance to the closer endpoint
     far = 1.0 / (1.0 + e)
     t = np.where(v >= 0, far, near)
     tc = np.where(v >= 0, near, far)
+    lt = -np.log1p(e) - np.where(v >= 0, 0.0, 2.0 * np.abs(v))
     w = math.pi * np.cosh(u) * t * tc
     keep = (t > 0.0) & (tc > 0.0)
-    return t[keep], w[keep]
-
-
-def _semiaxis_nodes(level: int):
-    """(t, c) arrays for the exp-sinh rule; the weight is t*c.
-
-    t = exp((pi/2) sinh(u)), c = (pi/2) cosh(u).  The weight is applied as
-    (f(t)*t)*c so that f*t is formed first: for integrable singularities and
-    decaying tails that product stays in range even where t alone is huge.
-    """
-    import numpy as np
-
-    u = _level_abscissae(level, 6.8)
-    v = 0.5 * math.pi * np.sinh(u)
-    keep = np.abs(v) < 708.0
-    v = v[keep]
-    u = u[keep]
-    return np.exp(v), 0.5 * math.pi * np.cosh(u)
-
-
-def _level_abscissae(level: int, umax: float) -> np.ndarray:
-    """Transformed-variable grid points new to the given level."""
-    import numpy as np
-
-    h = _H0 / 2 ** (level - 1)
-    if level == 1:
-        m = int(math.floor(umax / h))
-        return h * np.arange(-m, m + 1)
-    m = int(math.floor(umax / h))
-    odd = np.arange(1, m + 1, 2)
-    return h * np.concatenate((-odd[::-1], odd))
-
-
-_node_cache: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _nodes(kind: str, level: int):
-    key = (kind, level)
-    if key not in _node_cache:
-        _node_cache[key] = _unit_nodes(level) if kind == "unit" else _semiaxis_nodes(level)
-    return _node_cache[key]
+    return t[keep], lt[keep], w[keep]
 
 
 # ---------------------------------------------------------------------------
 # driver
 
 
-def _level_sum(kind: str, f, level: int) -> float:
+def _level_sum(integrand, level: int) -> tuple[float, float]:
+    """Weighted sums over the level's new nodes of f and of f*|log f|, under the caller's np.errstate.
+
+    ``integrand(t, lt)`` returns (f, |log f| or None) at the nodes; f may hold one row per piece.
+    """
     import numpy as np
 
-    t, wc = _nodes(kind, level)
-    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-        if kind == "unit":
-            contrib = f(t) * wc
-        else:
-            contrib = (f(t) * t) * wc
-    contrib = np.asarray(contrib, dtype=float)
-    bad = ~np.isfinite(contrib)
-    if bad.any():
+    t, lt, w = _nodes(level)
+    f, abs_log = integrand(t, lt)
+    contrib = f * w
+    s = float(contrib.sum())
+    if not math.isfinite(s):
         # Non-finite values in the doubly-exponential tail come from 0*inf
         # style underflow races and carry no mass; elsewhere they mean the
         # integrand is outside the supported class.
-        tail = (t < 1e-250) | (t > 1e250) if kind == "semiaxis" else (t < 1e-250) | (t > 1.0 - 1e-15)
-        if np.any(bad & ~tail):
+        bad = ~np.isfinite(contrib)
+        if np.any(bad & ~((t < 1e-250) | (t > 1.0 - 1e-15))):
             raise NoConvergence(
                 "integrand returned non-finite values away from the endpoints",
                 EvalReal(value=math.nan, abs_err=math.inf, method=Method.INTEGRAL),
             )
         contrib = np.where(bad, 0.0, contrib)
-    return float(np.sum(contrib))
+        s = float(contrib.sum())
+    return s, 0.0 if abs_log is None else float((contrib * abs_log).sum())
 
 
 def _bbg_error(history: list[float], scale: float) -> float:
@@ -174,7 +145,7 @@ def _bbg_error(history: list[float], scale: float) -> float:
     stay conservative before that regime is established it is floored at
     1e-3 of the last observed level difference.
     """
-    floor = 8.0 * 2.220446049250313e-16 * (abs(scale) + 1e-300)
+    floor = 8.0 * _EPS * (abs(scale) + 1e-300)
     if len(history) < 2:
         return math.inf
     d1 = abs(history[-1] - history[-2])
@@ -194,60 +165,89 @@ def _bbg_error(history: list[float], scale: float) -> float:
     return max(10.0 ** est, 1e-3 * d1, floor)
 
 
-def _integrate(kind: str, f, spec: QuadratureSpec) -> EvalReal:
+def _integrate(integrand, spec: QuadratureSpec) -> EvalReal:
+    """Refine until the BBG estimate meets the spec; abs_err adds eps times the rounding sum."""
+    import numpy as np
+
     levels = min(spec.max_refinements, _MAX_LEVEL)
-    value = 0.0
+    value = rounding = 0.0
     history: list[float] = []
     err = math.inf
     h = _H0
-    for level in range(1, levels + 1):
-        s = _level_sum(kind, f, level)
-        if level == 1:
-            value = h * s
-        else:
-            h *= 0.5
-            value = 0.5 * value + h * s
-        history.append(value)
-        err = _bbg_error(history, value)
-        if level >= 4 and err <= max(spec.abs_tol, spec.rel_tol * abs(value)):
-            return EvalReal(value=value, abs_err=err, method=Method.INTEGRAL)
-    # A budget past the depth cap cannot refine further but never worsens
-    # the estimate, so the monotonicity of abs_err in max_refinements holds.
-    if spec.max_refinements > _MAX_LEVEL and err <= max(spec.abs_tol, spec.rel_tol * abs(value)):
-        return EvalReal(value=value, abs_err=err, method=Method.INTEGRAL)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+        for level in range(1, levels + 1):
+            s, r = _level_sum(integrand, level)
+            if level == 1:
+                value, rounding = h * s, h * r
+            else:
+                h *= 0.5
+                value, rounding = 0.5 * value + h * s, 0.5 * rounding + h * r
+            history.append(value)
+            err = _bbg_error(history, value)
+            if level >= 4 and err <= max(spec.abs_tol, spec.rel_tol * abs(value)):
+                return EvalReal(value=value, abs_err=err + _EPS * rounding, method=Method.INTEGRAL)
     # with no finite error estimate the partial value carries no information
     partial = value if math.isfinite(err) else math.nan
     raise NoConvergence(
         f"no convergence within {spec.max_refinements} refinements (err~{err:.3g})",
-        EvalReal(value=partial, abs_err=err, method=Method.INTEGRAL),
+        EvalReal(value=partial, abs_err=err + _EPS * rounding, method=Method.INTEGRAL),
     )
 
 
 def integrate_unit(f, spec: QuadratureSpec = DEFAULT_SPEC) -> EvalReal:
     """Integrate f over (0,1); f may be singular like t**(a-1), a > 0, at 0."""
-    return _integrate("unit", f, spec)
+    return _integrate(lambda t, lt: (f(t), None), spec)
 
 
 def integrate_semiaxis(f, spec: QuadratureSpec = DEFAULT_SPEC) -> EvalReal:
-    """Integrate f over (0,inf); f must decay at least like t**-beta, beta > 1."""
-    return _integrate("semiaxis", f, spec)
+    """Integrate f over (0,inf) as f(t) + f(1/t)/t^2 over (0,1); f must decay like t**-beta, beta > 1."""
+    return _integrate(lambda t, lt: (f(t) + f(1.0 / t) / t / t, None), spec)
 
 
-def _split_beta_kernel(a: float, b: float, z: float) -> tuple[EvalReal, EvalReal]:
-    """int_0^1 t^(a-1) (1-t)^(b-1) e^(z t) dt, a, b > 0, as its halves on (0, 1/2) and (1/2, 1).
+def _power_integral(pieces) -> EvalReal:
+    """The sum over (alpha, h, log_g) of int_0^h t^(alpha-1) g(t) dt, alpha, h > 0.
 
-    The upper half is reflected, s = 1 - t, so each half is singular only at
-    the origin, where the grid is dense.
+    ``log_g(t, lt)`` gives log g from t and lt = ln t.  Each piece becomes
+    exp(ln_scale) int_0^1 v^(alpha/beta-1) g(h v^(1/beta)) dv with
+    beta = min(alpha, 1) and ln_scale = alpha ln h - ln beta, all pieces in
+    one refinement loop.  The integrand is exponentiated from its log, whose
+    rounding, eps |log f| relative, is claimed on top of the BBG estimate.
     """
     import numpy as np
 
-    def lower(u):
-        t = 0.5 * u
-        return 0.5 * np.exp((a - 1.0) * np.log(t) + (b - 1.0) * np.log1p(-t) + z * t)
+    maps = []
+    for alpha, h, log_g in pieces:
+        beta = min(alpha, 1.0)
+        maps.append((alpha / beta - 1.0, 1.0 / beta, h, math.log(h), alpha * math.log(h) - math.log(beta), log_g))
 
-    def upper(u):
-        s = 0.5 * u  # distance below 1 in the original variable
-        return 0.5 * np.exp((b - 1.0) * np.log(s) + (a - 1.0) * np.log1p(-s) + z * (1.0 - s))
+    def integrand(v, lv):
+        # one row of log f per piece, so that the exp and the sums run once
+        log_f = np.empty((len(maps), len(v)))
+        for row, (power, inv_beta, h, ln_h, ln_scale, log_g) in zip(log_f, maps):
+            if inv_beta != 1.0:
+                lt = lv * inv_beta + ln_h
+                t = np.exp(lt)
+            elif ln_h:
+                lt, t = lv + ln_h, h * v
+            else:
+                lt, t = lv, v
+            np.add(log_g(t, lt), power * lv + ln_scale if power else ln_scale, out=row)
+        # an underflowed f carries no rounding: keep its log finite so f*|log f| is 0, not nan
+        np.maximum(log_f, -_BIG, out=log_f)
+        return np.exp(log_f), np.abs(log_f)
 
-    # through the module global, so a wrapped integrate_unit sees both halves
-    return integrate_unit(lower), integrate_unit(upper)
+    return _integrate(integrand, DEFAULT_SPEC)
+
+
+def _split_beta_kernel(a: float, b: float, z: float) -> EvalReal:
+    """int_0^1 t^(a-1) (1-t)^(b-1) e^(z t) dt, a, b > 0, as its halves on (0, 1/2) and (1/2, 1).
+
+    The upper half is reflected, s = 1 - t, so each half is a power piece
+    singular only at the origin.
+    """
+    import numpy as np
+
+    return _power_integral((
+        (a, 0.5, lambda t, lt: (b - 1.0) * np.log1p(-t) + z * t),
+        (b, 0.5, lambda s, ls: (a - 1.0) * np.log1p(-s) + z * (1.0 - s)),
+    ))

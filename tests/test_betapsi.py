@@ -45,7 +45,6 @@ def bargs(x, y, p, k):
 
 
 class TestBetaClosed:
-    @pytest.mark.filterwarnings("ignore::pkspecial.OverflowNote")
     def test_abs_err_covers_wide_draws(self):
         # log-uniform p, k in [e^-2, e^2] and x, y in [e^-3, e^3]
         rng = np.random.default_rng(32)
@@ -119,6 +118,14 @@ class TestBetaIntegrals:
                     for form in BETA_FORMS:
                         got = beta_integral(args, form).value
                         assert got == pytest.approx(want, rel=1e-9), (form, k, x, y)
+
+    @pytest.mark.parametrize("form", BETA_FORMS)
+    @pytest.mark.parametrize("x, y, k", [(3.0, 0.03, 1.0), (0.03, 3.0, 1.0), (20.0, 20.0, 0.25)])
+    def test_claim_covers_endpoint_mass_and_rounding(self, form, x, y, k):
+        # a/k = 0.03 puts mass below the first tanh-sinh node of t^(a-1);
+        # x/k = 80 makes the exponentiated log-integrand round at eps * 80
+        got = beta_integral(bargs(x, y, 1, k), form)
+        assert abs(got.value - oracles.mp_pk_beta(k, x, y)) <= got.abs_err, form
 
     def test_p_invariance_of_integral_forms(self):
         for form in BETA_FORMS:

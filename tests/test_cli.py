@@ -1,14 +1,17 @@
 """CLI contract: verbs, flags, output formats, exit codes."""
 
+import contextlib
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
+from pkspecial import OverflowNote
 from pkspecial.cli import main
 
 
@@ -23,6 +26,18 @@ class TestEval:
         code, out, _ = run_cli(capsys, "eval", "gamma", "--p", "1", "--k", "1", "--x", "5")
         assert code == 0
         assert float(out.splitlines()[0].split("=")[1]) == pytest.approx(24.0, rel=1e-12)
+
+    @pytest.mark.parametrize("argv, want", [
+        (("beta", "--x", "150", "--y", "60"), 1.0482441096580319e-55),
+        (("poch", "--x", "180", "--n", "3", "--method", "gamma-ratio"), 180.0 * 181.0 * 182.0),
+    ])
+    def test_finite_value_carries_no_overflow_note(self, capsys, argv, want):
+        # the log-gammas inside leave the double range, the value does not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", OverflowNote)
+            code, out, _ = run_cli(capsys, "eval", *argv, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["value"] == pytest.approx(want, rel=1e-12)
 
     def test_gamma_family_point_json(self, capsys):
         code, out, _ = run_cli(
@@ -264,24 +279,27 @@ class TestTable:
         in a table, where eval reports value and abs_err null.
         """
         for head, var, sweep in self.SWEEPS:
-            code, out, err = run_cli(capsys, "table", *head, f"--{var}={sweep}", "--format", "json")
-            assert code == 0, (head, err)
-            rows = json.loads(out)
-            assert len(rows) > 1, head
-            expected = []
-            for row in rows:
-                code, out, err = run_cli(
-                    capsys, "eval", *head, f"--{var}={row['x']!r}", "--format", "json"
-                )
-                assert code == 0, (head, row, err)
-                doc = json.loads(out)
-                value = doc["value"] if doc["value"] is not None else math.inf * doc["sign"]
-                expected.append({"x": row["x"], "value": value, "abs_err": doc["abs_err"] or 0.0})
-            assert rows == expected, head
-            code, out, err = run_cli(capsys, "table", *head, f"--{var}={sweep}")
-            assert code == 0, (head, err)
-            lines = [f"{r['x']:.17g},{r['value']:.17g},{r['abs_err']:.17g}\n" for r in expected]
-            assert out == "".join(["x,value,abs_err\n", *lines]), head
+            # only the Gamma rows past x = 171 leave the double range, and they say so
+            past_range = head == ("gamma", "--k", "1")
+            with pytest.warns(OverflowNote) if past_range else contextlib.nullcontext():
+                code, out, err = run_cli(capsys, "table", *head, f"--{var}={sweep}", "--format", "json")
+                assert code == 0, (head, err)
+                rows = json.loads(out)
+                assert len(rows) > 1, head
+                expected = []
+                for row in rows:
+                    code, out, err = run_cli(
+                        capsys, "eval", *head, f"--{var}={row['x']!r}", "--format", "json"
+                    )
+                    assert code == 0, (head, row, err)
+                    doc = json.loads(out)
+                    value = doc["value"] if doc["value"] is not None else math.inf * doc["sign"]
+                    expected.append({"x": row["x"], "value": value, "abs_err": doc["abs_err"] or 0.0})
+                assert rows == expected, head
+                code, out, err = run_cli(capsys, "table", *head, f"--{var}={sweep}")
+                assert code == 0, (head, err)
+                lines = [f"{r['x']:.17g},{r['value']:.17g},{r['abs_err']:.17g}\n" for r in expected]
+                assert out == "".join(["x,value,abs_err\n", *lines]), head
 
 
 class TestImportGraph:

@@ -1,6 +1,7 @@
 """Classical kernel: log-gamma with sign, digamma, polygamma, pole lattice."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from pkspecial import (
     EULER_GAMMA,
     DomainError,
     EvalReal,
+    OverflowNote,
     PkParams,
     PoleError,
     digamma_classical,
@@ -49,6 +51,14 @@ class TestLnGamma:
         assert ev.sign == 1
         assert ev.ln_value == pytest.approx(math.log(24.0), rel=1e-15)
 
+    def test_overflow_note_only_from_the_linear_value(self):
+        # Gamma(210) leaves the double range, its log does not: only .value warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", OverflowNote)
+            ev = ln_gamma_classical(210.0)
+        with pytest.warns(OverflowNote):
+            assert ev.value == math.inf
+
     def test_half(self):
         ev = ln_gamma_classical(0.5)
         assert ev.sign == 1
@@ -70,7 +80,6 @@ class TestLnGamma:
         assert gamma_sign(-2.5) == -1
         assert gamma_sign(3.7) == 1
 
-    @pytest.mark.filterwarnings("ignore::pkspecial.OverflowNote")
     def test_accuracy_against_mpmath(self):
         for z in np.logspace(-6, 6, 40):
             got = ln_gamma_classical(float(z)).ln_value
@@ -88,7 +97,6 @@ class TestLnGamma:
             with pytest.raises(PoleError):
                 ln_gamma_classical(z)
 
-    @pytest.mark.filterwarnings("ignore::pkspecial.OverflowNote")
     def test_recurrence_log_space(self):
         for z in np.logspace(-3, 3, 60):
             z = float(z)
@@ -117,7 +125,6 @@ class TestDigamma:
         # duplication-based: psi(1/2) = -gamma - 2 log 2
         assert PSI_HALF == pytest.approx(-EULER_GAMMA - 2.0 * math.log(2.0), abs=1e-15)
 
-    @pytest.mark.filterwarnings("ignore::pkspecial.OverflowNote")
     def test_is_derivative_of_ln_gamma(self):
         for z in (0.3, 1.0, 2.7, 17.5, 240.0):
             fd = best_central_diff(lambda t: ln_gamma_classical(t).ln_value, z)

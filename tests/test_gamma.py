@@ -161,6 +161,12 @@ class TestIntegral:
         for a in (0.25, 5.0, 40.0):
             assert gamma_integral(params, 3.0, a_scale=a).value == pytest.approx(base, rel=1e-10)
 
+    @pytest.mark.parametrize("x", [1e3, 1e5, 1e6])
+    def test_large_x_over_k_converges(self, x):
+        # a peak ~sqrt(x) wide and e^(x ln x) high: split at it, its log taken out
+        got = gamma_integral(PkParams(1, 1), x)
+        assert abs(got.ln_value - oracles.mp_ln_abs_pk_gamma(1, 1, x)) <= got.abs_err_ln
+
     def test_early_levels_past_double_range(self):
         # early level differences push the error extrapolation past the double range
         cases = [

@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from pkspecial import NoConvergence, QuadratureSpec, integrate_semiaxis, integrate_unit
-from pkspecial.quadrature import _bbg_error
+from pkspecial.quadrature import _bbg_error, _power_integral
 
 SQRT_PI_HALF = 0.88622692545275801  # Gaussian integral, polar-coordinates oracle
 
@@ -59,6 +59,22 @@ class TestSemiaxis:
         res = integrate_semiaxis(lambda t: np.exp(-0.5 * t) * np.sin(t) ** 2)
         want = oracles.quad_oracle(lambda t: math.exp(-0.5 * t) * math.sin(t) ** 2, 0.0, np.inf)
         assert res.value == pytest.approx(want, rel=1e-9)
+
+
+class TestPowerPieces:
+    @pytest.mark.parametrize("alpha", [0.01, 0.3, 1.0, 4.5])
+    def test_pure_power(self, alpha):
+        # int_0^(1/2) t^(alpha-1) dt = 2^-alpha / alpha: for alpha < 1 the
+        # substitution t = v^(1/alpha) / 2 leaves no mass below the first node
+        res = _power_integral(((alpha, 0.5, lambda t, lt: np.zeros_like(t)),))
+        want = 0.5**alpha / alpha
+        assert abs(res.value - want) <= res.abs_err <= 1e-14 * want
+
+    def test_pieces_sum(self):
+        # int_0^1 t^-0.5 e^-t dt + int_0^1 t^2 e^-t dt, both in one refinement loop
+        res = _power_integral(((0.5, 1.0, lambda t, lt: -t), (3.0, 1.0, lambda t, lt: -t)))
+        want = math.sqrt(math.pi) * math.erf(1.0) + 2.0 - 5.0 / math.e
+        assert abs(res.value - want) <= res.abs_err + 4e-16 * want
 
 
 class TestSubstitutionConsistency:

@@ -12,7 +12,10 @@ numpy is imported inside the functions that use arrays, never at module
 scope: closed-form routes and ``polygamma`` are pure ``math``, and a process
 calling only them (``pkspecial eval`` on a default route) skips numpy's import.
 The identity catalog (``identities``, ``records``) loads only where an audit
-runs, so no ``eval`` or ``table`` process imports it.
+runs, so no ``eval`` or ``table`` process imports it.  The value types
+(``PkParams``, ``EvalReal``, ``GammaEval`` and the rest) are immutable
+namedtuples that validate in ``__new__``, so ``eval`` and ``table``
+processes import neither ``dataclasses`` nor ``inspect``.
 """
 
 from .core import (

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+
+from .core import _ValueType
 
 __all__ = [
     "AuditReport",
@@ -23,8 +25,10 @@ __all__ = [
 ]
 
 
-@dataclass
-class AuditReport:
+class AuditReport(_ValueType, namedtuple("AuditReport", "suite grid records summaries")):
+    """A suite's records, sorted, and its per-identity summaries."""
+
+    __slots__ = ()
     suite: str
     grid: AuditGrid
     records: list[IdentityRecord]

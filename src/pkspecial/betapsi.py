@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .core import (
@@ -29,6 +29,7 @@ from .core import (
     _tail_s4,
     _tail_s5,
     _tail_gaps,
+    _ValueType,
     EULER_GAMMA,
     DomainError,
     EvalReal,
@@ -61,19 +62,19 @@ BETA_FORMS = ("unit", "symmetric", "semiaxis")
 PSI_SERIES_FORMS = ("3.9", "3.10")
 
 
-@dataclass(frozen=True)
-class BetaArgs:
+class BetaArgs(_ValueType, namedtuple("BetaArgs", "x y params")):
     """Both arguments strictly positive; p rides along but cancels."""
 
+    __slots__ = ()
     x: float
     y: float
     params: PkParams
 
-    def __post_init__(self) -> None:
-        for name in ("x", "y"):
-            v = getattr(self, name)
+    def __new__(cls, x: float, y: float, params: PkParams):
+        for name, v in (("x", x), ("y", y)):
             if not (math.isfinite(v) and v > 0):
                 raise DomainError(f"{name} must be a positive real, got {v!r}")
+        return tuple.__new__(cls, (x, y, params))
 
 
 def beta_closed(args: BetaArgs) -> EvalReal:

@@ -7,7 +7,6 @@ row-limit error, 2 domain/pole error, 3 report I/O error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -180,7 +179,7 @@ def _hyper_params(args) -> HyperParams:
 
 def _weierstrass(params: PkParams, x: float) -> GammaEval:
     recip = gamma_weierstrass_recip(params, x)
-    return dataclasses.replace(recip, ln_value=-recip.ln_value)
+    return recip._replace(ln_value=-recip.ln_value)
 
 
 # function -> route key -> adapter(args, params, x), the first key the default.

@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 
 __all__ = [
     "EULER_GAMMA",
@@ -81,39 +81,70 @@ class OverflowNote(RuntimeWarning):
     """The linear value overflows double precision; log-space value is valid."""
 
 
-@dataclass(frozen=True)
-class PkParams:
+class _ValueType:
+    """Base of the namedtuple value types: equal only to the same type.
+
+    Each value type derives from this and from its namedtuple, so two types
+    with equal fields, or a value type and a plain tuple, compare unequal;
+    hashing is the tuple's.  The field annotations in each type's body
+    document the fields; the namedtuple's field string defines them.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return tuple.__eq__(self, other)
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other):
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    __hash__ = tuple.__hash__
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make, and so _replace, would skip the type's __new__ checks
+        return cls(*iterable)
+
+
+def _positive_real(name: str, v) -> float:
+    """v as a float, if it is a positive finite int or float (a bool is neither)."""
+    if not (isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) and v > 0):
+        raise DomainError(f"{name} must be a positive finite real, got {v!r}")
+    return float(v)
+
+
+class PkParams(_ValueType, namedtuple("PkParams", "p k")):
     """The deformation pair (p, k), both strictly positive finite reals."""
 
+    __slots__ = ()
     p: float
     k: float
 
-    def __post_init__(self) -> None:
-        for name in ("p", "k"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-                raise DomainError(f"{name} must be a positive finite real, got {v!r}")
-        object.__setattr__(self, "p", float(self.p))
-        object.__setattr__(self, "k", float(self.k))
+    def __new__(cls, p: float, k: float):
+        return tuple.__new__(cls, (_positive_real("p", p), _positive_real("k", k)))
 
 
-@dataclass(frozen=True)
-class EvalReal:
+class EvalReal(_ValueType, namedtuple("EvalReal", "value abs_err method")):
     """A computed linear value with an absolute-error estimate and a method tag."""
 
+    __slots__ = ()
     value: float
     abs_err: float
-    method: Method = Method.CLOSED
+    method: Method
 
-    def __post_init__(self) -> None:
-        if math.isfinite(self.value) and not (math.isfinite(self.abs_err) and self.abs_err >= 0.0):
-            raise ValueError(f"abs_err must be finite and >= 0, got {self.abs_err!r}")
+    def __new__(cls, value: float, abs_err: float, method: Method = Method.CLOSED):
+        if math.isfinite(value) and not (math.isfinite(abs_err) and abs_err >= 0.0):
+            raise ValueError(f"abs_err must be finite and >= 0, got {abs_err!r}")
+        return tuple.__new__(cls, (value, abs_err, method))
 
 
-@dataclass(frozen=True)
-class GammaEval:
+class GammaEval(_ValueType, namedtuple("GammaEval", "ln_value sign abs_err_ln method")):
     """A Gamma-type value in log space, sign * exp(ln_value), with its log's error."""
 
+    __slots__ = ()
     ln_value: float
     sign: int
     abs_err_ln: float
@@ -132,12 +163,12 @@ class GammaEval:
         return self.sign * math.exp(self.ln_value)
 
 
-@dataclass(frozen=True)
-class PoleReport:
+class PoleReport(_ValueType, namedtuple("PoleReport", "is_pole pole_index", defaults=(None,))):
     """Outcome of a pole check; ``pole_index`` is the n with x = -n*k."""
 
+    __slots__ = ()
     is_pole: bool
-    pole_index: int | None = None
+    pole_index: int | None
 
 
 _OFF_POLE = PoleReport(False, None)

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .core import _EPS, DomainError, EvalReal, Method, PkParams, ln_gamma_classical
+from .core import _EPS, _ValueType, DomainError, EvalReal, Method, PkParams, ln_gamma_classical
 from .quadrature import _split_beta_kernel
 
 __all__ = [
@@ -61,10 +61,10 @@ class ConvergenceKind(enum.Enum):
     DIVERGENT_FORMAL = "divergent-formal"
 
 
-@dataclass(frozen=True)
-class ConvergenceClass:
+class ConvergenceClass(_ValueType, namedtuple("ConvergenceClass", "kind radius", defaults=(None,))):
+    __slots__ = ()
     kind: ConvergenceKind
-    radius: float | None = None
+    radius: float | None
 
 
 def _as_triples(seq, what: str) -> tuple[tuple[float, float, float], ...]:
@@ -81,8 +81,7 @@ def _as_triples(seq, what: str) -> tuple[tuple[float, float, float], ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class HyperParams:
+class HyperParams(_ValueType, namedtuple("HyperParams", "upper lower")):
     """Upper triples (a, p, k) and lower triples (b, t, s).
 
     Lower ratios b/s must avoid the non-positive integers, where the
@@ -90,16 +89,17 @@ class HyperParams:
     construction.
     """
 
+    __slots__ = ()
     upper: tuple[tuple[float, float, float], ...]
     lower: tuple[tuple[float, float, float], ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "upper", _as_triples(self.upper, "upper"))
-        object.__setattr__(self, "lower", _as_triples(self.lower, "lower"))
-        for b, t, s in self.lower:
+    def __new__(cls, upper, lower):
+        upper, lower = _as_triples(upper, "upper"), _as_triples(lower, "lower")
+        for b, t, s in lower:
             ratio = b / s
             if ratio <= 0.5 and abs(ratio - round(ratio)) < 1e-12:
                 raise LowerPoleError(f"lower ratio b/s = {ratio} is a non-positive integer")
+        return tuple.__new__(cls, (upper, lower))
 
     @property
     def r(self) -> int:

@@ -692,7 +692,7 @@ def catalog_for_suite(suite: str) -> tuple[IdentityCheck, ...]:
     if suite == "all":
         return CATALOG
     if suite not in SUITES:
-        raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES + ('all',)}")
+        raise DomainError(f"unknown suite {suite!r}; expected one of {SUITES + ('all',)}")
     return tuple(c for c in CATALOG if c.suite == suite)
 
 

@@ -15,10 +15,11 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import (
     _LN_OVERFLOW,
+    _ValueType,
     DomainError,
     OverflowNote,
     PkParams,
@@ -45,19 +46,20 @@ __all__ = [
 RESCALE_MODES = ("2.8", "2.9", "2.10")
 
 
-@dataclass(frozen=True)
-class PochSpec:
+class PochSpec(_ValueType, namedtuple("PochSpec", "x n params")):
     """Argument x, factor count n, and the (p, k) pair."""
 
+    __slots__ = ()
     x: float
     n: int
     params: PkParams
 
-    def __post_init__(self) -> None:
-        if not (isinstance(self.n, int) and self.n >= 0):
-            raise DomainError(f"n must be a non-negative integer, got {self.n!r}")
-        if not math.isfinite(self.x):
-            raise DomainError(f"x must be finite, got {self.x!r}")
+    def __new__(cls, x: float, n: int, params: PkParams):
+        if not (isinstance(n, int) and not isinstance(n, bool) and n >= 0):
+            raise DomainError(f"n must be a non-negative integer, got {n!r}")
+        if not math.isfinite(x):
+            raise DomainError(f"x must be finite, got {x!r}")
+        return tuple.__new__(cls, (x, n, params))
 
 
 def _factors(spec: PochSpec):

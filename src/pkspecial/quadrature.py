@@ -25,10 +25,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
-from .core import _EPS, EvalReal, Method
+from .core import _EPS, _ValueType, DomainError, EvalReal, Method
 
 __all__ = [
     "QuadratureSpec",
@@ -48,19 +48,20 @@ _BIG = sys.float_info.max
 _LOG10_MAX = math.log10(_BIG)  # 10.0 ** est overflows past this
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
+class QuadratureSpec(_ValueType, namedtuple("QuadratureSpec", "abs_tol rel_tol max_refinements")):
     """Tolerance and refinement budget for one integration."""
 
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-11
-    max_refinements: int = 12
+    __slots__ = ()
+    abs_tol: float
+    rel_tol: float
+    max_refinements: int
 
-    def __post_init__(self) -> None:
-        if not (0.0 < self.abs_tol < 1.0 and 0.0 < self.rel_tol < 1.0):
-            raise ValueError("abs_tol and rel_tol must lie in (0, 1)")
-        if not (1 <= self.max_refinements <= 30):
-            raise ValueError("max_refinements must be in 1..30")
+    def __new__(cls, abs_tol: float = 1e-12, rel_tol: float = 1e-11, max_refinements: int = 12):
+        if not (0.0 < abs_tol < 1.0 and 0.0 < rel_tol < 1.0):
+            raise DomainError("abs_tol and rel_tol must lie in (0, 1)")
+        if not (1 <= max_refinements <= 30):
+            raise DomainError("max_refinements must be in 1..30")
+        return tuple.__new__(cls, (abs_tol, rel_tol, max_refinements))
 
 
 DEFAULT_SPEC = QuadratureSpec()

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+
+from .core import _ValueType
 
 __all__ = ["IdentityRecord", "AuditSummary", "relative_error", "make_record", "skipped_record"]
 
@@ -18,26 +20,35 @@ def relative_error(lhs: float, rhs: float) -> float:
     return abs(lhs - rhs) / scale
 
 
-@dataclass(frozen=True)
-class IdentityRecord:
+class IdentityRecord(
+    _ValueType,
+    namedtuple(
+        "IdentityRecord",
+        "identity_id grid_point lhs rhs_printed rhs_corrected rel_err_printed rel_err_corrected "
+        "printed_pass corrected_pass skipped skip_reason",
+        defaults=(None,) * 7 + (False, None),
+    ),
+):
     """One grid-point verification outcome.
 
     ``rhs_printed`` and ``rhs_corrected`` coincide for identities that needed
     no correction.  Skipped records (near-pole points) carry no numbers and
-    no pass flags.
+    no pass flags.  Every field after ``grid_point`` defaults to None, except
+    ``skipped``, which defaults to False.
     """
 
+    __slots__ = ()
     identity_id: str
     grid_point: dict[str, float]
-    lhs: float | None = None
-    rhs_printed: float | None = None
-    rhs_corrected: float | None = None
-    rel_err_printed: float | None = None
-    rel_err_corrected: float | None = None
-    printed_pass: bool | None = None
-    corrected_pass: bool | None = None
-    skipped: bool = False
-    skip_reason: str | None = None
+    lhs: float | None
+    rhs_printed: float | None
+    rhs_corrected: float | None
+    rel_err_printed: float | None
+    rel_err_corrected: float | None
+    printed_pass: bool | None
+    corrected_pass: bool | None
+    skipped: bool
+    skip_reason: str | None
 
 
 def make_record(
@@ -74,17 +85,29 @@ def skipped_record(identity_id: str, grid_point: dict[str, float], reason: str) 
     )
 
 
-@dataclass
 class AuditSummary:
     """Per-identity aggregate over one audited grid."""
 
+    __slots__ = (
+        "identity_id", "count", "skipped", "max_rel_err_printed", "max_rel_err_corrected",
+        "printed_passes", "corrected_passes",
+    )
     identity_id: str
-    count: int = 0
-    skipped: int = 0
-    max_rel_err_printed: float = 0.0
-    max_rel_err_corrected: float = 0.0
-    printed_passes: int = 0
-    corrected_passes: int = 0
+    count: int
+    skipped: int
+    max_rel_err_printed: float
+    max_rel_err_corrected: float
+    printed_passes: int
+    corrected_passes: int
+
+    def __init__(self, identity_id: str) -> None:
+        self.identity_id = identity_id
+        self.count = self.skipped = self.printed_passes = self.corrected_passes = 0
+        self.max_rel_err_printed = self.max_rel_err_corrected = 0.0
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"AuditSummary({fields})"
 
     def add(self, rec: IdentityRecord) -> None:
         if rec.skipped:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from pkspecial import AuditGrid, run_suite, validate_report
+from pkspecial import AuditGrid, DomainError, run_suite, validate_report
 from pkspecial.audit import canonical_json, report_to_dict, write_report
 from pkspecial.identities import CATALOG, catalog_for_suite
 
@@ -17,8 +17,10 @@ class TestEngine:
         ids = {c.identity_id for c in catalog_for_suite("beta")}
         assert ids == {"3.1", "3.2", "3.3", "3.4"}
         assert catalog_for_suite("all") == CATALOG
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError, match="unknown suite 'algebra'"):
             catalog_for_suite("algebra")
+        with pytest.raises(DomainError, match="unknown suite 'algebra'"):
+            run_suite("algebra")
 
     def test_records_sorted(self):
         rep = run_suite("pochhammer", AuditGrid.small())

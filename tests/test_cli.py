@@ -318,6 +318,37 @@ class TestImportGraph:
         assert "import time:" in run.stderr
         assert "scipy" not in run.stderr
 
+    def test_eval_and_table_skip_dataclasses_and_inspect(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        # the value types are namedtuples; dataclasses would pull in inspect, ast and dis.
+        # perfbench's worker and tracer read the seven layer modules from sys.modules
+        # right after importing the cli, so those stay eager
+        layers = ("core", "gamma", "pochhammer", "betapsi", "hyper", "quadrature", "audit")
+        probe = (
+            "import sys\n"
+            "import pkspecial.cli\n"
+            "print('dataclasses' in sys.modules, 'inspect' in sys.modules,"
+            " all('pkspecial.' + m in sys.modules for m in sys.argv[1:]))\n"
+        )
+        run = subprocess.run([sys.executable, "-c", probe, *layers], env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == ["False", "False", "True"]
+        for argv in (
+            ("eval", "psi", "--p", "2", "--k", "3", "--x", "-1.5"),
+            ("table", "gamma", "--p", "2", "--k", "3", "--x", "0.5:3:0.25"),
+        ):
+            run = subprocess.run(
+                [sys.executable, "-X", "importtime", "-m", "pkspecial", *argv],
+                env=env, capture_output=True, text=True,
+            )
+            assert run.returncode == 0, run.stderr
+            # -X importtime ends each line with the module's dotted name
+            imported = {line.rsplit("|", 1)[1].strip() for line in run.stderr.splitlines()
+                        if line.startswith("import time:")}
+            assert "pkspecial.cli" in imported
+            assert not imported & {"dataclasses", "inspect"}, argv
+
     def test_numpy_loads_only_for_array_routes(self):
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = {**os.environ, "PYTHONPATH": src}

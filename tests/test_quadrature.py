@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from pkspecial import NoConvergence, QuadratureSpec, integrate_semiaxis, integrate_unit
+from pkspecial import DomainError, NoConvergence, QuadratureSpec, integrate_semiaxis, integrate_unit
 from pkspecial.quadrature import _bbg_error, _power_integral
 
 SQRT_PI_HALF = 0.88622692545275801  # Gaussian integral, polar-coordinates oracle
@@ -144,12 +144,14 @@ class TestErrorContract:
 
 class TestSpecValidation:
     def test_tolerance_bounds(self):
-        with pytest.raises(ValueError):
+        # the library's typed error, which callers catching ValueError still see
+        with pytest.raises(DomainError):
             QuadratureSpec(abs_tol=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             QuadratureSpec(rel_tol=2.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             QuadratureSpec(max_refinements=31)
+        assert issubclass(DomainError, ValueError)
 
     def test_defaults(self):
         spec = QuadratureSpec()

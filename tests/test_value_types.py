@@ -1,0 +1,179 @@
+"""The immutable value types: construction, defaults, equality, hashing, repr and validation.
+
+They are namedtuple subclasses; these tests pin the behaviour callers rely
+on, which is that of the frozen dataclasses they replaced: keyword
+construction with defaults, no attribute assignment, hashing by value,
+equality only with the same type, and a ``Type(field=value, ...)`` repr.
+"""
+
+import math
+from collections import namedtuple
+
+import pytest
+
+from pkspecial import (
+    AuditGrid,
+    AuditReport,
+    AuditSummary,
+    BetaArgs,
+    ConvergenceClass,
+    ConvergenceKind,
+    DomainError,
+    EvalReal,
+    GammaEval,
+    HyperParams,
+    IdentityRecord,
+    LowerPoleError,
+    Method,
+    PkParams,
+    PochSpec,
+    PoleReport,
+    QuadratureSpec,
+)
+
+PK = PkParams(1.5, 0.75)
+
+# type, the fields it must be built from, and the defaults of the others, in field order
+TYPES = (
+    (PkParams, {"p": 1.5, "k": 0.75}, {}),
+    (EvalReal, {"value": 1.0, "abs_err": 1e-16}, {"method": Method.CLOSED}),
+    (GammaEval, {"ln_value": 0.5, "sign": -1, "abs_err_ln": 1e-15, "method": Method.LIMIT}, {}),
+    (PoleReport, {"is_pole": False}, {"pole_index": None}),
+    (BetaArgs, {"x": 2.5, "y": 1.25, "params": PK}, {}),
+    (PochSpec, {"x": 2.5, "n": 4, "params": PK}, {}),
+    (HyperParams, {"upper": ((1.0, 1.0, 1.0),), "lower": ((2.0, 1.0, 1.0),)}, {}),
+    (ConvergenceClass, {"kind": ConvergenceKind.FINITE_RADIUS}, {"radius": None}),
+    (QuadratureSpec, {}, {"abs_tol": 1e-12, "rel_tol": 1e-11, "max_refinements": 12}),
+    (AuditReport, {"suite": "gamma", "grid": AuditGrid.small(), "records": [], "summaries": {}}, {}),
+    (
+        IdentityRecord,
+        {"identity_id": "2.2", "grid_point": {"p": 1.0, "x": 2.5}},
+        {
+            "lhs": None,
+            "rhs_printed": None,
+            "rhs_corrected": None,
+            "rel_err_printed": None,
+            "rel_err_corrected": None,
+            "printed_pass": None,
+            "corrected_pass": None,
+            "skipped": False,
+            "skip_reason": None,
+        },
+    ),
+)
+IDS = [cls.__name__ for cls, _, _ in TYPES]
+# AuditReport holds a list and IdentityRecord a dict, so neither hashes
+UNHASHABLE = (AuditReport, IdentityRecord)
+
+
+@pytest.mark.parametrize("cls, required, defaults", TYPES, ids=IDS)
+class TestSemantics:
+    def test_keyword_construction_fills_defaults(self, cls, required, defaults):
+        # the annotations that document the fields name them all, in order
+        assert tuple(cls.__annotations__) == cls._fields == tuple({**required, **defaults})
+        v = cls(**required)
+        for name, expected in {**required, **defaults}.items():
+            assert getattr(v, name) == expected
+        assert v == cls(*{**required, **defaults}.values())
+
+    def test_attributes_cannot_be_set(self, cls, required, defaults):
+        v = cls(**required)
+        first = next(iter({**required, **defaults}))
+        with pytest.raises(AttributeError):
+            setattr(v, first, getattr(v, first))
+        with pytest.raises(AttributeError):
+            v.extra = 1
+
+    def test_equal_instances_hash_equal(self, cls, required, defaults):
+        a, b = cls(**required), cls(**required)
+        assert a == b and not a != b
+        if cls in UNHASHABLE:
+            with pytest.raises(TypeError):
+                hash(a)
+        else:
+            assert hash(a) == hash(b)
+            assert len({a, b}) == 1
+
+    def test_equal_only_to_the_same_type(self, cls, required, defaults):
+        v = cls(**required)
+        sub = type(cls.__name__, (cls,), {"__slots__": ()})(**required)
+        for other in (sub, tuple(v)):
+            assert tuple(other) == tuple(v)
+            assert v != other and other != v
+            assert not v == other and not other == v
+        # a foreign namedtuple of the same fields, from the value's side
+        fields = {**required, **defaults}
+        assert v != namedtuple(cls.__name__, list(fields))(*fields.values())
+
+    def test_repr_names_every_field(self, cls, required, defaults):
+        v = cls(**required)
+        fields = ", ".join(f"{name}={value!r}" for name, value in {**required, **defaults}.items())
+        assert repr(v) == f"{cls.__name__}({fields})"
+
+
+def test_types_of_equal_fields_differ():
+    assert PoleReport(True, 1) != ConvergenceClass(True, 1)
+    assert PkParams(1.5, 0.75) != PoleReport(1.5, 0.75)
+
+
+def test_conversions_at_construction():
+    pk = PkParams(1, 2)
+    assert type(pk.p) is float and type(pk.k) is float
+    hp = HyperParams(upper=[[1, 2, 3]], lower=[(4, 5, 6)])
+    assert hp.upper == ((1.0, 2.0, 3.0),) and hp.lower == ((4.0, 5.0, 6.0),)
+    assert (hp.r, hp.q, hp.alphas, hp.betas) == (1, 1, (1 / 3,), (4 / 6,))
+
+
+def test_audit_summary_is_a_mutable_aggregate():
+    s = AuditSummary("2.2")
+    assert repr(s) == (
+        "AuditSummary(identity_id='2.2', count=0, skipped=0, max_rel_err_printed=0.0, "
+        "max_rel_err_corrected=0.0, printed_passes=0, corrected_passes=0)"
+    )
+    s.add(IdentityRecord("2.2", {}, rel_err_printed=0.5, rel_err_corrected=1e-17,
+                         printed_pass=False, corrected_pass=True))
+    s.add(IdentityRecord("2.2", {}, skipped=True, skip_reason="pole"))
+    assert (s.count, s.skipped, s.printed_passes, s.corrected_passes) == (1, 1, 0, 1)
+    assert (s.max_rel_err_printed, s.verdict) == (0.5, "corrected-only")
+
+
+# each validation error, with its exact type and message
+ERRORS = (
+    (lambda: PkParams(-1, 2), DomainError, "p must be a positive finite real, got -1"),
+    (lambda: PkParams(1, math.inf), DomainError, "k must be a positive finite real, got inf"),
+    (lambda: PkParams("1", 2), DomainError, "p must be a positive finite real, got '1'"),
+    (lambda: EvalReal(1.0, -1.0), ValueError, "abs_err must be finite and >= 0, got -1.0"),
+    (lambda: EvalReal(1.0, math.nan), ValueError, "abs_err must be finite and >= 0, got nan"),
+    (lambda: BetaArgs(0.0, 1.0, PK), DomainError, "x must be a positive real, got 0.0"),
+    (lambda: BetaArgs(1.0, -2.0, PK), DomainError, "y must be a positive real, got -2.0"),
+    (lambda: PochSpec(1.5, -1, PK), DomainError, "n must be a non-negative integer, got -1"),
+    (lambda: PochSpec(1.5, 2.0, PK), DomainError, "n must be a non-negative integer, got 2.0"),
+    (lambda: PochSpec(math.nan, 2, PK), DomainError, "x must be finite, got nan"),
+    (lambda: HyperParams(((1.0, 1.0),), ()), DomainError,
+     "each upper entry must be a triple, got (1.0, 1.0)"),
+    (lambda: HyperParams((), ((1.0, math.inf, 1.0),)), DomainError,
+     "lower entries must be finite, got (1.0, inf, 1.0)"),
+    (lambda: HyperParams(((1.0, 0.0, 1.0),), ()), DomainError,
+     "upper scales must be positive, got (1.0, 0.0, 1.0)"),
+    (lambda: HyperParams((), ((-2.0, 1.0, 1.0),)), LowerPoleError,
+     "lower ratio b/s = -2.0 is a non-positive integer"),
+    (lambda: QuadratureSpec(abs_tol=0.0), DomainError, "abs_tol and rel_tol must lie in (0, 1)"),
+    (lambda: QuadratureSpec(rel_tol=2.0), DomainError, "abs_tol and rel_tol must lie in (0, 1)"),
+    (lambda: QuadratureSpec(max_refinements=31), DomainError, "max_refinements must be in 1..30"),
+    # a bool is an int to Python, but neither a positive real nor a factor count
+    (lambda: PkParams(True, 2), DomainError, "p must be a positive finite real, got True"),
+    (lambda: PkParams(1.5, True), DomainError, "k must be a positive finite real, got True"),
+    (lambda: PochSpec(1.5, True, PK), DomainError, "n must be a non-negative integer, got True"),
+    (lambda: PochSpec(1.5, False, PK), DomainError, "n must be a non-negative integer, got False"),
+    # _replace builds through the same checks
+    (lambda: PkParams(1.5, 0.75)._replace(k=0.0), DomainError, "k must be a positive finite real, got 0.0"),
+    (lambda: QuadratureSpec()._replace(max_refinements=0), DomainError, "max_refinements must be in 1..30"),
+)
+
+
+@pytest.mark.parametrize("build, exc, message", ERRORS)
+def test_validation_errors(build, exc, message):
+    with pytest.raises(exc) as info:
+        build()
+    assert type(info.value) is exc
+    assert str(info.value) == message

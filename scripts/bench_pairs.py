@@ -15,7 +15,10 @@ Writes ``BENCH_<short sha of HEAD>.json`` to the checkout root, one entry
 per workload (a later run adds its workload to the file): every pair's
 end-to-end metrics, each side's median and quartiles per metric, how many
 pairs the change won per metric (ties count for neither side), the versions
-and ``nproc``.  A gain holds when the change won at least nine tenths of the
+and ``nproc``.  The run that creates the file also records, per side, the
+line count of the ``*.py`` files under ``src/`` and the wall time and exit
+code of one tier-1 test run (``python -m pytest -q`` with ``src`` on the
+path); these are figures only and gate nothing.  A gain holds when the change won at least nine tenths of the
 pairs and its median is better than the parent's by more than the parent's
 interquartile range.
 """
@@ -29,6 +32,8 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
+from pathlib import Path
 
 
 def _git(*args: str) -> str:
@@ -55,6 +60,20 @@ def _run(tree: str, workload: str, seed: int, seconds: float) -> dict:
     if "report_sha256" in result["detail"]:
         side["report_sha256"] = result["detail"]["report_sha256"]
     return {"side": side, "environment": result["environment"]}
+
+
+def src_lines(tree: str) -> int:
+    """Lines of the ``*.py`` files under ``tree/src``."""
+    return sum(len(path.read_text(encoding="utf-8").splitlines()) for path in Path(tree, "src").rglob("*.py"))
+
+
+def _tier1(tree: str) -> dict:
+    """Wall time and exit code of one tier-1 test run in ``tree``."""
+    env = {**os.environ, "PYTHONPATH": "src"}
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           "--continue-on-collection-errors"], cwd=tree, env=env, capture_output=True)
+    return {"tier1_s": round(time.perf_counter() - start, 2), "tier1_exit": proc.returncode}
 
 
 def _spread(values: list[float]) -> dict:
@@ -108,11 +127,24 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"unknown workload {args.workload!r}")
     seconds = bench["run_seconds"]
 
+    out = f"BENCH_{change_sha[:7]}.json"
+    doc = None
+    if os.path.exists(out):
+        with open(out, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if doc["parent"] != parent_sha:
+            raise SystemExit(f"{out} compares against {doc['parent']}, not {parent_sha}")
+
     pairs, environment = [], None
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
         trees = {"parent": os.path.join(tmp, "parent"), "change": os.path.join(tmp, "change")}
         _export(parent_sha, trees["parent"])
         _export(change_sha, trees["change"])
+        if doc is None:
+            doc = {"parent": parent_sha, "change": change_sha, "workloads": {}, "sides": {}}
+            for side, tree in trees.items():
+                doc["sides"][side] = {"src_lines": src_lines(tree), **_tier1(tree)}
+                print(f"{side}: {doc['sides'][side]}", flush=True)
         for i in range(args.pairs):
             seed = args.seed + i
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -125,13 +157,6 @@ def main(argv: list[str] | None = None) -> int:
             print(f"pair {i + 1}/{args.pairs} seed {seed}: op_p50_ms parent {pair['parent']['op_p50_ms']:.1f}"
                   f" change {pair['change']['op_p50_ms']:.1f}", flush=True)
 
-    out = f"BENCH_{change_sha[:7]}.json"
-    doc = {"parent": parent_sha, "change": change_sha, "workloads": {}}
-    if os.path.exists(out):
-        with open(out, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if doc["parent"] != parent_sha:
-            raise SystemExit(f"{out} compares against {doc['parent']}, not {parent_sha}")
     doc["environment"] = {key: environment[key] for key in ("python", "numpy", "scipy", "mpmath", "nproc", "machine")}
     entry = {"run_seconds": seconds, "pairs": pairs, "metrics": summarize(pairs, bench["end_to_end"])}
     doc["workloads"][args.workload] = entry

@@ -133,8 +133,16 @@ def load_schema() -> dict:
 
 
 def validate_report(report_dict: dict) -> None:
-    """Raise jsonschema.ValidationError if the dict violates the shipped schema."""
-    import jsonschema
+    """Raise jsonschema.ValidationError if the dict violates the shipped schema.
+
+    Test tooling: jsonschema comes with the ``test`` extra
+    (``pip install 'pkspecial[test]'``), not with the runtime install;
+    without it this raises ImportError.
+    """
+    try:
+        import jsonschema
+    except ImportError as exc:
+        raise ImportError("validate_report needs jsonschema, from the test extra: pip install 'pkspecial[test]'") from exc
 
     jsonschema.validate(report_dict, load_schema())
 

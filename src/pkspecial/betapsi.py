@@ -8,7 +8,10 @@ derivative of the family Gamma,
     psi(x) = d/dx log G(x) = log(p)/k + digamma(x/k)/k,
 
 and all series and polygamma forms below carry the same 1/k normalization
-so that they are derivatives of one another.
+so that they are derivatives of one another.  The two psi-series forms
+share one memoised pass, _psi_lattice_sums(x, k, terms), which builds
+x + nk once over core._ramp, the read-only ramp n = 0..terms+1 that the
+Gamma product routes use too.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .core import (
     _MEMO_SIZE,
     _PSI_ASYMPTOTIC,
     _digamma_array,
+    _ramp,
     _require_inside_tail,
     _tail_s2,
     _tail_s3,
@@ -171,7 +175,8 @@ def psi_series(params: PkParams, x: float, form: str = "3.9", terms: int = 100_0
     _require_inside_tail(x / k, terms)
     N = float(terms)
     base = math.log(p) / k - EULER_GAMMA / k
-    s = _psi_lattice_sum(x, k, terms, form)
+    s39, s310 = _psi_lattice_sums(x, k, terms)
+    s = s39 if form == "3.9" else s310
     w = x / k
     g2, g3, g4, g5 = _tail_gaps(N)
     if form == "3.9":
@@ -201,15 +206,22 @@ def psi_series(params: PkParams, x: float, form: str = "3.9", terms: int = 100_0
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _psi_lattice_sum(x: float, k: float, terms: int, form: str) -> float:
-    """sum_{n=1..terms} 1/(n (x + nk)) ("3.9") or sum_{n=0..terms} 1/((n+1)(x + nk)) ("3.10")."""
+def _psi_lattice_sums(x: float, k: float, terms: int) -> tuple[float, float]:
+    """sum_{n=1..terms} 1/(n (x + nk)) ("3.9") and sum_{n=0..terms} 1/((n+1)(x + nk)) ("3.10").
+
+    Both from one x + nk array, each sum smallest terms first.
+    """
     import numpy as np
 
-    if form == "3.9":
-        n = np.arange(1, terms + 1, dtype=float)
-        return float(np.sum((1.0 / (n * (x + n * k)))[::-1]))
-    n = np.arange(0, terms + 1, dtype=float)
-    return float(np.sum((1.0 / ((n + 1.0) * (x + n * k)))[::-1]))
+    n = _ramp(terms)
+    t = n[: terms + 1] * k
+    t += x
+    d = n[1 : terms + 1] * t[1:]
+    np.divide(1.0, d, out=d)
+    s39 = float(np.sum(d[::-1]))
+    t *= n[1 : terms + 2]
+    np.divide(1.0, t, out=t)
+    return s39, float(np.sum(t[::-1]))
 
 
 def ln_gamma_via_psi(params: PkParams, x: float) -> EvalReal:

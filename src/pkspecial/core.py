@@ -18,6 +18,7 @@ import enum
 import math
 import warnings
 from collections import namedtuple
+from functools import lru_cache
 
 __all__ = [
     "EULER_GAMMA",
@@ -52,9 +53,13 @@ _LN_OVERFLOW = 709.782712893384
 
 _EPS = 2.220446049250313e-16
 
-# Entries kept by each memoised lattice sum of the series and product routes.
-# The sums do not depend on p, so an audit sweep over p reuses them; one sweep
-# holds 24 (k, x) points per p.
+# Entries kept by each memoised lattice sum of the limit, product and psi-series
+# routes.  The sums do not depend on p, so an audit sweep over p reuses them; one
+# sweep holds 24 (k, x) points per p.  One entry of gamma._product_sums serves
+# all three product routes at its z = x/k, and one of betapsi._psi_lattice_sums
+# both psi-series forms at its (x, k).  The z-free arrays those two kernels
+# share, _ramp and _log1p_recip below, are kept for one terms at a time: about
+# 1.6 MB for as long as the process lives at the default terms = 100,000.
 _MEMO_SIZE = 128
 
 
@@ -110,10 +115,31 @@ class _ValueType:
 
 
 def _positive_real(name: str, v) -> float:
-    """v as a float, if it is a positive finite int or float (a bool is neither)."""
-    if not (isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) and v > 0):
-        raise DomainError(f"{name} must be a positive finite real, got {v!r}")
-    return float(v)
+    """v as a float, if it is a positive finite real number (a bool is none)."""
+    if type(v) is float or type(v) is int or _is_real(v):
+        f = float(v)
+        if math.isfinite(f) and f > 0:
+            return f
+    raise DomainError(f"{name} must be a positive finite real, got {v!r}")
+
+
+def _is_real(v) -> bool:
+    """Whether v is a real number other than a bool, a numpy scalar say (np.bool_ is not one)."""
+    import numbers
+
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _as_index(v) -> int | None:
+    """v as an int, if it is an integer other than a bool (numpy's integers included), else None."""
+    if isinstance(v, bool):
+        return None
+    import operator
+
+    try:
+        return operator.index(v)
+    except TypeError:
+        return None
 
 
 class PkParams(_ValueType, namedtuple("PkParams", "p k")):
@@ -292,6 +318,26 @@ def _tail_s5(N: float) -> float:
 def _tail_gaps(N: float) -> tuple[float, float, float, float]:
     """|first term| that _tail_s2.._tail_s5 leave out: it bounds their error, n^-s being completely monotone."""
     return 1.0 / (42.0 * N**7), 1.0 / (12.0 * N**6), 1.0 / (3.0 * N**5), 1.0 / (2.0 * N**5)
+
+
+@lru_cache(maxsize=1)
+def _ramp(terms: int) -> np.ndarray:
+    """n = 0, 1, ..., terms + 1 as floats, read-only: every product and psi-series route shares it."""
+    import numpy as np
+
+    n = np.arange(terms + 2, dtype=float)
+    n.flags.writeable = False
+    return n
+
+
+@lru_cache(maxsize=1)
+def _log1p_recip(terms: int) -> np.ndarray:
+    """log1p(1/n) for n = 1..terms, read-only: the z-free half of the Euler product's factors."""
+    import numpy as np
+
+    out = np.log1p(1.0 / _ramp(terms)[1 : terms + 1])
+    out.flags.writeable = False
+    return out
 
 
 def _require_inside_tail(z: float, terms: int) -> None:

@@ -9,6 +9,13 @@ their raw partial products converge like 1/N, far too slowly for the
 accuracy targets at any affordable N.
 
 All evaluators work in log space with an explicit sign channel.
+
+The three product routes share their array work: one memoised pass,
+_product_sums(z, terms), computes log1p(z/n) once at z = x/k and returns
+every sum the Euler, Weierstrass and limit-product forms need, so at one z
+the three cost one pass.  The z-free ramp n and log1p(1/n) come from
+core._ramp and core._log1p_recip, read-only arrays built once per terms
+(about 1.6 MB, kept for the life of the process, at terms = 100,000).
 """
 
 from __future__ import annotations
@@ -19,6 +26,8 @@ from functools import lru_cache
 from .core import (
     _EPS,
     _MEMO_SIZE,
+    _log1p_recip,
+    _ramp,
     _require_inside_tail,
     _tail_s2,
     _tail_s3,
@@ -185,7 +194,7 @@ def gamma_euler_product(params: PkParams, x: float, terms: int = 100_000) -> Gam
         raise DomainError(f"terms must be an integer >= 10, got {terms!r}")
     z = x / params.k
     _require_inside_tail(z, terms)
-    s = _euler_body(z, terms)
+    s = _product_sums(z, terms)[5]
     N = float(terms)
     tail = (
         (z * z - z) / 2.0 * _tail_s2(N)
@@ -198,37 +207,41 @@ def gamma_euler_product(params: PkParams, x: float, terms: int = 100_000) -> Gam
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _euler_body(z: float, terms: int) -> float:
-    """sum_{n=1..terms} z log1p(1/n) - log1p(z/n), smallest terms first."""
-    import numpy as np
+def _product_sums(z: float, terms: int) -> tuple[int, float, float, float, float, float | None]:
+    """The lattice sums of the three product routes at z, from one log1p(z/n) pass.
 
-    n = np.arange(1, terms + 1, dtype=float)
-    body = z * np.log1p(1.0 / n) - np.log1p(z / n)
-    return float(np.sum(body[::-1]))
-
-
-@lru_cache(maxsize=_MEMO_SIZE)
-def _reciprocal_sums(z: float, terms: int, damped: bool) -> tuple[float, int, float]:
-    """The log of prod_{n=1..terms} (1 + z/n), each factor times e^(-z/n) when ``damped``.
-
-    Returns the sum of log|factor| over the factors n = 1..m0 that are
-    negative at z < 0 (log1p cannot take them), the sign of their product,
-    and the sum over the rest, smallest terms first.  Off the pole lattice no
+    Returns (sign, head, damped_head, body, damped_body, euler_body).  The
+    factors 1 + z/n, n = 1..terms, that are negative at z < 0 (log1p cannot
+    take them) go into the heads, in turn: log|1 + z/n| into ``head`` and
+    log|1 + z/n| - z/n, the damped factor (1 + z/n) e^(-z/n), into
+    ``damped_head``; ``sign`` is the sign of their product.  The bodies sum
+    log1p(z/n) and log1p(z/n) - z/n over the other factors, and
+    ``euler_body`` (None unless z > 0) sums z log1p(1/n) - log1p(z/n) over
+    all n; each body sums its smallest terms first.  Off the pole lattice no
     factor is zero.
     """
     import numpy as np
 
     m0 = min(terms, max(0, math.ceil(-z) - 1)) if z < 0 else 0
-    sign = 1
-    head = 0.0
+    sign, head, damped_head = 1, 0.0, 0.0
     for n in range(1, m0 + 1):
         f = 1.0 + z / n
         if f < 0.0:
             sign = -sign
-        head += math.log(abs(f)) - z / n if damped else math.log(abs(f))
-    r = z / np.arange(m0 + 1, terms + 1, dtype=float)
-    body = np.log1p(r) - r if damped else np.log1p(r)
-    return head, sign, float(np.sum(body[::-1]))
+        lf = math.log(abs(f))
+        head += lf
+        damped_head += lf - z / n
+    r = z / _ramp(terms)[m0 + 1 : terms + 1]
+    lg = np.log1p(r)
+    body = float(np.sum(lg[::-1]))
+    np.subtract(lg, r, out=r)
+    damped_body = float(np.sum(r[::-1]))
+    euler_body = None
+    if z > 0:
+        np.multiply(_log1p_recip(terms), z, out=r)
+        r -= lg
+        euler_body = float(np.sum(r[::-1]))
+    return sign, head, damped_head, body, damped_body, euler_body
 
 
 def _product_tail(z: float, N: float) -> float:
@@ -252,7 +265,7 @@ def gamma_weierstrass_recip(params: PkParams, x: float, terms: int = 100_000) ->
         return GammaEval(ln_value=-math.inf, sign=1, abs_err_ln=0.0, method=Method.WEIERSTRASS)
     z = x / params.k
     _require_inside_tail(z, terms)
-    head, sign, body = _reciprocal_sums(z, terms, True)
+    sign, _, head, _, body, _ = _product_sums(z, terms)
     prod_ln = head + body + _product_tail(z, float(terms))
     ln = math.log(abs(x)) - z * math.log(params.p) + z * EULER_GAMMA + prod_ln
     sign = sign * (1 if x > 0 else -1)
@@ -277,7 +290,7 @@ def gamma_limit_product_recip(params: PkParams, x: float, terms: int = 100_000) 
     z = x / params.k
     _require_inside_tail(z, terms)
     N = float(terms)
-    head, sign, body = _reciprocal_sums(z, terms, False)
+    sign, head, _, body, _, _ = _product_sums(z, terms)
     tail = _product_tail(z, N)
     harmonic_residual = z * (1.0 / (2.0 * N) - 1.0 / (12.0 * N**2))
     ln = (

@@ -20,6 +20,7 @@ from collections import namedtuple
 from .core import (
     _LN_OVERFLOW,
     _ValueType,
+    _as_index,
     DomainError,
     OverflowNote,
     PkParams,
@@ -55,11 +56,12 @@ class PochSpec(_ValueType, namedtuple("PochSpec", "x n params")):
     params: PkParams
 
     def __new__(cls, x: float, n: int, params: PkParams):
-        if not (isinstance(n, int) and not isinstance(n, bool) and n >= 0):
+        m = n if type(n) is int else _as_index(n)
+        if m is None or m < 0:
             raise DomainError(f"n must be a non-negative integer, got {n!r}")
         if not math.isfinite(x):
             raise DomainError(f"x must be finite, got {x!r}")
-        return tuple.__new__(cls, (x, n, params))
+        return tuple.__new__(cls, (x, m, params))
 
 
 def _factors(spec: PochSpec):

@@ -106,6 +106,12 @@ class TestReport:
         with pytest.raises(jsonschema.ValidationError):
             validate_report(doc)
 
+    def test_schema_validation_names_the_test_extra_without_jsonschema(self, monkeypatch):
+        doc = report_to_dict(run_suite("psi", AuditGrid.small()))
+        monkeypatch.setitem(sys.modules, "jsonschema", None)
+        with pytest.raises(ImportError, match=r"pkspecial\[test\]"):
+            validate_report(doc)
+
     def test_round_trip_file(self, tmp_path):
         rep = run_suite("hyper", AuditGrid.small())
         path = tmp_path / "report.json"

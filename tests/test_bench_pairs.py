@@ -43,3 +43,13 @@ def test_higher_is_better_and_ties_count_for_neither_side():
     assert (out["items_per_s"]["change_wins"], out["items_per_s"]["ties"]) == (2, 1)
     assert (out["op_p50_ms"]["change_wins"], out["op_p50_ms"]["ties"]) == (0, 4)
     assert out["op_p50_ms"]["median_change_share"] == 0.0
+
+
+def test_src_lines_counts_python_files_under_src_only(tmp_path):
+    (tmp_path / "src" / "pkg" / "sub").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "a.py").write_text("import math\n\nx = 1\n")
+    (tmp_path / "src" / "pkg" / "sub" / "b.py").write_text("y = 2\nz = 3")  # no final newline
+    (tmp_path / "src" / "pkg" / "schema.json").write_text("{}\n{}\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_a.py").write_text("a = 1\n")
+    assert bench_pairs.src_lines(str(tmp_path)) == 5

@@ -24,7 +24,7 @@ from pkspecial import (
     psi,
     psi_series,
 )
-from pkspecial.betapsi import BETA_FORMS, _psi_lattice_sum, polygamma_printed, psi_printed
+from pkspecial.betapsi import BETA_FORMS, _psi_lattice_sums, polygamma_printed, psi_printed
 from pkspecial.core import richardson_diff
 
 from conftest import GRID_KS, GRID_PS, GRID_XS, check_memo_is_bounded, check_memo_is_transparent
@@ -215,11 +215,11 @@ class TestPsiSeries:
 
         points = [(k, x, terms) for terms in (64, 1000) for k in (0.5, 2.0) for x in (0.3, 2.5, 7.3)]
         calls = [(PkParams(p, k), x, terms) for p in (0.5, 1.0, 3.5) for k, x, terms in points]
-        check_memo_is_transparent(route, _psi_lattice_sum, calls, len(points))
+        check_memo_is_transparent(route, _psi_lattice_sums, calls, len(points))
 
     @pytest.mark.parametrize("form", ["3.9", "3.10"])
     def test_memo_is_bounded(self, form):
-        check_memo_is_bounded(lambda params, x, terms: psi_series(params, x, form, terms), _psi_lattice_sum, 10)
+        check_memo_is_bounded(lambda params, x, terms: psi_series(params, x, form, terms), _psi_lattice_sums, 10)
 
     def test_abs_err_covers_wide_draws(self):
         # x/k log-uniform in [1e-6, terms), p log-uniform in [e^-2, e^2]: at small x/k

@@ -255,9 +255,9 @@ MEMOISED_ROUTES = {
     "limit_2.6": (lambda pk, x, n: gamma_limit(pk, x, n, variant="2.6"), gamma_module._limit_sums),
     "limit_2.7": (lambda pk, x, n: gamma_limit(pk, x, n, variant="2.7"), gamma_module._limit_sums),
     "limit_raw": (lambda pk, x, n: gamma_limit(pk, x, n, accelerate=False), gamma_module._limit_sums),
-    "euler_product": (gamma_euler_product, gamma_module._euler_body),
-    "weierstrass": (gamma_weierstrass_recip, gamma_module._reciprocal_sums),
-    "limit_product_recip": (gamma_limit_product_recip, gamma_module._reciprocal_sums),
+    "euler_product": (gamma_euler_product, gamma_module._product_sums),
+    "weierstrass": (gamma_weierstrass_recip, gamma_module._product_sums),
+    "limit_product_recip": (gamma_limit_product_recip, gamma_module._product_sums),
 }
 
 

@@ -9,6 +9,7 @@ equality only with the same type, and a ``Type(field=value, ...)`` repr.
 import math
 from collections import namedtuple
 
+import numpy as np
 import pytest
 
 from pkspecial import (
@@ -124,6 +125,25 @@ def test_conversions_at_construction():
     assert (hp.r, hp.q, hp.alphas, hp.betas) == (1, 1, (1 / 3,), (4 / 6,))
 
 
+class _Count:
+    """An integer type of its own, known to Python through __index__ alone."""
+
+    def __index__(self):
+        return 3
+
+
+def test_numpy_scalars_are_accepted():
+    for p, k in ((np.int64(2), np.float32(0.5)), (np.float64(2.0), np.int32(1)), (np.float32(2.0), np.uint8(1))):
+        pk = PkParams(p, k)
+        assert pk == PkParams(float(p), float(k))
+        assert type(pk.p) is float and type(pk.k) is float
+    assert PkParams(p=np.float32(0.1), k=1).p == float(np.float32(0.1))
+    for n in (np.int64(3), np.uint8(3), np.int32(3), _Count()):
+        spec = PochSpec(1.5, n, PK)
+        assert spec == PochSpec(1.5, 3, PK) and type(spec.n) is int
+    assert PochSpec(1.5, np.int64(0), PK).n == 0
+
+
 def test_audit_summary_is_a_mutable_aggregate():
     s = AuditSummary("2.2")
     assert repr(s) == (
@@ -165,6 +185,17 @@ ERRORS = (
     (lambda: PkParams(1.5, True), DomainError, "k must be a positive finite real, got True"),
     (lambda: PochSpec(1.5, True, PK), DomainError, "n must be a non-negative integer, got True"),
     (lambda: PochSpec(1.5, False, PK), DomainError, "n must be a non-negative integer, got False"),
+    # numpy's bool is no number, and a numpy scalar must still be a finite positive real or a count
+    (lambda: PkParams(np.True_, 2), DomainError, "p must be a positive finite real, got np.True_"),
+    (lambda: PkParams(1.5, np.float64(math.nan)), DomainError, "k must be a positive finite real, got np.float64(nan)"),
+    (lambda: PkParams(np.float32(math.inf), 2), DomainError, "p must be a positive finite real, got np.float32(inf)"),
+    (lambda: PkParams(np.int64(0), 2), DomainError, "p must be a positive finite real, got np.int64(0)"),
+    (lambda: PkParams(1.5, 2j), DomainError, "k must be a positive finite real, got 2j"),
+    (lambda: PkParams(math.nan, 2), DomainError, "p must be a positive finite real, got nan"),
+    (lambda: PochSpec(1.5, np.False_, PK), DomainError, "n must be a non-negative integer, got np.False_"),
+    (lambda: PochSpec(1.5, np.int64(-1), PK), DomainError, "n must be a non-negative integer, got np.int64(-1)"),
+    (lambda: PochSpec(1.5, np.float64(2.0), PK), DomainError, "n must be a non-negative integer, got np.float64(2.0)"),
+    (lambda: PochSpec(1.5, "2", PK), DomainError, "n must be a non-negative integer, got '2'"),
     # _replace builds through the same checks
     (lambda: PkParams(1.5, 0.75)._replace(k=0.0), DomainError, "k must be a positive finite real, got 0.0"),
     (lambda: QuadratureSpec()._replace(max_refinements=0), DomainError, "max_refinements must be in 1..30"),

@@ -320,14 +320,29 @@ def _tail_gaps(N: float) -> tuple[float, float, float, float]:
     return 1.0 / (42.0 * N**7), 1.0 / (12.0 * N**6), 1.0 / (3.0 * N**5), 1.0 / (2.0 * N**5)
 
 
+def _kept(values: np.ndarray) -> np.ndarray:
+    """A read-only copy of ``values`` in an anonymous memory map of its own.
+
+    For arrays kept for the life of the process: in the malloc heap a kept
+    array splits the free block that the limit route's 3.2 MB transient
+    reuses, and the heap grows by that much for good.
+    """
+    import mmap
+
+    import numpy as np
+
+    out = np.frombuffer(mmap.mmap(-1, values.nbytes), dtype=values.dtype)
+    out[:] = values
+    out.flags.writeable = False
+    return out
+
+
 @lru_cache(maxsize=1)
 def _ramp(terms: int) -> np.ndarray:
     """n = 0, 1, ..., terms + 1 as floats, read-only: every product and psi-series route shares it."""
     import numpy as np
 
-    n = np.arange(terms + 2, dtype=float)
-    n.flags.writeable = False
-    return n
+    return _kept(np.arange(terms + 2, dtype=float))
 
 
 @lru_cache(maxsize=1)
@@ -335,9 +350,7 @@ def _log1p_recip(terms: int) -> np.ndarray:
     """log1p(1/n) for n = 1..terms, read-only: the z-free half of the Euler product's factors."""
     import numpy as np
 
-    out = np.log1p(1.0 / _ramp(terms)[1 : terms + 1])
-    out.flags.writeable = False
-    return out
+    return _kept(np.log1p(1.0 / _ramp(terms)[1 : terms + 1]))
 
 
 def _require_inside_tail(z: float, terms: int) -> None:

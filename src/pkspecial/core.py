@@ -115,7 +115,7 @@ class _ValueType:
 
 
 def _positive_real(name: str, v) -> float:
-    """v as a float, if it is a positive finite real number (a bool is none)."""
+    """v as a float, if it is a positive finite real number: numpy's scalars are, a bool is not."""
     if type(v) is float or type(v) is int or _is_real(v):
         f = float(v)
         if math.isfinite(f) and f > 0:

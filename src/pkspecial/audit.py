@@ -2,8 +2,8 @@
 
 Reports are deterministic single-line JSON: records are sorted by
 (identity_id, grid point), floats serialize via their shortest round-trip
-representation, and nothing time- or host-dependent enters the canonical body.  A JSON Schema for the
-report ships with the package.
+representation, and nothing time- or host-dependent enters the canonical body.
+``validate_report`` checks a report dict against that format.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import json
 import math
 from collections import namedtuple
 
-from .core import _ValueType
+from .core import DomainError, _ValueType
 
 __all__ = [
     "AuditReport",
@@ -20,7 +20,6 @@ __all__ = [
     "report_to_dict",
     "canonical_json",
     "write_report",
-    "load_schema",
     "validate_report",
 ]
 
@@ -125,26 +124,61 @@ def write_report(report: AuditReport, path: str) -> None:
         fh.write(canonical_json(report))
 
 
-def load_schema() -> dict:
-    from importlib import resources
-
-    text = resources.files("pkspecial").joinpath("report_schema.json").read_text("utf-8")
-    return json.loads(text)
+def _number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)  # NaN and inf are numbers
 
 
 def validate_report(report_dict: dict) -> None:
-    """Raise jsonschema.ValidationError if the dict violates the shipped schema.
+    """Raise DomainError naming the first path where report_dict breaks the format report_to_dict writes.
 
-    Test tooling: jsonschema comes with the ``test`` extra
-    (``pip install 'pkspecial[test]'``), not with the runtime install;
-    without it this raises ImportError.
+    Records and identity summaries have exactly the keys ``IdentityRecord._fields``
+    and ``SUMMARY_FIELDS``; a bool is no number, an integral float is an integer,
+    and a skipped record has a null ``lhs`` and null pass flags.
     """
-    try:
-        import jsonschema
-    except ImportError as exc:
-        raise ImportError("validate_report needs jsonschema, from the test extra: pip install 'pkspecial[test]'") from exc
+    from .records import SUMMARY_FIELDS, IdentityRecord
 
-    jsonschema.validate(report_dict, load_schema())
+    def need(ok: bool, path: str) -> None:
+        if not ok:
+            raise DomainError(f"audit report: bad {path}")
+
+    def keys(doc, fields, path: str) -> None:
+        need(isinstance(doc, dict) and doc.keys() == set(fields), path)
+
+    keys(report_dict, ("suite", "grid", "records", "summary"), "report")
+    need(isinstance(report_dict["suite"], str), "suite")
+    need(isinstance(report_dict["grid"], dict), "grid")
+    need(isinstance(report_dict["records"], list), "records")
+    for i, rec in enumerate(report_dict["records"]):
+        path = f"records[{i}]"
+        keys(rec, IdentityRecord._fields, path)
+        skipped = rec["skipped"]
+        need(isinstance(skipped, bool), f"{path}.skipped")
+        need(isinstance(rec["identity_id"], str), f"{path}.identity_id")
+        point = rec["grid_point"]
+        need(isinstance(point, dict) and all(map(_number, point.values())), f"{path}.grid_point")
+        for name in ("lhs", "rhs_printed", "rhs_corrected", "rel_err_printed", "rel_err_corrected"):
+            v = rec[name]
+            ok = (v is None or (name != "lhs" and _number(v))) if skipped else _number(v)
+            need(ok, f"{path}.{name}")
+        for name in ("printed_pass", "corrected_pass"):
+            need(rec[name] is None if skipped else isinstance(rec[name], bool), f"{path}.{name}")
+        need(rec["skip_reason"] is None or isinstance(rec["skip_reason"], str), f"{path}.skip_reason")
+    summary = report_dict["summary"]
+    keys(summary, ("identities", "all_corrected_pass"), "summary")
+    need(isinstance(summary["all_corrected_pass"], bool), "summary.all_corrected_pass")
+    need(isinstance(summary["identities"], dict), "summary.identities")
+    for key, s in summary["identities"].items():
+        path = f"summary.identities[{key!r}]"
+        keys(s, SUMMARY_FIELDS, path)
+        for name in ("count", "skipped"):
+            v = s[name]
+            need(_number(v) and v >= 0 and (isinstance(v, int) or v.is_integer()), f"{path}.{name}")
+        for name in ("max_rel_err_printed", "max_rel_err_corrected"):
+            need(s[name] is None or _number(s[name]), f"{path}.{name}")
+        for name in ("printed_pass_rate", "corrected_pass_rate"):
+            v = s[name]
+            need(_number(v) and not (v < 0 or v > 1), f"{path}.{name}")  # NaN compares false: it passes
+        need(s["verdict"] in ("ok", "corrected-only", "fail", "skipped"), f"{path}.verdict")
 
 
 def format_summary(report: AuditReport) -> str:

@@ -80,9 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("function", choices=tuple(ROUTES))
     _add_point_flags(ev)
     ev.add_argument("--method", default=None, help="evaluation route (per function)")
-    ev.add_argument("--form", default=None, help="integral/series form where applicable")
     ev.add_argument("--format", default="text", choices=("text", "json"))
-    ev.add_argument("--tol", type=float, default=1e-14, help="series stopping tolerance")
 
     au = sub.add_parser("audit", help="run an identity suite over a grid")
     au.add_argument("suite", choices=("pochhammer", "gamma", "beta", "psi", "hyper", "all"))
@@ -99,10 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
     tb.add_argument("function", choices=tuple(ROUTES))
     _add_point_flags(tb, sweep=True)
     tb.add_argument("--method", default=None)
-    tb.add_argument("--form", default=None)
     tb.add_argument("--format", default="csv", choices=("csv", "json"))
     tb.add_argument("--out", default=None)
-    tb.add_argument("--tol", type=float, default=1e-14)
     return parser
 
 
@@ -214,7 +210,7 @@ ROUTES = {
         "generalized": lambda a, pk, x: poch_generalized(_poch_spec(a, pk, x), a.q),
     },
     "hyper": {
-        "series": lambda a, pk, x: hyper_series(_hyper_params(a), x, tol=a.tol),
+        "series": lambda a, pk, x: hyper_series(_hyper_params(a), x),
         "integral": lambda a, pk, x: confluent_integral(_hyper_params(a), x),
     },
     "polygamma": {
@@ -228,9 +224,9 @@ _DOMAIN_ERRORS = (CliDomainError, PoleError, DomainError, DivergentInput, LowerP
 
 
 def _route(args) -> str:
-    """The route key: --form if given, else --method, else the function's default."""
+    """The route key: --method if given, else the function's default."""
     routes = ROUTES[args.function]
-    key = args.form or args.method or next(iter(routes))
+    key = args.method or next(iter(routes))
     if key not in routes:
         raise CliDomainError(f"{args.function} methods are {tuple(routes)}")
     return key
@@ -240,7 +236,11 @@ def _value_err(args, result) -> tuple[float, float | None]:
     """A route result as (value, abs_err); abs_err is None for a Gamma past the double range."""
     if isinstance(result, GammaEval):
         value = result.value
-        return value, abs(value) * result.abs_err_ln if math.isfinite(value) else None
+        if not math.isfinite(value):
+            return value, None
+        # the log's error moves the value by a factor exp(±abs_err_ln), and
+        # exp rounds by up to an ulp: 5e-324 where it underflows to 0
+        return value, abs(value) * math.expm1(result.abs_err_ln) + math.ulp(value)
     if isinstance(result, EvalReal):
         return result.value, result.abs_err
     # the Pochhammer routes return a bare float with no error estimate

@@ -117,7 +117,10 @@ class _ValueType:
 def _positive_real(name: str, v) -> float:
     """v as a float, if it is a positive finite real number: numpy's scalars are, a bool is not."""
     if type(v) is float or type(v) is int or _is_real(v):
-        f = float(v)
+        try:
+            f = float(v)
+        except OverflowError:  # an int past the double range
+            f = math.inf
         if math.isfinite(f) and f > 0:
             return f
     raise DomainError(f"{name} must be a positive finite real, got {v!r}")
@@ -202,7 +205,10 @@ _OFF_POLE = PoleReport(False, None)
 
 def pole_check(params: PkParams, x: float) -> PoleReport:
     """Detect whether x sits on the pole lattice {0, -k, -2k, ...}."""
-    q = x / params.k
+    try:
+        q = x / params.k
+    except OverflowError:  # an int x past the double range
+        q = math.inf
     if not math.isfinite(q):
         raise DomainError(f"x/k must be finite, got x={x!r}, k={params.k!r}")
     n = round(q)
@@ -365,7 +371,7 @@ def central_diff(f, x: float, h: float, order: int = 1) -> float:
         return (f(x + h) - f(x - h)) / (2.0 * h)
     if order == 2:
         return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
-    raise ValueError("order must be 1 or 2")
+    raise DomainError(f"order must be 1 or 2, got {order!r}")
 
 
 def richardson_diff(f, x: float, h: float = 1e-3) -> float:

@@ -59,7 +59,11 @@ class PochSpec(_ValueType, namedtuple("PochSpec", "x n params")):
         m = n if type(n) is int else _as_index(n)
         if m is None or m < 0:
             raise DomainError(f"n must be a non-negative integer, got {n!r}")
-        if not math.isfinite(x):
+        try:
+            finite = math.isfinite(x)
+        except OverflowError:  # an int past the double range
+            finite = False
+        if not finite:
             raise DomainError(f"x must be finite, got {x!r}")
         return tuple.__new__(cls, (x, m, params))
 
@@ -130,6 +134,9 @@ def poch_symmetric(spec: PochSpec) -> float:
     if spec.n < 1:
         raise DomainError("the symmetric expansion needs n >= 1")
     n = spec.n
+    if n >= 172:
+        # e_(n-1) = (n-1)! overflows, so the total is never finite: skip the O(n^2) table
+        return _noted(_symmetric_overflow(spec))
     p = spec.params.p
     z = spec.x / spec.params.k
     pn = _power(p, n)
@@ -146,16 +153,23 @@ def poch_symmetric(spec: PochSpec) -> float:
         if abs(total) < sys.float_info.min:
             raise DomainError(f"the symmetric expansion underflows at n={n}; use poch_ln")
     if not math.isfinite(total):
-        # terms leave the double range before the symbol does, and at x/k < 0
-        # overflowed terms of both signs sum to nan: only the symbol's own
-        # magnitude says whether a signed inf is the answer
-        ln, sign = poch_ln(spec)
-        if ln <= _LN_OVERFLOW:
-            raise DomainError(
-                f"symmetric expansion terms leave the double range at n={n}; use poch_direct"
-            )
-        total = sign * math.inf
+        total = _symmetric_overflow(spec)
     return _noted(total)
+
+
+def _symmetric_overflow(spec: PochSpec) -> float:
+    """The symbol's signed inf where the expansion's total is not finite, else DomainError.
+
+    Terms leave the double range before the symbol does, and at x/k < 0
+    overflowed terms of both signs sum to nan: only the symbol's own
+    magnitude says whether a signed inf is the answer.
+    """
+    ln, sign = poch_ln(spec)
+    if ln <= _LN_OVERFLOW:
+        raise DomainError(
+            f"symmetric expansion terms leave the double range at n={spec.n}; use poch_direct"
+        )
+    return sign * math.inf
 
 
 def poch_reduce(spec: PochSpec) -> float:
@@ -278,9 +292,17 @@ def poch_rescale(spec: PochSpec, s_new: float, mode: str) -> float:
     if mode == "2.8":
         return poch_direct(PochSpec(k * spec.x / s_new, spec.n, PkParams(p, k)))
     if mode == "2.9":
-        inner = poch_direct(PochSpec(k * spec.x / s_new, spec.n, PkParams(s_new, k)))
-        return (p / s_new) ** spec.n * inner
+        return _power_times_symbol(p / s_new, PochSpec(k * spec.x / s_new, spec.n, PkParams(s_new, k)))
     if mode == "2.10":
-        inner = poch_direct(PochSpec(spec.x, spec.n, PkParams(s_new, k)))
-        return (p / s_new) ** spec.n * inner
+        return _power_times_symbol(p / s_new, PochSpec(spec.x, spec.n, PkParams(s_new, k)))
     raise DomainError(f"mode must be one of {RESCALE_MODES}, got {mode!r}")
+
+
+def _power_times_symbol(ratio: float, spec: PochSpec) -> float:
+    """ratio**n times the symbol of spec, a signed inf past the double range."""
+    out = _power(ratio, spec.n) * poch_direct(spec)
+    if math.isnan(out):  # an overflowed power times an underflowed symbol, or the reverse
+        ln, sign = poch_ln(spec)
+        ln += spec.n * math.log(ratio)
+        out = sign * math.exp(ln) if ln <= _LN_OVERFLOW else sign * math.inf
+    return _noted(out)

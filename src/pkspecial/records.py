@@ -7,7 +7,7 @@ from collections import namedtuple
 
 from .core import _ValueType
 
-__all__ = ["IdentityRecord", "AuditSummary", "relative_error", "make_record", "skipped_record"]
+__all__ = ["IdentityRecord", "AuditSummary", "SUMMARY_FIELDS", "relative_error", "make_record", "skipped_record"]
 
 
 def relative_error(lhs: float, rhs: float) -> float:
@@ -85,8 +85,15 @@ def skipped_record(identity_id: str, grid_point: dict[str, float], reason: str) 
     )
 
 
+# the keys of one identity's summary in the report
+SUMMARY_FIELDS = (
+    "count", "skipped", "max_rel_err_printed", "max_rel_err_corrected",
+    "printed_pass_rate", "corrected_pass_rate", "verdict",
+)
+
+
 class AuditSummary:
-    """Per-identity aggregate over one audited grid."""
+    """Per-identity aggregate over one audited grid; the report keeps its ``SUMMARY_FIELDS``."""
 
     __slots__ = (
         "identity_id", "count", "skipped", "max_rel_err_printed", "max_rel_err_corrected",

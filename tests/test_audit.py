@@ -1,6 +1,9 @@
-"""Audit engine: determinism, schema conformance, summary bookkeeping."""
+"""Audit engine: determinism, report format, summary bookkeeping."""
 
+import copy
 import json
+import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +13,7 @@ import pytest
 from pkspecial import AuditGrid, DomainError, run_suite, validate_report
 from pkspecial.audit import canonical_json, report_to_dict, write_report
 from pkspecial.identities import CATALOG, catalog_for_suite
+from pkspecial.records import SUMMARY_FIELDS, IdentityRecord
 
 
 class TestEngine:
@@ -93,24 +97,20 @@ class TestReport:
         b = canonical_json(run_suite("psi", AuditGrid.small()))
         assert a == b
 
-    def test_schema_validation(self):
-        for suite in ("pochhammer", "gamma", "beta", "psi", "hyper"):
-            doc = report_to_dict(run_suite(suite, AuditGrid.small()))
-            validate_report(doc)
+    @pytest.mark.parametrize("grid", ["small", "default"])
+    def test_every_suite_report_is_valid(self, grid):
+        # the default-grid report of suite "all" is checked by test_criterion_9_cli_audit
+        suites = ("pochhammer", "gamma", "beta", "psi", "hyper") + (("all",) if grid == "small" else ())
+        for suite in suites:
+            validate_report(report_to_dict(run_suite(suite, getattr(AuditGrid, grid)())))
 
-    def test_schema_rejects_bad_docs(self):
-        import jsonschema
+    def test_report_keys_are_the_record_and_summary_fields(self):
+        doc = report_to_dict(run_suite("gamma", AuditGrid.small()))
+        assert set(doc) == {"suite", "grid", "records", "summary"}
+        assert all(tuple(r) == IdentityRecord._fields for r in doc["records"])
+        assert set(doc["summary"]) == {"identities", "all_corrected_pass"}
+        assert all(tuple(s) == SUMMARY_FIELDS for s in doc["summary"]["identities"].values())
 
-        doc = report_to_dict(run_suite("beta", AuditGrid.small()))
-        doc["records"][0]["identity_id"] = 42
-        with pytest.raises(jsonschema.ValidationError):
-            validate_report(doc)
-
-    def test_schema_validation_names_the_test_extra_without_jsonschema(self, monkeypatch):
-        doc = report_to_dict(run_suite("psi", AuditGrid.small()))
-        monkeypatch.setitem(sys.modules, "jsonschema", None)
-        with pytest.raises(ImportError, match=r"pkspecial\[test\]"):
-            validate_report(doc)
 
     def test_round_trip_file(self, tmp_path):
         rep = run_suite("hyper", AuditGrid.small())
@@ -157,3 +157,116 @@ class TestReport:
         doc["summary"]["identities"][ident]["verdict"] = "fail"
         new.write_text(json.dumps(doc))
         assert f"{ident} (verdict)" in diff().stdout
+
+
+# (path into a small gamma report, value or MISSING to delete the key, the path
+# the error names when it is not the edited one); records[0] is evaluated,
+# records[1] skipped, and "2.14" is a summary key
+MISSING = object()
+BAD_REPORTS = [
+    (("extra",), 1, "report"), (("suite",), None, None), (("suite",), 3, None), (("grid",), [], None),
+    (("records",), {}, None), (("records",), None, None), (("summary",), [], None),
+    (("summary", "all_corrected_pass"), 1, None), (("summary", "all_corrected_pass"), MISSING, "summary"),
+    (("summary", "identities"), [], None), (("summary", "extra"), True, "summary"),
+    (("records", 0), [], None), (("records", 0, "extra"), 1, "records[0]"),
+    (("summary", "identities", "9.9"), {}, None),
+    (("summary", "identities", "2.14", "extra"), 1, "summary.identities['2.14']"),
+]
+BAD_REPORTS += [((key,), MISSING, "report") for key in ("suite", "grid", "records", "summary")]
+for field in IdentityRecord._fields:
+    BAD_REPORTS.append((("records", 0, field), MISSING, "records[0]"))
+    BAD_REPORTS.append((("records", 1, field), [], None))
+for field in ("identity_id", "skipped", "grid_point"):
+    BAD_REPORTS += [(("records", 0, field), None, None), (("records", 0, field), 42.0, None)]
+BAD_REPORTS += [
+    (("records", 0, "identity_id"), 42, None), (("records", 0, "skipped"), 0, None),
+    (("records", 0, "grid_point", "x"), True, "records[0].grid_point"),
+    (("records", 0, "grid_point", "x"), "1", "records[0].grid_point"),
+    (("records", 0, "skip_reason"), 1, None), (("records", 1, "skip_reason"), False, None),
+]
+for field in ("lhs", "rhs_printed", "rhs_corrected", "rel_err_printed", "rel_err_corrected"):
+    BAD_REPORTS += [(("records", 0, field), v, None) for v in (None, True, "1.0", {})]
+    BAD_REPORTS.append((("records", 1, field), False, None))
+for field in ("printed_pass", "corrected_pass"):
+    BAD_REPORTS += [(("records", 0, field), v, None) for v in (None, 1, 0.0, "true")]
+    BAD_REPORTS += [(("records", 1, field), v, None) for v in (True, False, 0)]
+# the skipped invariants: a skipped record carries no lhs and no pass flags,
+# and an evaluated record carries all its numbers
+BAD_REPORTS += [(("records", 1, "lhs"), 1.0, None), (("records", 0, "skipped"), True, "records[0].lhs")]
+for field in SUMMARY_FIELDS:
+    BAD_REPORTS.append((("summary", "identities", "2.14", field), MISSING, "summary.identities['2.14']"))
+    BAD_REPORTS += [(("summary", "identities", "2.14", field), v, None) for v in (True, "1", [])]
+for field in ("count", "skipped"):
+    BAD_REPORTS += [(("summary", "identities", "2.14", field), v, None)
+                    for v in (None, -1, 2.5, math.nan, math.inf)]
+for field in ("printed_pass_rate", "corrected_pass_rate"):
+    BAD_REPORTS += [(("summary", "identities", "2.14", field), v, None)
+                    for v in (None, -0.5, 1.5, math.inf, -math.inf)]
+BAD_REPORTS += [(("summary", "identities", "2.14", "verdict"), v, None) for v in ("pass", None, 0)]
+
+# what the format admits beyond what the library writes
+GOOD_EDITS = [
+    (("summary", "identities", "2.14", "count"), 3.0),
+    (("summary", "identities", "2.14", "printed_pass_rate"), math.nan),
+    (("summary", "identities", "2.14", "max_rel_err_printed"), None),
+    (("records", 0, "lhs"), math.nan), (("records", 0, "rhs_printed"), 7),
+    (("records", 0, "skip_reason"), "unskipped records may say why"),
+    (("records", 1, "rhs_printed"), 1.0), (("records", 1, "rel_err_corrected"), 0.5),
+    (("grid",), {"anything": ["goes"]}), (("records",), []),
+]
+
+
+@pytest.fixture(scope="module")
+def small_gamma_doc():
+    doc = report_to_dict(run_suite("gamma", AuditGrid.small()))
+    evaluated = next(r for r in doc["records"] if not r["skipped"])
+    skipped = next(r for r in doc["records"] if r["skipped"])
+    doc["records"] = [evaluated, skipped]
+    return doc
+
+
+def _edited(doc, path, value):
+    doc = copy.deepcopy(doc)
+    *head, last = path
+    target = doc
+    for key in head:
+        target = target[key]
+    if value is MISSING:
+        del target[last]
+    else:
+        target[last] = value
+    return doc
+
+
+def _path_name(path) -> str:
+    """("records", 0, "lhs") as records[0].lhs, an identity key as summary.identities['2.14']."""
+    out = ""
+    for i, key in enumerate(path):
+        if isinstance(key, int):
+            out += f"[{key}]"
+        elif i == 2 and path[:2] == ("summary", "identities"):
+            out += f"[{key!r}]"
+        else:
+            out += f".{key}"
+    return out.lstrip(".")
+
+
+class TestValidateReport:
+    def test_the_base_document_is_valid(self, small_gamma_doc):
+        validate_report(small_gamma_doc)
+        assert small_gamma_doc["records"][1]["skipped"] and "2.14" in small_gamma_doc["summary"]["identities"]
+
+    @pytest.mark.parametrize("path, value, named", BAD_REPORTS)
+    def test_mutation_is_rejected_naming_its_path(self, small_gamma_doc, path, value, named):
+        named = named or _path_name(path)
+        with pytest.raises(DomainError, match=re.escape(f"bad {named}") + "$"):
+            validate_report(_edited(small_gamma_doc, path, value))
+
+    @pytest.mark.parametrize("doc", [None, [], "report", 1, True, {}])
+    def test_bad_top_level_shapes(self, doc):
+        with pytest.raises(DomainError, match="bad report$"):
+            validate_report(doc)
+
+    @pytest.mark.parametrize("path, value", GOOD_EDITS)
+    def test_what_the_format_admits(self, small_gamma_doc, path, value):
+        validate_report(_edited(small_gamma_doc, path, value))

@@ -49,6 +49,21 @@ class TestEval:
         assert doc["method"] == "closed"
         assert doc["inputs"]["p"] == 2.0
 
+    @pytest.mark.parametrize("x", ["3.5", "1.55"])
+    def test_gamma_claim_covers_exp_underflow(self, capsys, x):
+        # p = 1e-200: the value 3.3e-700 underflows to 0, and 1.2e-310 is subnormal
+        import mpmath as mp
+
+        truth = mp.mpf(1e-200) ** mp.mpf(x) * mp.gamma(mp.mpf(x))
+        for method in ("closed", "limit", "integral", "euler-product", "weierstrass"):
+            code, out, _ = run_cli(capsys, "eval", "gamma", "--p", "1e-200", "--x", x, "--method", method,
+                                   "--format", "json")
+            doc = json.loads(out)
+            assert code == 0 and abs(doc["value"] - truth) <= doc["abs_err"], (method, doc)
+        code, out, _ = run_cli(capsys, "table", "gamma", "--p", "1e-200", "--x", f"{x}:{x}:1")
+        value, abs_err = map(float, out.splitlines()[1].split(",")[1:])
+        assert code == 0 and abs(value - truth) <= abs_err
+
     def test_pole_is_domain_error(self, capsys):
         code, out, _ = run_cli(
             capsys, "eval", "gamma", "--k", "1", "--x", "-2", "--format", "json"
@@ -120,11 +135,11 @@ class TestEval:
         cases = (
             (("psi", "--x", "1.5", "--method", "limit"), "psi", ("closed", "3.9", "3.10")),
             (("polygamma", "--x", "1.5", "--method", "bogus"), "polygamma", ("series",)),
-            (("gamma", "--x", "1.5", "--form", "unit"), "gamma",
+            (("gamma", "--x", "1.5", "--method", "unit"), "gamma",
              ("closed", "limit", "integral", "euler-product", "weierstrass")),
-            (("hyper", "--x", "0.5", "--a", "1,1,1", "--b", "2,1,1", "--form", "3.9"), "hyper",
+            (("hyper", "--x", "0.5", "--a", "1,1,1", "--b", "2,1,1", "--method", "3.9"), "hyper",
              ("series", "integral")),
-            (("poch", "--x", "1.5", "--n", "3", "--form", "unit"), "poch",
+            (("poch", "--x", "1.5", "--n", "3", "--method", "unit"), "poch",
              ("direct", "symmetric", "reduce", "gamma-ratio", "generalized")),
         )
         for argv, fn, routes in cases:
@@ -265,7 +280,7 @@ class TestTable:
         (("gamma", "--k", "1"), "x", "168.5:173:0.5"),
         (("gamma", "--p", "3", "--k", "2", "--method", "weierstrass"), "x", "0.3:2.1:0.3"),
         (("psi", "--p", "2", "--k", "0.5"), "x", "-2.35:3.1:0.2"),
-        (("psi", "--p", "2", "--k", "0.5", "--form", "3.10"), "x", "0.5:3:0.5"),
+        (("psi", "--p", "2", "--k", "0.5", "--method", "3.10"), "x", "0.5:3:0.5"),
         (("beta", "--p", "2", "--k", "0.5", "--y", "2.5"), "x", "0.25:4:0.25"),
         (("beta", "--p", "2", "--k", "0.5", "--x", "1.5"), "y", "0.25:4:0.25"),
         (("poch", "--p", "2", "--k", "0.5", "--n", "4"), "x", "-2.35:3.1:0.2"),
@@ -466,7 +481,7 @@ class TestRouteTable:
         ]
         for form in ("unit", "symmetric", "semiaxis"):
             cases.append(
-                ((*bp, "--form", form), TestRouteTable.LINEAR_KEYS, "integral",
+                ((*bp, "--method", form), TestRouteTable.LINEAR_KEYS, "integral",
                  pk.beta_integral(bargs, form).value)
             )
 
@@ -478,7 +493,7 @@ class TestRouteTable:
         ]
         for form in ("3.9", "3.10"):
             cases.append(
-                (("psi", *gp, "--x", "1.3", "--form", form), TestRouteTable.LINEAR_KEYS, "series",
+                (("psi", *gp, "--x", "1.3", "--method", form), TestRouteTable.LINEAR_KEYS, "series",
                  psi_series(params, 1.3, form).value)
             )
 

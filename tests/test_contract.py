@@ -45,7 +45,7 @@ def _lu(rng: random.Random, half_width: float) -> float:
 def _draw(rng: random.Random, function: str):
     """(p, k, x, CLI args, truth) for one draw; the truth of gamma is ln G."""
     p, k, x = _lu(rng, 2.0), _lu(rng, 2.0), _lu(rng, 3.0)
-    args = argparse.Namespace(y=None, n=None, r=None, q=1, a=None, b=None, tol=1e-14)
+    args = argparse.Namespace(y=None, n=None, r=None, q=1, a=None, b=None)
     z = mp.mpf(x) / k
     if function == "gamma":
         truth = z * mp.log(p) + mp.loggamma(z) - mp.log(k)

@@ -191,7 +191,8 @@ class TestPoleCheck:
         assert pole_check(PkParams(1.0, k), -2.0 * k + 1e-10 * k).is_pole
         assert not pole_check(PkParams(1.0, k), -2.0 * k + 1e-7 * k).is_pole
 
-    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, pytest.param(10**400, id="int 1e400"),
+                                   pytest.param(-(10**400), id="int -1e400")])
     def test_non_finite_is_a_domain_error(self, x):
         with pytest.raises(DomainError):
             pole_check(PkParams(1.0, 2.0), x)
@@ -214,6 +215,11 @@ class TestDomainTypes:
             PkParams(1.0, -2.0)
         with pytest.raises(DomainError):
             PkParams(math.inf, 1.0)
+
+    def test_central_diff_order(self):
+        assert central_diff(lambda t: t**3, 2.0, 1e-3, order=2) == pytest.approx(12.0)
+        with pytest.raises(DomainError, match="order must be 1 or 2, got 3"):
+            central_diff(lambda t: t**3, 2.0, 1e-3, order=3)
 
     def test_eval_real_invariants(self):
         with pytest.raises(ValueError):

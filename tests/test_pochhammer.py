@@ -1,6 +1,7 @@
 """Pochhammer symbol: four routes, derivatives, rescalings, recurrences."""
 
 import math
+import sys
 import warnings
 from fractions import Fraction
 
@@ -26,8 +27,8 @@ from pkspecial import (
     poch_rescale,
     poch_symmetric,
 )
-from pkspecial.core import best_central_diff
-from pkspecial.pochhammer import _elementary_table, poch_dk_product
+from pkspecial.core import _LN_OVERFLOW, best_central_diff
+from pkspecial.pochhammer import _elementary_table, _power, poch_dk_product
 
 from conftest import GRID_KS, GRID_PS, GRID_XS
 
@@ -38,6 +39,25 @@ def spec(x, n, p, k):
 
 def point(x, n, p, k, **extra):
     return {"p": p, "k": k, "x": x, "n": n, **extra}
+
+
+def _symmetric_by_table(s):
+    """poch_symmetric's outcome, DomainError for a raise, summed over the full e_s table at every n."""
+    n, p, z = s.n, s.params.p, s.x / s.params.k
+    pn = _power(p, n)
+    scaled = pn < sys.float_info.min
+    e = _elementary_table(range(1, n), n - 1)
+    total = 0.0
+    for i in range(n):
+        total += (1.0 if scaled else pn) * e[i] * _power(z, n - i)
+    if scaled and total != 0.0:
+        total = total * _power(p, n // 2) * _power(p, n - n // 2)
+        if abs(total) < sys.float_info.min:
+            return DomainError
+    if not math.isfinite(total):
+        ln, sign = poch_ln(s)
+        return DomainError if ln <= _LN_OVERFLOW else sign * math.inf
+    return total
 
 
 class TestDirect:
@@ -133,6 +153,31 @@ class TestFourRoutes:
         for x, p in ((1.0, 0.01), (-25.0, 2.0)):
             with pytest.raises(DomainError):
                 poch_symmetric(spec(x, 300, p, 1.0))
+
+    @pytest.mark.parametrize("n", range(172, 181))
+    def test_symmetric_past_171_factorial_matches_the_full_table(self, n):
+        # from n = 172 on, e_(n-1) = (n-1)! is inf and the route skips the table;
+        # x = 0 and x/k < 0 make nan totals, a tiny or huge p a scaled or inf lead
+        assert _elementary_table(range(1, n), n - 1)[n - 1] == math.inf
+        for x in (0.0, -0.5, -25.5, 1.5):
+            for p in (1e-300, 2.0, 1e300):
+                s = spec(x, n, p, 1.0)
+                want = _symmetric_by_table(s)
+                with warnings.catch_warnings(record=True) as notes:
+                    warnings.simplefilter("always", OverflowNote)
+                    try:
+                        got = poch_symmetric(s)
+                    except DomainError:
+                        got = DomainError
+                assert got == want, (x, p)
+                assert len(notes) == (got is not DomainError), (x, p)
+
+    def test_symmetric_at_large_n_skips_the_table(self):
+        # with the table, n = 6,000 took 2.5 s and n = 100,000 did not finish
+        with pytest.warns(OverflowNote):
+            assert poch_symmetric(spec(1e300, 100_000, 1.0, 1.0)) == math.inf
+        with pytest.raises(DomainError):
+            poch_symmetric(spec(0.0, 100_000, 1.0, 1.0))
 
     def test_symmetric_subnormal_power_keeps_its_digits(self):
         # p^n is subnormal at n = 160 and zero at n = 170, while the symbol
@@ -257,6 +302,14 @@ class TestRescale:
     def test_bad_mode(self):
         with pytest.raises(DomainError):
             poch_rescale(spec(1, 1, 1, 1), 1.0, "2.11")
+
+    def test_power_past_the_double_range_is_signed_inf(self):
+        # (p/s_new)^400 = 1e1600; under "2.10" the symbol at step 1e-3 underflows to 0
+        for x, n, want in ((1.0, 400, math.inf), (-1.5, 401, -math.inf)):
+            with pytest.warns(OverflowNote):
+                assert poch_rescale(spec(x, n, 10.0, 1.0), 1e-3, "2.9") == want
+            with pytest.warns(OverflowNote):
+                assert poch_rescale(spec(x, n, 10.0, 1.0), 1e-3, "2.10") == math.inf
 
 
 class TestRecurrences:

@@ -208,3 +208,10 @@ def test_validation_errors(build, exc, message):
         build()
     assert type(info.value) is exc
     assert str(info.value) == message
+
+
+def test_an_int_past_the_double_range_is_no_finite_real():
+    with pytest.raises(DomainError, match="^p must be a positive finite real, got 1000"):
+        PkParams(10**400, 1)
+    with pytest.raises(DomainError, match="^x must be finite, got 1000"):
+        PochSpec(10**400, 2, PK)

@@ -14,8 +14,8 @@ hold the same ``perfbench/`` and ``BENCHMARK.json``.
 Writes ``BENCH_<short sha of HEAD>.json`` to the checkout root, one entry
 per workload (a later run adds its workload to the file): every pair's
 end-to-end metrics, each side's median and quartiles per metric, how many
-pairs the change won per metric (ties count for neither side), the versions
-and ``nproc``.  The run that creates the file also records, per side, the
+pairs the change won per metric (ties count for neither side), the versions,
+``nproc`` and whether ``PYTHONDONTWRITEBYTECODE`` was set.  The run that creates the file also records, per side, the
 line count of the ``*.py`` files under ``src/`` and the wall time and exit
 code of one tier-1 test run (``python -m pytest -q`` with ``src`` on the
 path); these are figures only and gate nothing.  A gain holds when the change won at least nine tenths of the
@@ -60,6 +60,14 @@ def _run(tree: str, workload: str, seed: int, seconds: float) -> dict:
     if "report_sha256" in result["detail"]:
         side["report_sha256"] = result["detail"]["report_sha256"]
     return {"side": side, "environment": result["environment"]}
+
+
+def recorded_environment(run_environment: dict, env) -> dict:
+    """The versions, ``nproc`` and machine a run reports, and whether ``PYTHONDONTWRITEBYTECODE`` was
+    set in ``env``: without bytecode every timed process compiles the package."""
+    out = {key: run_environment[key] for key in ("python", "numpy", "scipy", "mpmath", "nproc", "machine")}
+    out["PYTHONDONTWRITEBYTECODE"] = bool(env.get("PYTHONDONTWRITEBYTECODE"))
+    return out
 
 
 def src_lines(tree: str) -> int:
@@ -157,7 +165,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"pair {i + 1}/{args.pairs} seed {seed}: op_p50_ms parent {pair['parent']['op_p50_ms']:.1f}"
                   f" change {pair['change']['op_p50_ms']:.1f}", flush=True)
 
-    doc["environment"] = {key: environment[key] for key in ("python", "numpy", "scipy", "mpmath", "nproc", "machine")}
+    doc["environment"] = recorded_environment(environment, os.environ)
     entry = {"run_seconds": seconds, "pairs": pairs, "metrics": summarize(pairs, bench["end_to_end"])}
     doc["workloads"][args.workload] = entry
     with open(out, "w", encoding="utf-8") as fh:

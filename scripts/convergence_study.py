@@ -1,18 +1,17 @@
 #!/usr/bin/env python3
 """Convergence study for the slow Gamma evaluators: accuracy next to cost.
 
-Sweeps the truncation index for the defining limit (raw and Richardson) and
-the three corrected product forms at one (p, k, x) point, and emits a
-plot-ready CSV of log-space absolute errors against the closed form, then
-the median microseconds per call of each route:
+Sweeps the index n of the defining limit (raw and Richardson) at one
+(p, k, x) point, and reports each of the three product forms once, at its
+own lattice size N (32 terms summed plus an exact tail; more at negative
+x/k), since a product has no index left to sweep.  Emits one plot-ready CSV
+row per (route, index): the log-space absolute error against the closed
+form and the median microseconds per call:
 
-    n,limit_raw,limit_richardson,euler_product,weierstrass,limit_product_recip,
-      limit_raw_us,limit_richardson_us,euler_product_us,weierstrass_us,limit_product_recip_us
+    route,n,abs_err_ln,us
 
-Each timed call runs with every lattice-sum memo cleared first, so it pays
-for its own pass as a lone call does (a product route alone also computes
-the sums of its two sibling forms); the z-free arrays, built once per n,
-are warm.
+Each timed call of the limit route runs with its lattice-sum memo cleared
+first, so it pays for its own pass as a lone call does.
 
 Usage:
     python scripts/convergence_study.py [--p 2.0] [--k 0.5] [--x 2.5] [--out -]
@@ -30,27 +29,28 @@ from pkspecial import (
     gamma_limit,
     gamma_weierstrass_recip,
 )
-from pkspecial import betapsi, gamma
+from pkspecial import core, gamma
 from pkspecial.gamma import gamma_limit_product_recip
 
 # route name -> (call at index n, whether it returns the reciprocal)
-ROUTES = {
+LIMIT_ROUTES = {
     "limit_raw": (lambda pk, x, n: gamma_limit(pk, x, n, accelerate=False), False),
     "limit_richardson": (lambda pk, x, n: gamma_limit(pk, x, n, accelerate=True), False),
-    "euler_product": (lambda pk, x, n: gamma_euler_product(pk, x, terms=n), False),
-    "weierstrass": (lambda pk, x, n: gamma_weierstrass_recip(pk, x, terms=n), True),
-    "limit_product_recip": (lambda pk, x, n: gamma_limit_product_recip(pk, x, terms=n), True),
 }
-LATTICE_MEMOS = (gamma._limit_sums, gamma._product_sums, betapsi._psi_lattice_sums)
+# route name -> (call, whether it returns the reciprocal)
+PRODUCT_ROUTES = {
+    "euler_product": (gamma_euler_product, False),
+    "weierstrass": (gamma_weierstrass_recip, True),
+    "limit_product_recip": (gamma_limit_product_recip, True),
+}
 REPEATS = 7
 
 
 def lone_call_us(call) -> float:
-    """Median microseconds of ``call()`` over REPEATS runs, every lattice-sum memo cleared before each."""
+    """Median microseconds of ``call()`` over REPEATS runs, the limit route's memo cleared before each."""
     times = []
     for _ in range(REPEATS):
-        for memo in LATTICE_MEMOS:
-            memo.cache_clear()
+        gamma._limit_sums.cache_clear()
         start = time.perf_counter()
         call()
         times.append(time.perf_counter() - start)
@@ -68,16 +68,20 @@ def main() -> int:
     params = PkParams(args.p, args.k)
     truth = gamma_closed(params, args.x).ln_value
 
+    def row(name, n, call, reciprocal):
+        ln = call().ln_value
+        err = abs((-ln if reciprocal else ln) - truth)
+        return f"{name},{n},{err:.6e},{lone_call_us(call):.1f}"
+
     out = sys.stdout if args.out == "-" else open(args.out, "w", encoding="utf-8")
     try:
-        print(",".join(["n", *ROUTES, *(f"{name}_us" for name in ROUTES)]), file=out)
+        print("route,n,abs_err_ln,us", file=out)
         for n in (64, 256, 1024, 4096, 16384, 65536):
-            errs, costs = [], []
-            for route, reciprocal in ROUTES.values():
-                ln = route(params, args.x, n).ln_value
-                errs.append(abs((-ln if reciprocal else ln) - truth))
-                costs.append(lone_call_us(lambda: route(params, args.x, n)))
-            print(",".join([str(n), *(f"{e:.6e}" for e in errs), *(f"{c:.1f}" for c in costs)]), file=out)
+            for name, (route, reciprocal) in LIMIT_ROUTES.items():
+                print(row(name, n, lambda: route(params, args.x, n), reciprocal), file=out)
+        size = core._lattice_terms(args.x / args.k)
+        for name, (route, reciprocal) in PRODUCT_ROUTES.items():
+            print(row(name, size, lambda: route(params, args.x), reciprocal), file=out)
     finally:
         if out is not sys.stdout:
             out.close()

@@ -8,10 +8,9 @@ derivative of the family Gamma,
     psi(x) = d/dx log G(x) = log(p)/k + digamma(x/k)/k,
 
 and all series and polygamma forms below carry the same 1/k normalization
-so that they are derivatives of one another.  The two psi-series forms
-share one memoised pass, _psi_lattice_sums(x, k, terms), which builds
-x + nk once over core._ramp, the read-only ramp n = 0..terms+1 that the
-Gamma product routes use too.
+so that they are derivatives of one another.  The two psi-series forms sum
+their first 32 terms in plain Python and add the rest exactly, as a
+difference of digammas from the psi asymptotic series (core._digamma_step).
 """
 
 from __future__ import annotations
@@ -19,20 +18,14 @@ from __future__ import annotations
 import math
 import warnings
 from collections import namedtuple
-from functools import lru_cache
 
 from .core import (
     _EPS,
-    _MEMO_SIZE,
     _PSI_ASYMPTOTIC,
+    _TAIL_GAP,
     _digamma_array,
-    _ramp,
-    _require_inside_tail,
-    _tail_s2,
-    _tail_s3,
-    _tail_s4,
-    _tail_s5,
-    _tail_gaps,
+    _digamma_step,
+    _lattice_terms,
     _ValueType,
     EULER_GAMMA,
     DomainError,
@@ -153,75 +146,43 @@ def psi_printed(params: PkParams, x: float) -> float:
     return math.log(params.p) / params.k + digamma_classical(x / params.k)
 
 
-def psi_series(params: PkParams, x: float, form: str = "3.9", terms: int = 100_000) -> EvalReal:
-    """Series route for psi, 1/k-normalized, with analytic tail corrections.
+def psi_series(params: PkParams, x: float, form: str = "3.9") -> EvalReal:
+    """Series route for psi, 1/k-normalized, with an exact tail.
 
     form "3.9":  log(p)/k - g/k - 1/x + (x/k) sum_{n>=1} 1/(n (x+nk))
     form "3.10": log(p)/k - g/k + ((x-k)/k) sum_{n>=0} 1/((n+1)(x+nk))
 
-    Raw truncation converges like 1/N; the Euler-Maclaurin tails of the
-    expansion in x/(nk) for n > terms, which needs x/k < terms, leave
-    O((x/k)^5/N^5).  abs_err bounds what they leave (the first term each tail
-    sum drops and the n^-6 term of the expansion) plus the rounding,
-    4 eps times the sum of the parts' magnitudes.
+    The first N = 32 terms are summed directly, smallest first.  Past them
+    the 3.9 series sums to psi(N+1+w) - psi(N+1) and the 3.10 series to
+    psi(N+1+w) - psi(N+2), both over k with w = x/k: core._digamma_step adds
+    them.  abs_err is eps times the magnitudes summed, the partial sums
+    included, plus what the psi series leaves out.  Requires
+    x/k < core._LATTICE_Z_MAX.
     """
     if not (math.isfinite(x) and x > 0):
         raise DomainError(f"psi_series requires x > 0, got {x!r}")
-    if not (isinstance(terms, int) and terms >= 10):
-        raise DomainError(f"terms must be an integer >= 10, got {terms!r}")
     if form not in PSI_SERIES_FORMS:
         raise DomainError(f"form must be one of {PSI_SERIES_FORMS}, got {form!r}")
     p, k = params.p, params.k
-    _require_inside_tail(x / k, terms)
-    N = float(terms)
-    base = math.log(p) / k - EULER_GAMMA / k
-    s39, s310 = _psi_lattice_sums(x, k, terms)
-    s = s39 if form == "3.9" else s310
     w = x / k
-    g2, g3, g4, g5 = _tail_gaps(N)
+    N = _lattice_terms(w)
+    base = math.log(p) / k - EULER_GAMMA / k
+    s = partials = 0.0
     if form == "3.9":
-        # terms expand as (1/k n^2)(1 - w/n + w^2/n^2 - ...)
-        tail = (
-            _tail_s2(N) / k
-            - x / k**2 * _tail_s3(N)
-            + x**2 / k**3 * _tail_s4(N)
-            - x**3 / k**4 * _tail_s5(N)
-        )
-        scale, head = w, base - 1.0 / x
-        # the expansion drops at most w^4 sum_{n>N} n^-6 < w^4 / (5 N^5)
-        gap = g2 + w * g3 + w**2 * g4 + w**3 * g5 + w**4 / (5.0 * N**5)
+        for n in range(N, 0, -1):  # smallest first
+            s += 1.0 / (n * (x + n * k))
+            partials += s
+        scale, head, tail = w, base - 1.0 / x, _digamma_step(N + 1.0, w) / k
     else:
-        # terms expand as (1/k n^2)(1 - h1/n + h2/n^2 - ...), h_j = 1 + w + ... + w^j
-        h1 = 1.0 + w
-        h2 = 1.0 + w + w * w
-        h3 = 1.0 + w + w * w + w**3
-        tail = _tail_s2(N) / k - h1 / k * _tail_s3(N) + h2 / k * _tail_s4(N) - h3 / k * _tail_s5(N)
-        scale, head = (x - k) / k, base
-        # the expansion drops at most h4 sum_{n>N} n^-6 < h4 / (5 N^5)
-        gap = g2 + h1 * g3 + h2 * g4 + h3 * g5 + (h3 + w**4) / (5.0 * N**5)
-    v = head + scale * (s + tail)
-    parts = (abs(math.log(p)) + EULER_GAMMA) / k + abs(head) + abs(scale * (s + tail))
-    err = abs(scale) * gap / k + 4.0 * _EPS * parts
+        for n in range(N, -1, -1):
+            s += 1.0 / ((n + 1) * (x + n * k))
+            partials += s
+        scale = (x - k) / k
+        head, tail = base, _digamma_step(N + 2.0, scale) / k
+    v = head + scale * s + tail
+    parts = 2.0 * abs(math.log(p)) / k + EULER_GAMMA / k + abs(head) + abs(scale) * (3.0 * s + partials)
+    err = _EPS * (parts + 2.0 * abs(tail) + abs(v)) + _TAIL_GAP * (1.0 + abs(scale)) / k
     return EvalReal(value=v, abs_err=err, method=Method.SERIES)
-
-
-@lru_cache(maxsize=_MEMO_SIZE)
-def _psi_lattice_sums(x: float, k: float, terms: int) -> tuple[float, float]:
-    """sum_{n=1..terms} 1/(n (x + nk)) ("3.9") and sum_{n=0..terms} 1/((n+1)(x + nk)) ("3.10").
-
-    Both from one x + nk array, each sum smallest terms first.
-    """
-    import numpy as np
-
-    n = _ramp(terms)
-    t = n[: terms + 1] * k
-    t += x
-    d = n[1 : terms + 1] * t[1:]
-    np.divide(1.0, d, out=d)
-    s39 = float(np.sum(d[::-1]))
-    t *= n[1 : terms + 2]
-    np.divide(1.0, t, out=t)
-    return s39, float(np.sum(t[::-1]))
 
 
 def ln_gamma_via_psi(params: PkParams, x: float) -> EvalReal:
@@ -289,21 +250,35 @@ def k_zeta(x: float, r: int, k: float, terms: int = 12) -> EvalReal:
 def polygamma(params: PkParams, x: float, r: int) -> EvalReal:
     """r-th derivative of log G: (-1)^r (r-1)! zeta_k(x, r); independent of p.
 
-    Orders past 171 are rejected: (r-1)! no longer fits in a double.  Past
-    the double range the value is a signed inf, with an OverflowNote.
+    zeta_k(x, r) = x^-r zeta_{k/x}(1, r): the scaled lattice sum is at least
+    1, and (r-1)! x^-r is applied through binary exponents, so the value
+    underflows or overflows only as a whole.  Orders past 171 are rejected:
+    (r-1)! no longer fits in a double.  Past the double range the value is a
+    signed inf, with an OverflowNote.
     """
     if not (isinstance(r, int) and 2 <= r <= 171):
         raise DomainError(f"r must be an integer in [2, 171], got {r!r}")
     if not (math.isfinite(x) and x > 0):
         raise DomainError(f"x must be a positive real, got {x!r}")
-    z = k_zeta(x, r, params.k)
-    coeff = (-1.0) ** r * math.factorial(r - 1)
-    value = coeff * z.value
+    q = params.k / x
+    if q == 0.0:
+        raise DomainError(f"x/k must be finite, got x={x!r}, k={params.k!r}")
+    # past k/x = 1e300 every term but the first is below 1e-600: the sum is 1.0 exactly
+    z = k_zeta(1.0, r, min(q, 1e300))
+    sign = (-1.0) ** r
+    (fm, fe), (zm, ze), (xm, xe) = math.frexp(math.factorial(r - 1)), math.frexp(z.value), math.frexp(x)
+    try:
+        value = sign * math.ldexp(fm * zm * xm**-r, fe + ze - r * xe)
+    except OverflowError:
+        value = sign * math.inf
     if math.isinf(value):
         if math.isfinite(z.value):
             warnings.warn(f"polygamma({x}, {r}) overflows double precision", OverflowNote, stacklevel=2)
         return EvalReal(value=value, abs_err=math.inf, method=Method.SERIES)
-    return EvalReal(value=value, abs_err=abs(coeff) * z.abs_err, method=Method.SERIES)
+    # the sum's own claim, eps r/2 for the rounding of k/x, eps each for xm^-r and the two
+    # products, and half a spacing where the value lands below the normal range
+    err = abs(value) * (z.abs_err / z.value + _EPS * (r + 2)) + math.ulp(0.0)
+    return EvalReal(value=value, abs_err=err, method=Method.SERIES)
 
 
 def polygamma_printed(params: PkParams, x: float, r: int) -> float:

@@ -44,6 +44,7 @@ from .pochhammer import (
     poch_direct,
     poch_gamma_ratio,
     poch_generalized,
+    poch_ln,
     poch_reduce,
     poch_symmetric,
 )
@@ -238,20 +239,41 @@ def _value_err(args, result) -> tuple[float, float | None]:
         value = result.value
         if not math.isfinite(value):
             return value, None
+        try:
+            spread = math.expm1(result.abs_err_ln)
+        except OverflowError:  # a claim past e^709.78 bounds no linear value
+            return value, math.inf
         # the log's error moves the value by a factor exp(±abs_err_ln), and
         # exp rounds by up to an ulp: 5e-324 where it underflows to 0
-        return value, abs(value) * math.expm1(result.abs_err_ln) + math.ulp(value)
+        return value, abs(value) * spread + math.ulp(value)
     if isinstance(result, EvalReal):
         return result.value, result.abs_err
     # the Pochhammer routes return a bare float with no error estimate
     return result, abs(result) * 1e-15 * (args.n + 1)
 
 
+def _log_doc(args, key: str, params: PkParams, x: float, result) -> dict:
+    """ln_value and sign of a Gamma or Pochhammer result (for the latter from poch_ln), else nothing."""
+    if isinstance(result, GammaEval):
+        return {"ln_value": result.ln_value, "sign": result.sign}
+    if args.function != "poch":
+        return {}
+    count = args.n * args.q if key == "generalized" else args.n
+    ln, sign = poch_ln(PochSpec(x, count, params))
+    return {"ln_value": ln, "sign": sign}
+
+
+def _finite(doc: dict) -> dict:
+    """doc with each non-finite number as None: RFC 8259 JSON has no NaN or Infinity."""
+    return {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in doc.items()}
+
+
 def _cmd_eval(args) -> int:
     try:
         x = _require(args, "x")
         key = _route(args)
-        result = ROUTES[args.function][key](args, PkParams(args.p, args.k), x)
+        params = PkParams(args.p, args.k)
+        result = ROUTES[args.function][key](args, params, x)
     except _DOMAIN_ERRORS as exc:
         reason = getattr(exc, "reason", str(exc))
         if args.format == "json":
@@ -261,25 +283,22 @@ def _cmd_eval(args) -> int:
         return EXIT_DOMAIN
     value, abs_err = _value_err(args, result)
     method = result.method.value if isinstance(result, (GammaEval, EvalReal)) else key
-    doc = {"value": value, "abs_err": abs_err, "method": method}
-    if isinstance(result, GammaEval):  # past the double range: only the log and the sign
-        doc.update(value=None if abs_err is None else value, ln_value=result.ln_value,
-                   sign=result.sign)
+    doc = {"value": value, "abs_err": abs_err, "method": method, **_log_doc(args, key, params, x, result)}
     inputs = {"function": args.function, "p": args.p, "k": args.k, "x": x}
     for extra in ("y", "n", "r"):
         v = getattr(args, extra)
         if v is not None:
             inputs[extra] = float(v) if extra == "y" else v
     if args.format == "json":
-        print(json.dumps({**doc, "inputs": inputs}, sort_keys=True))
+        print(json.dumps(_finite({**doc, "inputs": inputs}), sort_keys=True, allow_nan=False))
     else:
-        if doc["value"] is None:
+        if math.isinf(value) and "ln_value" in doc:  # past the double range: the log and the sign
             print(f"value   = overflow; ln|value| = {doc['ln_value']:.17g}, sign {doc['sign']:+d}")
         else:
-            print(f"value   = {doc['value']:.17g}")
-        if abs_err is not None:
+            print(f"value   = {value:.17g}")
+        if abs_err is not None and math.isfinite(abs_err):
             print(f"abs_err = {abs_err:.3g}")
-        print(f"method  = {doc['method']}")
+        print(f"method  = {method}")
     return EXIT_OK
 
 
@@ -351,10 +370,11 @@ def _cmd_table(args) -> int:
         print(f"error: {exc.reason}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        route = ROUTES[args.function][_route(args)]
+        key = _route(args)
     except CliDomainError as exc:
         print(f"error: {exc.reason}", file=sys.stderr)
         return EXIT_DOMAIN
+    route = ROUTES[args.function][key]
     csv = args.format == "csv"
     rows = ["x,value,abs_err\n"] if csv else []
     v = values[0]
@@ -363,10 +383,14 @@ def _cmd_table(args) -> int:
         params = PkParams(args.p, args.k)
         for v in values:
             setattr(args, sweep_var, v)  # the beta adapter reads args.y
-            value, err = _value_err(args, route(args, params, x if sweep_var == "y" else v))
-            err = err or 0.0  # a Gamma past the double range: signed inf, abs_err 0
-            rows.append(f"{v:.17g},{value:.17g},{err:.17g}\n" if csv
-                        else {"x": v, "value": value, "abs_err": err})
+            at = x if sweep_var == "y" else v
+            result = route(args, params, at)
+            value, err = _value_err(args, result)
+            if csv:
+                err = err or 0.0  # a Gamma past the double range: signed inf, abs_err 0
+                rows.append(f"{v:.17g},{value:.17g},{err:.17g}\n")
+            else:
+                rows.append({"x": v, "value": value, "abs_err": err, **_log_doc(args, key, params, at, result)})
     except _DOMAIN_ERRORS as exc:
         reason = getattr(exc, "reason", str(exc))
         print(f"error at {sweep_var}={v}: {reason}", file=sys.stderr)
@@ -377,7 +401,7 @@ def _cmd_table(args) -> int:
         print(f"error: cannot open output: {exc}", file=sys.stderr)
         return EXIT_IO
     try:
-        out.writelines(rows if csv else [json.dumps(rows) + "\n"])
+        out.writelines(rows if csv else [json.dumps([_finite(r) for r in rows], allow_nan=False) + "\n"])
     finally:
         if out is not sys.stdout:
             out.close()

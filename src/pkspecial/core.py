@@ -18,7 +18,6 @@ import enum
 import math
 import warnings
 from collections import namedtuple
-from functools import lru_cache
 
 __all__ = [
     "EULER_GAMMA",
@@ -53,13 +52,9 @@ _LN_OVERFLOW = 709.782712893384
 
 _EPS = 2.220446049250313e-16
 
-# Entries kept by each memoised lattice sum of the limit, product and psi-series
-# routes.  The sums do not depend on p, so an audit sweep over p reuses them; one
-# sweep holds 24 (k, x) points per p.  One entry of gamma._product_sums serves
-# all three product routes at its z = x/k, and one of betapsi._psi_lattice_sums
-# both psi-series forms at its (x, k).  The z-free arrays those two kernels
-# share, _ramp and _log1p_recip below, are kept for one terms at a time: about
-# 1.6 MB for as long as the process lives at the default terms = 100,000.
+# Entries kept by gamma._limit_sums, the memoised lattice sums of the limit
+# route.  The sums do not depend on p, so an audit sweep over p reuses them;
+# one sweep holds 24 (k, x) points per p.
 _MEMO_SIZE = 128
 
 
@@ -260,6 +255,27 @@ def ln_gamma_classical(z: float) -> GammaEval:
 _PSI_ASYMPTOTIC = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12)
 _PSI_SHIFT = 10.0
 _PSI_HORNER = _PSI_ASYMPTOTIC[::-1]
+# B_2j / (2j (2j-1)), the coefficients of Stirling's series
+# ln Gamma(z) ~ (z - 1/2) ln z - z + ln(2 pi)/2 + sum_j B_2j / (2j (2j-1) z^(2j-1))   (DLMF 5.11.1).
+_STIRLING_HORNER = tuple(c / (2 * j - 1) for j, c in enumerate(_PSI_ASYMPTOTIC, 1))[::-1]
+
+
+def _psi_tail(u: float) -> float:
+    """sum_j B_2j / (2j u^2j), j = 1..7: the Bernoulli part of the psi series at u."""
+    w = 1.0 / (u * u)
+    tail = 0.0
+    for c in _PSI_HORNER:
+        tail = tail * w + c
+    return tail * w
+
+
+def _stirling_tail(u: float) -> float:
+    """sum_j B_2j / (2j (2j-1) u^(2j-1)), j = 1..7: the Bernoulli part of Stirling's series at u."""
+    w = 1.0 / (u * u)
+    tail = 0.0
+    for c in _STIRLING_HORNER:
+        tail = tail * w + c
+    return tail / u
 
 
 def digamma_classical(z: float) -> float:
@@ -282,11 +298,7 @@ def digamma_classical(z: float) -> float:
     while z < _PSI_SHIFT:
         shift += 1.0 / z
         z += 1.0
-    w = 1.0 / (z * z)
-    tail = 0.0
-    for c in _PSI_HORNER:
-        tail = tail * w + c
-    return math.log(z) - 0.5 / z - tail * w - shift - reflect
+    return math.log(z) - 0.5 / z - _psi_tail(z) - shift - reflect
 
 
 def _digamma_array(z: np.ndarray) -> np.ndarray:
@@ -304,65 +316,44 @@ def _digamma_array(z: np.ndarray) -> np.ndarray:
     return np.log(z) - 0.5 / z - tail - shift
 
 
-# Sums over n > N of n^-s, by Euler-Maclaurin, for the product and series tails.
-def _tail_s2(N: float) -> float:
-    return 1.0 / N - 1.0 / (2.0 * N**2) + 1.0 / (6.0 * N**3) - 1.0 / (30.0 * N**5)
+# The product and psi-series routes sum the lattice n = 1..N directly, with
+# N = _LATTICE_TERMS + ceil(max(0, -z)) at z = x/k, and add the rest past n = N
+# exactly through _ln_gamma_step or _digamma_step, whose arguments are then
+# all at least 33.  Their domain is |z| < _LATTICE_Z_MAX, which also bounds
+# the loop at negative z.
+_LATTICE_TERMS = 32
+_LATTICE_Z_MAX = 100_000.0
+# What the two series leave out at arguments u >= 33: Stirling's next term,
+# |B_16| / (16*15 u^15), at both ends, which bounds the psi series' next term,
+# |B_16| / (16 u^16), at both ends too.
+_TAIL_GAP = 2.0 * 3617.0 / 122400.0 * 33.0**-15
 
 
-def _tail_s3(N: float) -> float:
-    return 1.0 / (2.0 * N**2) - 1.0 / (2.0 * N**3) + 1.0 / (4.0 * N**4)
+def _lattice_terms(z: float) -> int:
+    """N, the number of lattice terms summed at z = x/k; DomainError past |z| < _LATTICE_Z_MAX."""
+    if not abs(z) < _LATTICE_Z_MAX:
+        raise DomainError(f"|x/k| must be below {_LATTICE_Z_MAX:.0f}, got {abs(z)!r}")
+    return _LATTICE_TERMS + math.ceil(max(0.0, -z))
 
 
-def _tail_s4(N: float) -> float:
-    return 1.0 / (3.0 * N**3) - 1.0 / (2.0 * N**4)
+def _ln_gamma_step(a: float, z: float) -> float:
+    """ln Gamma(a + z) - ln Gamma(a) - z ln a, for a and a + z at least 33.
 
-
-def _tail_s5(N: float) -> float:
-    return 1.0 / (4.0 * N**4)
-
-
-def _tail_gaps(N: float) -> tuple[float, float, float, float]:
-    """|first term| that _tail_s2.._tail_s5 leave out: it bounds their error, n^-s being completely monotone."""
-    return 1.0 / (42.0 * N**7), 1.0 / (12.0 * N**6), 1.0 / (3.0 * N**5), 1.0 / (2.0 * N**5)
-
-
-def _kept(values: np.ndarray) -> np.ndarray:
-    """A read-only copy of ``values`` in an anonymous memory map of its own.
-
-    For arrays kept for the life of the process: in the malloc heap a kept
-    array splits the free block that the limit route's 3.2 MB transient
-    reuses, and the heap grows by that much for good.
+    Stirling's series at both ends: (a+z-1/2) log1p(z/a) - z plus the
+    Bernoulli parts; it errs by at most _TAIL_GAP.
     """
-    import mmap
-
-    import numpy as np
-
-    out = np.frombuffer(mmap.mmap(-1, values.nbytes), dtype=values.dtype)
-    out[:] = values
-    out.flags.writeable = False
-    return out
+    b = a + z
+    return (b - 0.5) * math.log1p(z / a) - z + _stirling_tail(b) - _stirling_tail(a)
 
 
-@lru_cache(maxsize=1)
-def _ramp(terms: int) -> np.ndarray:
-    """n = 0, 1, ..., terms + 1 as floats, read-only: every product and psi-series route shares it."""
-    import numpy as np
+def _digamma_step(a: float, w: float) -> float:
+    """psi(a + w) - psi(a), for a and a + w at least 33.
 
-    return _kept(np.arange(terms + 2, dtype=float))
-
-
-@lru_cache(maxsize=1)
-def _log1p_recip(terms: int) -> np.ndarray:
-    """log1p(1/n) for n = 1..terms, read-only: the z-free half of the Euler product's factors."""
-    import numpy as np
-
-    return _kept(np.log1p(1.0 / _ramp(terms)[1 : terms + 1]))
-
-
-def _require_inside_tail(z: float, terms: int) -> None:
-    """The tails above expand in z/n for n > terms, which needs |z| < terms."""
-    if not abs(z) < terms:
-        raise DomainError(f"|x/k| must be below terms = {terms}, got {abs(z)!r}")
+    The psi series at both ends: log1p(w/a) + w/(2a(a+w)) less the
+    Bernoulli parts; it errs by at most _TAIL_GAP.
+    """
+    b = a + w
+    return math.log1p(w / a) + w / (2.0 * a * b) - _psi_tail(b) + _psi_tail(a)
 
 
 def central_diff(f, x: float, h: float, order: int = 1) -> float:

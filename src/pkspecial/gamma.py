@@ -4,18 +4,14 @@ Closed form:  G(x) = p**(x/k) * Gamma(x/k) / k.
 
 The limit, integral, and infinite-product evaluators approach the same
 value by entirely different routes, which is what makes the identity audit
-meaningful.  The product forms carry analytically derived tail corrections:
-their raw partial products converge like 1/N, far too slowly for the
-accuracy targets at any affordable N.
+meaningful.  The raw partial products converge like 1/N, far too slowly for
+the accuracy targets at any affordable N, so each product route sums its
+first N = 32 + ceil(max(0, -x/k)) factors directly and adds the rest
+exactly: past n = N their logs sum to a difference of log-gammas, which
+Stirling's series (core._ln_gamma_step) gives to double precision.
 
-All evaluators work in log space with an explicit sign channel.
-
-The three product routes share their array work: one memoised pass,
-_product_sums(z, terms), computes log1p(z/n) once at z = x/k and returns
-every sum the Euler, Weierstrass and limit-product forms need, so at one z
-the three cost one pass.  The z-free ramp n and log1p(1/n) come from
-core._ramp and core._log1p_recip, read-only arrays built once per terms
-(about 1.6 MB, kept for the life of the process, at terms = 100,000).
+All evaluators work in log space with an explicit sign channel.  Only the
+limit and integral evaluators use numpy.
 """
 
 from __future__ import annotations
@@ -26,12 +22,10 @@ from functools import lru_cache
 from .core import (
     _EPS,
     _MEMO_SIZE,
-    _log1p_recip,
-    _ramp,
-    _require_inside_tail,
-    _tail_s2,
-    _tail_s3,
-    _tail_s4,
+    _TAIL_GAP,
+    _lattice_terms,
+    _ln_gamma_step,
+    _psi_tail,
     EULER_GAMMA,
     DomainError,
     GammaEval,
@@ -179,129 +173,106 @@ def gamma_integral(params: PkParams, x: float, a_scale: float = 1.0) -> GammaEva
     return GammaEval(ln_value=ln, sign=1, abs_err_ln=err, method=Method.INTEGRAL)
 
 
-def gamma_euler_product(params: PkParams, x: float, terms: int = 100_000) -> GammaEval:
+def gamma_euler_product(params: PkParams, x: float) -> GammaEval:
     """Euler-product evaluator with the consistent prefactor p^(x/k)/x.
 
-    The log of the n-th factor is z log1p(1/n) - log1p(z/n), whose tail
-    expands as (z^2-z)/2n^2 + (z-z^3)/3n^3 + (z^4-z)/4n^4 + O(n^-5); summing
-    those orders analytically past N buys ~N^3 worth of extra terms.  That
-    expansion needs x/k < terms.
+    The log of the n-th factor is z log1p(1/n) - log1p(z/n), z = x/k; the
+    first N sum to ln Gamma(1+z) less _ln_gamma_step(N+1, z), which adds the
+    rest.  Requires x > 0 and x/k < core._LATTICE_Z_MAX.
     """
     _require_params(params)
     if not (math.isfinite(x) and x > 0):
         raise DomainError(f"gamma_euler_product requires x > 0, got {x!r}")
-    if not (isinstance(terms, int) and terms >= 10):
-        raise DomainError(f"terms must be an integer >= 10, got {terms!r}")
     z = x / params.k
-    _require_inside_tail(z, terms)
-    s = _product_sums(z, terms)[5]
-    N = float(terms)
-    tail = (
-        (z * z - z) / 2.0 * _tail_s2(N)
-        + (z - z**3) / 3.0 * _tail_s3(N)
-        + (z**4 - z) / 4.0 * _tail_s4(N)
-    )
-    ln = z * math.log(params.p) - math.log(x) + s + tail
-    err = (abs(z) ** 5 + abs(z)) / (4.0 * N**4) + 1e-12
+    N = _lattice_terms(z)
+    body = mag = 0.0
+    for n in range(N, 0, -1):  # smallest first
+        lr, lf = z * math.log1p(1.0 / n), math.log1p(z / n)
+        body += lr - lf
+        mag += lr + lf + abs(body)
+    tail = _ln_gamma_step(N + 1.0, z)
+    lnp_z, ln_x = z * math.log(params.p), math.log(x)
+    ln = lnp_z - ln_x + body + tail
+    # eps times the magnitudes summed: the factors and partial sums, the two
+    # parts of the tail, and the rounding of z in z ln p
+    err = _EPS * (2.0 * mag + abs(tail) + 2.0 * z + 2.0 * abs(lnp_z) + abs(ln_x) + abs(ln)) + _TAIL_GAP * (1.0 + z)
     return GammaEval(ln_value=ln, sign=1, abs_err_ln=err, method=Method.EULER_PRODUCT)
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
-def _product_sums(z: float, terms: int) -> tuple[int, float, float, float, float, float | None]:
-    """The lattice sums of the three product routes at z, from one log1p(z/n) pass.
+def _factor_logs(z: float, damped: bool) -> tuple[int, float, float, int]:
+    """(sign, s, err, N): the product of the factors 1 + z/n, n = 1..N, in log space.
 
-    Returns (sign, head, damped_head, body, damped_body, euler_body).  The
-    factors 1 + z/n, n = 1..terms, that are negative at z < 0 (log1p cannot
-    take them) go into the heads, in turn: log|1 + z/n| into ``head`` and
-    log|1 + z/n| - z/n, the damped factor (1 + z/n) e^(-z/n), into
-    ``damped_head``; ``sign`` is the sign of their product.  The bodies sum
-    log1p(z/n) and log1p(z/n) - z/n over the other factors, and
-    ``euler_body`` (None unless z > 0) sums z log1p(1/n) - log1p(z/n) over
-    all n; each body sums its smallest terms first.  Off the pole lattice no
-    factor is zero.
+    s sums log|1 + z/n|, less z/n when ``damped``, smallest terms first, and
+    the sign is that of the product.  err bounds the rounding of s: eps times
+    each term and partial sum, and eps |z/n| / |1 + z/n| per factor, which
+    dominates next to a pole.  Off the pole lattice no factor is zero.
     """
-    import numpy as np
-
-    m0 = min(terms, max(0, math.ceil(-z) - 1)) if z < 0 else 0
-    sign, head, damped_head = 1, 0.0, 0.0
-    for n in range(1, m0 + 1):
-        f = 1.0 + z / n
-        if f < 0.0:
+    N = _lattice_terms(z)
+    sign, s, mag = 1, 0.0, 0.0
+    for n in range(N, 0, -1):
+        u = z / n
+        f = 1.0 + u
+        if f > 0.0:
+            t = math.log1p(u)
+        else:
+            t = math.log(-f)
             sign = -sign
-        lf = math.log(abs(f))
-        head += lf
-        damped_head += lf - z / n
-    r = z / _ramp(terms)[m0 + 1 : terms + 1]
-    lg = np.log1p(r)
-    body = float(np.sum(lg[::-1]))
-    np.subtract(lg, r, out=r)
-    damped_body = float(np.sum(r[::-1]))
-    euler_body = None
-    if z > 0:
-        np.multiply(_log1p_recip(terms), z, out=r)
-        r -= lg
-        euler_body = float(np.sum(r[::-1]))
-    return sign, head, damped_head, body, damped_body, euler_body
+        mag += abs(u / f)
+        if damped:
+            t -= u
+            mag += abs(u)
+        s += t
+        mag += abs(t) + abs(s)
+    return sign, s, _EPS * mag, N
 
 
-def _product_tail(z: float, N: float) -> float:
-    """sum over n > N of log(1 + z/n) - z/n, to order z^4."""
-    return -(z * z) / 2.0 * _tail_s2(N) + z**3 / 3.0 * _tail_s3(N) - z**4 / 4.0 * _tail_s4(N)
-
-
-def gamma_weierstrass_recip(params: PkParams, x: float, terms: int = 100_000) -> GammaEval:
+def gamma_weierstrass_recip(params: PkParams, x: float) -> GammaEval:
     """Reciprocal evaluator (x/p^(x/k)) e^(x gamma / k) prod (1+x/nk) e^(-x/nk).
 
     Valid for negative non-pole x as well: the product has no positivity
     restriction.  On the pole lattice the reciprocal vanishes identically,
-    so a zero eval (ln = -inf) is returned rather than raising.  The tail
-    correction needs |x/k| < terms.
+    so a zero eval (ln = -inf) is returned rather than raising.  Past the
+    N-th factor the damped product is exactly
+    exp(-_ln_gamma_step(a, z) + z (psi(a) - ln a)), a = N + 1.  Requires
+    |x/k| < core._LATTICE_Z_MAX.
     """
     _require_params(params)
-    if not (isinstance(terms, int) and terms >= 10):
-        raise DomainError(f"terms must be an integer >= 10, got {terms!r}")
     # pole_check also rejects a non-finite x with DomainError
     if pole_check(params, x).is_pole:
         return GammaEval(ln_value=-math.inf, sign=1, abs_err_ln=0.0, method=Method.WEIERSTRASS)
     z = x / params.k
-    _require_inside_tail(z, terms)
-    sign, _, head, _, body, _ = _product_sums(z, terms)
-    prod_ln = head + body + _product_tail(z, float(terms))
-    ln = math.log(abs(x)) - z * math.log(params.p) + z * EULER_GAMMA + prod_ln
+    sign, s, err, N = _factor_logs(z, damped=True)
+    a = N + 1.0
+    tail = _ln_gamma_step(a, z)
+    drift = z * (0.5 / a + _psi_tail(a))  # z (ln a - psi(a))
+    lnp_z, ln_x = z * math.log(params.p), math.log(abs(x))
+    ln = ln_x - lnp_z + z * EULER_GAMMA + s - tail - drift
     sign = sign * (1 if x > 0 else -1)
-    err = (abs(z) ** 5 + abs(z)) / (4.0 * float(terms) ** 4) + 1e-12
+    err += _EPS * (abs(tail) + 2.0 * abs(z) + 2.0 * abs(lnp_z) + abs(ln_x) + abs(ln)) + _TAIL_GAP * (1.0 + abs(z))
     return GammaEval(ln_value=ln, sign=sign, abs_err_ln=err, method=Method.WEIERSTRASS)
 
 
-def gamma_limit_product_recip(params: PkParams, x: float, terms: int = 100_000) -> GammaEval:
+def gamma_limit_product_recip(params: PkParams, x: float) -> GammaEval:
     """Reciprocal via the limit product (x/p^(x/k)) lim N^(-x/k) prod (1+x/nk).
 
     Equivalent to the Weierstrass form but free of the Euler constant: the
-    partial product supplies z*(H_N - log N) itself.  Corrected past N by
-    the harmonic remainder z*(1/2N - 1/12N^2) and the usual product tail,
-    which needs |x/k| < terms.
+    partial product supplies z*(H_N - log N) itself.  Past the N-th factor
+    the product is exactly (N+1)^z exp(-_ln_gamma_step(N+1, z)).  Requires
+    |x/k| < core._LATTICE_Z_MAX.
     """
     _require_params(params)
-    if not (isinstance(terms, int) and terms >= 10):
-        raise DomainError(f"terms must be an integer >= 10, got {terms!r}")
     # pole_check also rejects a non-finite x with DomainError
     if pole_check(params, x).is_pole:
         return GammaEval(ln_value=-math.inf, sign=1, abs_err_ln=0.0, method=Method.LIMIT)
     z = x / params.k
-    _require_inside_tail(z, terms)
-    N = float(terms)
-    sign, head, _, body, _, _ = _product_sums(z, terms)
-    tail = _product_tail(z, N)
-    harmonic_residual = z * (1.0 / (2.0 * N) - 1.0 / (12.0 * N**2))
-    ln = (
-        math.log(abs(x))
-        - z * math.log(params.p)
-        + head
-        + body
-        - z * math.log(N)
-        + tail
-        - harmonic_residual
-    )
+    sign, s, err, N = _factor_logs(z, damped=False)
+    a = N + 1.0
+    tail = _ln_gamma_step(a, z)
+    z_ln_a = z * math.log(a)
+    lnp_z, ln_x = z * math.log(params.p), math.log(abs(x))
+    ln = ln_x - lnp_z + s - z_ln_a - tail
     sign = sign * (1 if x > 0 else -1)
-    err = (abs(z) ** 5 + abs(z)) / (4.0 * N**4) + abs(z) / (6.0 * N**3) + 1e-12
+    err += _EPS * (abs(tail) + 2.0 * abs(z) + abs(z_ln_a) + 2.0 * abs(lnp_z) + abs(ln_x) + abs(ln)) + _TAIL_GAP * (
+        1.0 + abs(z)
+    )
     return GammaEval(ln_value=ln, sign=sign, abs_err_ln=err, method=Method.LIMIT)

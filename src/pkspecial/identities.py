@@ -55,9 +55,7 @@ class AuditGrid:
     ys: tuple[float, ...] = (0.3, 1.1, 2.5, 7.3)
     ns: tuple[int, ...] = (0, 1, 2, 5, 11)
     ms: tuple[int, ...] = (2, 3, 4)
-    product_terms: int = 100_000
     limit_index: int = 100_000
-    series_terms: int = 100_000
     draws: int = 50
 
     @classmethod
@@ -73,9 +71,7 @@ class AuditGrid:
             ys=(0.3, 1.1),
             ns=(0, 1, 5),
             ms=(2, 3),
-            product_terms=20_000,
             limit_index=20_000,
-            series_terms=20_000,
             draws=10,
         )
 
@@ -87,9 +83,7 @@ class AuditGrid:
             "y": list(self.ys),
             "n": list(self.ns),
             "m": list(self.ms),
-            "product_terms": self.product_terms,
             "limit_index": self.limit_index,
-            "series_terms": self.series_terms,
             "draws": self.draws,
         }
 
@@ -296,7 +290,7 @@ def _integral(pt, grid):
 def _euler_product(pt, grid):
     params, x = _params(pt), pt["x"]
     lhs = _g(params, x)
-    corrected = gamma.gamma_euler_product(params, x, grid.product_terms).value
+    corrected = gamma.gamma_euler_product(params, x).value
     # the uncorrected prefactor is p^(x/k)/k instead of p^(x/k)/x
     return lhs, corrected * (x / pt["k"]), corrected
 
@@ -306,7 +300,7 @@ def _euler_product(pt, grid):
 def _reciprocal(pt, grid, route):
     params, x = _params(pt), pt["x"]
     lhs = _g(params, x)
-    corrected = 1.0 / getattr(gamma, route)(params, x, grid.product_terms).value
+    corrected = 1.0 / getattr(gamma, route)(params, x).value
     # the uncorrected prefactor divides the reciprocal by k on top
     return lhs, pt["k"] * corrected, corrected
 
@@ -529,7 +523,7 @@ def _psi_closed_form(pt, grid):
 def _psi_series(pt, grid, form):
     params, p, k, x = _params(pt), pt["p"], pt["k"], pt["x"]
     lhs = betapsi.psi(params, x).value
-    corrected = betapsi.psi_series(params, x, form, grid.series_terms).value
+    corrected = betapsi.psi_series(params, x, form).value
     lnp_k = math.log(p) / k
     # the un-normalized family scales the digamma part by k
     return lhs, lnp_k + k * (corrected - lnp_k), corrected

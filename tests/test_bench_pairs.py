@@ -53,3 +53,14 @@ def test_src_lines_counts_python_files_under_src_only(tmp_path):
     (tmp_path / "tests").mkdir()
     (tmp_path / "tests" / "test_a.py").write_text("a = 1\n")
     assert bench_pairs.src_lines(str(tmp_path)) == 5
+
+
+def test_environment_records_whether_bytecode_writing_was_off():
+    run = {"python": "3.11.7", "numpy": "2.4.6", "scipy": "1.17.1", "mpmath": "1.3.0", "nproc": 2,
+           "machine": "x86_64", "platform": "dropped"}
+    kept = {key: run[key] for key in ("python", "numpy", "scipy", "mpmath", "nproc", "machine")}
+    assert bench_pairs.recorded_environment(run, {"PYTHONDONTWRITEBYTECODE": "1"}) == {
+        **kept, "PYTHONDONTWRITEBYTECODE": True}
+    # unset or empty, Python writes bytecode
+    for env in ({}, {"PYTHONDONTWRITEBYTECODE": ""}):
+        assert bench_pairs.recorded_environment(run, env) == {**kept, "PYTHONDONTWRITEBYTECODE": False}

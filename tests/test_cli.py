@@ -290,8 +290,9 @@ class TestTable:
     def test_every_row_matches_eval(self, capsys):
         """CSV and JSON rows equal eval at the row's point, bit for bit.
 
-        A Gamma value past the double range is a signed inf with abs_err 0
-        in a table, where eval reports value and abs_err null.
+        A JSON row holds what eval's JSON does but the method and the inputs.
+        A Gamma value past the double range is null there, with its ln_value
+        and sign, and a signed inf with abs_err 0 in CSV.
         """
         for head, var, sweep in self.SWEEPS:
             # only the Gamma rows past x = 171 leave the double range, and they say so
@@ -308,12 +309,13 @@ class TestTable:
                     )
                     assert code == 0, (head, row, err)
                     doc = json.loads(out)
-                    value = doc["value"] if doc["value"] is not None else math.inf * doc["sign"]
-                    expected.append({"x": row["x"], "value": value, "abs_err": doc["abs_err"] or 0.0})
+                    del doc["method"], doc["inputs"]
+                    expected.append({"x": row["x"], **doc})
                 assert rows == expected, head
                 code, out, err = run_cli(capsys, "table", *head, f"--{var}={sweep}")
                 assert code == 0, (head, err)
-                lines = [f"{r['x']:.17g},{r['value']:.17g},{r['abs_err']:.17g}\n" for r in expected]
+                lines = [f"{r['x']:.17g},{r['value'] if r['value'] is not None else math.inf * r['sign']:.17g},"
+                         f"{r['abs_err'] or 0.0:.17g}\n" for r in expected]
                 assert out == "".join(["x,value,abs_err\n", *lines]), head
 
 
@@ -394,6 +396,11 @@ class TestImportGraph:
             ("eval", "hyper", "--x", "0.3", "--a", "1,1,1", "--b", "2,1,1"),
             ("eval", "polygamma", "--p", "2", "--k", "3", "--x", "1.5", "--r", "4"),
             ("table", "gamma", "--p", "2", "--k", "3", "--x", "0.5:3:0.25"),
+            # the product and psi-series routes: 32 terms and an exact tail in plain Python
+            ("eval", "gamma", "--p", "2", "--k", "3", "--x", "2.2", "--method", "euler-product"),
+            ("eval", "gamma", "--p", "2", "--k", "3", "--x", "-2.2", "--method", "weierstrass"),
+            ("eval", "psi", "--p", "2", "--k", "3", "--x", "1.5", "--method", "3.9"),
+            ("eval", "psi", "--p", "2", "--k", "3", "--x", "1.5", "--method", "3.10"),
         )
         for argv in pure_math:
             assert not loads_numpy(*argv), argv
@@ -447,6 +454,7 @@ class TestRouteTable:
 
     GAMMA_KEYS = {"value", "abs_err", "ln_value", "sign", "method", "inputs"}
     LINEAR_KEYS = {"value", "abs_err", "method", "inputs"}
+    POCH_KEYS = GAMMA_KEYS
 
     @staticmethod
     def _cases():
@@ -514,11 +522,11 @@ class TestRouteTable:
             "gamma-ratio": pk.poch_gamma_ratio(spec),
             "generalized": pk.poch_generalized(spec, 1),
         }
-        cases.append(((*kp,), TestRouteTable.LINEAR_KEYS, "direct", poch["direct"]))
+        cases.append(((*kp,), TestRouteTable.POCH_KEYS, "direct", poch["direct"]))
         for method, value in poch.items():
-            cases.append(((*kp, "--method", method), TestRouteTable.LINEAR_KEYS, method, value))
+            cases.append(((*kp, "--method", method), TestRouteTable.POCH_KEYS, method, value))
         cases.append(
-            ((*kp, "--method", "generalized", "--q", "2"), TestRouteTable.LINEAR_KEYS,
+            ((*kp, "--method", "generalized", "--q", "2"), TestRouteTable.POCH_KEYS,
              "generalized", pk.poch_generalized(spec, 2))
         )
 
@@ -558,4 +566,75 @@ class TestRouteTable:
             code, out, err = run_cli(capsys, "eval", *head, "0.75", "--format", "json")
             assert code == 0, (head, err)
             doc = json.loads(out)
-            assert row == {"x": 0.75, "value": doc["value"], "abs_err": doc["abs_err"]}, head
+            del doc["method"], doc["inputs"]
+            assert row == {"x": 0.75, **doc}, head
+
+
+def strict_json(text):
+    """json.loads that rejects NaN, Infinity and -Infinity, which RFC 8259 does not allow."""
+    def reject(token):
+        raise ValueError(f"non-JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+class TestStrictJson:
+    """--format json writes RFC 8259 JSON: each non-finite number is null."""
+
+    def test_eval_writes_null_for_non_finite_numbers(self, capsys):
+        with pytest.warns(OverflowNote):
+            code, out, _ = run_cli(capsys, "eval", "poch", "--x", "1e300", "--n", "100", "--format", "json")
+        doc = strict_json(out)
+        assert code == 0 and doc["value"] is None and doc["abs_err"] is None
+        assert doc["sign"] == 1 and doc["ln_value"] == pytest.approx(100 * math.log(1e300), rel=1e-12)
+        code, out, _ = run_cli(capsys, "eval", "psi", "--x", "1e-310", "--method", "3.9", "--format", "json")
+        doc = strict_json(out)
+        assert code == 0 and doc["value"] is None and set(doc) == TestRouteTable.LINEAR_KEYS
+
+    def test_table_writes_null_for_non_finite_numbers(self, capsys):
+        with pytest.warns(OverflowNote):
+            code, out, _ = run_cli(capsys, "table", "gamma", "--x", "400:401:1", "--format", "json")
+        rows = strict_json(out)
+        assert code == 0 and [(r["value"], r["abs_err"], r["sign"]) for r in rows] == [(None, None, 1)] * 2
+        assert rows[0]["ln_value"] == pytest.approx(math.lgamma(400.0), rel=1e-14)
+        # CSV keeps its signed inf and abs_err 0
+        with pytest.warns(OverflowNote):
+            code, out, _ = run_cli(capsys, "table", "gamma", "--x", "400:401:1")
+        assert out.splitlines()[1:] == ["400,inf,0", "401,inf,0"]
+
+    def test_poch_results_carry_ln_value_and_sign(self, capsys):
+        # from poch_ln over the n factors, n q of them for the generalized route
+        for argv, count in ((("--n", "3"), 3), (("--n", "3", "--method", "generalized", "--q", "2"), 6)):
+            code, out, _ = run_cli(capsys, "eval", "poch", "--x=-2.5", *argv, "--format", "json")
+            doc = strict_json(out)
+            want = math.prod(-2.5 + j for j in range(count))
+            assert code == 0 and doc["sign"] == (1 if want > 0 else -1), argv
+            assert doc["ln_value"] == pytest.approx(math.log(abs(want)), rel=1e-14), argv
+
+
+class TestUnboundedClaim:
+    """A Gamma claim past e^709.78 bounds no linear value: null in JSON, left out of text, inf in CSV."""
+
+    ARGS = ("gamma", "--p", "1e-10", "--x", "300000", "--method", "limit")
+
+    def test_eval(self, capsys):
+        code, out, _ = run_cli(capsys, "eval", *self.ARGS, "--format", "json")
+        doc = strict_json(out)
+        assert code == 0 and doc["value"] == 0.0 and doc["abs_err"] is None and doc["sign"] == 1
+        code, out, _ = run_cli(capsys, "eval", *self.ARGS)
+        assert code == 0 and out.splitlines() == ["value   = 0", "method  = limit"]
+
+    def test_table(self, capsys):
+        head = ("gamma", "--p", "1e-10", "--x", "300000:300000:1", "--method", "limit")
+        code, out, _ = run_cli(capsys, "table", *head)
+        assert code == 0 and out.splitlines() == ["x,value,abs_err", "300000,0,inf"]
+        code, out, _ = run_cli(capsys, "table", *head, "--format", "json")
+        (row,) = strict_json(out)
+        assert code == 0 and (row["value"], row["abs_err"]) == (0.0, None)
+
+    def test_far_negative_weierstrass_claims_a_bounded_error(self, capsys):
+        # its old truncated tail claimed 2.5e4 in the log here
+        code, out, _ = run_cli(capsys, "eval", "gamma", "--x=-99998.5", "--method", "weierstrass", "--format", "json")
+        doc = strict_json(out)
+        assert code == 0 and doc["abs_err"] is not None
+        assert doc["ln_value"] == pytest.approx(math.lgamma(-99998.5), rel=1e-12)

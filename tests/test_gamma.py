@@ -18,6 +18,7 @@ from pkspecial import (
     gamma_limit,
     gamma_weierstrass_recip,
 )
+from pkspecial import core
 from pkspecial import gamma as gamma_module
 from pkspecial import psi_series
 from pkspecial.gamma import gamma_limit_product_recip
@@ -194,10 +195,9 @@ class TestProducts:
         assert got.value == pytest.approx(1.0, rel=1e-10)
 
     def test_euler_product_unit_argument_exact(self):
-        # at x/k = 1 every factor cancels pairwise, any truncation is exact
-        for terms in (10, 100, 1000):
-            got = gamma_euler_product(PkParams(1, 1), 1.0, terms=terms)
-            assert got.value == pytest.approx(1.0, rel=1e-13)
+        # at x/k = 1 every factor cancels pairwise: only the tail's rounding is left
+        got = gamma_euler_product(PkParams(1, 1), 1.0)
+        assert got.value == pytest.approx(1.0, rel=1e-15)
 
     def test_euler_product_scaled(self):
         got = gamma_euler_product(PkParams(4, 2), 2.0)
@@ -228,26 +228,32 @@ class TestProducts:
             assert got.ln_value == pytest.approx(want, abs=1e-8)
 
 
-# Each route whose tail expands in (x/k)/n past its last term, with the size argument
-PAST_TERMS_ROUTES = {
-    "euler_product": lambda pk, x, terms: gamma_euler_product(pk, x, terms),
-    "weierstrass": lambda pk, x, terms: gamma_weierstrass_recip(pk, x, terms),
-    "limit_product_recip": lambda pk, x, terms: gamma_limit_product_recip(pk, x, terms),
-    "psi_series_3.9": lambda pk, x, terms: psi_series(pk, x, "3.9", terms),
-    "psi_series_3.10": lambda pk, x, terms: psi_series(pk, x, "3.10", terms),
+# Each lattice route, as route(params, x): its domain is |x/k| < core._LATTICE_Z_MAX
+LATTICE_ROUTES = {
+    "euler_product": gamma_euler_product,
+    "weierstrass": gamma_weierstrass_recip,
+    "limit_product_recip": gamma_limit_product_recip,
+    "psi_series_3.9": lambda pk, x: psi_series(pk, x, "3.9"),
+    "psi_series_3.10": lambda pk, x: psi_series(pk, x, "3.10"),
 }
 
 
-@pytest.mark.parametrize("route", sorted(PAST_TERMS_ROUTES))
-@pytest.mark.parametrize("x, terms", [(1e62, 100_000), (1e80, 100_000), (1e200, 100_000), (100.0, 100)])
-def test_past_the_tail_expansion_raises_domain_error(route, x, terms):
-    # the raw OverflowError/ValueError of z**4 and abs(z)**5 must not escape
+@pytest.mark.parametrize("route", sorted(LATTICE_ROUTES))
+def test_lattice_domain_ends_at_its_constant(route):
+    # past the domain a DomainError, not a raw OverflowError or a long loop
+    top = core._LATTICE_Z_MAX
+    assert top == 100_000
+    for x in (top, 1e62, 1e200):
+        with pytest.raises(DomainError):
+            LATTICE_ROUTES[route](PkParams(1, 1), x)
     with pytest.raises(DomainError):
-        PAST_TERMS_ROUTES[route](PkParams(1, 1), x, terms)
-    PAST_TERMS_ROUTES[route](PkParams(1, 1), 0.99 * terms, terms)
+        LATTICE_ROUTES[route](PkParams(1, 0.5), top / 2)
+    LATTICE_ROUTES[route](PkParams(1, 1), 0.99 * top)
     if route in ("weierstrass", "limit_product_recip"):
         with pytest.raises(DomainError):
-            PAST_TERMS_ROUTES[route](PkParams(1, 1), -100.5, 100)
+            LATTICE_ROUTES[route](PkParams(1, 1), -top - 0.5)
+        got = LATTICE_ROUTES[route](PkParams(1, 1), -top + 0.5)
+        assert got.sign == 1 and abs(got.ln_value + math.lgamma(-top + 0.5)) <= got.abs_err_ln
 
 
 # Each memoised route, with its kernel, as route(params, x, size)
@@ -255,9 +261,6 @@ MEMOISED_ROUTES = {
     "limit_2.6": (lambda pk, x, n: gamma_limit(pk, x, n, variant="2.6"), gamma_module._limit_sums),
     "limit_2.7": (lambda pk, x, n: gamma_limit(pk, x, n, variant="2.7"), gamma_module._limit_sums),
     "limit_raw": (lambda pk, x, n: gamma_limit(pk, x, n, accelerate=False), gamma_module._limit_sums),
-    "euler_product": (gamma_euler_product, gamma_module._product_sums),
-    "weierstrass": (gamma_weierstrass_recip, gamma_module._product_sums),
-    "limit_product_recip": (gamma_limit_product_recip, gamma_module._product_sums),
 }
 
 
@@ -265,8 +268,7 @@ class TestLatticeSumMemo:
     @pytest.mark.parametrize("name", sorted(MEMOISED_ROUTES))
     def test_warm_and_cleared_memo_agree_over_p(self, name):
         route, kernel = MEMOISED_ROUTES[name]
-        xs = (0.3, 2.5, 7.3) if name.startswith(("limit_2", "limit_raw", "euler")) else (-1.3, 0.3, 7.3)
-        points = [(k, x, size) for size in (64, 1000) for k in (0.5, 2.0) for x in xs]
+        points = [(k, x, size) for size in (64, 1000) for k in (0.5, 2.0) for x in (0.3, 2.5, 7.3)]
         calls = [(PkParams(p, k), x, size) for p in (0.5, 1.0, 3.5) for k, x, size in points]
         check_memo_is_transparent(route, kernel, calls, len(points))
 
@@ -285,9 +287,9 @@ class TestCrossEvaluator:
                     closed = gamma_closed(params, x)
                     integral = gamma_integral(params, x)
                     assert abs(integral.ln_value - closed.ln_value) <= 1e-9, (p, k, x)
-                    euler = gamma_euler_product(params, x, 100_000)
+                    euler = gamma_euler_product(params, x)
                     assert abs(euler.ln_value - closed.ln_value) <= 1e-6, (p, k, x)
-                    recip = gamma_weierstrass_recip(params, x, 100_000)
+                    recip = gamma_weierstrass_recip(params, x)
                     assert abs(-recip.ln_value - closed.ln_value) <= 1e-6, (p, k, x)
 
 

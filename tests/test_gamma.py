@@ -239,13 +239,22 @@ LATTICE_ROUTES = {
 
 
 @pytest.mark.parametrize("route", sorted(LATTICE_ROUTES))
+@pytest.mark.parametrize("x, k", [(1e62, 1.0), (1e80, 1.0), (1e200, 1.0), (100.0, 1e-3)])
+def test_past_the_tail_expansion_raises_domain_error(route, x, k):
+    # the raw OverflowError of the tail's powers, or a loop of |x/k| terms, must not escape
+    with pytest.raises(DomainError):
+        LATTICE_ROUTES[route](PkParams(1, k), x)
+    if route in ("weierstrass", "limit_product_recip"):
+        # -x/k is an integer there: on the pole lattice the reciprocal is zero, with no loop
+        assert LATTICE_ROUTES[route](PkParams(1, k), -x).ln_value == -math.inf
+
+
+@pytest.mark.parametrize("route", sorted(LATTICE_ROUTES))
 def test_lattice_domain_ends_at_its_constant(route):
-    # past the domain a DomainError, not a raw OverflowError or a long loop
     top = core._LATTICE_Z_MAX
     assert top == 100_000
-    for x in (top, 1e62, 1e200):
-        with pytest.raises(DomainError):
-            LATTICE_ROUTES[route](PkParams(1, 1), x)
+    with pytest.raises(DomainError):
+        LATTICE_ROUTES[route](PkParams(1, 1), top)
     with pytest.raises(DomainError):
         LATTICE_ROUTES[route](PkParams(1, 0.5), top / 2)
     LATTICE_ROUTES[route](PkParams(1, 1), 0.99 * top)

@@ -6,7 +6,8 @@ core._ln_gamma_step and core._digamma_step).  Over log-uniform z in
 [e^-5, 1e5) each route's value lies within its claim and within 4 eps of
 the scale that the rounding of x/k alone already costs; at negative z off
 the lattice, down to 1e-7 from a pole, the two reciprocal routes stay within
-their claims and within 32 eps of that scale.
+their claims and within 32 eps of that scale.  The two tail helpers are
+checked on their own at the arguments the routes give them.
 """
 
 import math
@@ -15,7 +16,7 @@ import random
 import mpmath as mp
 import pytest
 
-from pkspecial import PkParams, gamma_euler_product, gamma_weierstrass_recip, psi_series
+from pkspecial import PkParams, core, gamma_euler_product, gamma_weierstrass_recip, psi_series
 from pkspecial.gamma import gamma_limit_product_recip
 
 EPS = 2.220446049250313e-16
@@ -52,6 +53,33 @@ def family_log(p, k, x):
         scale = abs(z * mp.log(p)) + abs(mp.log(x)) + max(1, abs(mp.loggamma(1 + z)), abs(z * mp.digamma(1 + z)))
         return ln.real, 1, float(scale)
     return ln.real, (1 if math.floor(z) % 2 == 0 else -1), None
+
+
+@pytest.mark.parametrize("z", [1e-300, 0.5, 7.25, 30_000.1, 99_999.5, -1e-7, -0.999999, -2.5, -1234.75, -99_990.5])
+def test_ln_gamma_step_matches_mpmath(z):
+    # a = N + 1 as the product routes take it, so a and a + z are at least 33; past
+    # the series' truncation the error is the rounding of the result and of z,
+    # and of the two Bernoulli parts, each about 1/(12a)
+    a = core._lattice_terms(z) + 1.0
+    got = core._ln_gamma_step(a, z)
+    with mp.workdps(40):
+        truth = mp.loggamma(mp.mpf(a) + z) - mp.loggamma(a) - z * mp.log(a)
+        err = float(abs(got - truth))
+    assert err <= core._TAIL_GAP + 4 * EPS * (abs(got) + abs(z) + 1.0 / a), (z, a, err)
+
+
+@pytest.mark.parametrize("w", [1e-7, 0.5, 1.0, 7.25, 99_999.5])
+@pytest.mark.parametrize("form", ["3.9", "3.10"])
+def test_digamma_step_matches_mpmath(form, w):
+    # the arguments psi_series gives it: psi(N+1+w) - psi(N+1) for "3.9" and
+    # psi(N+1+w) - psi(N+2) for "3.10"; the Bernoulli parts are about 1/(12a^2)
+    N = core._lattice_terms(w)
+    a, step = (N + 1.0, w) if form == "3.9" else (N + 2.0, w - 1.0)
+    got = core._digamma_step(a, step)
+    with mp.workdps(40):
+        truth = mp.digamma(mp.mpf(a) + step) - mp.digamma(a)
+        err = float(abs(got - truth))
+    assert err <= core._TAIL_GAP + 4 * EPS * (abs(got) + 1.0 / (a * a)), (form, w, a, err)
 
 
 def test_products_within_claim_and_four_eps_at_positive_z():

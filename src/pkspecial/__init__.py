@@ -9,8 +9,10 @@ parameter grids, reporting printed-vs-corrected outcomes for the handful of
 relations whose customary statements need a fixup to be self-consistent.
 
 numpy is imported inside the functions that use arrays, never at module
-scope: closed-form routes and ``polygamma`` are pure ``math``, and a process
-calling only them (``pkspecial eval`` on a default route) skips numpy's import.
+scope, and outside an audit only the quadrature routes use them: the closed
+forms, the defining limit, the product and psi-series routes and
+``polygamma`` are pure ``math``, and a process calling only them
+(``pkspecial eval`` on any but an integral route) skips numpy's import.
 The identity catalog (``identities``, ``records``) loads only where an audit
 runs, so no ``eval`` or ``table`` process imports it.  The value types
 (``PkParams``, ``EvalReal``, ``GammaEval`` and the rest) are immutable

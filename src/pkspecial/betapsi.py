@@ -57,6 +57,7 @@ __all__ = [
 
 BETA_FORMS = ("unit", "symmetric", "semiaxis")
 PSI_SERIES_FORMS = ("3.9", "3.10")
+_ZETA_TERMS = 12  # terms k_zeta sums before its Euler-Maclaurin tail
 
 
 class BetaArgs(_ValueType, namedtuple("BetaArgs", "x y params")):
@@ -208,10 +209,10 @@ def ln_gamma_via_psi(params: PkParams, x: float) -> EvalReal:
     return EvalReal(value=ln_at_one + res.value, abs_err=res.abs_err + 1e-14, method=Method.INTEGRAL)
 
 
-def k_zeta(x: float, r: int, k: float, terms: int = 12) -> EvalReal:
+def k_zeta(x: float, r: int, k: float) -> EvalReal:
     """zeta_k(x, r) = sum_{n>=0} (x + nk)^-r for r >= 2, x > 0, k > 0.
 
-    ``terms`` terms summed directly, plus the Euler-Maclaurin tail from a = x + terms*k
+    _ZETA_TERMS terms summed directly, plus the Euler-Maclaurin tail from a = x + 12 k
     (DLMF 2.10.1): a^(1-r)/((r-1)k) + a^-r/2 + sum_j=1..7 B_2j/(2j)! (r)_(2j-1) (k/a)^(2j-1) a^-r.
     abs_err is the first omitted term plus eps (r+2) value, the rounding of (x + nk)^-r,
     plus an absolute floor for the roundings that land below the normal range.
@@ -223,16 +224,14 @@ def k_zeta(x: float, r: int, k: float, terms: int = 12) -> EvalReal:
         raise DomainError(f"x must be a positive real, got {x!r}")
     if not (math.isfinite(k) and k > 0):
         raise DomainError(f"k must be a positive real, got {k!r}")
-    if not (isinstance(terms, int) and terms >= 2):
-        raise DomainError(f"terms must be an integer >= 2, got {terms!r}")
-    a = x + terms * k
+    a = x + _ZETA_TERMS * k
     w = k / a
     # B_2j/(2j)! (r)_(2j-1) = _PSI_ASYMPTOTIC[j-1] C(r+2j-2, 2j-1), j = 1..7 (j-1 below)
     poly = sum(c * math.comb(r + 2 * j, 2 * j + 1) * w ** (2 * j) for j, c in enumerate(_PSI_ASYMPTOTIC))
     try:
         f0 = a**-r
         tail = a ** (1 - r) / ((r - 1) * k) + f0 * (0.5 + w * poly)
-        value = sum(((x + n * k) ** -r for n in reversed(range(terms))), tail)  # smallest first
+        value = sum(((x + n * k) ** -r for n in reversed(range(_ZETA_TERMS))), tail)  # smallest first
     except OverflowError:
         value = math.inf
     if value == math.inf:
@@ -242,7 +241,7 @@ def k_zeta(x: float, r: int, k: float, terms: int = 12) -> EvalReal:
     # which eps (r+2) value does not cover: one for each power (x + nk)^-r and for
     # a^-r and a^(1-r), which the tail scales by 0.5 + w*poly and by 1/((r-1)k), and
     # half of one each for that product and that quotient; sums of subnormals are exact
-    floor = (terms + abs(0.5 + w * poly) + 1.0 / ((r - 1) * k) + 1.0) * math.ulp(0.0)
+    floor = (_ZETA_TERMS + abs(0.5 + w * poly) + 1.0 / ((r - 1) * k) + 1.0) * math.ulp(0.0)
     err = 3617 / 8160 * math.comb(r + 14, 15) * w**15 * f0 + _EPS * (r + 2) * value + floor  # |B_16|/16
     return EvalReal(value=value, abs_err=err, method=Method.SERIES)
 

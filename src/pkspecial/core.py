@@ -52,11 +52,6 @@ _LN_OVERFLOW = 709.782712893384
 
 _EPS = 2.220446049250313e-16
 
-# Entries kept by gamma._limit_sums, the memoised lattice sums of the limit
-# route.  The sums do not depend on p, so an audit sweep over p reuses them;
-# one sweep holds 24 (k, x) points per p.
-_MEMO_SIZE = 128
-
 
 class Method(enum.Enum):
     """Which evaluation route produced a value."""

@@ -8,20 +8,20 @@ meaningful.  The raw partial products converge like 1/N, far too slowly for
 the accuracy targets at any affordable N, so each product route sums its
 first N = 32 + ceil(max(0, -x/k)) factors directly and adds the rest
 exactly: past n = N their logs sum to a difference of log-gammas, which
-Stirling's series (core._ln_gamma_step) gives to double precision.
+Stirling's series (core._ln_gamma_step) gives to double precision.  The
+limit evaluator's sums of log(x/k + j) take the same step past their first
+33 terms, so its cost does not depend on its index.
 
 All evaluators work in log space with an explicit sign channel.  Only the
-limit and integral evaluators use numpy.
+integral evaluator uses numpy.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 from .core import (
     _EPS,
-    _MEMO_SIZE,
     _TAIL_GAP,
     _lattice_terms,
     _ln_gamma_step,
@@ -82,7 +82,9 @@ def gamma_limit(
     ``variant`` picks the printed form of the m-th term: "2.7" (the default)
     is  m! p^(m+1) (mp)^(x/k-1) / (k P(x; m)),  and "2.6" has one factor
     more,  m! p^(m+1) (mp)^(x/k) / (k P(x; m+1)).  In log space both read
-    lgamma(m+1) + (z-1 or z) ln m + z ln p - sum log(z+j) - ln k,  z = x/k.
+    lgamma(m+1) + (z-1 or z) ln m + z ln p - sum log(z+j) - ln k,  z = x/k,
+    with lgamma only at integers and the sum from _log_rising, at a cost
+    that does not grow with n.
     The sequence converges like 1/n with leading coefficient z(z-1)/2
     (z(z+1)/2 for "2.6"), so two extrapolation levels over {n, 2n, 4n}
     leave an O(1/n^3) residual, which abs_err_ln covers.
@@ -90,55 +92,72 @@ def gamma_limit(
     _require_params(params)
     if not (math.isfinite(x) and x > 0):
         raise DomainError(f"gamma_limit requires x > 0, got {x!r}")
-    if not (isinstance(n, int) and n >= 8):
-        raise DomainError(f"n must be an integer >= 8, got {n!r}")
+    # 4n + 1 stays an exact double
+    if not (isinstance(n, int) and 8 <= n <= 2**50):
+        raise DomainError(f"n must be an integer from 8 to 2**50, got {n!r}")
     if variant not in ("2.6", "2.7"):
         raise DomainError(f"variant must be '2.6' or '2.7', got {variant!r}")
     extra = 1 if variant == "2.6" else 0
     z = x / params.k
+    if not 0.0 < z < math.inf:
+        raise DomainError(f"gamma_limit needs x/k inside the double range, got {z!r}")
     power = z if extra else z - 1.0
     lnk, lnp = math.log(params.k), math.log(params.p)
-    sums = _limit_sums(z, n, accelerate, extra)
+    indices = (n, 2 * n, 4 * n) if accelerate else (n,)
+    sums = _log_rising(z, [m + extra for m in indices])
     # The m-th term is ln G + sum_j d_j / m^j with d_j = (-1)^(j+1) (B_j+1(1) -
     # B_j+1(zs)) / j(j+1) (DLMF 5.11.13): d_1 = -q/2, d_2 = q (zs - 1/2)/6, d_3 = -q^2/12.
     zs = z + extra
     q = zs * (zs - 1.0)
 
-    def at(m: int, s: float) -> tuple[float, float]:
+    def at(m: int, s: float, s_mag: float) -> tuple[float, float]:
         """The m-th term and the sum of the magnitudes it adds up."""
         head, tilt = math.lgamma(m + 1), power * math.log(m)
         # math.lgamma itself errs by eps (8 + 2 head), as core.ln_gamma_classical counts it
-        mag = 8.0 + 3.0 * head + abs(tilt) + abs(z * lnp) + abs(s) + abs(lnk)
+        mag = 8.0 + 3.0 * head + abs(tilt) + abs(z * lnp) + s_mag + abs(lnk)
         return head + tilt + z * lnp - s - lnk, mag
 
     # Each term cancels sums of size ~lgamma(m+1) down to O(1): its rounding is
-    # eps times those magnitudes, carried through the Richardson weights
-    # c = (8 a4 - 6 a2 + a1) / 3 at their absolute values.
+    # eps times those magnitudes, and each sum's tail misses by _TAIL_GAP, both
+    # carried through the Richardson weights c = (8 a4 - 6 a2 + a1) / 3 at their
+    # absolute values.
     if not accelerate:
-        ln, mag = at(n, *sums)
-        err = abs(q) / (2.0 * n) + abs(q * (zs - 0.5)) / (6.0 * n**2) + _EPS * mag + 1e-14
+        ln, mag = at(n, *sums[0])
+        err = abs(q) / (2.0 * n) + abs(q * (zs - 0.5)) / (6.0 * n**2) + _EPS * mag + _TAIL_GAP + 1e-14
         return GammaEval(ln_value=ln, sign=1, abs_err_ln=err, method=Method.LIMIT)
-    (a1, m1), (a2, m2), (a4, m4) = (at(m, s) for m, s in zip((n, 2 * n, 4 * n), sums))
+    (a1, m1), (a2, m2), (a4, m4) = (at(m, *sums_m) for m, sums_m in zip(indices, sums))
     b1 = 2.0 * a2 - a1
     b2 = 2.0 * a4 - a2
     c = (4.0 * b2 - b1) / 3.0
     # |c - b2| estimates the d_2 order; the weights leave d_3 / 8n^3, which
     # outgrows that estimate once z is not small against n
-    err = abs(c - b2) + q * q / (96.0 * n**3) + _EPS * (8.0 * m4 + 6.0 * m2 + m1) / 3.0 + 1e-13
+    rounding = _EPS * (8.0 * m4 + 6.0 * m2 + m1) / 3.0 + 5.0 * _TAIL_GAP
+    err = abs(c - b2) + q * q / (96.0 * n**3) + rounding + 1e-13
     return GammaEval(ln_value=c, sign=1, abs_err_ln=err, method=Method.LIMIT)
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
-def _limit_sums(z: float, n: int, accelerate: bool, extra: int) -> tuple[float, ...]:
-    """sum_{j < m + extra} log(z + j) at m = n, 2n, 4n (at m = n alone unless ``accelerate``)."""
-    import numpy as np
+def _log_rising(z: float, counts: list[int]) -> list[tuple[float, float]]:
+    """(s, mag) for each M of the rising ``counts``: s = sum_{j < M} log(z + j), z > 0.
 
-    # One buffer of log(z + j), filled in place and shared by every index:
-    # fresh arrays of this size cost more in page faults than the logs.
-    logs = np.arange((4 * n if accelerate else n) + extra, dtype=float)
-    logs += z
-    np.log(logs, out=logs)
-    return tuple(float(np.sum(logs[: m + extra])) for m in ((n, 2 * n, 4 * n) if accelerate else (n,)))
+    The first 33 terms are summed directly and shared; the rest is
+    _ln_gamma_step(a, M - 33) + (M - 33) ln a, a = z + 33, whose arguments are
+    then at least 33.  eps * mag bounds the rounding: each head term and
+    partial sum, plus eps for rounding z + j; the step and the parts it
+    cancels, which |step| + M - 33 bounds; (M - 33) ln a and the result.
+    """
+    sums, s, mag = [], 0.0, 0.0
+    for j in range(min(counts[-1], 33)):
+        t = math.log(z + j)
+        s += t
+        mag += 1.0 + abs(t) + abs(s)
+        if j + 1 in counts:
+            sums.append((s, mag))
+    a = z + 33.0
+    for w in (m - 33 for m in counts if m > 33):
+        step, w_ln_a = _ln_gamma_step(a, w), w * math.log(a)
+        total = s + step + w_ln_a
+        sums.append((total, mag + 6.0 * abs(step) + 4.0 * w + 2.0 * abs(w_ln_a) + abs(total) + 1.0))
+    return sums
 
 
 def gamma_integral(params: PkParams, x: float, a_scale: float = 1.0) -> GammaEval:
@@ -199,17 +218,28 @@ def gamma_euler_product(params: PkParams, x: float) -> GammaEval:
     return GammaEval(ln_value=ln, sign=1, abs_err_ln=err, method=Method.EULER_PRODUCT)
 
 
-def _factor_logs(z: float, damped: bool) -> tuple[int, float, float, int]:
-    """(sign, s, err, N): the product of the factors 1 + z/n, n = 1..N, in log space.
+def _reciprocal(params: PkParams, x: float, method: Method) -> GammaEval:
+    """The reciprocal routes: 1/G(x) = x/p^(x/k) times the factors 1 + z/n, z = x/k.
 
-    s sums log|1 + z/n|, less z/n when ``damped``, smallest terms first, and
-    the sign is that of the product.  err bounds the rounding of s: eps times
-    each term and partial sum, and eps |z/n| / |1 + z/n| per factor, which
-    dominates next to a pole.  Off the pole lattice no factor is zero.
+    Method.WEIERSTRASS damps each factor by e^(-z/n) and the whole by
+    e^(z gamma); Method.LIMIT takes the limit product's N^-z instead.  The
+    logs of the first N = core._lattice_terms(z) factors are summed exactly
+    rounded (math.fsum); past them the plain product is (N+1)^z
+    exp(-_ln_gamma_step(N+1, z)), and the damped one exp(-_ln_gamma_step(a, z)
+    + z (psi(a) - ln a)), a = N + 1.  The claim is eps times each log, the
+    sum and the tail's parts, plus eps |z/n| / |1 + z/n| per factor, which
+    dominates next to a pole.  On the pole lattice the reciprocal vanishes
+    identically, so a zero eval (ln = -inf) is returned rather than raising.
     """
+    _require_params(params)
+    # pole_check also rejects a non-finite x with DomainError
+    if pole_check(params, x).is_pole:
+        return GammaEval(ln_value=-math.inf, sign=1, abs_err_ln=0.0, method=method)
+    z = x / params.k
+    damped = method is Method.WEIERSTRASS
     N = _lattice_terms(z)
-    sign, s, mag = 1, 0.0, 0.0
-    for n in range(N, 0, -1):
+    sign, logs, mag = (1 if x > 0 else -1), [], 0.0
+    for n in range(N, 0, -1):  # off the pole lattice no factor is zero
         u = z / n
         f = 1.0 + u
         if f > 0.0:
@@ -217,62 +247,37 @@ def _factor_logs(z: float, damped: bool) -> tuple[int, float, float, int]:
         else:
             t = math.log(-f)
             sign = -sign
-        mag += abs(u / f)
         if damped:
             t -= u
             mag += abs(u)
-        s += t
-        mag += abs(t) + abs(s)
-    return sign, s, _EPS * mag, N
+        logs.append(t)
+        mag += abs(t) + abs(u / f)
+    s = math.fsum(logs)
+    a = N + 1.0
+    tail = _ln_gamma_step(a, z)
+    # z (gamma - ln a + psi(a)) for the damped form, -z ln a for the plain one
+    shift = z * (EULER_GAMMA - 0.5 / a - _psi_tail(a)) if damped else -z * math.log(a)
+    lnp_z, ln_x = z * math.log(params.p), math.log(abs(x))
+    ln = ln_x - lnp_z + s + shift - tail
+    parts = mag + abs(s) + abs(tail) + 2.0 * abs(z) + abs(shift) + 2.0 * abs(lnp_z) + abs(ln_x) + abs(ln)
+    return GammaEval(ln_value=ln, sign=sign, abs_err_ln=_EPS * parts + _TAIL_GAP * (1.0 + abs(z)), method=method)
 
 
 def gamma_weierstrass_recip(params: PkParams, x: float) -> GammaEval:
     """Reciprocal evaluator (x/p^(x/k)) e^(x gamma / k) prod (1+x/nk) e^(-x/nk).
 
     Valid for negative non-pole x as well: the product has no positivity
-    restriction.  On the pole lattice the reciprocal vanishes identically,
-    so a zero eval (ln = -inf) is returned rather than raising.  Past the
-    N-th factor the damped product is exactly
-    exp(-_ln_gamma_step(a, z) + z (psi(a) - ln a)), a = N + 1.  Requires
-    |x/k| < core._LATTICE_Z_MAX.
+    restriction, and on the pole lattice the value is an exact zero.
+    Requires |x/k| < core._LATTICE_Z_MAX.
     """
-    _require_params(params)
-    # pole_check also rejects a non-finite x with DomainError
-    if pole_check(params, x).is_pole:
-        return GammaEval(ln_value=-math.inf, sign=1, abs_err_ln=0.0, method=Method.WEIERSTRASS)
-    z = x / params.k
-    sign, s, err, N = _factor_logs(z, damped=True)
-    a = N + 1.0
-    tail = _ln_gamma_step(a, z)
-    drift = z * (0.5 / a + _psi_tail(a))  # z (ln a - psi(a))
-    lnp_z, ln_x = z * math.log(params.p), math.log(abs(x))
-    ln = ln_x - lnp_z + z * EULER_GAMMA + s - tail - drift
-    sign = sign * (1 if x > 0 else -1)
-    err += _EPS * (abs(tail) + 2.0 * abs(z) + 2.0 * abs(lnp_z) + abs(ln_x) + abs(ln)) + _TAIL_GAP * (1.0 + abs(z))
-    return GammaEval(ln_value=ln, sign=sign, abs_err_ln=err, method=Method.WEIERSTRASS)
+    return _reciprocal(params, x, Method.WEIERSTRASS)
 
 
 def gamma_limit_product_recip(params: PkParams, x: float) -> GammaEval:
     """Reciprocal via the limit product (x/p^(x/k)) lim N^(-x/k) prod (1+x/nk).
 
     Equivalent to the Weierstrass form but free of the Euler constant: the
-    partial product supplies z*(H_N - log N) itself.  Past the N-th factor
-    the product is exactly (N+1)^z exp(-_ln_gamma_step(N+1, z)).  Requires
+    partial product supplies z*(H_N - log N) itself.  Requires
     |x/k| < core._LATTICE_Z_MAX.
     """
-    _require_params(params)
-    # pole_check also rejects a non-finite x with DomainError
-    if pole_check(params, x).is_pole:
-        return GammaEval(ln_value=-math.inf, sign=1, abs_err_ln=0.0, method=Method.LIMIT)
-    z = x / params.k
-    sign, s, err, N = _factor_logs(z, damped=False)
-    a = N + 1.0
-    tail = _ln_gamma_step(a, z)
-    z_ln_a = z * math.log(a)
-    lnp_z, ln_x = z * math.log(params.p), math.log(abs(x))
-    ln = ln_x - lnp_z + s - z_ln_a - tail
-    sign = sign * (1 if x > 0 else -1)
-    err += _EPS * (abs(tail) + 2.0 * abs(z) + abs(z_ln_a) + 2.0 * abs(lnp_z) + abs(ln_x) + abs(ln)) + _TAIL_GAP * (
-        1.0 + abs(z)
-    )
-    return GammaEval(ln_value=ln, sign=sign, abs_err_ln=err, method=Method.LIMIT)
+    return _reciprocal(params, x, Method.LIMIT)

@@ -31,8 +31,8 @@ __all__ = [
     "confluent_integral",
 ]
 
-DEFAULT_TOL = 1e-14
-DEFAULT_MAX_TERMS = 100_000
+_SERIES_TOL = 1e-14
+_SERIES_MAX_TERMS = 100_000
 
 
 class DivergentInput(ValueError):
@@ -148,16 +148,12 @@ def _term_ratio(hp: HyperParams, x: float, n: int) -> float:
     return num / den
 
 
-def hyper_series(
-    hp: HyperParams,
-    x: float,
-    tol: float = DEFAULT_TOL,
-    max_terms: int = DEFAULT_MAX_TERMS,
-) -> EvalReal:
+def hyper_series(hp: HyperParams, x: float) -> EvalReal:
     """Partial sum via the term recurrence (_term_ratio), with a three-strike stopping rule.
 
-    Stops once |term| < tol*|sum| three times in a row (guards against
-    alternating-term false stops).  An upper ratio at a non-positive integer
+    Stops once |term| < _SERIES_TOL*|sum| three times in a row (guards against
+    alternating-term false stops), or raises MaxTermsExceeded after
+    _SERIES_MAX_TERMS terms.  An upper ratio at a non-positive integer
     terminates the series exactly (polynomial case).  abs_err carries the
     tail and the rounding of the sum and of the n ratios behind term n:
     alternating terms far larger than the sum (1F1 at large negative
@@ -176,7 +172,7 @@ def hyper_series(
     mass = 1.0  # sum of |term|
     drift = 0.0  # sum of n |term_n|: term n carries the rounding of n ratios
     quiet = 0
-    for n in range(max_terms):
+    for n in range(_SERIES_MAX_TERMS):
         ratio = _term_ratio(hp, x, n)
         term = term * ratio
         total += term
@@ -196,19 +192,19 @@ def hyper_series(
                 EvalReal(value=total, abs_err=abs(term) + _EPS * mass, method=Method.SERIES),
             )
         # non-strict: a terminated (polynomial) series has term == total == 0
-        if abs(term) <= tol * abs(total):
+        if abs(term) <= _SERIES_TOL * abs(total):
             quiet += 1
             if quiet >= 3:
                 # r = q + 1: the ratios tend to |x|/radius, and rising ones stay below it
                 rho = abs(ratio) if cls.radius is None else max(abs(ratio), abs(x) / cls.radius)
-                tail = abs(term) * rho / (1.0 - rho) if rho < 1.0 else tol * abs(total)
+                tail = abs(term) * rho / (1.0 - rho) if rho < 1.0 else _SERIES_TOL * abs(total)
                 # each ratio rounds 3 (r + q) + 2 times, each by at most eps/2
-                err = abs(tail) + tol * abs(total) + _EPS * (mass + (1.5 * (hp.r + hp.q) + 1.0) * drift)
+                err = abs(tail) + _SERIES_TOL * abs(total) + _EPS * (mass + (1.5 * (hp.r + hp.q) + 1.0) * drift)
                 return EvalReal(value=total, abs_err=err, method=Method.SERIES)
         else:
             quiet = 0
     raise MaxTermsExceeded(
-        f"no convergence within {max_terms} terms",
+        f"no convergence within {_SERIES_MAX_TERMS} terms",
         EvalReal(value=total, abs_err=abs(term) + _EPS * mass, method=Method.SERIES),
     )
 

@@ -259,8 +259,9 @@ class TestKZetaPolygamma:
         assert k_zeta(2.0, 2, 2.0).value == pytest.approx(ZETA_2_QUARTER, rel=1e-12)
 
     def test_tail_bound_honored(self):
-        res = k_zeta(1.5, 2, 0.7, terms=500)
-        bound = 1.0 / ((2 - 1) * 0.7 * (1.5 + 500 * 0.7) ** (2 - 1))
+        # the whole Euler-Maclaurin tail past the 12 terms summed bounds the claim
+        res = k_zeta(1.5, 2, 0.7)
+        bound = 1.0 / ((2 - 1) * 0.7 * (1.5 + 12 * 0.7) ** (2 - 1))
         assert res.abs_err <= bound
         assert res.value == pytest.approx(oracles.mp_k_zeta(1.5, 2, 0.7), rel=1e-12)
         # the raw partial sum agrees to within its own truncation

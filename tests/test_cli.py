@@ -401,10 +401,12 @@ class TestImportGraph:
             ("eval", "gamma", "--p", "2", "--k", "3", "--x", "-2.2", "--method", "weierstrass"),
             ("eval", "psi", "--p", "2", "--k", "3", "--x", "1.5", "--method", "3.9"),
             ("eval", "psi", "--p", "2", "--k", "3", "--x", "1.5", "--method", "3.10"),
+            # the defining limit: 33 logs and an exact tail, whatever the index
+            ("eval", "gamma", "--p", "2", "--k", "3", "--x", "2.2", "--method", "limit"),
         )
         for argv in pure_math:
             assert not loads_numpy(*argv), argv
-        assert loads_numpy("eval", "gamma", "--x", "2.2", "--method", "limit")
+        assert loads_numpy("eval", "gamma", "--x", "2.2", "--method", "integral")
 
 
     # every public name of the package root, the lazily loaded catalog names included

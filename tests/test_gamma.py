@@ -19,11 +19,10 @@ from pkspecial import (
     gamma_weierstrass_recip,
 )
 from pkspecial import core
-from pkspecial import gamma as gamma_module
 from pkspecial import psi_series
 from pkspecial.gamma import gamma_limit_product_recip
 
-from conftest import GRID_KS, GRID_PS, GRID_XS, check_memo_is_bounded, check_memo_is_transparent
+from conftest import GRID_KS, GRID_PS, GRID_XS
 
 SQRT_PI_HALF = 0.88622692545275801
 NEG_SQRT_PI_THIRD = -1.02332670794648849  # 3^(-1/2)/2 * Gamma(-1/2), recurrence oracle
@@ -140,11 +139,26 @@ class TestLimit:
                 got = gamma_limit(PkParams(1, 1), z, 100_000, accelerate=False, variant=variant)
                 assert abs(got.ln_value - truth) <= got.abs_err_ln, (z, variant)
 
+    def test_huge_index_within_claim(self):
+        # the sum over j < 4n is exact in cost, so n = 10**12 runs as fast as n = 8;
+        # lgamma(4n + 1) ~ 1.1e14 cancels down to O(1), which the claim covers
+        for x in (0.3, 7.3, 1e6):
+            truth = oracles.mp_ln_abs_pk_gamma(2.0, 0.5, x)
+            for accelerate in (True, False):
+                got = gamma_limit(PkParams(2.0, 0.5), x, 10**12, accelerate=accelerate)
+                assert abs(got.ln_value - truth) <= got.abs_err_ln, (x, accelerate)
+
     def test_preconditions(self):
         with pytest.raises(DomainError):
             gamma_limit(PkParams(1, 1), -1.0, 100)
         with pytest.raises(DomainError):
             gamma_limit(PkParams(1, 1), 1.0, 4)
+        with pytest.raises(DomainError):
+            gamma_limit(PkParams(1, 1), 1.0, 2**50 + 1)
+        # x/k out of the double range at either end
+        for k, x in ((10.0, 5e-324), (1e-300, 1e300)):
+            with pytest.raises(DomainError):
+                gamma_limit(PkParams(1, k), x, 64)
 
 
 class TestIntegral:
@@ -263,28 +277,6 @@ def test_lattice_domain_ends_at_its_constant(route):
             LATTICE_ROUTES[route](PkParams(1, 1), -top - 0.5)
         got = LATTICE_ROUTES[route](PkParams(1, 1), -top + 0.5)
         assert got.sign == 1 and abs(got.ln_value + math.lgamma(-top + 0.5)) <= got.abs_err_ln
-
-
-# Each memoised route, with its kernel, as route(params, x, size)
-MEMOISED_ROUTES = {
-    "limit_2.6": (lambda pk, x, n: gamma_limit(pk, x, n, variant="2.6"), gamma_module._limit_sums),
-    "limit_2.7": (lambda pk, x, n: gamma_limit(pk, x, n, variant="2.7"), gamma_module._limit_sums),
-    "limit_raw": (lambda pk, x, n: gamma_limit(pk, x, n, accelerate=False), gamma_module._limit_sums),
-}
-
-
-class TestLatticeSumMemo:
-    @pytest.mark.parametrize("name", sorted(MEMOISED_ROUTES))
-    def test_warm_and_cleared_memo_agree_over_p(self, name):
-        route, kernel = MEMOISED_ROUTES[name]
-        points = [(k, x, size) for size in (64, 1000) for k in (0.5, 2.0) for x in (0.3, 2.5, 7.3)]
-        calls = [(PkParams(p, k), x, size) for p in (0.5, 1.0, 3.5) for k, x, size in points]
-        check_memo_is_transparent(route, kernel, calls, len(points))
-
-    @pytest.mark.parametrize("name", sorted(MEMOISED_ROUTES))
-    def test_memo_is_bounded(self, name):
-        route, kernel = MEMOISED_ROUTES[name]
-        check_memo_is_bounded(route, kernel, 10)
 
 
 class TestCrossEvaluator:

@@ -7,7 +7,8 @@ core._ln_gamma_step and core._digamma_step).  Over log-uniform z in
 the scale that the rounding of x/k alone already costs; at negative z off
 the lattice, down to 1e-7 from a pole, the two reciprocal routes stay within
 their claims and within 32 eps of that scale.  The two tail helpers are
-checked on their own at the arguments the routes give them.
+checked on their own at the arguments the routes give them, and so is the
+limit route's sum of log(z + j), which takes its tail from _ln_gamma_step too.
 """
 
 import math
@@ -17,6 +18,7 @@ import mpmath as mp
 import pytest
 
 from pkspecial import PkParams, core, gamma_euler_product, gamma_weierstrass_recip, psi_series
+from pkspecial import gamma as gamma_module
 from pkspecial.gamma import gamma_limit_product_recip
 
 EPS = 2.220446049250313e-16
@@ -80,6 +82,19 @@ def test_digamma_step_matches_mpmath(form, w):
         truth = mp.digamma(mp.mpf(a) + step) - mp.digamma(a)
         err = float(abs(got - truth))
     assert err <= core._TAIL_GAP + 4 * EPS * (abs(got) + 1.0 / (a * a)), (form, w, a, err)
+
+
+@pytest.mark.parametrize("count", [8, 33, 34, 100_001, 4 * 10**12])
+@pytest.mark.parametrize("z", [1e-300, 0.3, 7.3, 1e6, 1e12])
+def test_log_rising_matches_mpmath(z, count):
+    # the limit route's sum of log(z + j), j < count: 33 terms summed directly, the
+    # rest through _ln_gamma_step(z + 33, count - 33), here also at a step far
+    # larger than its base; eps * mag bounds the rounding, _TAIL_GAP the series
+    ((got, mag),) = gamma_module._log_rising(z, [count])
+    with mp.workdps(40):
+        truth = mp.loggamma(mp.mpf(z) + count) - mp.loggamma(z)
+        err = float(abs(got - truth))
+    assert err <= EPS * mag + core._TAIL_GAP, (z, count, err, EPS * mag)
 
 
 def test_products_within_claim_and_four_eps_at_positive_z():

@@ -19,6 +19,7 @@ ALL_ROUTES = {"limit_raw", "limit_richardson", "euler_product"} | RECIPROCALS
         # the limit and Euler-product routes need x > 0: only the reciprocals remain
         (("--x=-3.3", "--k", "1"), RECIPROCALS),
     ],
+    ids=["default-point", "negative-x"],
 )
 def test_every_row_parses(argv, routes):
     env = {**os.environ, "PYTHONPATH": str(_ROOT / "src")}

@@ -140,7 +140,7 @@ class TestLimit:
                 assert abs(got.ln_value - truth) <= got.abs_err_ln, (z, variant)
 
     def test_huge_index_within_claim(self):
-        # the sum over j < 4n is exact in cost, so n = 10**12 runs as fast as n = 8;
+        # the sums over j < 4n cost the same at any n, so n = 10**12 runs as fast as n = 8;
         # lgamma(4n + 1) ~ 1.1e14 cancels down to O(1), which the claim covers
         for x in (0.3, 7.3, 1e6):
             truth = oracles.mp_ln_abs_pk_gamma(2.0, 0.5, x)

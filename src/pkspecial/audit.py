@@ -49,17 +49,17 @@ def run_suite(
 ) -> AuditReport:
     """Evaluate every catalog identity of the suite over the grid."""
     from .identities import AuditGrid, catalog_for_suite
-    from .records import AuditSummary
+    from .records import summarize
 
     grid = grid or AuditGrid.default()
     overrides = tol_overrides or {}
     records: list[IdentityRecord] = []
     summaries: dict[str, AuditSummary] = {}
     for check in catalog_for_suite(suite):
-        tol = overrides.get(check.identity_id, check.tol)
-        for rec in check.run(grid, tol):
-            records.append(rec)
-            summaries.setdefault(rec.identity_id, AuditSummary(rec.identity_id)).add(rec)
+        checked = list(check.run(grid, overrides.get(check.identity_id, check.tol)))
+        if checked:
+            summaries[check.identity_id] = summarize(checked)
+        records += checked
     records.sort(key=_record_sort_key)
     summaries = dict(sorted(summaries.items()))
     return AuditReport(suite=suite, grid=grid, records=records, summaries=summaries)
@@ -97,15 +97,7 @@ def report_to_dict(report: AuditReport) -> dict:
         ],
         "summary": {
             "identities": {
-                key: {
-                    "count": s.count,
-                    "skipped": s.skipped,
-                    "max_rel_err_printed": _clean_float(s.max_rel_err_printed),
-                    "max_rel_err_corrected": _clean_float(s.max_rel_err_corrected),
-                    "printed_pass_rate": s.printed_pass_rate,
-                    "corrected_pass_rate": s.corrected_pass_rate,
-                    "verdict": s.verdict,
-                }
+                key: {name: _clean_float(v) if type(v) is float else v for name, v in s._asdict().items()}
                 for key, s in report.summaries.items()
             },
             "all_corrected_pass": report.all_corrected_pass,
@@ -132,10 +124,10 @@ def validate_report(report_dict: dict) -> None:
     """Raise DomainError naming the first path where report_dict breaks the format report_to_dict writes.
 
     Records and identity summaries have exactly the keys ``IdentityRecord._fields``
-    and ``SUMMARY_FIELDS``; a bool is no number, an integral float is an integer,
+    and ``AuditSummary._fields``; a bool is no number, an integral float is an integer,
     and a skipped record has a null ``lhs`` and null pass flags.
     """
-    from .records import SUMMARY_FIELDS, IdentityRecord
+    from .records import AuditSummary, IdentityRecord
 
     def need(ok: bool, path: str) -> None:
         if not ok:
@@ -169,7 +161,7 @@ def validate_report(report_dict: dict) -> None:
     need(isinstance(summary["identities"], dict), "summary.identities")
     for key, s in summary["identities"].items():
         path = f"summary.identities[{key!r}]"
-        keys(s, SUMMARY_FIELDS, path)
+        keys(s, AuditSummary._fields, path)
         for name in ("count", "skipped"):
             v = s[name]
             need(_number(v) and v >= 0 and (isinstance(v, int) or v.is_integer()), f"{path}.{name}")

@@ -45,11 +45,9 @@ __all__ = [
     "beta_closed",
     "beta_integral",
     "psi",
-    "psi_printed",
     "psi_series",
     "ln_gamma_via_psi",
     "polygamma",
-    "polygamma_printed",
     "k_zeta",
     "BETA_FORMS",
     "PSI_SERIES_FORMS",
@@ -134,17 +132,6 @@ def psi(params: PkParams, x: float) -> EvalReal:
         # psi'(z) + psi'(1-z) = (pi / sin(pi z))^2
         err += 4.0 * _EPS * (1.0 + abs(z)) * (math.pi / math.sin(math.pi * (z - round(z)))) ** 2 / k
     return EvalReal(value=v, abs_err=err, method=Method.CLOSED)
-
-
-def psi_printed(params: PkParams, x: float) -> float:
-    """The un-normalized variant log(p)/k + digamma(x/k), without 1/k.
-
-    Internally consistent with the un-normalized series forms but not the
-    derivative of log G; kept for the audit only.
-    """
-    if pole_check(params, x).is_pole:
-        raise PoleError(f"psi_printed: x={x} lies on the pole lattice of k={params.k}")
-    return math.log(params.p) / params.k + digamma_classical(x / params.k)
 
 
 def psi_series(params: PkParams, x: float, form: str = "3.9") -> EvalReal:
@@ -279,7 +266,3 @@ def polygamma(params: PkParams, x: float, r: int) -> EvalReal:
     err = abs(value) * (z.abs_err / z.value + _EPS * (r + 2)) + math.ulp(0.0)
     return EvalReal(value=value, abs_err=err, method=Method.SERIES)
 
-
-def polygamma_printed(params: PkParams, x: float, r: int) -> float:
-    """The variant with a spurious extra factor k; audit material only."""
-    return params.k * polygamma(params, x, r).value

@@ -67,12 +67,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-class CliDomainError(Exception):
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="pkspecial", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -130,9 +124,9 @@ def _parse_float(label: str, raw) -> float:
     try:
         v = float(raw)
     except (TypeError, ValueError):
-        raise CliDomainError(f"{label} must be a finite real, got {raw!r}")
+        raise DomainError(f"{label} must be a finite real, got {raw!r}")
     if not math.isfinite(v):
-        raise CliDomainError(f"{label} must be finite, got {raw!r}")
+        raise DomainError(f"{label} must be finite, got {raw!r}")
     return v
 
 
@@ -141,7 +135,7 @@ def _parse_triples(raws, label: str):
     for raw in raws or ():
         parts = raw.split(",")
         if len(parts) != 3:
-            raise CliDomainError(f"{label} expects 'v,scale,scale', got {raw!r}")
+            raise DomainError(f"{label} expects 'v,scale,scale', got {raw!r}")
         out.append(tuple(_parse_float(label, s) for s in parts))
     return tuple(out)
 
@@ -149,14 +143,14 @@ def _parse_triples(raws, label: str):
 def _require(args, name: str) -> float:
     raw = getattr(args, name)
     if raw is None:
-        raise CliDomainError(f"--{name} is required for this function")
+        raise DomainError(f"--{name} is required for this function")
     return _parse_float(name, raw)
 
 
 def _off_pole(params: PkParams, x: float) -> PkParams:
     rep = pole_check(params, x)
     if rep.is_pole:
-        raise CliDomainError(f"pole at index {rep.pole_index}")
+        raise DomainError(f"pole at index {rep.pole_index}")
     return params
 
 
@@ -166,7 +160,7 @@ def _beta_args(args, params: PkParams, x: float) -> BetaArgs:
 
 def _poch_spec(args, params: PkParams, x: float) -> PochSpec:
     if args.n is None:
-        raise CliDomainError("--n is required for poch")
+        raise DomainError("--n is required for poch")
     return PochSpec(x, args.n, params)
 
 
@@ -220,7 +214,7 @@ ROUTES = {
 }
 
 # what an eval or table command reports as a domain error (exit 2)
-_DOMAIN_ERRORS = (CliDomainError, PoleError, DomainError, DivergentInput, LowerPoleError,
+_DOMAIN_ERRORS = (PoleError, DomainError, DivergentInput, LowerPoleError,
                  UnsupportedShape, NoConvergence, MaxTermsExceeded)
 
 
@@ -229,7 +223,7 @@ def _route(args) -> str:
     routes = ROUTES[args.function]
     key = args.method or next(iter(routes))
     if key not in routes:
-        raise CliDomainError(f"{args.function} methods are {tuple(routes)}")
+        raise DomainError(f"{args.function} methods are {tuple(routes)}")
     return key
 
 
@@ -275,11 +269,10 @@ def _cmd_eval(args) -> int:
         params = PkParams(args.p, args.k)
         result = ROUTES[args.function][key](args, params, x)
     except _DOMAIN_ERRORS as exc:
-        reason = getattr(exc, "reason", str(exc))
         if args.format == "json":
-            print(json.dumps({"error": "domain", "reason": reason}))
+            print(json.dumps({"error": "domain", "reason": str(exc)}))
         else:
-            print(f"error: {reason}", file=sys.stderr)
+            print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     value, abs_err = _value_err(args, result)
     method = result.method.value if isinstance(result, (GammaEval, EvalReal)) else key
@@ -308,13 +301,13 @@ def _parse_tol_overrides(raw: str | None, audited: set[str]) -> dict[str, float]
     out = {}
     for chunk in raw.split(","):
         if "=" not in chunk:
-            raise CliDomainError(f"tolerance override needs 'id=value', got {chunk!r}")
+            raise DomainError(f"tolerance override needs 'id=value', got {chunk!r}")
         key, val = (part.strip() for part in chunk.split("=", 1))
         if key not in audited:
-            raise CliDomainError(f"identity {key!r} is not audited by this suite")
+            raise DomainError(f"identity {key!r} is not audited by this suite")
         out[key] = _parse_float(f"tolerance for identity {key!r}", val)
         if out[key] <= 0:
-            raise CliDomainError(f"tolerance for identity {key!r} must be positive, got {val!r}")
+            raise DomainError(f"tolerance for identity {key!r} must be positive, got {val!r}")
     return out
 
 
@@ -323,8 +316,8 @@ def _cmd_audit(args) -> int:
 
     try:
         overrides = _parse_tol_overrides(args.tol, {c.identity_id for c in catalog_for_suite(args.suite)})
-    except CliDomainError as exc:
-        print(f"error: {exc.reason}", file=sys.stderr)
+    except DomainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
     grid = AuditGrid.default() if args.grid == "default" else AuditGrid.small()
@@ -348,15 +341,15 @@ MAX_ROWS = 1_000_000
 def _parse_sweep(raw: str) -> list[float]:
     parts = raw.split(":")
     if len(parts) != 3:
-        raise CliDomainError(f"sweep expects 'start:stop:step', got {raw!r}")
+        raise DomainError(f"sweep expects 'start:stop:step', got {raw!r}")
     a, b, step = (_parse_float("sweep", s) for s in parts)
     if step <= 0:
-        raise CliDomainError("sweep step must be positive")
+        raise DomainError("sweep step must be positive")
     if b < a:
-        raise CliDomainError("sweep range is empty")
+        raise DomainError("sweep range is empty")
     count = int(math.floor((b - a) / step + 1e-9)) + 1
     if count > MAX_ROWS:
-        raise CliDomainError(f"sweep would produce {count} rows (limit {MAX_ROWS})")
+        raise DomainError(f"sweep would produce {count} rows (limit {MAX_ROWS})")
     return [a + i * step for i in range(count)]
 
 
@@ -364,15 +357,15 @@ def _cmd_table(args) -> int:
     sweep_var = next((name for name in ("x", "y") if ":" in (getattr(args, name) or "")), None)
     try:
         if sweep_var is None:
-            raise CliDomainError("one of --x/--y must be a sweep 'start:stop:step'")
+            raise DomainError("one of --x/--y must be a sweep 'start:stop:step'")
         values = _parse_sweep(getattr(args, sweep_var))
-    except CliDomainError as exc:
-        print(f"error: {exc.reason}", file=sys.stderr)
+    except DomainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
         key = _route(args)
-    except CliDomainError as exc:
-        print(f"error: {exc.reason}", file=sys.stderr)
+    except DomainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     route = ROUTES[args.function][key]
     csv = args.format == "csv"
@@ -392,8 +385,7 @@ def _cmd_table(args) -> int:
             else:
                 rows.append({"x": v, "value": value, "abs_err": err, **_log_doc(args, key, params, at, result)})
     except _DOMAIN_ERRORS as exc:
-        reason = getattr(exc, "reason", str(exc))
-        print(f"error at {sweep_var}={v}: {reason}", file=sys.stderr)
+        print(f"error at {sweep_var}={v}: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     try:
         out = sys.stdout if not args.out else open(args.out, "w", encoding="utf-8")

@@ -256,7 +256,7 @@ _STIRLING_HORNER = tuple(c / (2 * j - 1) for j, c in enumerate(_PSI_ASYMPTOTIC, 
 
 
 def _psi_tail(u: float) -> float:
-    """sum_j B_2j / (2j u^2j), j = 1..7: the Bernoulli part of the psi series at u."""
+    """sum_j B_2j / (2j u^2j), j = 1..7: the Bernoulli part of the psi series at u (a float or an array)."""
     w = 1.0 / (u * u)
     tail = 0.0
     for c in _PSI_HORNER:
@@ -303,12 +303,10 @@ def _digamma_array(z: np.ndarray) -> np.ndarray:
     """
     import numpy as np
 
-    exponents = -2.0 * np.arange(1, len(_PSI_ASYMPTOTIC) + 1)  # z^-2j
     n = max(0, math.ceil(_PSI_SHIFT - float(z.min())))
     shift = (1.0 / (z[:, None] + np.arange(n))).sum(axis=1)
     z = z + n
-    tail = (z[:, None] ** exponents) @ _PSI_ASYMPTOTIC
-    return np.log(z) - 0.5 / z - tail - shift
+    return np.log(z) - 0.5 / z - _psi_tail(z) - shift
 
 
 # The product and psi-series routes sum the lattice n = 1..N directly, with

@@ -26,6 +26,7 @@ from .core import (
     PoleError,
     best_central_diff,
     central_diff,
+    digamma_classical,
     ln_gamma_classical,
     richardson_diff,
 )
@@ -192,10 +193,15 @@ def _symmetric(pt, grid):
 
 @_entry("2.4", "pochhammer", 1e-6, _pkxn(_ns(1, 8)), "d/dk vs central differences")
 def _poch_dk(pt, grid):
-    p, x, n = pt["p"], pt["x"], int(pt["n"])
-    lhs = best_central_diff(lambda kk: _poch(x, n, PkParams(p, kk)), pt["k"])
     spec = _spec(pt)
-    return lhs, pochhammer.poch_dk_printed(spec), pochhammer.poch_dk(spec)
+    params, x, n = spec.params, spec.x, spec.n
+    lhs = best_central_diff(lambda kk: _poch(x, n, PkParams(params.p, kk)), params.k)
+    # the printed reading puts the full symbol P(x; n) in the sum where poch_dk_product has P(x; s)
+    full = pochhammer.poch_direct(spec)
+    total = 0.0
+    for s in range(1, n):
+        total += s * full * _poch(x + (s + 1) * params.k, n - 1 - s, params)
+    return lhs, params.p / params.k * total - n / params.k * full, pochhammer.poch_dk(spec)
 
 
 @_entry("2.5", "pochhammer", 1e-6, _pkxn(lambda grid: grid.ns[:4]), "d/dp vs central differences")
@@ -515,7 +521,9 @@ def _ln_gamma_via_psi(pt, grid):
 def _psi_closed_form(pt, grid):
     params, x = _params(pt), pt["x"]
     lhs = _ln_gamma_slope(pt)
-    return lhs, betapsi.psi_printed(params, x), betapsi.psi(params, x).value
+    corrected = betapsi.psi(params, x).value
+    # the printed reading leaves the digamma part without its 1/k
+    return lhs, math.log(params.p) / params.k + digamma_classical(x / params.k), corrected
 
 
 @_entry("3.9", "psi", 1e-6, _pkx, "harmonic-lattice series", form="3.9")
@@ -542,7 +550,8 @@ def _polygamma(pt, grid):
     else:
         lhs = central_diff(psi_at, x, h=max(h, 1e-4 * x), order=2)
     corrected = betapsi.polygamma(params, x, r).value
-    return lhs, betapsi.polygamma_printed(params, x, r), corrected
+    # the printed reading carries a spurious factor k
+    return lhs, params.k * corrected, corrected
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,6 @@ __all__ = [
     "poch_dp",
     "poch_dk",
     "poch_dk_product",
-    "poch_dk_printed",
     "poch_rescale",
 ]
 
@@ -257,23 +256,6 @@ def poch_dk_product(spec: PochSpec) -> float:
         right = poch_direct(PochSpec(spec.x + (s + 1) * params.k, spec.n - 1 - s, params))
         total += s * left * right
     return params.p / params.k * total - spec.n / params.k * poch_direct(spec)
-
-
-def poch_dk_printed(spec: PochSpec) -> float:
-    """The uncorrected d/dk variant with the full symbol inside the sum.
-
-    Kept only so the audit can document its disagreement with finite
-    differences; see poch_dk for the consistent form.
-    """
-    if spec.n == 0:
-        return 0.0
-    params = spec.params
-    total = 0.0
-    full = poch_direct(spec)
-    for s in range(1, spec.n):
-        right = poch_direct(PochSpec(spec.x + (s + 1) * params.k, spec.n - 1 - s, params))
-        total += s * full * right
-    return params.p / params.k * total - spec.n / params.k * full
 
 
 def poch_rescale(spec: PochSpec, s_new: float, mode: str) -> float:

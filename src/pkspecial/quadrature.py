@@ -37,8 +37,8 @@ __all__ = [
     "integrate_semiaxis",
 ]
 
-# Levels beyond this reuse the deepest grid: double precision has no finer
-# structure to resolve, and node tables would grow past any practical use.
+# Levels past this are not run, whatever max_refinements asks: double precision
+# has no finer structure to resolve, and node tables would grow past any practical use.
 _MAX_LEVEL = 14
 
 _H0 = 0.5  # level-1 step in the transformed variable
@@ -190,7 +190,7 @@ def _integrate(integrand, spec: QuadratureSpec) -> EvalReal:
     # with no finite error estimate the partial value carries no information
     partial = value if math.isfinite(err) else math.nan
     raise NoConvergence(
-        f"no convergence within {spec.max_refinements} refinements (err~{err:.3g})",
+        f"no convergence within {levels} refinements (err~{err:.3g})",
         EvalReal(value=partial, abs_err=err + _EPS * rounding, method=Method.INTEGRAL),
     )
 

@@ -1,13 +1,19 @@
-"""Identity-audit record types shared by the identity catalog and the audit engine."""
+"""Identity-audit value types shared by the identity catalog and the audit engine.
+
+``IdentityRecord`` is one grid point's outcome and ``AuditSummary`` one
+identity's aggregate; their fields are the keys of a report's records and
+identity summaries.
+"""
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
+from typing import Iterable
 
 from .core import _ValueType
 
-__all__ = ["IdentityRecord", "AuditSummary", "SUMMARY_FIELDS", "relative_error", "make_record", "skipped_record"]
+__all__ = ["IdentityRecord", "AuditSummary", "summarize", "relative_error", "make_record", "skipped_record"]
 
 
 def relative_error(lhs: float, rhs: float) -> float:
@@ -85,61 +91,50 @@ def skipped_record(identity_id: str, grid_point: dict[str, float], reason: str) 
     )
 
 
-# the keys of one identity's summary in the report
-SUMMARY_FIELDS = (
-    "count", "skipped", "max_rel_err_printed", "max_rel_err_corrected",
-    "printed_pass_rate", "corrected_pass_rate", "verdict",
-)
+class AuditSummary(
+    _ValueType,
+    namedtuple(
+        "AuditSummary",
+        "count skipped max_rel_err_printed max_rel_err_corrected "
+        "printed_pass_rate corrected_pass_rate verdict",
+    ),
+):
+    """One identity's aggregate over an audited grid; its fields are the report's summary keys."""
 
-
-class AuditSummary:
-    """Per-identity aggregate over one audited grid; the report keeps its ``SUMMARY_FIELDS``."""
-
-    __slots__ = (
-        "identity_id", "count", "skipped", "max_rel_err_printed", "max_rel_err_corrected",
-        "printed_passes", "corrected_passes",
-    )
-    identity_id: str
+    __slots__ = ()
     count: int
     skipped: int
     max_rel_err_printed: float
     max_rel_err_corrected: float
-    printed_passes: int
-    corrected_passes: int
+    printed_pass_rate: float
+    corrected_pass_rate: float
+    verdict: str
 
-    def __init__(self, identity_id: str) -> None:
-        self.identity_id = identity_id
-        self.count = self.skipped = self.printed_passes = self.corrected_passes = 0
-        self.max_rel_err_printed = self.max_rel_err_corrected = 0.0
 
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"AuditSummary({fields})"
+def summarize(records: Iterable[IdentityRecord]) -> AuditSummary:
+    """Fold one identity's records, in the order they were made, into its summary.
 
-    def add(self, rec: IdentityRecord) -> None:
+    The maxima start at 0.0; with no evaluated point both rates are 1.0.
+    """
+    count = skipped = printed_passes = corrected_passes = 0
+    max_printed = max_corrected = 0.0
+    for rec in records:
         if rec.skipped:
-            self.skipped += 1
-            return
-        self.count += 1
-        self.max_rel_err_printed = max(self.max_rel_err_printed, rec.rel_err_printed)
-        self.max_rel_err_corrected = max(self.max_rel_err_corrected, rec.rel_err_corrected)
-        self.printed_passes += bool(rec.printed_pass)
-        self.corrected_passes += bool(rec.corrected_pass)
-
-    @property
-    def printed_pass_rate(self) -> float:
-        return self.printed_passes / self.count if self.count else 1.0
-
-    @property
-    def corrected_pass_rate(self) -> float:
-        return self.corrected_passes / self.count if self.count else 1.0
-
-    @property
-    def verdict(self) -> str:
-        if self.count == 0:
-            return "skipped"
-        if self.corrected_pass_rate < 1.0:
-            return "fail"
-        if self.printed_pass_rate < 1.0:
-            return "corrected-only"
-        return "ok"
+            skipped += 1
+            continue
+        count += 1
+        max_printed = max(max_printed, rec.rel_err_printed)
+        max_corrected = max(max_corrected, rec.rel_err_corrected)
+        printed_passes += bool(rec.printed_pass)
+        corrected_passes += bool(rec.corrected_pass)
+    printed_rate = printed_passes / count if count else 1.0
+    corrected_rate = corrected_passes / count if count else 1.0
+    if count == 0:
+        verdict = "skipped"
+    elif corrected_rate < 1.0:
+        verdict = "fail"
+    elif printed_rate < 1.0:
+        verdict = "corrected-only"
+    else:
+        verdict = "ok"
+    return AuditSummary(count, skipped, max_printed, max_corrected, printed_rate, corrected_rate, verdict)

@@ -46,7 +46,7 @@ from pkspecial import (
     psi,
     psi_series,
 )
-from pkspecial.betapsi import BETA_FORMS, polygamma_printed, psi_printed
+from pkspecial.betapsi import BETA_FORMS
 from pkspecial.core import best_central_diff, digamma_classical, richardson_diff
 
 from conftest import GRID_KS, GRID_PS, GRID_XS
@@ -258,8 +258,10 @@ def test_criterion_6_psi_family():
             worst_poly_classical = max(worst_poly_classical, abs(got - want) / abs(want))
     # the un-normalized variants miss the definitional value by the factor k
     params = PkParams(1.0, 2.0)
-    psi_ratio = psi_printed(params, 2.0) / psi(params, 2.0).value
-    poly_ratio = polygamma_printed(params, 2.0, 2) / polygamma(params, 2.0, 2).value
+    psi_ratio = check_point("3.8", {"p": 1.0, "k": 2.0, "x": 2.0}).rhs_printed / psi(params, 2.0).value
+    poly_ratio = (
+        check_point("3.11", {"p": 1.0, "k": 2.0, "x": 2.0, "r": 2}).rhs_printed / polygamma(params, 2.0, 2).value
+    )
     pattern = abs(psi_ratio - 2.0) < 1e-12 and abs(poly_ratio - 2.0) < 1e-12
     ok = (
         worst_fd <= 1e-8

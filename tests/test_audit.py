@@ -13,7 +13,7 @@ import pytest
 from pkspecial import AuditGrid, DomainError, run_suite, validate_report
 from pkspecial.audit import canonical_json, report_to_dict, write_report
 from pkspecial.identities import CATALOG, catalog_for_suite
-from pkspecial.records import SUMMARY_FIELDS, IdentityRecord
+from pkspecial.records import AuditSummary, IdentityRecord
 
 
 class TestEngine:
@@ -33,8 +33,8 @@ class TestEngine:
 
     def test_summary_counts(self):
         rep = run_suite("gamma", AuditGrid.small())
-        for s in rep.summaries.values():
-            matching = [r for r in rep.records if r.identity_id == s.identity_id]
+        for identity_id, s in rep.summaries.items():
+            matching = [r for r in rep.records if r.identity_id == identity_id]
             assert s.count + s.skipped == len(matching)
             assert s.skipped == sum(r.skipped for r in matching)
 
@@ -109,7 +109,7 @@ class TestReport:
         assert set(doc) == {"suite", "grid", "records", "summary"}
         assert all(tuple(r) == IdentityRecord._fields for r in doc["records"])
         assert set(doc["summary"]) == {"identities", "all_corrected_pass"}
-        assert all(tuple(s) == SUMMARY_FIELDS for s in doc["summary"]["identities"].values())
+        assert all(tuple(s) == AuditSummary._fields for s in doc["summary"]["identities"].values())
 
 
     def test_round_trip_file(self, tmp_path):
@@ -193,7 +193,7 @@ for field in ("printed_pass", "corrected_pass"):
 # the skipped invariants: a skipped record carries no lhs and no pass flags,
 # and an evaluated record carries all its numbers
 BAD_REPORTS += [(("records", 1, "lhs"), 1.0, None), (("records", 0, "skipped"), True, "records[0].lhs")]
-for field in SUMMARY_FIELDS:
+for field in AuditSummary._fields:
     BAD_REPORTS.append((("summary", "identities", "2.14", field), MISSING, "summary.identities['2.14']"))
     BAD_REPORTS += [(("summary", "identities", "2.14", field), v, None) for v in (True, "1", [])]
 for field in ("count", "skipped"):

@@ -17,6 +17,7 @@ from pkspecial import (
     PoleError,
     beta_closed,
     beta_integral,
+    check_point,
     gamma_closed,
     k_zeta,
     ln_gamma_via_psi,
@@ -24,7 +25,7 @@ from pkspecial import (
     psi,
     psi_series,
 )
-from pkspecial.betapsi import BETA_FORMS, polygamma_printed, psi_printed
+from pkspecial.betapsi import BETA_FORMS
 from pkspecial.core import richardson_diff
 
 from conftest import GRID_KS, GRID_PS, GRID_XS
@@ -161,7 +162,8 @@ class TestPsi:
     def test_printed_variant_off_by_k(self):
         # at p=1, k=2, x=2 the derivative is -gamma/2; the un-normalized form gives -gamma
         params = PkParams(1, 2)
-        assert psi_printed(params, 2.0) == pytest.approx(NEG_GAMMA, abs=1e-14)
+        printed = check_point("3.8", {"p": 1, "k": 2, "x": 2.0}).rhs_printed
+        assert printed == pytest.approx(NEG_GAMMA, abs=1e-14)
         assert psi(params, 2.0).value == pytest.approx(NEG_GAMMA / 2.0, abs=1e-14)
 
     def test_pole(self):
@@ -355,10 +357,8 @@ class TestKZetaPolygamma:
                 assert got == pytest.approx(want, rel=1e-10), (x, r)
 
     def test_printed_variant_carries_extra_k(self):
-        params = PkParams(1, 2)
-        assert polygamma_printed(params, 2.0, 2) == pytest.approx(
-            2.0 * polygamma(params, 2.0, 2).value, rel=1e-14
-        )
+        printed = check_point("3.11", {"p": 1, "k": 2, "x": 2.0, "r": 2}).rhs_printed
+        assert printed == pytest.approx(2.0 * polygamma(PkParams(1, 2), 2.0, 2).value, rel=1e-14)
 
     def test_general_scale_against_rescaled_classical(self):
         # zeta_k(x, r) = k^-r zeta(x/k, r) via the lattice rescale

@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from pkspecial import DomainError, NoConvergence, QuadratureSpec, integrate_semiaxis, integrate_unit
-from pkspecial.quadrature import _bbg_error, _power_integral
+from pkspecial.quadrature import _MAX_LEVEL, _bbg_error, _power_integral
 
 SQRT_PI_HALF = 0.88622692545275801  # Gaussian integral, polar-coordinates oracle
 
@@ -140,6 +140,14 @@ class TestErrorContract:
         partial = exc_info.value.partial
         assert math.isfinite(partial.value)
         assert partial.abs_err > 0.0
+
+    def test_no_convergence_names_the_levels_run(self):
+        # levels past the deepest node table are not run: a budget of 30 stops there
+        unreachable = dict(abs_tol=1e-300, rel_tol=1e-300)
+        with pytest.raises(NoConvergence, match=f"within {_MAX_LEVEL} refinements"):
+            integrate_unit(lambda t: np.sin(1.0 / t), QuadratureSpec(**unreachable, max_refinements=30))
+        with pytest.raises(NoConvergence, match="within 5 refinements"):
+            integrate_unit(lambda t: np.sin(1.0 / t), QuadratureSpec(**unreachable, max_refinements=5))
 
 
 class TestSpecValidation:

@@ -31,6 +31,7 @@ from pkspecial import (
     PoleReport,
     QuadratureSpec,
 )
+from pkspecial.records import summarize
 
 PK = PkParams(1.5, 0.75)
 
@@ -46,6 +47,12 @@ TYPES = (
     (ConvergenceClass, {"kind": ConvergenceKind.FINITE_RADIUS}, {"radius": None}),
     (QuadratureSpec, {}, {"abs_tol": 1e-12, "rel_tol": 1e-11, "max_refinements": 12}),
     (AuditReport, {"suite": "gamma", "grid": AuditGrid.small(), "records": [], "summaries": {}}, {}),
+    (
+        AuditSummary,
+        {"count": 3, "skipped": 1, "max_rel_err_printed": 0.5, "max_rel_err_corrected": 1e-17,
+         "printed_pass_rate": 0.0, "corrected_pass_rate": 1.0, "verdict": "corrected-only"},
+        {},
+    ),
     (
         IdentityRecord,
         {"identity_id": "2.2", "grid_point": {"p": 1.0, "x": 2.5}},
@@ -144,17 +151,14 @@ def test_numpy_scalars_are_accepted():
     assert PochSpec(1.5, np.int64(0), PK).n == 0
 
 
-def test_audit_summary_is_a_mutable_aggregate():
-    s = AuditSummary("2.2")
-    assert repr(s) == (
-        "AuditSummary(identity_id='2.2', count=0, skipped=0, max_rel_err_printed=0.0, "
-        "max_rel_err_corrected=0.0, printed_passes=0, corrected_passes=0)"
-    )
-    s.add(IdentityRecord("2.2", {}, rel_err_printed=0.5, rel_err_corrected=1e-17,
-                         printed_pass=False, corrected_pass=True))
-    s.add(IdentityRecord("2.2", {}, skipped=True, skip_reason="pole"))
-    assert (s.count, s.skipped, s.printed_passes, s.corrected_passes) == (1, 1, 0, 1)
-    assert (s.max_rel_err_printed, s.verdict) == (0.5, "corrected-only")
+def test_summarize_folds_one_identitys_records():
+    evaluated = IdentityRecord("2.2", {}, rel_err_printed=0.5, rel_err_corrected=1e-17,
+                               printed_pass=False, corrected_pass=True)
+    skipped = IdentityRecord("2.2", {}, skipped=True, skip_reason="pole")
+    s = summarize([evaluated, skipped])
+    assert (s.count, s.skipped, s.printed_pass_rate, s.corrected_pass_rate) == (1, 1, 0.0, 1.0)
+    assert (s.max_rel_err_printed, s.max_rel_err_corrected, s.verdict) == (0.5, 1e-17, "corrected-only")
+    assert summarize([skipped, skipped]) == AuditSummary(0, 2, 0.0, 0.0, 1.0, 1.0, "skipped")
 
 
 # each validation error, with its exact type and message

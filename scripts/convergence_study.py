@@ -27,10 +27,10 @@ from pkspecial import (
     gamma_closed,
     gamma_euler_product,
     gamma_limit,
+    gamma_limit_product_recip,
     gamma_weierstrass_recip,
 )
 from pkspecial import core
-from pkspecial.gamma import gamma_limit_product_recip
 
 # route name -> (call at index n, whether it returns the reciprocal)
 LIMIT_ROUTES = {

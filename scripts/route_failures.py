@@ -1,0 +1,60 @@
+#!/usr/bin/env python3
+"""Count the route sweep's failed judgements per route, in one process.
+
+Usage:
+    python scripts/route_failures.py SEED...
+
+For each seed, runs every route of the benchmark's route table
+(``perfbench/worker.py``) on the first 1,000 route-sweep draws
+(``perfbench/inputs.py``), round-trips each draw's results through JSON as
+the worker sends them, and judges each against the mpmath truth with the
+benchmark's own rule (``perfbench/check.py``).  Prints one line per seed
+with its number of failed judgements, then one indented line per route and
+outcome that failed.  It only imports ``perfbench/``, and needs ``src`` on
+the path, as the other scripts do.
+"""
+
+from __future__ import annotations
+
+import itertools
+import json
+import sys
+from collections import Counter
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+from check import OK, ROUTE_TRUTH, judge, truth  # noqa: E402
+from inputs import sweep_blocks  # noqa: E402
+from worker import call_route, route_table  # noqa: E402
+
+DRAWS = 1_000
+
+
+def failures(seed: int, draws: int) -> Counter:
+    """(route, outcome) -> how many of the seed's first ``draws`` draws failed that way."""
+    routes = route_table()
+    failed: Counter = Counter()
+    for draw in itertools.islice(itertools.chain.from_iterable(sweep_blocks(seed)), draws):
+        results = json.loads(json.dumps({name: call_route(fn, draw) for name, fn in routes.items()}))
+        for name, result in results.items():
+            outcome = judge(result, truth(ROUTE_TRUTH[name], draw))
+            if outcome != OK:
+                failed[name, outcome] += 1
+    return failed
+
+
+def main(argv: list[str]) -> int:
+    if not argv or not all(arg.isdigit() for arg in argv):
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    for seed in map(int, argv):
+        failed = failures(seed, DRAWS)
+        print(f"seed {seed}: {sum(failed.values())} failed in {DRAWS} draws")
+        for (name, outcome), count in sorted(failed.items()):
+            print(f"  {name} {outcome} {count}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -17,7 +17,10 @@ The identity catalog (``identities``, ``records``) loads only where an audit
 runs, so no ``eval`` or ``table`` process imports it.  The value types
 (``PkParams``, ``EvalReal``, ``GammaEval`` and the rest) are immutable
 namedtuples that validate in ``__new__``, so ``eval`` and ``table``
-processes import neither ``dataclasses`` nor ``inspect``.
+processes import neither ``dataclasses`` nor ``inspect``.  Every route and
+value type converts each real argument to a plain float and each count to a
+plain int through ``core``, or raises ``DomainError``: a real is any finite
+real number but a bool, numpy's scalars included; a count any integer but a bool.
 """
 
 from .core import (
@@ -53,6 +56,7 @@ from .gamma import (
     gamma_euler_product,
     gamma_integral,
     gamma_limit,
+    gamma_limit_product_recip,
     gamma_weierstrass_recip,
 )
 from .betapsi import (

@@ -23,9 +23,12 @@ from .core import (
     _EPS,
     _PSI_ASYMPTOTIC,
     _TAIL_GAP,
+    _as_index,
     _digamma_array,
     _digamma_step,
     _lattice_terms,
+    _positive_real,
+    _real,
     _ValueType,
     EULER_GAMMA,
     DomainError,
@@ -33,10 +36,8 @@ from .core import (
     Method,
     OverflowNote,
     PkParams,
-    PoleError,
     digamma_classical,
     ln_gamma_classical,
-    pole_check,
 )
 from .quadrature import _power_integral, _split_beta_kernel, integrate_unit
 
@@ -67,10 +68,7 @@ class BetaArgs(_ValueType, namedtuple("BetaArgs", "x y params")):
     params: PkParams
 
     def __new__(cls, x: float, y: float, params: PkParams):
-        for name, v in (("x", x), ("y", y)):
-            if not (math.isfinite(v) and v > 0):
-                raise DomainError(f"{name} must be a positive real, got {v!r}")
-        return tuple.__new__(cls, (x, y, params))
+        return tuple.__new__(cls, (_positive_real("x", x), _positive_real("y", y), params))
 
 
 def beta_closed(args: BetaArgs) -> EvalReal:
@@ -121,10 +119,9 @@ def beta_integral(args: BetaArgs, form: str = "unit") -> EvalReal:
 
 def psi(params: PkParams, x: float) -> EvalReal:
     """log(p)/k + digamma(x/k)/k, the logarithmic derivative of the family Gamma."""
-    if pole_check(params, x).is_pole:
-        raise PoleError(f"psi: x={x} lies on the pole lattice of k={params.k}")
     k = params.k
-    z = x / k
+    z = _real("x", x) / k
+    # raises PoleError on the pole lattice, and DomainError where x/k leaves the double range
     v = math.log(params.p) / k + digamma_classical(z) / k
     err = 1e-14 * (1.0 + abs(v))
     if z < 0.0:
@@ -147,8 +144,7 @@ def psi_series(params: PkParams, x: float, form: str = "3.9") -> EvalReal:
     included, plus what the psi series leaves out.  Requires
     x/k < core._LATTICE_Z_MAX.
     """
-    if not (math.isfinite(x) and x > 0):
-        raise DomainError(f"psi_series requires x > 0, got {x!r}")
+    x = _positive_real("x", x)
     if form not in PSI_SERIES_FORMS:
         raise DomainError(f"form must be one of {PSI_SERIES_FORMS}, got {form!r}")
     p, k = params.p, params.k
@@ -179,8 +175,7 @@ def ln_gamma_via_psi(params: PkParams, x: float) -> EvalReal:
     The integration constant log G(1) = log(p^(1/k) Gamma(1/k) / k) is
     required; the antiderivative alone is only defined up to it.
     """
-    if not (math.isfinite(x) and x > 0):
-        raise DomainError(f"ln_gamma_via_psi requires x > 0, got {x!r}")
+    x = _positive_real("x", x)
     p, k = params.p, params.k
     ln_at_one = math.log(p) / k - math.log(k) + ln_gamma_classical(1.0 / k).ln_value
     span = x - 1.0
@@ -205,12 +200,10 @@ def k_zeta(x: float, r: int, k: float) -> EvalReal:
     plus an absolute floor for the roundings that land below the normal range.
     Past the double range the value is inf, with an OverflowNote.
     """
-    if not (isinstance(r, int) and r >= 2):
+    order = _as_index(r)
+    if order is None or order < 2:
         raise DomainError(f"r must be an integer >= 2 for convergence, got {r!r}")
-    if not (math.isfinite(x) and x > 0):
-        raise DomainError(f"x must be a positive real, got {x!r}")
-    if not (math.isfinite(k) and k > 0):
-        raise DomainError(f"k must be a positive real, got {k!r}")
+    r, x, k = order, _positive_real("x", x), _positive_real("k", k)
     a = x + _ZETA_TERMS * k
     w = k / a
     # B_2j/(2j)! (r)_(2j-1) = _PSI_ASYMPTOTIC[j-1] C(r+2j-2, 2j-1), j = 1..7 (j-1 below)
@@ -242,10 +235,10 @@ def polygamma(params: PkParams, x: float, r: int) -> EvalReal:
     (r-1)! no longer fits in a double.  Past the double range the value is a
     signed inf, with an OverflowNote.
     """
-    if not (isinstance(r, int) and 2 <= r <= 171):
+    order = _as_index(r)
+    if order is None or not 2 <= order <= 171:
         raise DomainError(f"r must be an integer in [2, 171], got {r!r}")
-    if not (math.isfinite(x) and x > 0):
-        raise DomainError(f"x must be a positive real, got {x!r}")
+    r, x = order, _positive_real("x", x)
     q = params.k / x
     if q == 0.0:
         raise DomainError(f"x/k must be finite, got x={x!r}, k={params.k!r}")

@@ -265,6 +265,7 @@ def _finite(doc: dict) -> dict:
 def _cmd_eval(args) -> int:
     try:
         x = _require(args, "x")
+        y = None if args.y is None else _require(args, "y")
         key = _route(args)
         params = PkParams(args.p, args.k)
         result = ROUTES[args.function][key](args, params, x)
@@ -278,10 +279,9 @@ def _cmd_eval(args) -> int:
     method = result.method.value if isinstance(result, (GammaEval, EvalReal)) else key
     doc = {"value": value, "abs_err": abs_err, "method": method, **_log_doc(args, key, params, x, result)}
     inputs = {"function": args.function, "p": args.p, "k": args.k, "x": x}
-    for extra in ("y", "n", "r"):
-        v = getattr(args, extra)
+    for extra, v in (("y", y), ("n", args.n), ("r", args.r)):
         if v is not None:
-            inputs[extra] = float(v) if extra == "y" else v
+            inputs[extra] = v
     if args.format == "json":
         print(json.dumps(_finite({**doc, "inputs": inputs}), sort_keys=True, allow_nan=False))
     else:
@@ -347,10 +347,10 @@ def _parse_sweep(raw: str) -> list[float]:
         raise DomainError("sweep step must be positive")
     if b < a:
         raise DomainError("sweep range is empty")
-    count = int(math.floor((b - a) / step + 1e-9)) + 1
-    if count > MAX_ROWS:
-        raise DomainError(f"sweep would produce {count} rows (limit {MAX_ROWS})")
-    return [a + i * step for i in range(count)]
+    steps = (b - a) / step + 1e-9  # compared before int(), which fails on an inf quotient
+    if steps >= MAX_ROWS:
+        raise DomainError(f"sweep exceeds the limit of {MAX_ROWS} rows")
+    return [a + i * step for i in range(int(steps) + 1)]
 
 
 def _cmd_table(args) -> int:

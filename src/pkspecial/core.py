@@ -2,8 +2,8 @@
 
 Every member of the two-parameter family reduces to a classical function
 evaluated at x/k, so this module owns the classical backend (log-gamma with
-an explicit sign channel and digamma), parameter validation, and
-pole detection on the lattice x = -n*k.
+an explicit sign channel and digamma), the one conversion of every real
+argument and count, and pole detection on the lattice x = -n*k.
 
 Gamma-type values are computed and stored in log space, as a ``GammaEval``
 with a sign, and their linear value is materialized on demand; an
@@ -104,23 +104,35 @@ class _ValueType:
         return cls(*iterable)
 
 
-def _positive_real(name: str, v) -> float:
-    """v as a float, if it is a positive finite real number: numpy's scalars are, a bool is not."""
-    if type(v) is float or type(v) is int or _is_real(v):
+def _finite(v) -> float | None:
+    """v as a float, if it is a finite real other than a bool (numpy's scalars are, np.bool_ is not), else None."""
+    if type(v) is not float:
+        if type(v) is not int:
+            import numbers
+
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                return None
         try:
-            f = float(v)
+            v = float(v)
         except OverflowError:  # an int past the double range
-            f = math.inf
-        if math.isfinite(f) and f > 0:
-            return f
-    raise DomainError(f"{name} must be a positive finite real, got {v!r}")
+            return None
+    return v if math.isfinite(v) else None
 
 
-def _is_real(v) -> bool:
-    """Whether v is a real number other than a bool, a numpy scalar say (np.bool_ is not one)."""
-    import numbers
+def _real(name: str, v) -> float:
+    """v as a float, if it is a finite real (see _finite); DomainError naming it otherwise."""
+    f = _finite(v)
+    if f is None:
+        raise DomainError(f"{name} must be finite, got {v!r}")
+    return f
 
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+def _positive_real(name: str, v) -> float:
+    """v as a float, if it is a positive finite real (see _finite); DomainError naming it otherwise."""
+    f = _finite(v)
+    if f is None or not f > 0:
+        raise DomainError(f"{name} must be a positive finite real, got {v!r}")
+    return f
 
 
 def _as_index(v) -> int | None:
@@ -195,10 +207,7 @@ _OFF_POLE = PoleReport(False, None)
 
 def pole_check(params: PkParams, x: float) -> PoleReport:
     """Detect whether x sits on the pole lattice {0, -k, -2k, ...}."""
-    try:
-        q = x / params.k
-    except OverflowError:  # an int x past the double range
-        q = math.inf
+    q = _real("x", x) / params.k
     if not math.isfinite(q):
         raise DomainError(f"x/k must be finite, got x={x!r}, k={params.k!r}")
     n = round(q)
@@ -229,8 +238,7 @@ def ln_gamma_classical(z: float) -> GammaEval:
     The log is finite wherever Gamma(z) overflows; only materializing
     ``.value`` there warns.
     """
-    if not math.isfinite(z):
-        raise DomainError(f"z must be finite, got {z!r}")
+    z = _real("z", z)
     d = _pole_distance(z)
     if d <= TAU_POLE:
         raise PoleError(f"ln_gamma_classical: z={z} is within {TAU_POLE} of a pole")
@@ -280,8 +288,7 @@ def digamma_classical(z: float) -> float:
     asymptotic series; z < 0 is reflected first (DLMF 5.5.4),
     psi(z) = psi(1-z) - pi/tan(pi r) with r = z - round(z), which is exact.
     """
-    if not math.isfinite(z):
-        raise DomainError(f"z must be finite, got {z!r}")
+    z = _real("z", z)
     if _pole_distance(z) <= TAU_POLE:
         raise PoleError(f"digamma_classical: z={z} is within {TAU_POLE} of a pole")
     reflect = 0.0

@@ -23,15 +23,17 @@ import math
 from .core import (
     _EPS,
     _TAIL_GAP,
+    _as_index,
     _lattice_terms,
     _ln_gamma_step,
+    _positive_real,
     _psi_tail,
+    _real,
     EULER_GAMMA,
     DomainError,
     GammaEval,
     Method,
     PkParams,
-    PoleError,
     ln_gamma_classical,
     pole_check,
 )
@@ -43,6 +45,7 @@ __all__ = [
     "gamma_integral",
     "gamma_euler_product",
     "gamma_weierstrass_recip",
+    "gamma_limit_product_recip",
 ]
 
 
@@ -59,9 +62,8 @@ def gamma_closed(params: PkParams, x: float) -> GammaEval:
     the sign comes from the classical reflection behaviour.
     """
     _require_params(params)
-    if pole_check(params, x).is_pole:
-        raise PoleError(f"gamma_closed: x={x} lies on the pole lattice of k={params.k}")
-    z = x / params.k
+    z = _real("x", x) / params.k
+    # raises PoleError on the pole lattice, and DomainError where x/k leaves the double range
     lg = ln_gamma_classical(z)
     lnp_z, lnk = z * math.log(params.p), math.log(params.k)
     ln = lnp_z - lnk + lg.ln_value
@@ -90,11 +92,11 @@ def gamma_limit(
     leave an O(1/n^3) residual, which abs_err_ln covers.
     """
     _require_params(params)
-    if not (math.isfinite(x) and x > 0):
-        raise DomainError(f"gamma_limit requires x > 0, got {x!r}")
+    x, count = _positive_real("x", x), _as_index(n)
     # 4n + 1 stays an exact double
-    if not (isinstance(n, int) and 8 <= n <= 2**50):
+    if count is None or not 8 <= count <= 2**50:
         raise DomainError(f"n must be an integer from 8 to 2**50, got {n!r}")
+    n = count
     if variant not in ("2.6", "2.7"):
         raise DomainError(f"variant must be '2.6' or '2.7', got {variant!r}")
     extra = 1 if variant == "2.6" else 0
@@ -173,10 +175,7 @@ def gamma_integral(params: PkParams, x: float, a_scale: float = 1.0) -> GammaEva
     import numpy as np
 
     _require_params(params)
-    if not (math.isfinite(x) and x > 0):
-        raise DomainError(f"gamma_integral requires x > 0, got {x!r}")
-    if not (math.isfinite(a_scale) and a_scale > 0):
-        raise DomainError(f"a_scale must be a positive real, got {a_scale!r}")
+    x, a_scale = _positive_real("x", x), _positive_real("a_scale", a_scale)
     p, k = params.p, params.k
     z = x / k
     m = max(z - 1.0 / k, 1.0)
@@ -200,8 +199,7 @@ def gamma_euler_product(params: PkParams, x: float) -> GammaEval:
     rest.  Requires x > 0 and x/k < core._LATTICE_Z_MAX.
     """
     _require_params(params)
-    if not (math.isfinite(x) and x > 0):
-        raise DomainError(f"gamma_euler_product requires x > 0, got {x!r}")
+    x = _positive_real("x", x)
     z = x / params.k
     N = _lattice_terms(z)
     body = mag = 0.0
@@ -232,7 +230,7 @@ def _reciprocal(params: PkParams, x: float, method: Method) -> GammaEval:
     identically, so a zero eval (ln = -inf) is returned rather than raising.
     """
     _require_params(params)
-    # pole_check also rejects a non-finite x with DomainError
+    x = _real("x", x)
     if pole_check(params, x).is_pole:
         return GammaEval(ln_value=-math.inf, sign=1, abs_err_ln=0.0, method=method)
     z = x / params.k

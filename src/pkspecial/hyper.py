@@ -13,7 +13,7 @@ import enum
 import math
 from collections import namedtuple
 
-from .core import _EPS, _ValueType, DomainError, EvalReal, Method, PkParams, ln_gamma_classical
+from .core import _EPS, _finite, _real, _ValueType, DomainError, EvalReal, Method, PkParams, ln_gamma_classical
 from .quadrature import _split_beta_kernel
 
 __all__ = [
@@ -70,10 +70,10 @@ class ConvergenceClass(_ValueType, namedtuple("ConvergenceClass", "kind radius",
 def _as_triples(seq, what: str) -> tuple[tuple[float, float, float], ...]:
     out = []
     for item in seq:
-        trip = tuple(float(v) for v in item)
+        trip = tuple(_finite(v) for v in item)
         if len(trip) != 3:
             raise DomainError(f"each {what} entry must be a triple, got {item!r}")
-        if not all(math.isfinite(v) for v in trip):
+        if None in trip:
             raise DomainError(f"{what} entries must be finite, got {item!r}")
         if trip[1] <= 0 or trip[2] <= 0:
             raise DomainError(f"{what} scales must be positive, got {item!r}")
@@ -159,6 +159,7 @@ def hyper_series(hp: HyperParams, x: float) -> EvalReal:
     alternating terms far larger than the sum (1F1 at large negative
     argument) cancel to few or no digits.
     """
+    x = _real("x", x)
     cls = classify(hp)
     # an upper ratio at a non-positive integer terminates the series exactly
     polynomial = any(a <= 0.0 and abs(a - round(a)) < 1e-12 for a in hp.alphas)
@@ -242,8 +243,7 @@ def pk_binomial(a: float, params: PkParams, x: float) -> EvalReal:
     """
     if not isinstance(params, PkParams):
         raise DomainError("params must be a PkParams instance")
-    if not (math.isfinite(a) and math.isfinite(x)):
-        raise DomainError("a and x must be finite")
+    a, x = _real("a", a), _real("x", x)
     if abs(x) >= 1.0 / params.p:
         raise DivergentInput(f"|x|={abs(x)} is outside the radius 1/p = {1.0 / params.p}")
     return hyper_series(HyperParams(((a, params.p, params.k),), ()), x)
@@ -260,6 +260,7 @@ def confluent_integral(hp: HyperParams, x: float) -> EvalReal:
     """
     if hp.r != 1 or hp.q != 1:
         raise UnsupportedShape(f"integral form supports r = q = 1 only, got r={hp.r}, q={hp.q}")
+    x = _real("x", x)
     (a, p, k), (b, t1, s) = hp.upper[0], hp.lower[0]
     alpha = a / k
     beta = b / s

@@ -21,12 +21,12 @@ from .core import (
     _LN_OVERFLOW,
     _ValueType,
     _as_index,
+    _positive_real,
+    _real,
     DomainError,
     OverflowNote,
     PkParams,
-    PoleError,
     ln_gamma_classical,
-    pole_check,
 )
 
 __all__ = [
@@ -55,16 +55,10 @@ class PochSpec(_ValueType, namedtuple("PochSpec", "x n params")):
     params: PkParams
 
     def __new__(cls, x: float, n: int, params: PkParams):
-        m = n if type(n) is int else _as_index(n)
+        m = _as_index(n)
         if m is None or m < 0:
             raise DomainError(f"n must be a non-negative integer, got {n!r}")
-        try:
-            finite = math.isfinite(x)
-        except OverflowError:  # an int past the double range
-            finite = False
-        if not finite:
-            raise DomainError(f"x must be finite, got {x!r}")
-        return tuple.__new__(cls, (x, m, params))
+        return tuple.__new__(cls, (_real("x", x), m, params))
 
 
 def _factors(spec: PochSpec):
@@ -185,9 +179,10 @@ def poch_generalized(spec: PochSpec, q: int) -> float:
 
     ``spec.n`` is the per-block count; the total index n*q is implicit.
     """
-    if not (isinstance(q, int) and q >= 1):
+    blocks = _as_index(q)
+    if blocks is None or blocks < 1:
         raise DomainError(f"q must be a positive integer, got {q!r}")
-    n = spec.n
+    q, n = blocks, spec.n
     z = spec.x / spec.params.k
     out = _power(spec.params.p * q, n * q)
     for r in range(1, q + 1):
@@ -204,10 +199,8 @@ def poch_gamma_ratio(spec: PochSpec) -> float:
     the value is a signed inf, with an OverflowNote as from poch_direct.
     """
     params = spec.params
-    for arg in (spec.x, spec.x + spec.n * params.k):
-        if pole_check(params, arg).is_pole:
-            raise PoleError(f"poch_gamma_ratio: argument {arg} is a pole")
     z = spec.x / params.k
+    # each raises PoleError where its argument is on the pole lattice
     num = ln_gamma_classical(z + spec.n)
     den = ln_gamma_classical(z)
     ln = spec.n * math.log(params.p) + num.ln_value - den.ln_value
@@ -268,8 +261,7 @@ def poch_rescale(spec: PochSpec, s_new: float, mode: str) -> float:
     The left sides are what poch_direct produces on the matching spec; the
     return value is the right-side evaluation.
     """
-    if not (math.isfinite(s_new) and s_new > 0):
-        raise DomainError(f"s_new must be a positive real, got {s_new!r}")
+    s_new = _positive_real("s_new", s_new)
     p, k = spec.params.p, spec.params.k
     if mode == "2.8":
         return poch_direct(PochSpec(k * spec.x / s_new, spec.n, PkParams(p, k)))

@@ -28,7 +28,7 @@ import sys
 from collections import namedtuple
 from functools import lru_cache
 
-from .core import _EPS, _ValueType, DomainError, EvalReal, Method
+from .core import _EPS, _as_index, _finite, _ValueType, DomainError, EvalReal, Method
 
 __all__ = [
     "QuadratureSpec",
@@ -49,7 +49,7 @@ _LOG10_MAX = math.log10(_BIG)  # 10.0 ** est overflows past this
 
 
 class QuadratureSpec(_ValueType, namedtuple("QuadratureSpec", "abs_tol rel_tol max_refinements")):
-    """Tolerance and refinement budget for one integration."""
+    """Tolerance and refinement budget for one integration; budgets 15 to 30 all run _MAX_LEVEL = 14 levels."""
 
     __slots__ = ()
     abs_tol: float
@@ -57,11 +57,13 @@ class QuadratureSpec(_ValueType, namedtuple("QuadratureSpec", "abs_tol rel_tol m
     max_refinements: int
 
     def __new__(cls, abs_tol: float = 1e-12, rel_tol: float = 1e-11, max_refinements: int = 12):
-        if not (0.0 < abs_tol < 1.0 and 0.0 < rel_tol < 1.0):
+        tols = _finite(abs_tol), _finite(rel_tol)
+        if not all(t is not None and 0.0 < t < 1.0 for t in tols):
             raise DomainError("abs_tol and rel_tol must lie in (0, 1)")
-        if not (1 <= max_refinements <= 30):
+        levels = _as_index(max_refinements)
+        if levels is None or not 1 <= levels <= 30:
             raise DomainError("max_refinements must be in 1..30")
-        return tuple.__new__(cls, (abs_tol, rel_tol, max_refinements))
+        return tuple.__new__(cls, (*tols, levels))
 
 
 DEFAULT_SPEC = QuadratureSpec()

@@ -150,6 +150,14 @@ class TestEval:
         assert code == 2 and out == ""
         assert "psi methods are" in err
 
+    def test_unused_bad_y_is_domain_error(self, capsys):
+        # gamma reads no --y, but eval echoes it among the inputs
+        code, out, err = run_cli(capsys, "eval", "gamma", "--x", "2", "--y", "abc")
+        assert (code, out, err) == (2, "", "error: y must be a finite real, got 'abc'\n")
+        code, out, _ = run_cli(capsys, "eval", "gamma", "--x", "2", "--y", "inf", "--format", "json")
+        assert code == 2
+        assert json.loads(out) == {"error": "domain", "reason": "y must be finite, got 'inf'"}
+
     def test_missing_argument(self, capsys):
         code, out, err = run_cli(capsys, "eval", "gamma", "--p", "1", "--k", "1")
         assert code == 2
@@ -243,8 +251,10 @@ class TestTable:
         rows = json.loads(out)
         assert [r["x"] for r in rows] == [1.0, 1.5, 2.0]
 
-    def test_row_limit(self, capsys):
-        code, _, err = run_cli(capsys, "table", "gamma", "--x", "0:100:1e-6")
+    # the last two sweeps' step counts overflow to inf
+    @pytest.mark.parametrize("sweep", ["0:100:1e-6", "1:2:1e-320", "0:1e308:1e-300"])
+    def test_row_limit(self, capsys, sweep):
+        code, _, err = run_cli(capsys, "table", "gamma", "--x", sweep)
         assert code == 1
         assert "limit" in err
 
@@ -416,7 +426,7 @@ class TestImportGraph:
         "IdentityRecord LowerPoleError MaxTermsExceeded Method NoConvergence OverflowNote "
         "PkParams PochSpec PoleError PoleReport QuadratureSpec TAU_POLE UnsupportedShape "
         "beta_closed beta_integral check_point classify confluent_integral digamma_classical "
-        "gamma_closed gamma_euler_product gamma_integral gamma_limit "
+        "gamma_closed gamma_euler_product gamma_integral gamma_limit gamma_limit_product_recip "
         "gamma_weierstrass_recip hyper_series integrate_semiaxis integrate_unit "
         "k_zeta ln_gamma_classical ln_gamma_via_psi ode_coefficient_residual "
         "pk_binomial poch_direct poch_dk poch_dp poch_gamma_ratio poch_generalized poch_ln "

@@ -168,8 +168,8 @@ ERRORS = (
     (lambda: PkParams("1", 2), DomainError, "p must be a positive finite real, got '1'"),
     (lambda: EvalReal(1.0, -1.0), ValueError, "abs_err must be finite and >= 0, got -1.0"),
     (lambda: EvalReal(1.0, math.nan), ValueError, "abs_err must be finite and >= 0, got nan"),
-    (lambda: BetaArgs(0.0, 1.0, PK), DomainError, "x must be a positive real, got 0.0"),
-    (lambda: BetaArgs(1.0, -2.0, PK), DomainError, "y must be a positive real, got -2.0"),
+    (lambda: BetaArgs(0.0, 1.0, PK), DomainError, "x must be a positive finite real, got 0.0"),
+    (lambda: BetaArgs(1.0, -2.0, PK), DomainError, "y must be a positive finite real, got -2.0"),
     (lambda: PochSpec(1.5, -1, PK), DomainError, "n must be a non-negative integer, got -1"),
     (lambda: PochSpec(1.5, 2.0, PK), DomainError, "n must be a non-negative integer, got 2.0"),
     (lambda: PochSpec(math.nan, 2, PK), DomainError, "x must be finite, got nan"),

@@ -137,6 +137,8 @@ def _positive_real(name: str, v) -> float:
 
 def _as_index(v) -> int | None:
     """v as an int, if it is an integer other than a bool (numpy's integers included), else None."""
+    if type(v) is int:
+        return v
     if isinstance(v, bool):
         return None
     import operator

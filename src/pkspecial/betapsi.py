@@ -29,6 +29,7 @@ from .core import (
     _lattice_terms,
     _positive_real,
     _real,
+    _require_params,
     _ValueType,
     EULER_GAMMA,
     DomainError,
@@ -68,7 +69,7 @@ class BetaArgs(_ValueType, namedtuple("BetaArgs", "x y params")):
     params: PkParams
 
     def __new__(cls, x: float, y: float, params: PkParams):
-        return tuple.__new__(cls, (_positive_real("x", x), _positive_real("y", y), params))
+        return tuple.__new__(cls, (_positive_real("x", x), _positive_real("y", y), _require_params(params)))
 
 
 def beta_closed(args: BetaArgs) -> EvalReal:
@@ -119,7 +120,7 @@ def beta_integral(args: BetaArgs, form: str = "unit") -> EvalReal:
 
 def psi(params: PkParams, x: float) -> EvalReal:
     """log(p)/k + digamma(x/k)/k, the logarithmic derivative of the family Gamma."""
-    k = params.k
+    k = _require_params(params).k
     z = _real("x", x) / k
     # raises PoleError on the pole lattice, and DomainError where x/k leaves the double range
     v = math.log(params.p) / k + digamma_classical(z) / k
@@ -144,6 +145,7 @@ def psi_series(params: PkParams, x: float, form: str = "3.9") -> EvalReal:
     included, plus what the psi series leaves out.  Requires
     x/k < core._LATTICE_Z_MAX.
     """
+    _require_params(params)
     x = _positive_real("x", x)
     if form not in PSI_SERIES_FORMS:
         raise DomainError(f"form must be one of {PSI_SERIES_FORMS}, got {form!r}")
@@ -175,6 +177,7 @@ def ln_gamma_via_psi(params: PkParams, x: float) -> EvalReal:
     The integration constant log G(1) = log(p^(1/k) Gamma(1/k) / k) is
     required; the antiderivative alone is only defined up to it.
     """
+    _require_params(params)
     x = _positive_real("x", x)
     p, k = params.p, params.k
     ln_at_one = math.log(p) / k - math.log(k) + ln_gamma_classical(1.0 / k).ln_value
@@ -235,6 +238,7 @@ def polygamma(params: PkParams, x: float, r: int) -> EvalReal:
     (r-1)! no longer fits in a double.  Past the double range the value is a
     signed inf, with an OverflowNote.
     """
+    _require_params(params)
     order = _as_index(r)
     if order is None or not 2 <= order <= 171:
         raise DomainError(f"r must be an integer in [2, 171], got {r!r}")

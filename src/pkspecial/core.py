@@ -160,6 +160,13 @@ class PkParams(_ValueType, namedtuple("PkParams", "p k")):
         return tuple.__new__(cls, (_positive_real("p", p), _positive_real("k", k)))
 
 
+def _require_params(params) -> PkParams:
+    """params itself, if it is a PkParams; DomainError otherwise."""
+    if not isinstance(params, PkParams):
+        raise DomainError(f"params must be a PkParams instance, got {params!r}")
+    return params
+
+
 class EvalReal(_ValueType, namedtuple("EvalReal", "value abs_err method")):
     """A computed linear value with an absolute-error estimate and a method tag."""
 
@@ -209,7 +216,7 @@ _OFF_POLE = PoleReport(False, None)
 
 def pole_check(params: PkParams, x: float) -> PoleReport:
     """Detect whether x sits on the pole lattice {0, -k, -2k, ...}."""
-    q = _real("x", x) / params.k
+    q = _real("x", x) / _require_params(params).k
     if not math.isfinite(q):
         raise DomainError(f"x/k must be finite, got x={x!r}, k={params.k!r}")
     n = round(q)

@@ -29,6 +29,7 @@ from .core import (
     _positive_real,
     _psi_tail,
     _real,
+    _require_params,
     EULER_GAMMA,
     DomainError,
     GammaEval,
@@ -47,12 +48,6 @@ __all__ = [
     "gamma_weierstrass_recip",
     "gamma_limit_product_recip",
 ]
-
-
-def _require_params(params: PkParams) -> PkParams:
-    if not isinstance(params, PkParams):
-        raise DomainError("params must be a PkParams instance")
-    return params
 
 
 def gamma_closed(params: PkParams, x: float) -> GammaEval:

@@ -13,7 +13,7 @@ import enum
 import math
 from collections import namedtuple
 
-from .core import _EPS, _finite, _real, _ValueType, DomainError, EvalReal, Method, PkParams, ln_gamma_classical
+from .core import _EPS, _finite, _real, _require_params, _ValueType, DomainError, EvalReal, Method, PkParams, ln_gamma_classical
 from .quadrature import _split_beta_kernel
 
 __all__ = [
@@ -70,7 +70,10 @@ class ConvergenceClass(_ValueType, namedtuple("ConvergenceClass", "kind radius",
 def _as_triples(seq, what: str) -> tuple[tuple[float, float, float], ...]:
     out = []
     for item in seq:
-        trip = tuple(_finite(v) for v in item)
+        try:
+            trip = tuple(_finite(v) for v in item)
+        except TypeError:  # not a sequence: no triple either
+            trip = ()
         if len(trip) != 3:
             raise DomainError(f"each {what} entry must be a triple, got {item!r}")
         if None in trip:
@@ -125,6 +128,13 @@ class HyperParams(_ValueType, namedtuple("HyperParams", "upper lower")):
         return tuple(b / s for b, _, s in self.lower)
 
 
+def _require_hp(hp) -> HyperParams:
+    """hp itself, if it is a HyperParams; DomainError otherwise."""
+    if not isinstance(hp, HyperParams):
+        raise DomainError(f"hp must be a HyperParams instance, got {hp!r}")
+    return hp
+
+
 def classify(hp: HyperParams) -> ConvergenceClass:
     """Ratio-test classification: entire, finite radius prod(t)/prod(p), or formal."""
     if hp.r <= hp.q:
@@ -159,6 +169,7 @@ def hyper_series(hp: HyperParams, x: float) -> EvalReal:
     alternating terms far larger than the sum (1F1 at large negative
     argument) cancel to few or no digits.
     """
+    _require_hp(hp)
     x = _real("x", x)
     cls = classify(hp)
     # an upper ratio at a non-positive integer terminates the series exactly
@@ -241,8 +252,7 @@ def pk_binomial(a: float, params: PkParams, x: float) -> EvalReal:
     The series is the 1F0 case of hyper_series, upper triple (a, p, k), and
     carries its abs_err: eps*sum|term| plus the tail.
     """
-    if not isinstance(params, PkParams):
-        raise DomainError("params must be a PkParams instance")
+    _require_params(params)
     a, x = _real("a", a), _real("x", x)
     if abs(x) >= 1.0 / params.p:
         raise DivergentInput(f"|x|={abs(x)} is outside the radius 1/p = {1.0 / params.p}")
@@ -258,6 +268,7 @@ def confluent_integral(hp: HyperParams, x: float) -> EvalReal:
     is quadrature._split_beta_kernel, two power pieces; abs_err adds the errors
     and the rounding of the prefactor's three log-gammas.
     """
+    _require_hp(hp)
     if hp.r != 1 or hp.q != 1:
         raise UnsupportedShape(f"integral form supports r = q = 1 only, got r={hp.r}, q={hp.q}")
     x = _real("x", x)

@@ -23,6 +23,7 @@ from .core import (
     _as_index,
     _positive_real,
     _real,
+    _require_params,
     DomainError,
     OverflowNote,
     PkParams,
@@ -58,7 +59,7 @@ class PochSpec(_ValueType, namedtuple("PochSpec", "x n params")):
         m = _as_index(n)
         if m is None or m < 0:
             raise DomainError(f"n must be a non-negative integer, got {n!r}")
-        return tuple.__new__(cls, (_real("x", x), m, params))
+        return tuple.__new__(cls, (_real("x", x), m, _require_params(params)))
 
 
 def _factors(spec: PochSpec):

@@ -3,8 +3,11 @@
 The trapezoid rule after the tanh-sinh change of variable,
 t(u) = sigmoid(pi*sinh(u)) (Takahasi & Mori, 1974), pushes endpoint
 behaviour into doubly-exponential decay.  Each refinement level halves the
-step; abscissae of earlier levels are reused, and node tables are cached per
-level.  The error estimate follows the Borwein-Bailey-Girgensohn
+step and reuses the abscissae of earlier levels.  Level 4 is the earliest
+stop, so levels 1 to 4 run as one pass: one integrand call on their nodes
+joined end to end, from one cached table, with each level's sums still taken
+over its own nodes.  Each later level is one call on a cached table of its
+own.  The error estimate follows the Borwein-Bailey-Girgensohn
 extrapolation of successive level differences, floored at a few ulps of the
 accumulated value.
 
@@ -40,6 +43,10 @@ __all__ = [
 # Levels past this are not run, whatever max_refinements asks: double precision
 # has no finer structure to resolve, and node tables would grow past any practical use.
 _MAX_LEVEL = 14
+
+# The earliest level whose error estimate may end the refinement; levels 1 to
+# this one share one integrand call.
+_FIRST_STOP = 4
 
 _H0 = 0.5  # level-1 step in the transformed variable
 _UMAX = 6.2  # past this the weights underflow
@@ -82,23 +89,29 @@ class NoConvergence(RuntimeError):
 
 
 @lru_cache(maxsize=None)
-def _nodes(level: int):
-    """(t, ln t, w) arrays of the nodes new to this level, built once per level.
+def _nodes(first: int, last: int):
+    """(t, ln t, w) of the nodes new to levels first..last, joined end to end, and where each level starts.
 
-    t = 1/(1+exp(-2v)) with v = (pi/2) sinh(u); w = pi cosh(u) t (1-t).
-    t, 1-t and ln t are formed from exp(-2|v|) directly so that nodes hug
-    both endpoints without cancellation; nodes whose t or 1-t underflow are
-    dropped (their weights underflow with them).
+    Level first + i holds entries bounds[i] to bounds[i + 1] of the three
+    arrays; each table is built once.  t = 1/(1+exp(-2v)) with
+    v = (pi/2) sinh(u); w = pi cosh(u) t (1-t).  t, 1-t and ln t are formed
+    from exp(-2|v|) directly so that nodes hug both endpoints without
+    cancellation; nodes whose t or 1-t underflow are dropped (their weights
+    underflow with them).
     """
     import numpy as np
 
-    h = _H0 / 2 ** (level - 1)
-    m = int(math.floor(_UMAX / h))
-    if level == 1:
-        u = h * np.arange(-m, m + 1)
-    else:
-        odd = np.arange(1, m + 1, 2)
-        u = h * np.concatenate((-odd[::-1], odd))
+    u = []
+    for level in range(first, last + 1):
+        h = _H0 / 2 ** (level - 1)
+        m = int(math.floor(_UMAX / h))
+        if level == 1:
+            u.append(h * np.arange(-m, m + 1))
+        else:
+            odd = np.arange(1, m + 1, 2)
+            u.append(h * np.concatenate((-odd[::-1], odd)))
+    ends = np.cumsum([len(level_u) for level_u in u]) - 1
+    u = np.concatenate(u)
     v = 0.5 * math.pi * np.sinh(u)
     e = np.exp(-2.0 * np.abs(v))
     near = e / (1.0 + e)          # distance to the closer endpoint
@@ -108,37 +121,44 @@ def _nodes(level: int):
     lt = -np.log1p(e) - np.where(v >= 0, 0.0, 2.0 * np.abs(v))
     w = math.pi * np.cosh(u) * t * tc
     keep = (t > 0.0) & (tc > 0.0)
-    return t[keep], lt[keep], w[keep]
+    bounds = (0, *np.cumsum(keep)[ends].tolist())
+    return t[keep], lt[keep], w[keep], bounds
 
 
 # ---------------------------------------------------------------------------
 # driver
 
 
-def _level_sum(integrand, level: int) -> tuple[float, float]:
-    """Weighted sums over the level's new nodes of f and of f*|log f|, under the caller's np.errstate.
+def _level_sums(integrand, first: int, last: int) -> list[tuple[float, float]]:
+    """Weighted sums of f and of f*|log f| over the nodes new to each of levels first..last.
 
-    ``integrand(t, lt)`` returns (f, |log f| or None) at the nodes; f may hold one row per piece.
+    One call ``integrand(t, lt)`` on the levels' nodes joined end to end returns
+    (f, |log f| or None); f may hold one row per piece.  Each level's sums run over
+    its own slice: f * w is a fresh C-contiguous array, so they add up in the order
+    a call on that level's nodes alone gives.  Runs under the caller's np.errstate.
     """
     import numpy as np
 
-    t, lt, w = _nodes(level)
+    t, lt, w, bounds = _nodes(first, last)
     f, abs_log = integrand(t, lt)
-    contrib = f * w
-    s = float(contrib.sum())
-    if not math.isfinite(s):
-        # Non-finite values in the doubly-exponential tail come from 0*inf
-        # style underflow races and carry no mass; elsewhere they mean the
-        # integrand is outside the supported class.
-        bad = ~np.isfinite(contrib)
-        if np.any(bad & ~((t < 1e-250) | (t > 1.0 - 1e-15))):
-            raise NoConvergence(
-                "integrand returned non-finite values away from the endpoints",
-                EvalReal(value=math.nan, abs_err=math.inf, method=Method.INTEGRAL),
-            )
-        contrib = np.where(bad, 0.0, contrib)
+    sums = []
+    for a, b in zip(bounds, bounds[1:]):
+        contrib = f[..., a:b] * w[a:b]
         s = float(contrib.sum())
-    return s, 0.0 if abs_log is None else float((contrib * abs_log).sum())
+        if not math.isfinite(s):
+            # Non-finite values in the doubly-exponential tail come from 0*inf
+            # style underflow races and carry no mass; elsewhere they mean the
+            # integrand is outside the supported class.
+            bad = ~np.isfinite(contrib)
+            if np.any(bad & ~((t[a:b] < 1e-250) | (t[a:b] > 1.0 - 1e-15))):
+                raise NoConvergence(
+                    "integrand returned non-finite values away from the endpoints",
+                    EvalReal(value=math.nan, abs_err=math.inf, method=Method.INTEGRAL),
+                )
+            contrib = np.where(bad, 0.0, contrib)
+            s = float(contrib.sum())
+        sums.append((s, 0.0 if abs_log is None else float((contrib * abs_log[..., a:b]).sum())))
+    return sums
 
 
 def _bbg_error(history: list[float], scale: float) -> float:
@@ -169,7 +189,10 @@ def _bbg_error(history: list[float], scale: float) -> float:
 
 
 def _integrate(integrand, spec: QuadratureSpec) -> EvalReal:
-    """Refine until the BBG estimate meets the spec; abs_err adds eps times the rounding sum."""
+    """Refine until the BBG estimate meets the spec; abs_err adds eps times the rounding sum.
+
+    Levels 1 to _FIRST_STOP, which no estimate can end early, share one integrand call.
+    """
     import numpy as np
 
     levels = min(spec.max_refinements, _MAX_LEVEL)
@@ -177,18 +200,22 @@ def _integrate(integrand, spec: QuadratureSpec) -> EvalReal:
     history: list[float] = []
     err = math.inf
     h = _H0
+    level = 0
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-        for level in range(1, levels + 1):
-            s, r = _level_sum(integrand, level)
-            if level == 1:
-                value, rounding = h * s, h * r
-            else:
-                h *= 0.5
-                value, rounding = 0.5 * value + h * s, 0.5 * rounding + h * r
-            history.append(value)
-            err = _bbg_error(history, value)
-            if level >= 4 and err <= max(spec.abs_tol, spec.rel_tol * abs(value)):
-                return EvalReal(value=value, abs_err=err + _EPS * rounding, method=Method.INTEGRAL)
+        while level < levels:
+            for s, r in _level_sums(integrand, level + 1, min(levels, _FIRST_STOP) if level == 0 else level + 1):
+                level += 1
+                if level == 1:
+                    value, rounding = h * s, h * r
+                else:
+                    h *= 0.5
+                    value, rounding = 0.5 * value + h * s, 0.5 * rounding + h * r
+                history.append(value)
+                # an estimate is read where it can end the refinement, or else from the last level
+                if level >= _FIRST_STOP or level == levels:
+                    err = _bbg_error(history, value)
+                    if level >= _FIRST_STOP and err <= max(spec.abs_tol, spec.rel_tol * abs(value)):
+                        return EvalReal(value=value, abs_err=err + _EPS * rounding, method=Method.INTEGRAL)
     # with no finite error estimate the partial value carries no information
     partial = value if math.isfinite(err) else math.nan
     raise NoConvergence(
@@ -199,7 +226,10 @@ def _integrate(integrand, spec: QuadratureSpec) -> EvalReal:
 
 def integrate_unit(f, spec: QuadratureSpec = DEFAULT_SPEC) -> EvalReal:
     """Integrate f over (0,1); f may be singular like t**(a-1), a > 0, at 0."""
-    return _integrate(lambda t, lt: (f(t), None), spec)
+    import numpy as np
+
+    # a constant f may give a scalar, which each level's slice of the values needs as an array
+    return _integrate(lambda t, lt: (np.broadcast_to(f(t), t.shape), None), spec)
 
 
 def integrate_semiaxis(f, spec: QuadratureSpec = DEFAULT_SPEC) -> EvalReal:

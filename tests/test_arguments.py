@@ -5,7 +5,8 @@ and the route then computes with a plain float: a np.float32 argument gives
 the double-precision result, not one computed in single precision.  A count
 may be any integer but a bool, numpy's included.  Everything else raises
 DomainError itself, never a raw OverflowError or TypeError, and never a
-subclass such as PoleError.
+subclass such as PoleError.  So does a (p, k) pair or a hypergeometric
+parameter set that is not a PkParams or a HyperParams.
 """
 
 import math
@@ -100,6 +101,30 @@ COUNTS = {
 
 NOT_REALS = [10**400, -(10**400), True, np.True_, "2.5", math.nan, math.inf, -math.inf, None, 2j]
 
+# entry point -> the call with v in place of its PkParams
+PARAMS = {
+    "gamma_closed": lambda v: gamma_closed(v, 2.5),
+    "gamma_limit": lambda v: gamma_limit(v, 2.5, 1000),
+    "gamma_integral": lambda v: gamma_integral(v, 2.5),
+    "gamma_euler_product": lambda v: gamma_euler_product(v, 2.5),
+    "gamma_weierstrass_recip": lambda v: gamma_weierstrass_recip(v, 2.5),
+    "gamma_limit_product_recip": lambda v: gamma_limit_product_recip(v, 2.5),
+    "psi": lambda v: psi(v, 2.5),
+    "psi_series": lambda v: psi_series(v, 2.5),
+    "ln_gamma_via_psi": lambda v: ln_gamma_via_psi(v, 2.5),
+    "polygamma": lambda v: polygamma(v, 2.5, 3),
+    "BetaArgs": lambda v: BetaArgs(1.0, 1.0, v),
+    "PochSpec": lambda v: PochSpec(1.0, 2, v),
+    "pk_binomial": lambda v: pk_binomial(1.5, v, 0.5),
+    "pole_check": lambda v: pole_check(v, 2.5),
+}
+
+# entry point -> the call with v in place of its HyperParams
+HYPER_PARAMS = {
+    "hyper_series": lambda v: hyper_series(v, 0.5),
+    "confluent_integral": lambda v: confluent_integral(v, 0.5),
+}
+
 
 def _leaves(result):
     if isinstance(result, (tuple, list)):
@@ -140,6 +165,18 @@ def test_what_is_no_finite_real_is_a_domain_error(name):
     call, _ = REALS[name]
     for v in NOT_REALS:
         _raises_domain_error(call, v)
+
+
+@pytest.mark.parametrize("name", PARAMS)
+def test_what_is_no_pk_params_is_a_domain_error(name):
+    for v in (None, (1.5, 0.75), HP):
+        _raises_domain_error(PARAMS[name], v)
+
+
+@pytest.mark.parametrize("name", HYPER_PARAMS)
+def test_what_is_no_hyper_params_is_a_domain_error(name):
+    for v in (None, tuple(HP), PK):
+        _raises_domain_error(HYPER_PARAMS[name], v)
 
 
 @pytest.mark.parametrize("name", COUNTS)

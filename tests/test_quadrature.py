@@ -2,12 +2,14 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 import oracles
-from pkspecial import DomainError, NoConvergence, QuadratureSpec, integrate_semiaxis, integrate_unit
-from pkspecial.quadrature import _MAX_LEVEL, _bbg_error, _power_integral
+from pkspecial import DomainError, EvalReal, Method, NoConvergence, QuadratureSpec, integrate_semiaxis, integrate_unit
+from pkspecial import quadrature
+from pkspecial.quadrature import _EPS, _MAX_LEVEL, _bbg_error, _nodes, _power_integral, _split_beta_kernel
 
 SQRT_PI_HALF = 0.88622692545275801  # Gaussian integral, polar-coordinates oracle
 
@@ -148,6 +150,127 @@ class TestErrorContract:
             integrate_unit(lambda t: np.sin(1.0 / t), QuadratureSpec(**unreachable, max_refinements=30))
         with pytest.raises(NoConvergence, match="within 5 refinements"):
             integrate_unit(lambda t: np.sin(1.0 / t), QuadratureSpec(**unreachable, max_refinements=5))
+
+
+def _one_call_per_level(integrand, spec):
+    """The rule with one integrand call on each level's own nodes: the reference the shared first pass must match bit for bit."""
+    levels = min(spec.max_refinements, _MAX_LEVEL)
+    value = rounding = 0.0
+    history = []
+    err = math.inf
+    h = 0.5
+    with np.errstate(all="ignore"):
+        for level in range(1, levels + 1):
+            t, lt, w, _ = _nodes(level, level)
+            f, abs_log = integrand(t, lt)
+            contrib = f * w
+            s = float(contrib.sum())
+            if not math.isfinite(s):
+                bad = ~np.isfinite(contrib)
+                if np.any(bad & ~((t < 1e-250) | (t > 1.0 - 1e-15))):
+                    raise NoConvergence(
+                        "integrand returned non-finite values away from the endpoints",
+                        EvalReal(value=math.nan, abs_err=math.inf, method=Method.INTEGRAL),
+                    )
+                contrib = np.where(bad, 0.0, contrib)
+                s = float(contrib.sum())
+            r = 0.0 if abs_log is None else float((contrib * abs_log).sum())
+            if level == 1:
+                value, rounding = h * s, h * r
+            else:
+                h *= 0.5
+                value, rounding = 0.5 * value + h * s, 0.5 * rounding + h * r
+            history.append(value)
+            err = _bbg_error(history, value)
+            if level >= 4 and err <= max(spec.abs_tol, spec.rel_tol * abs(value)):
+                return EvalReal(value=value, abs_err=err + _EPS * rounding, method=Method.INTEGRAL)
+    partial = value if math.isfinite(err) else math.nan
+    raise NoConvergence(
+        f"no convergence within {levels} refinements (err~{err:.3g})",
+        EvalReal(value=partial, abs_err=err + _EPS * rounding, method=Method.INTEGRAL),
+    )
+
+
+def _outcome(integrate, integrand, spec):
+    """The exact bits of a result, or of a NoConvergence's message and partial result."""
+    try:
+        res = integrate(integrand, spec)
+        kind = "value"
+    except NoConvergence as exc:
+        res, kind = exc.partial, str(exc)
+    return kind, res.value.hex(), res.abs_err.hex()
+
+
+def _captured_integrand(monkeypatch, route):
+    """The (t, ln t) -> (f, |log f| or None) integrand that route hands the rule."""
+    seen = []
+    integrate = quadrature._integrate
+
+    def capture(integrand, spec):
+        seen.append(integrand)
+        return integrate(integrand, spec)
+
+    monkeypatch.setattr(quadrature, "_integrate", capture)
+    route()
+    monkeypatch.undo()
+    (integrand,) = seen
+    return integrand
+
+
+SPECS = [
+    quadrature.DEFAULT_SPEC,
+    # a budget below the first level that may stop: no convergence, with the last level's estimate
+    *(QuadratureSpec(max_refinements=m) for m in (1, 2, 3)),
+    QuadratureSpec(max_refinements=4),
+    # a tolerance no sum meets: every level runs, the later ones one call each
+    QuadratureSpec(abs_tol=1e-300, rel_tol=1e-300, max_refinements=_MAX_LEVEL),
+]
+
+
+def _tail_nan(t):
+    """0/0 where exp(-1/t) and t**1.2 both underflow, below t = 1e-270: nan in the endpoint tail only."""
+    return np.exp(-1.0 / t) / t**1.2
+
+
+class TestSharedFirstPass:
+    """Levels 1-4 in one integrand call give the bits of one call per level."""
+
+    ROUTES = {
+        "two power pieces": lambda: _split_beta_kernel(0.3, 2.5, -1.5),
+        "unit": lambda: integrate_unit(lambda t: np.sqrt(t) * np.cos(3.0 * t)),
+        # exact from level 2 on: only the rule's first stop ends it
+        "constant": lambda: integrate_unit(lambda t: 2.0),
+        "endpoint nan": lambda: integrate_unit(_tail_nan),
+    }
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.abs_tol:g}/{s.max_refinements}")
+    def test_bit_identical_to_one_call_per_level(self, monkeypatch, route, spec):
+        integrand = _captured_integrand(monkeypatch, self.ROUTES[route])
+        want = _outcome(_one_call_per_level, integrand, spec)
+        assert _outcome(quadrature._integrate, integrand, spec) == want
+
+    def test_endpoint_nan_is_in_the_tail(self):
+        t = _nodes(1, _MAX_LEVEL)[0]
+        with np.errstate(all="ignore"):
+            bad = ~np.isfinite(_tail_nan(t))
+        assert bad.any() and (t[bad] < 1e-250).all()
+        # int_0^1 e^(-1/t) t^-1.2 dt = Gamma(0.2, 1), by s = 1/t
+        want = float(mpmath.gammainc(0.2, 1))
+        assert integrate_unit(_tail_nan).value == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("level", [1, 3])
+    def test_non_finite_inside_a_level_is_no_convergence(self, level):
+        # nan at one interior node of the level: the level's slice raises, with the partial of one call per level
+        node = _nodes(level, level)[0]
+        node = node[len(node) // 2 - 1]
+
+        def integrand(t, lt):
+            return np.where(t == node, np.nan, np.sqrt(t)), None
+
+        want = _outcome(_one_call_per_level, integrand, quadrature.DEFAULT_SPEC)
+        assert want[0] == "integrand returned non-finite values away from the endpoints"
+        assert _outcome(quadrature._integrate, integrand, quadrature.DEFAULT_SPEC) == want
 
 
 class TestSpecValidation:

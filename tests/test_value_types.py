@@ -175,6 +175,8 @@ ERRORS = (
     (lambda: PochSpec(math.nan, 2, PK), DomainError, "x must be finite, got nan"),
     (lambda: HyperParams(((1.0, 1.0),), ()), DomainError,
      "each upper entry must be a triple, got (1.0, 1.0)"),
+    (lambda: HyperParams([1.0], ()), DomainError, "each upper entry must be a triple, got 1.0"),
+    (lambda: HyperParams((), [None]), DomainError, "each lower entry must be a triple, got None"),
     (lambda: HyperParams((), ((1.0, math.inf, 1.0),)), DomainError,
      "lower entries must be finite, got (1.0, inf, 1.0)"),
     (lambda: HyperParams(((1.0, 0.0, 1.0),), ()), DomainError,

@@ -121,6 +121,7 @@ def _nodes(first: int, last: int):
     lt = -np.log1p(e) - np.where(v >= 0, 0.0, 2.0 * np.abs(v))
     w = math.pi * np.cosh(u) * t * tc
     keep = (t > 0.0) & (tc > 0.0)
+    # counted before the kept copies are made, so that the count array is not alive beside them
     bounds = (0, *np.cumsum(keep)[ends].tolist())
     return t[keep], lt[keep], w[keep], bounds
 

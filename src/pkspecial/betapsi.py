@@ -26,6 +26,7 @@ from .core import (
     _as_index,
     _digamma_array,
     _digamma_step,
+    _from_log,
     _lattice_terms,
     _positive_real,
     _real,
@@ -73,7 +74,10 @@ class BetaArgs(_ValueType, namedtuple("BetaArgs", "x y params")):
 
 
 def beta_closed(args: BetaArgs) -> EvalReal:
-    """(1/k) B(x/k, y/k) through the classical log-gamma kernel."""
+    """(1/k) B(x/k, y/k) through the classical log-gamma kernel.
+
+    Past the double range the value is inf, with an OverflowNote.
+    """
     k = args.params.k
     a, b = args.x / k, args.y / k
     terms = (ln_gamma_classical(a), ln_gamma_classical(b), ln_gamma_classical(a + b))
@@ -81,7 +85,9 @@ def beta_closed(args: BetaArgs) -> EvalReal:
     ln = terms[0].ln_value + terms[1].ln_value - terms[2].ln_value - lnk
     # each log-gamma's own error, plus the rounding of the sum of the logs
     err_ln = sum(t.abs_err_ln + _EPS * abs(t.ln_value) for t in terms) + _EPS * abs(lnk)
-    value = math.exp(ln)
+    value = _from_log(ln)
+    if value == math.inf:
+        warnings.warn(f"B_k({args.x}, {args.y}) overflows double precision", OverflowNote, stacklevel=2)
     err = value * (1e-14 * (1 + abs(ln)) + err_ln)
     return EvalReal(value=value, abs_err=err, method=Method.CLOSED)
 
@@ -107,7 +113,7 @@ def beta_integral(args: BetaArgs, form: str = "unit") -> EvalReal:
 
         return _power_integral(((args.x, 1.0, log_g), (args.y, 1.0, log_g)))
     if form == "unit":
-        res = _split_beta_kernel(a, b, 0.0)
+        res = _split_beta_kernel(a, b, 0.0, 0.0)
     elif form == "symmetric":
         def log_g(t, lt):
             return -(a + b) * np.log1p(t)

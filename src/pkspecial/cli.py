@@ -11,43 +11,9 @@ import json
 import math
 import sys
 
+from . import betapsi, gamma, hyper, pochhammer
 from .audit import format_summary, report_to_dict, run_suite, write_report
-from .betapsi import (
-    BETA_FORMS,
-    PSI_SERIES_FORMS,
-    BetaArgs,
-    beta_closed,
-    beta_integral,
-    polygamma,
-    psi,
-    psi_series,
-)
 from .core import DomainError, EvalReal, GammaEval, PkParams, PoleError, pole_check
-from .gamma import (
-    gamma_closed,
-    gamma_euler_product,
-    gamma_integral,
-    gamma_limit,
-    gamma_weierstrass_recip,
-)
-from .hyper import (
-    DivergentInput,
-    HyperParams,
-    LowerPoleError,
-    MaxTermsExceeded,
-    UnsupportedShape,
-    confluent_integral,
-    hyper_series,
-)
-from .pochhammer import (
-    PochSpec,
-    poch_direct,
-    poch_gamma_ratio,
-    poch_generalized,
-    poch_ln,
-    poch_reduce,
-    poch_symmetric,
-)
 from .quadrature import NoConvergence
 
 __all__ = ["main", "build_parser"]
@@ -154,68 +120,68 @@ def _off_pole(params: PkParams, x: float) -> PkParams:
     return params
 
 
-def _beta_args(args, params: PkParams, x: float) -> BetaArgs:
-    return BetaArgs(x, _require(args, "y"), params)
+def _beta_args(args, params: PkParams, x: float) -> betapsi.BetaArgs:
+    return betapsi.BetaArgs(x, _require(args, "y"), params)
 
 
-def _poch_spec(args, params: PkParams, x: float) -> PochSpec:
+def _poch_spec(args, params: PkParams, x: float) -> pochhammer.PochSpec:
     if args.n is None:
         raise DomainError("--n is required for poch")
-    return PochSpec(x, args.n, params)
+    return pochhammer.PochSpec(x, args.n, params)
 
 
-def _hyper_params(args) -> HyperParams:
-    return HyperParams(upper=_parse_triples(args.a, "--a"), lower=_parse_triples(args.b, "--b"))
+def _hyper_params(args) -> hyper.HyperParams:
+    return hyper.HyperParams(upper=_parse_triples(args.a, "--a"), lower=_parse_triples(args.b, "--b"))
 
 
 def _weierstrass(params: PkParams, x: float) -> GammaEval:
-    recip = gamma_weierstrass_recip(params, x)
+    recip = gamma.gamma_weierstrass_recip(params, x)
     return recip._replace(ln_value=-recip.ln_value)
 
 
 # function -> route key -> adapter(args, params, x), the first key the default.
-# Adapters look routes up as module globals at call time, so wrappers bound there run.
+# Adapters look routes up on their modules at call time, so wrappers bound there run.
 ROUTES = {
     "gamma": {
-        "closed": lambda a, pk, x: gamma_closed(_off_pole(pk, x), x),
-        "limit": lambda a, pk, x: gamma_limit(_off_pole(pk, x), x, 100_000),
-        "integral": lambda a, pk, x: gamma_integral(_off_pole(pk, x), x),
-        "euler-product": lambda a, pk, x: gamma_euler_product(_off_pole(pk, x), x),
+        "closed": lambda a, pk, x: gamma.gamma_closed(_off_pole(pk, x), x),
+        "limit": lambda a, pk, x: gamma.gamma_limit(_off_pole(pk, x), x, 100_000),
+        "integral": lambda a, pk, x: gamma.gamma_integral(_off_pole(pk, x), x),
+        "euler-product": lambda a, pk, x: gamma.gamma_euler_product(_off_pole(pk, x), x),
         "weierstrass": lambda a, pk, x: _weierstrass(_off_pole(pk, x), x),
     },
     "beta": {
-        "closed": lambda a, pk, x: beta_closed(_beta_args(a, pk, x)),
+        "closed": lambda a, pk, x: betapsi.beta_closed(_beta_args(a, pk, x)),
         **{
-            form: lambda a, pk, x, form=form: beta_integral(_beta_args(a, pk, x), form)
-            for form in BETA_FORMS
+            form: lambda a, pk, x, form=form: betapsi.beta_integral(_beta_args(a, pk, x), form)
+            for form in betapsi.BETA_FORMS
         },
     },
     "psi": {
-        "closed": lambda a, pk, x: psi(_off_pole(pk, x), x),
+        "closed": lambda a, pk, x: betapsi.psi(_off_pole(pk, x), x),
         **{
-            form: lambda a, pk, x, form=form: psi_series(pk, x, form)
-            for form in PSI_SERIES_FORMS
+            form: lambda a, pk, x, form=form: betapsi.psi_series(pk, x, form)
+            for form in betapsi.PSI_SERIES_FORMS
         },
     },
     "poch": {
-        "direct": lambda a, pk, x: poch_direct(_poch_spec(a, pk, x)),
-        "symmetric": lambda a, pk, x: poch_symmetric(_poch_spec(a, pk, x)),
-        "reduce": lambda a, pk, x: poch_reduce(_poch_spec(a, pk, x)),
-        "gamma-ratio": lambda a, pk, x: poch_gamma_ratio(_poch_spec(a, pk, x)),
-        "generalized": lambda a, pk, x: poch_generalized(_poch_spec(a, pk, x), a.q),
+        "direct": lambda a, pk, x: pochhammer.poch_direct(_poch_spec(a, pk, x)),
+        "symmetric": lambda a, pk, x: pochhammer.poch_symmetric(_poch_spec(a, pk, x)),
+        "reduce": lambda a, pk, x: pochhammer.poch_reduce(_poch_spec(a, pk, x)),
+        "gamma-ratio": lambda a, pk, x: pochhammer.poch_gamma_ratio(_poch_spec(a, pk, x)),
+        "generalized": lambda a, pk, x: pochhammer.poch_generalized(_poch_spec(a, pk, x), a.q),
     },
     "hyper": {
-        "series": lambda a, pk, x: hyper_series(_hyper_params(a), x),
-        "integral": lambda a, pk, x: confluent_integral(_hyper_params(a), x),
+        "series": lambda a, pk, x: hyper.hyper_series(_hyper_params(a), x),
+        "integral": lambda a, pk, x: hyper.confluent_integral(_hyper_params(a), x),
     },
     "polygamma": {
-        "series": lambda a, pk, x: polygamma(pk, x, a.r if a.r is not None else 2),
+        "series": lambda a, pk, x: betapsi.polygamma(pk, x, a.r if a.r is not None else 2),
     },
 }
 
 # what an eval or table command reports as a domain error (exit 2)
-_DOMAIN_ERRORS = (PoleError, DomainError, DivergentInput, LowerPoleError,
-                 UnsupportedShape, NoConvergence, MaxTermsExceeded)
+_DOMAIN_ERRORS = (PoleError, DomainError, hyper.DivergentInput, hyper.LowerPoleError,
+                  hyper.UnsupportedShape, NoConvergence, hyper.MaxTermsExceeded)
 
 
 def _route(args) -> str:
@@ -253,7 +219,7 @@ def _log_doc(args, key: str, params: PkParams, x: float, result) -> dict:
     if args.function != "poch":
         return {}
     count = args.n * args.q if key == "generalized" else args.n
-    ln, sign = poch_ln(PochSpec(x, count, params))
+    ln, sign = pochhammer.poch_ln(pochhammer.PochSpec(x, count, params))
     return {"ln_value": ln, "sign": sign}
 
 

@@ -9,7 +9,9 @@ Gamma-type values are computed and stored in log space, as a ``GammaEval``
 with a sign, and their linear value is materialized on demand; an
 ``EvalReal`` holds a linear value.  Rationale: the family's closed form
 multiplies p**(x/k) by Gamma(x/k), and both factors overflow long before
-the log does.
+the log does.  Every (log, sign) pair in the library leaves log space
+through ``_from_log``: sign * exp(log), or a signed inf past the double
+range, where each caller warns with its own ``OverflowNote``.
 """
 
 from __future__ import annotations
@@ -51,6 +53,13 @@ TAU_POLE = 1e-9
 _LN_OVERFLOW = 709.782712893384
 
 _EPS = 2.220446049250313e-16
+
+
+def _from_log(ln: float, sign: int = 1) -> float:
+    """sign * exp(ln), or sign * inf past _LN_OVERFLOW."""
+    if ln > _LN_OVERFLOW:
+        return sign * math.inf
+    return sign * math.exp(ln)
 
 
 class Method(enum.Enum):
@@ -193,14 +202,14 @@ class GammaEval(_ValueType, namedtuple("GammaEval", "ln_value sign abs_err_ln me
     @property
     def value(self) -> float:
         """Materialize the linear value (inf past the double range, with an OverflowNote)."""
-        if self.ln_value > _LN_OVERFLOW:
+        value = _from_log(self.ln_value, self.sign)
+        if math.isinf(value):
             warnings.warn(
                 f"exp({self.ln_value!r}) overflows double precision; ln_value holds the value",
                 OverflowNote,
                 stacklevel=2,
             )
-            return self.sign * math.inf
-        return self.sign * math.exp(self.ln_value)
+        return value
 
 
 class PoleReport(_ValueType, namedtuple("PoleReport", "is_pole pole_index", defaults=(None,))):

@@ -68,8 +68,12 @@ class ConvergenceClass(_ValueType, namedtuple("ConvergenceClass", "kind radius",
 
 
 def _as_triples(seq, what: str) -> tuple[tuple[float, float, float], ...]:
+    try:
+        items = iter(seq)
+    except TypeError:
+        raise DomainError(f"{what} must be a sequence of triples, got {seq!r}") from None
     out = []
-    for item in seq:
+    for item in items:
         try:
             trip = tuple(_finite(v) for v in item)
         except TypeError:  # not a sequence: no triple either
@@ -137,6 +141,7 @@ def _require_hp(hp) -> HyperParams:
 
 def classify(hp: HyperParams) -> ConvergenceClass:
     """Ratio-test classification: entire, finite radius prod(t)/prod(p), or formal."""
+    _require_hp(hp)
     if hp.r <= hp.q:
         return ConvergenceClass(ConvergenceKind.ALL_FINITE, None)
     if hp.r == hp.q + 1:
@@ -228,6 +233,7 @@ def ode_coefficient_residual(hp: HyperParams) -> float:
     iff  n prod_j (n + b_j/s_j - 1) c_n = A prod_i (n - 1 + a_i/k_i) c_{n-1};
     this checks that per-term identity over n = 1..50.
     """
+    _require_hp(hp)
     if hp.r > hp.q + 1:
         raise DivergentInput("no ODE normal form past r = q + 1")
     alphas, betas = hp.alphas, hp.betas
@@ -264,9 +270,12 @@ def confluent_integral(hp: HyperParams, x: float) -> EvalReal:
 
         G(b/s) / (G(a/k) G(b/s - a/k)) int_0^1 t^(a/k-1) (1-t)^(b/s-a/k-1) e^((p/t1) x t) dt
 
-    requiring 0 < a/k < b/s for integrability at both endpoints.  The integral
-    is quadrature._split_beta_kernel, two power pieces; abs_err adds the errors
-    and the rounding of the prefactor's three log-gammas.
+    requiring 0 < a/k < b/s for integrability at both endpoints.  The integrand
+    is the normalised Beta(a/k, b/s - a/k) density times e^((p/t1) x t): the
+    prefactor's log joins the log scale of quadrature._split_beta_kernel's two
+    power pieces, so the value leaves log space once, inside the rule.
+    abs_err adds the rule's claim and the error and rounding of the
+    prefactor's three log-gammas.
     """
     _require_hp(hp)
     if hp.r != 1 or hp.q != 1:
@@ -278,11 +287,8 @@ def confluent_integral(hp: HyperParams, x: float) -> EvalReal:
     lam = beta - alpha
     if not (0.0 < alpha < beta):
         raise DomainError(f"need 0 < a/k < b/s, got a/k={alpha}, b/s={beta}")
-    res = _split_beta_kernel(alpha, lam, p / t1 * x)
     terms = (ln_gamma_classical(beta), ln_gamma_classical(alpha), ln_gamma_classical(lam))
-    pref = math.exp(terms[0].ln_value - terms[1].ln_value - terms[2].ln_value)
-    value = pref * res.value
+    res = _split_beta_kernel(alpha, lam, p / t1 * x, terms[0].ln_value - terms[1].ln_value - terms[2].ln_value)
     # each log-gamma's own error, plus the rounding of the sum of the logs
     err_ln = sum(t.abs_err_ln + _EPS * abs(t.ln_value) for t in terms)
-    err = pref * res.abs_err + abs(value) * err_ln
-    return EvalReal(value=value, abs_err=err, method=Method.INTEGRAL)
+    return EvalReal(value=res.value, abs_err=res.abs_err + abs(res.value) * err_ln, method=Method.INTEGRAL)

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
 from .core import (
+    _from_log,
     DomainError,
     PkParams,
     PoleError,
@@ -196,7 +197,7 @@ def _poch_dk(pt, grid):
     spec = _spec(pt)
     params, x, n = spec.params, spec.x, spec.n
     lhs = best_central_diff(lambda kk: _poch(x, n, PkParams(params.p, kk)), params.k)
-    # the printed reading puts the full symbol P(x; n) in the sum where poch_dk_product has P(x; s)
+    # the printed reading puts the full symbol P(x; n) in the sum where the corrected one has P(x; s)
     full = pochhammer.poch_direct(spec)
     total = 0.0
     for s in range(1, n):
@@ -318,7 +319,7 @@ def _k_reduction(pt, grid):
     lhs = _g(_params(pt), x)
     # route through the one-parameter reduction (p/k)^(x/k) * k^(x/k-1) Gamma(x/k)
     lg = ln_gamma_classical(z)
-    rhs = lg.sign * math.exp(z * math.log(p / k) + (z - 1.0) * math.log(k) + lg.ln_value)
+    rhs = _from_log(z * math.log(p / k) + (z - 1.0) * math.log(k) + lg.ln_value, lg.sign)
     return lhs, rhs, rhs
 
 
@@ -390,7 +391,7 @@ def _alternating(pt, grid):
 def _value_at_one(pt, grid):
     p, k = pt["p"], pt["k"]
     lg = ln_gamma_classical(1.0 / k)
-    rhs = lg.sign * math.exp(math.log(p) / k - math.log(k) + lg.ln_value)
+    rhs = _from_log(math.log(p) / k - math.log(k) + lg.ln_value, lg.sign)
     return _g(_params(pt), 1.0), rhs, rhs
 
 
@@ -404,7 +405,7 @@ def _value_at_k(pt, grid):
 def _value_at_p(pt, grid):
     p, k = pt["p"], pt["k"]
     lg = ln_gamma_classical(p / k)
-    rhs = lg.sign * math.exp((p / k) * math.log(p) - math.log(k) + lg.ln_value)
+    rhs = _from_log((p / k) * math.log(p) - math.log(k) + lg.ln_value, lg.sign)
     return _g(_params(pt), p), rhs, rhs
 
 
@@ -448,8 +449,8 @@ def _multiplication(pt, grid):
         + (0.5 - m * x / k) * math.log(m)
         + gm.ln_value
     )
-    rhs = gm.sign * math.exp(ln_rhs)
-    return sign_lhs * math.exp(ln_lhs), rhs, rhs
+    rhs = _from_log(ln_rhs, gm.sign)
+    return _from_log(ln_lhs, sign_lhs), rhs, rhs
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +479,7 @@ def _beta_definition(pt, grid):
     gx = gamma.gamma_closed(params, x)
     gy = gamma.gamma_closed(params, y)
     gxy = gamma.gamma_closed(params, x + y)
-    lhs = math.exp(gx.ln_value + gy.ln_value - gxy.ln_value)
+    lhs = _from_log(gx.ln_value + gy.ln_value - gxy.ln_value)
     rhs = betapsi.beta_closed(betapsi.BetaArgs(x, y, params)).value
     return lhs, rhs, rhs
 
@@ -647,7 +648,7 @@ def _binomial_points(grid: AuditGrid) -> Iterator[dict]:
 def _binomial(pt, grid):
     p, k, a, x = pt["p"], pt["k"], pt["a"], pt["x"]
     series = hyper.pk_binomial(a, _params(pt), x).value
-    closed = math.exp(-(a / k) * math.log1p(-x * p))
+    closed = _from_log(-(a / k) * math.log1p(-x * p))
     return series, closed, closed
 
 

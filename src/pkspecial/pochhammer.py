@@ -18,9 +18,9 @@ import warnings
 from collections import namedtuple
 
 from .core import (
-    _LN_OVERFLOW,
     _ValueType,
     _as_index,
+    _from_log,
     _positive_real,
     _real,
     _require_params,
@@ -40,7 +40,6 @@ __all__ = [
     "poch_gamma_ratio",
     "poch_dp",
     "poch_dk",
-    "poch_dk_product",
     "poch_rescale",
 ]
 
@@ -158,12 +157,12 @@ def _symmetric_overflow(spec: PochSpec) -> float:
     overflowed terms of both signs sum to nan: only the symbol's own
     magnitude says whether a signed inf is the answer.
     """
-    ln, sign = poch_ln(spec)
-    if ln <= _LN_OVERFLOW:
+    value = _from_log(*poch_ln(spec))
+    if math.isfinite(value):
         raise DomainError(
             f"symmetric expansion terms leave the double range at n={spec.n}; use poch_direct"
         )
-    return sign * math.inf
+    return value
 
 
 def poch_reduce(spec: PochSpec) -> float:
@@ -205,8 +204,7 @@ def poch_gamma_ratio(spec: PochSpec) -> float:
     num = ln_gamma_classical(z + spec.n)
     den = ln_gamma_classical(z)
     ln = spec.n * math.log(params.p) + num.ln_value - den.ln_value
-    sign = num.sign * den.sign
-    return _noted(sign * math.exp(ln) if ln <= _LN_OVERFLOW else sign * math.inf)
+    return _noted(_from_log(ln, num.sign * den.sign))
 
 
 def poch_dp(spec: PochSpec) -> float:
@@ -232,24 +230,6 @@ def poch_dk(spec: PochSpec) -> float:
             raise DomainError(f"poch_dk: factor x + {s}k vanishes")
         acc += s / den
     return poch_direct(spec) * acc
-
-
-def poch_dk_product(spec: PochSpec) -> float:
-    """d/dk via sub-products, the route without a quotient:
-
-        (p/k) sum_{s=1}^{n-1} s * P(x, s) * P(x+(s+1)k, n-1-s)  -  (n/k) P(x, n)
-
-    with P the symbol itself.  Algebraically identical to poch_dk.
-    """
-    if spec.n == 0:
-        return 0.0
-    params = spec.params
-    total = 0.0
-    for s in range(1, spec.n):
-        left = poch_direct(PochSpec(spec.x, s, params))
-        right = poch_direct(PochSpec(spec.x + (s + 1) * params.k, spec.n - 1 - s, params))
-        total += s * left * right
-    return params.p / params.k * total - spec.n / params.k * poch_direct(spec)
 
 
 def poch_rescale(spec: PochSpec, s_new: float, mode: str) -> float:
@@ -278,6 +258,5 @@ def _power_times_symbol(ratio: float, spec: PochSpec) -> float:
     out = _power(ratio, spec.n) * poch_direct(spec)
     if math.isnan(out):  # an overflowed power times an underflowed symbol, or the reverse
         ln, sign = poch_ln(spec)
-        ln += spec.n * math.log(ratio)
-        out = sign * math.exp(ln) if ln <= _LN_OVERFLOW else sign * math.inf
+        out = _from_log(ln + spec.n * math.log(ratio), sign)
     return _noted(out)

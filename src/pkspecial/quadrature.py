@@ -22,6 +22,10 @@ as a log, and ``_power_integral`` substitutes t = h v^(1/beta),
 beta = min(alpha, 1): for alpha < 1 this absorbs the singularity, so no mass
 lies below the first node (Mori & Sugihara, 2001), and for alpha >= 1 it is
 the plain form.  Its error claim adds the rounding of the exponentiated log.
+A constant factor known by its log rides in each piece's log scale, so a
+huge prefactor never multiplies a tiny integral in linear space.  A claim
+that is not finite (a value near the top of the double range) ends in
+NoConvergence with a nan partial, never in an unbounded value.
 """
 
 from __future__ import annotations
@@ -202,8 +206,9 @@ def _integrate(integrand, spec: QuadratureSpec) -> EvalReal:
     err = math.inf
     h = _H0
     level = 0
+    converged = False
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-        while level < levels:
+        while level < levels and not converged:
             for s, r in _level_sums(integrand, level + 1, min(levels, _FIRST_STOP) if level == 0 else level + 1):
                 level += 1
                 if level == 1:
@@ -215,13 +220,16 @@ def _integrate(integrand, spec: QuadratureSpec) -> EvalReal:
                 # an estimate is read where it can end the refinement, or else from the last level
                 if level >= _FIRST_STOP or level == levels:
                     err = _bbg_error(history, value)
-                    if level >= _FIRST_STOP and err <= max(spec.abs_tol, spec.rel_tol * abs(value)):
-                        return EvalReal(value=value, abs_err=err + _EPS * rounding, method=Method.INTEGRAL)
-    # with no finite error estimate the partial value carries no information
-    partial = value if math.isfinite(err) else math.nan
+                    converged = level >= _FIRST_STOP and err <= max(spec.abs_tol, spec.rel_tol * abs(value))
+    claim = err + _EPS * rounding
+    if converged and math.isfinite(claim):
+        return EvalReal(value=value, abs_err=claim, method=Method.INTEGRAL)
+    # with no finite claim the partial value carries no information
+    partial = value if math.isfinite(claim) else math.nan
     raise NoConvergence(
-        f"no convergence within {levels} refinements (err~{err:.3g})",
-        EvalReal(value=partial, abs_err=err + _EPS * rounding, method=Method.INTEGRAL),
+        "the rounding claim leaves the double range" if converged
+        else f"no convergence within {levels} refinements (err~{err:.3g})",
+        EvalReal(value=partial, abs_err=claim, method=Method.INTEGRAL),
     )
 
 
@@ -238,21 +246,27 @@ def integrate_semiaxis(f, spec: QuadratureSpec = DEFAULT_SPEC) -> EvalReal:
     return _integrate(lambda t, lt: (f(t) + f(1.0 / t) / t / t, None), spec)
 
 
-def _power_integral(pieces) -> EvalReal:
-    """The sum over (alpha, h, log_g) of int_0^h t^(alpha-1) g(t) dt, alpha, h > 0.
+def _power_integral(pieces, ln_c: float = 0.0) -> EvalReal:
+    """exp(ln_c) times the sum over (alpha, h, log_g) of int_0^h t^(alpha-1) g(t) dt, h > 0.
 
     ``log_g(t, lt)`` gives log g from t and lt = ln t.  Each piece becomes
     exp(ln_scale) int_0^1 v^(alpha/beta-1) g(h v^(1/beta)) dv with
-    beta = min(alpha, 1) and ln_scale = alpha ln h - ln beta, all pieces in
-    one refinement loop.  The integrand is exponentiated from its log, whose
-    rounding, eps |log f| relative, is claimed on top of the BBG estimate.
+    beta = min(alpha, 1) and ln_scale = alpha ln h - ln beta + ln_c, all
+    pieces in one refinement loop, so a constant factor known by its log
+    (ln_c) leaves log space only inside the integrand.  The integrand is
+    exponentiated from its log, whose rounding, eps |log f| relative, is
+    claimed on top of the BBG estimate.  An alpha that is not positive (an
+    x/k that underflows to 0) raises DomainError.
     """
     import numpy as np
 
     maps = []
     for alpha, h, log_g in pieces:
+        if not alpha > 0.0:
+            raise DomainError(f"a power piece needs alpha > 0, got {alpha!r}")
         beta = min(alpha, 1.0)
-        maps.append((alpha / beta - 1.0, 1.0 / beta, h, math.log(h), alpha * math.log(h) - math.log(beta), log_g))
+        ln_scale = alpha * math.log(h) - math.log(beta) + ln_c
+        maps.append((alpha / beta - 1.0, 1.0 / beta, h, math.log(h), ln_scale, log_g))
 
     def integrand(v, lv):
         # one row of log f per piece, so that the exp and the sums run once
@@ -273,15 +287,17 @@ def _power_integral(pieces) -> EvalReal:
     return _integrate(integrand, DEFAULT_SPEC)
 
 
-def _split_beta_kernel(a: float, b: float, z: float) -> EvalReal:
-    """int_0^1 t^(a-1) (1-t)^(b-1) e^(z t) dt, a, b > 0, as its halves on (0, 1/2) and (1/2, 1).
+def _split_beta_kernel(a: float, b: float, z: float, ln_c: float) -> EvalReal:
+    """exp(ln_c) int_0^1 t^(a-1) (1-t)^(b-1) e^(z t) dt, a, b > 0, as its halves on (0, 1/2) and (1/2, 1).
 
     The upper half is reflected, s = 1 - t, so each half is a power piece
-    singular only at the origin.
+    singular only at the origin.  ln_c is the log of a constant factor, such
+    as the Beta density's normalisation, that _power_integral folds into each
+    piece's scale.
     """
     import numpy as np
 
     return _power_integral((
         (a, 0.5, lambda t, lt: (b - 1.0) * np.log1p(-t) + z * t),
         (b, 0.5, lambda s, ls: (a - 1.0) * np.log1p(-s) + z * (1.0 - s)),
-    ))
+    ), ln_c)

@@ -2,7 +2,8 @@
 
 Everything here is deliberately separate from the library's own evaluation
 paths: arbitrary-precision mpmath formulas, exact rational arithmetic,
-brute-force enumeration, and elementary limits.  Tests freeze values
+brute-force enumeration, elementary limits, and algebraically equivalent
+forms built on the library's direct product.  Tests freeze values
 computed by these oracles and then hold the implementation to them.
 """
 
@@ -13,6 +14,8 @@ import math
 from fractions import Fraction
 
 import mpmath as mp
+
+from pkspecial.pochhammer import PochSpec, poch_direct
 
 mp.mp.dps = 40
 
@@ -90,6 +93,24 @@ def poch_exact(x: Fraction, n: int, p: Fraction, k: Fraction) -> Fraction:
     for j in range(n):
         out *= base + j * p
     return out
+
+
+def poch_dk_product(spec: PochSpec) -> float:
+    """d/dk of the Pochhammer symbol via sub-products, the form without a quotient:
+
+        (p/k) sum_{s=1}^{n-1} s * P(x, s) * P(x+(s+1)k, n-1-s)  -  (n/k) P(x, n)
+
+    with P the symbol itself.  Algebraically identical to pochhammer.poch_dk.
+    """
+    if spec.n == 0:
+        return 0.0
+    params = spec.params
+    total = 0.0
+    for s in range(1, spec.n):
+        left = poch_direct(PochSpec(spec.x, s, params))
+        right = poch_direct(PochSpec(spec.x + (s + 1) * params.k, spec.n - 1 - s, params))
+        total += s * left * right
+    return params.p / params.k * total - spec.n / params.k * poch_direct(spec)
 
 
 def basel_series(r: int, x: float, k: float, terms: int = 200_000) -> float:

@@ -6,7 +6,8 @@ the double-precision result, not one computed in single precision.  A count
 may be any integer but a bool, numpy's included.  Everything else raises
 DomainError itself, never a raw OverflowError or TypeError, and never a
 subclass such as PoleError.  So does a (p, k) pair or a hypergeometric
-parameter set that is not a PkParams or a HyperParams.
+parameter set that is not a PkParams or a HyperParams, and an upper or
+lower sequence of triples that is no sequence.
 """
 
 import math
@@ -23,6 +24,7 @@ from pkspecial import (
     QuadratureSpec,
     beta_closed,
     beta_integral,
+    classify,
     confluent_integral,
     digamma_classical,
     gamma_closed,
@@ -35,6 +37,7 @@ from pkspecial import (
     k_zeta,
     ln_gamma_classical,
     ln_gamma_via_psi,
+    ode_coefficient_residual,
     pk_binomial,
     poch_direct,
     poch_gamma_ratio,
@@ -123,6 +126,14 @@ PARAMS = {
 HYPER_PARAMS = {
     "hyper_series": lambda v: hyper_series(v, 0.5),
     "confluent_integral": lambda v: confluent_integral(v, 0.5),
+    "classify": classify,
+    "ode_coefficient_residual": ode_coefficient_residual,
+}
+
+# HyperParams with v in place of its upper or its lower sequence of triples
+TRIPLE_SEQUENCES = {
+    "upper": lambda v: HyperParams(v, ()),
+    "lower": lambda v: HyperParams(((1.0, 1.0, 1.0),), v),
 }
 
 
@@ -177,6 +188,12 @@ def test_what_is_no_pk_params_is_a_domain_error(name):
 def test_what_is_no_hyper_params_is_a_domain_error(name):
     for v in (None, tuple(HP), PK):
         _raises_domain_error(HYPER_PARAMS[name], v)
+
+
+@pytest.mark.parametrize("name", TRIPLE_SEQUENCES)
+def test_what_is_no_sequence_is_a_domain_error(name):
+    for v in (None, 5, 2.5):
+        _raises_domain_error(TRIPLE_SEQUENCES[name], v)
 
 
 @pytest.mark.parametrize("name", COUNTS)

@@ -12,6 +12,7 @@ import oracles
 from pkspecial import (
     BetaArgs,
     DomainError,
+    NoConvergence,
     OverflowNote,
     PkParams,
     PoleError,
@@ -74,6 +75,12 @@ class TestBetaClosed:
         with pytest.raises(DomainError):
             BetaArgs(1.0, -1.0, PkParams(1, 1))
 
+    def test_past_double_range_is_inf_with_a_note(self):
+        # B(1, 1) / k at k = 1e-310 is 1e310
+        with pytest.warns(OverflowNote):
+            got = beta_closed(bargs(1e-310, 1e-310, 1, 1e-310))
+        assert got.value == math.inf
+
     @settings(max_examples=60)
     @given(
         st.floats(min_value=0.1, max_value=9.0),
@@ -127,6 +134,19 @@ class TestBetaIntegrals:
         # x/k = 80 makes the exponentiated log-integrand round at eps * 80
         got = beta_integral(bargs(x, y, 1, k), form)
         assert abs(got.value - oracles.mp_pk_beta(k, x, y)) <= got.abs_err, form
+
+    @pytest.mark.parametrize("form", BETA_FORMS)
+    def test_claim_past_double_range_is_typed(self, form):
+        # B(1e-305, 1) = 1e305: the claim's rounding sum leaves the double range
+        with pytest.raises(NoConvergence) as info:
+            beta_integral(bargs(1e-305, 1.0, 1, 1), form)
+        assert math.isnan(info.value.partial.value)
+
+    @pytest.mark.parametrize("form", ["unit", "symmetric"])
+    def test_exponent_underflow_is_a_domain_error(self, form):
+        # x/k = 1e-330 underflows to 0, where t^(x/k - 1) is not integrable
+        with pytest.raises(DomainError):
+            beta_integral(bargs(1e-300, 1.0, 1, 1e30), form)
 
     def test_p_invariance_of_integral_forms(self):
         for form in BETA_FORMS:

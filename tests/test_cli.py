@@ -39,6 +39,17 @@ class TestEval:
         assert code == 0
         assert json.loads(out)["value"] == pytest.approx(want, rel=1e-12)
 
+    def test_log_space_values_past_the_double_range(self, capsys):
+        # the prefactor of the 1F1 integral overflows where the bare integral underflows
+        code, out, _ = run_cli(capsys, "eval", "hyper", "--a", "1000,1,1", "--b", "2000,1,1", "--x", "1",
+                               "--method", "integral", "--format", "json")
+        doc = json.loads(out)
+        assert code == 0 and abs(doc["value"] - 1.64882426749655) <= doc["abs_err"]
+        # B(1, 1) / k at k = 1e-310 is past the double range
+        with pytest.warns(OverflowNote):
+            code, out, _ = run_cli(capsys, "eval", "beta", "--k", "1e-310", "--x", "1e-310", "--y", "1e-310")
+        assert code == 0 and out.splitlines()[0] == "value   = inf"
+
     def test_gamma_family_point_json(self, capsys):
         code, out, _ = run_cli(
             capsys, "eval", "gamma", "--p", "2", "--k", "3", "--x", "3", "--format", "json"

@@ -342,6 +342,15 @@ class TestConfluentIntegral:
             want = mp.hyp1f1(a / k, b / s, p / t1 * x)
             assert abs(got.value - want) <= got.abs_err, (a, b, x)
 
+    @pytest.mark.parametrize("a, b, x", [(1000, 2000, 1.0), (500, 1000, 1.0), (400, 1000, -5.0)])
+    def test_prefactor_past_double_range(self, a, b, x):
+        # Gamma(b) / (Gamma(a) Gamma(b - a)) leaves the double range where the bare
+        # Beta kernel underflows: only the normalised density keeps the value
+        got = confluent_integral(hp(((a, 1, 1),), ((b, 1, 1),)), x)
+        want = mp.hyp1f1(a, b, x)
+        assert abs(got.value - want) <= got.abs_err
+        assert got.value == pytest.approx(float(want), rel=1e-11)
+
     def test_shape_restriction(self):
         with pytest.raises(UnsupportedShape):
             confluent_integral(hp(((1, 1, 1), (1, 1, 1)), ((2, 1, 1),)), 0.5)

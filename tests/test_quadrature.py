@@ -236,7 +236,7 @@ class TestSharedFirstPass:
     """Levels 1-4 in one integrand call give the bits of one call per level."""
 
     ROUTES = {
-        "two power pieces": lambda: _split_beta_kernel(0.3, 2.5, -1.5),
+        "two power pieces": lambda: _split_beta_kernel(0.3, 2.5, -1.5, 0.0),
         "unit": lambda: integrate_unit(lambda t: np.sqrt(t) * np.cos(3.0 * t)),
         # exact from level 2 on: only the rule's first stop ends it
         "constant": lambda: integrate_unit(lambda t: 2.0),

@@ -10,12 +10,16 @@ For each seed, runs every route of the benchmark's route table
 the worker sends them, and judges each against the mpmath truth with the
 benchmark's own rule (``perfbench/check.py``).  Prints one line per seed
 with its number of failed judgements, then one indented line per route and
-outcome that failed.  It only imports ``perfbench/``, and needs ``src`` on
-the path, as the other scripts do.
+outcome that failed.  Then it prints one fingerprint per route: the first
+12 hex digits of a sha256 over that route's JSON results on every draw of
+the given seeds, so a run with another commit's ``src`` on the path shows
+which routes' results moved.  It only imports ``perfbench/``, and needs
+``src`` on the path, as the other scripts do.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import sys
@@ -31,13 +35,19 @@ from worker import call_route, route_table  # noqa: E402
 DRAWS = 1_000
 
 
-def failures(seed: int, draws: int) -> Counter:
-    """(route, outcome) -> how many of the seed's first ``draws`` draws failed that way."""
+def failures(seed: int, draws: int, digests: dict | None = None) -> Counter:
+    """(route, outcome) -> how many of the seed's first ``draws`` draws failed that way.
+
+    Each route's JSON results are also fed, draw by draw, to ``digests[route]``
+    (a sha256, made on first use) if ``digests`` is given.
+    """
     routes = route_table()
     failed: Counter = Counter()
     for draw in itertools.islice(itertools.chain.from_iterable(sweep_blocks(seed)), draws):
         results = json.loads(json.dumps({name: call_route(fn, draw) for name, fn in routes.items()}))
         for name, result in results.items():
+            if digests is not None:
+                digests.setdefault(name, hashlib.sha256()).update(json.dumps(result).encode())
             outcome = judge(result, truth(ROUTE_TRUTH[name], draw))
             if outcome != OK:
                 failed[name, outcome] += 1
@@ -48,11 +58,15 @@ def main(argv: list[str]) -> int:
     if not argv or not all(arg.isdigit() for arg in argv):
         print(__doc__.strip(), file=sys.stderr)
         return 2
+    digests: dict = {}
     for seed in map(int, argv):
-        failed = failures(seed, DRAWS)
+        failed = failures(seed, DRAWS, digests)
         print(f"seed {seed}: {sum(failed.values())} failed in {DRAWS} draws")
         for (name, outcome), count in sorted(failed.items()):
             print(f"  {name} {outcome} {count}")
+    print("fingerprints:")
+    for name, digest in digests.items():
+        print(f"  {name} {digest.hexdigest()[:12]}")
     return 0
 
 

@@ -26,7 +26,8 @@ from .core import (
     _as_index,
     _digamma_array,
     _digamma_step,
-    _from_log,
+    _gamma_product,
+    _ln_gamma_step,
     _lattice_terms,
     _positive_real,
     _real,
@@ -35,6 +36,7 @@ from .core import (
     EULER_GAMMA,
     DomainError,
     EvalReal,
+    GammaEval,
     Method,
     OverflowNote,
     PkParams,
@@ -76,20 +78,27 @@ class BetaArgs(_ValueType, namedtuple("BetaArgs", "x y params")):
 def beta_closed(args: BetaArgs) -> EvalReal:
     """(1/k) B(x/k, y/k) through the classical log-gamma kernel.
 
+    Where the larger argument hi is at least 33, lnB = lnGamma(lo) - lo ln hi
+    - [lnGamma(hi + lo) - lnGamma(hi) - lo ln hi], the bracket from
+    core._ln_gamma_step, so lnGamma(hi) and lnGamma(hi + lo) never cancel.
     Past the double range the value is inf, with an OverflowNote.
     """
     k = args.params.k
-    a, b = args.x / k, args.y / k
-    terms = (ln_gamma_classical(a), ln_gamma_classical(b), ln_gamma_classical(a + b))
-    lnk = math.log(k)
-    ln = terms[0].ln_value + terms[1].ln_value - terms[2].ln_value - lnk
-    # each log-gamma's own error, plus the rounding of the sum of the logs
-    err_ln = sum(t.abs_err_ln + _EPS * abs(t.ln_value) for t in terms) + _EPS * abs(lnk)
-    value = _from_log(ln)
-    if value == math.inf:
-        warnings.warn(f"B_k({args.x}, {args.y}) overflows double precision", OverflowNote, stacklevel=2)
-    err = value * (1e-14 * (1 + abs(ln)) + err_ln)
-    return EvalReal(value=value, abs_err=err, method=Method.CLOSED)
+    a, b = _real("x/k", args.x / k), _real("y/k", args.y / k)
+    lo, hi = min(a, b), max(a, b)
+    lnk = GammaEval(math.log(k), 1, 0.0, Method.CLOSED)
+    if hi < 33.0:
+        g = _gamma_product(0.0, (ln_gamma_classical(a), ln_gamma_classical(b)), (ln_gamma_classical(a + b), lnk))
+    else:
+        ln_lo = ln_gamma_classical(lo)
+        # finite wherever lnGamma(lo) is, but for lo within 1 % of where lgamma overflows
+        scale = _real("min(x, y)/k * ln(max(x, y)/k)", lo * math.log(hi))
+        step = _ln_gamma_step(hi, lo)
+        # the rounding of log(hi), and of step's (hi + lo - 1/2) log1p(lo/hi) - lo, plus its series' gap
+        parts = (GammaEval(scale, 1, _EPS * abs(scale), Method.CLOSED),
+                 GammaEval(step, 1, 6.0 * _EPS * (abs(step) + lo + 1.0) + _TAIL_GAP, Method.CLOSED))
+        g = _gamma_product(0.0, (ln_lo,), (*parts, lnk))
+    return EvalReal(value=g.value, abs_err=g.abs_err, method=Method.CLOSED)
 
 
 def beta_integral(args: BetaArgs, form: str = "unit") -> EvalReal:
@@ -186,7 +195,7 @@ def ln_gamma_via_psi(params: PkParams, x: float) -> EvalReal:
     _require_params(params)
     x = _positive_real("x", x)
     p, k = params.p, params.k
-    ln_at_one = math.log(p) / k - math.log(k) + ln_gamma_classical(1.0 / k).ln_value
+    ln_at_one = _gamma_product(math.log(p) / k - math.log(k), (ln_gamma_classical(1.0 / k),)).ln_value
     span = x - 1.0
     if span == 0.0:
         return EvalReal(value=ln_at_one, abs_err=1e-14, method=Method.INTEGRAL)

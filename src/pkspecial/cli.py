@@ -197,15 +197,7 @@ def _value_err(args, result) -> tuple[float, float | None]:
     """A route result as (value, abs_err); abs_err is None for a Gamma past the double range."""
     if isinstance(result, GammaEval):
         value = result.value
-        if not math.isfinite(value):
-            return value, None
-        try:
-            spread = math.expm1(result.abs_err_ln)
-        except OverflowError:  # a claim past e^709.78 bounds no linear value
-            return value, math.inf
-        # the log's error moves the value by a factor exp(±abs_err_ln), and
-        # exp rounds by up to an ulp: 5e-324 where it underflows to 0
-        return value, abs(value) * spread + math.ulp(value)
+        return value, result.abs_err if math.isfinite(value) else None
     if isinstance(result, EvalReal):
         return result.value, result.abs_err
     # the Pochhammer routes return a bare float with no error estimate

@@ -11,7 +11,10 @@ with a sign, and their linear value is materialized on demand; an
 multiplies p**(x/k) by Gamma(x/k), and both factors overflow long before
 the log does.  Every (log, sign) pair in the library leaves log space
 through ``_from_log``: sign * exp(log), or a signed inf past the double
-range, where each caller warns with its own ``OverflowNote``.
+range, where each caller warns with its own ``OverflowNote``.  Ratios of
+Gamma-type values are summed in log space by ``_gamma_product``, and a
+log's error becomes a linear one by ``GammaEval.abs_err``.  The lattice
+routes' exact tail ``_ln_gamma_step`` also serves beta_closed past 33.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ TAU_POLE = 1e-9
 _LN_OVERFLOW = 709.782712893384
 
 _EPS = 2.220446049250313e-16
+_TINY = 2.2250738585072014e-308  # the smallest normal double
 
 
 def _from_log(ln: float, sign: int = 1) -> float:
@@ -211,6 +215,26 @@ class GammaEval(_ValueType, namedtuple("GammaEval", "ln_value sign abs_err_ln me
             )
         return value
 
+    @property
+    def abs_err(self) -> float:
+        """Linear claim: bounds |sign * e^l - value| for every l within abs_err_ln of ln_value; never warns."""
+        value = _from_log(self.ln_value, self.sign)
+        if self.abs_err_ln > _LN_OVERFLOW or math.isinf(value):  # the bar's top bounds it, inf past the range
+            return _from_log(self.ln_value + self.abs_err_ln) + math.ulp(value)
+        mag = abs(value) if abs(value) >= _TINY else abs(value) + math.ulp(value)  # exp's ulp is absolute below normal
+        return mag * math.expm1(self.abs_err_ln) + math.ulp(value)
+
+
+def _gamma_product(lead: float, upper=(), lower=()) -> GammaEval:
+    """lead + sum ln|upper| - sum ln|lower| over GammaEvals, in that order; claims sum(abs_err_ln + eps |ln|)."""
+    ln, sign, err = lead, 1, 0.0
+    for way, terms in ((1.0, upper), (-1.0, lower)):
+        for g in terms:
+            ln += way * g.ln_value
+            sign *= g.sign
+            err += g.abs_err_ln + _EPS * abs(g.ln_value)
+    return GammaEval(ln, sign, err, Method.CLOSED)
+
 
 class PoleReport(_ValueType, namedtuple("PoleReport", "is_pole pole_index", defaults=(None,))):
     """Outcome of a pole check; ``pole_index`` is the n with x = -n*k."""
@@ -228,9 +252,8 @@ def pole_check(params: PkParams, x: float) -> PoleReport:
     q = _real("x", x) / _require_params(params).k
     if not math.isfinite(q):
         raise DomainError(f"x/k must be finite, got x={x!r}, k={params.k!r}")
-    n = round(q)
-    if n <= 0 and abs(q - n) <= TAU_POLE:
-        return PoleReport(True, -n)
+    if _pole_distance(q) <= TAU_POLE:
+        return PoleReport(True, -round(q))
     return _OFF_POLE
 
 
@@ -260,7 +283,10 @@ def ln_gamma_classical(z: float) -> GammaEval:
     d = _pole_distance(z)
     if d <= TAU_POLE:
         raise PoleError(f"ln_gamma_classical: z={z} is within {TAU_POLE} of a pole")
-    val = math.lgamma(z)
+    try:
+        val = math.lgamma(z)
+    except OverflowError:  # z above about 2.6e305
+        raise DomainError(f"ln_gamma_classical: ln Gamma({z!r}) leaves the double range") from None
     # math.lgamma is good to about 6 eps absolute near its zeros at 1 and 2
     # and 1.3 eps relative elsewhere (measured against mpmath)
     err = _EPS * (8.0 + 2.0 * abs(val))

@@ -13,7 +13,7 @@ import enum
 import math
 from collections import namedtuple
 
-from .core import _EPS, _finite, _real, _require_params, _ValueType, DomainError, EvalReal, Method, PkParams, ln_gamma_classical
+from .core import _EPS, _finite, _gamma_product, _real, _require_params, _ValueType, DomainError, EvalReal, Method, PkParams, ln_gamma_classical
 from .quadrature import _split_beta_kernel
 
 __all__ = [
@@ -274,8 +274,8 @@ def confluent_integral(hp: HyperParams, x: float) -> EvalReal:
     is the normalised Beta(a/k, b/s - a/k) density times e^((p/t1) x t): the
     prefactor's log joins the log scale of quadrature._split_beta_kernel's two
     power pieces, so the value leaves log space once, inside the rule.
-    abs_err adds the rule's claim and the error and rounding of the
-    prefactor's three log-gammas.
+    abs_err adds the rule's claim and GammaEval.abs_err of the value's log
+    with the prefactor's log error (its three log-gammas' error and rounding).
     """
     _require_hp(hp)
     if hp.r != 1 or hp.q != 1:
@@ -287,8 +287,8 @@ def confluent_integral(hp: HyperParams, x: float) -> EvalReal:
     lam = beta - alpha
     if not (0.0 < alpha < beta):
         raise DomainError(f"need 0 < a/k < b/s, got a/k={alpha}, b/s={beta}")
-    terms = (ln_gamma_classical(beta), ln_gamma_classical(alpha), ln_gamma_classical(lam))
-    res = _split_beta_kernel(alpha, lam, p / t1 * x, terms[0].ln_value - terms[1].ln_value - terms[2].ln_value)
-    # each log-gamma's own error, plus the rounding of the sum of the logs
-    err_ln = sum(t.abs_err_ln + _EPS * abs(t.ln_value) for t in terms)
-    return EvalReal(value=res.value, abs_err=res.abs_err + abs(res.value) * err_ln, method=Method.INTEGRAL)
+    pre = _gamma_product(0.0, (ln_gamma_classical(beta),), (ln_gamma_classical(alpha), ln_gamma_classical(lam)))
+    res = _split_beta_kernel(alpha, lam, p / t1 * x, pre.ln_value)
+    # the prefactor's share of the claim: the rule at the value's log, with the prefactor's log error
+    share = pre._replace(ln_value=math.log(res.value) if res.value > 0.0 else -math.inf).abs_err
+    return EvalReal(value=res.value, abs_err=res.abs_err + share, method=Method.INTEGRAL)

@@ -22,6 +22,7 @@ from typing import Callable, Iterable, Iterator
 
 from .core import (
     _from_log,
+    _gamma_product,
     DomainError,
     PkParams,
     PoleError,
@@ -318,8 +319,7 @@ def _k_reduction(pt, grid):
     z = x / k
     lhs = _g(_params(pt), x)
     # route through the one-parameter reduction (p/k)^(x/k) * k^(x/k-1) Gamma(x/k)
-    lg = ln_gamma_classical(z)
-    rhs = _from_log(z * math.log(p / k) + (z - 1.0) * math.log(k) + lg.ln_value, lg.sign)
+    rhs = _from_log(*_gamma_product(z * math.log(p / k) + (z - 1.0) * math.log(k), (ln_gamma_classical(z),))[:2])
     return lhs, rhs, rhs
 
 
@@ -390,8 +390,7 @@ def _alternating(pt, grid):
 @_entry("2.27", "gamma", 1e-10, _pkx, "value at 1")
 def _value_at_one(pt, grid):
     p, k = pt["p"], pt["k"]
-    lg = ln_gamma_classical(1.0 / k)
-    rhs = _from_log(math.log(p) / k - math.log(k) + lg.ln_value, lg.sign)
+    rhs = _from_log(*_gamma_product(math.log(p) / k - math.log(k), (ln_gamma_classical(1.0 / k),))[:2])
     return _g(_params(pt), 1.0), rhs, rhs
 
 
@@ -404,8 +403,7 @@ def _value_at_k(pt, grid):
 @_entry("2.29", "gamma", 1e-10, _pkx, "value at p")
 def _value_at_p(pt, grid):
     p, k = pt["p"], pt["k"]
-    lg = ln_gamma_classical(p / k)
-    rhs = _from_log((p / k) * math.log(p) - math.log(k) + lg.ln_value, lg.sign)
+    rhs = _from_log(*_gamma_product((p / k) * math.log(p) - math.log(k), (ln_gamma_classical(p / k),))[:2])
     return _g(_params(pt), p), rhs, rhs
 
 
@@ -435,22 +433,16 @@ def _multiplication(pt, grid):
     params, p, k, x, m = _params(pt), pt["p"], pt["k"], pt["x"], int(pt["m"])
     if m < 2:
         raise DomainError("2.32 needs m >= 2")
-    ln_lhs = 0.0
-    sign_lhs = 1
-    for r_idx in range(m):
-        g = gamma.gamma_closed(params, x + k * r_idx / m)
-        ln_lhs += g.ln_value
-        sign_lhs *= g.sign
+    lhs = _from_log(*_gamma_product(0.0, [gamma.gamma_closed(params, x + k * r_idx / m) for r_idx in range(m)])[:2])
     gm = gamma.gamma_closed(params, m * x)
-    ln_rhs = (
+    lead = (
         (m - 1) / 2.0 * math.log(p)
         - (m - 1) * math.log(k)
         + (m - 1) / 2.0 * math.log(2.0 * math.pi)
         + (0.5 - m * x / k) * math.log(m)
-        + gm.ln_value
     )
-    rhs = _from_log(ln_rhs, gm.sign)
-    return _from_log(ln_lhs, sign_lhs), rhs, rhs
+    rhs = _from_log(*_gamma_product(lead, (gm,))[:2])
+    return lhs, rhs, rhs
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +471,7 @@ def _beta_definition(pt, grid):
     gx = gamma.gamma_closed(params, x)
     gy = gamma.gamma_closed(params, y)
     gxy = gamma.gamma_closed(params, x + y)
-    lhs = _from_log(gx.ln_value + gy.ln_value - gxy.ln_value)
+    lhs = _from_log(*_gamma_product(0.0, (gx, gy), (gxy,))[:2])
     rhs = betapsi.beta_closed(betapsi.BetaArgs(x, y, params)).value
     return lhs, rhs, rhs
 

@@ -21,6 +21,7 @@ from .core import (
     _ValueType,
     _as_index,
     _from_log,
+    _gamma_product,
     _positive_real,
     _real,
     _require_params,
@@ -198,13 +199,10 @@ def poch_gamma_ratio(spec: PochSpec) -> float:
     Both x and x+nk must be off the pole lattice.  Past the double range
     the value is a signed inf, with an OverflowNote as from poch_direct.
     """
-    params = spec.params
-    z = spec.x / params.k
-    # each raises PoleError where its argument is on the pole lattice
-    num = ln_gamma_classical(z + spec.n)
-    den = ln_gamma_classical(z)
-    ln = spec.n * math.log(params.p) + num.ln_value - den.ln_value
-    return _noted(_from_log(ln, num.sign * den.sign))
+    z = spec.x / spec.params.k
+    # each log-gamma raises PoleError where its argument is on the pole lattice
+    g = _gamma_product(spec.n * math.log(spec.params.p), (ln_gamma_classical(z + spec.n),), (ln_gamma_classical(z),))
+    return _noted(_from_log(g.ln_value, g.sign))
 
 
 def poch_dp(spec: PochSpec) -> float:

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -55,6 +56,47 @@ class TestBetaClosed:
             x, y = (float(v) for v in np.exp(rng.uniform(-3.0, 3.0, size=2)))
             got = beta_closed(bargs(x, y, p, k))
             assert abs(got.value - oracles.mp_pk_beta(k, x, y)) <= got.abs_err, (p, k, x, y)
+
+    @staticmethod
+    def _within_claim(draws):
+        import mpmath as mp
+
+        checked = 0
+        for x, y, k in draws:
+            try:
+                got = beta_closed(bargs(x, y, 1.0, k))
+            except (DomainError, PoleError):  # a quotient or lnGamma past the double range, or a quotient near 0
+                continue
+            with mp.workdps(40 + int(abs(math.log10(max(x, y) / k)))):
+                kk = mp.mpf(k)
+                want = mp.beta(mp.mpf(x) / kk, mp.mpf(y) / kk) / kk
+            assert abs(got.value - want) <= got.abs_err, (x, y, k, got)
+            checked += 1
+        return checked
+
+    def test_abs_err_covers_wide_log_uniform_draws(self):
+        # x, y in [1e-3, 1e3], k in [1e-2, 1e2]: y/k up to 1e5, where lnGamma(y/k) and lnGamma((x+y)/k) cancel
+        rng = np.random.default_rng(23)
+        draws = 10.0 ** rng.uniform((-3, -3, -2), (3, 3, 2), size=(300, 3))
+        assert self._within_claim(draws.tolist()) == 300
+
+    def test_abs_err_covers_extreme_magnitudes(self):
+        # x, y, k in [1e-310, 1e300]: no raw exception, and every returned value within its claim
+        rng = np.random.default_rng(405)
+        draws = 10.0 ** rng.uniform(-310, 300, size=(300, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", OverflowNote)
+            assert self._within_claim(draws.tolist()) > 40
+
+    def test_large_argument_form(self):
+        # 0.0 +- 5e-324 where the parent gave 1.0 +- 1.2e27
+        assert tuple(beta_closed(bargs(1e20, 1e40, 1, 1))[:2]) == (0.0, 5e-324)
+        got = beta_closed(bargs(0.5, 40.0, 1, 1))
+        assert got.value == pytest.approx(float(oracles.mp_pk_beta(1, 0.5, 40.0)), rel=1e-14)
+        # lnGamma(2.55e305) is finite, 2.55e305 ln(1e308) is not; past 2.6e305 lnGamma overflows too
+        for x in (2.55e305, 3e305):
+            with pytest.raises(DomainError):
+                beta_closed(bargs(x, 1e308, 1, 1))
 
     def test_classical_point(self):
         # B(2,3) = 1!*2!/4! regardless of p

@@ -50,6 +50,15 @@ class TestEval:
             code, out, _ = run_cli(capsys, "eval", "beta", "--k", "1e-310", "--x", "1e-310", "--y", "1e-310")
         assert code == 0 and out.splitlines()[0] == "value   = inf"
 
+    def test_beta_at_large_arguments_and_gamma_past_lgamma(self, capsys):
+        # y/k >> x/k: B underflows, with one subnormal spacing as its claim
+        code, out, _ = run_cli(capsys, "eval", "beta", "--x", "1e20", "--y", "1e40", "--format", "json")
+        doc = json.loads(out)
+        assert code == 0 and doc["value"] == 0.0 and doc["abs_err"] <= 5e-324
+        # math.lgamma overflows above about 2.6e305: a domain error, not a traceback
+        code, _, err = run_cli(capsys, "eval", "gamma", "--x", "3e305")
+        assert code == 2 and "leaves the double range" in err
+
     def test_gamma_family_point_json(self, capsys):
         code, out, _ = run_cli(
             capsys, "eval", "gamma", "--p", "2", "--k", "3", "--x", "3", "--format", "json"
@@ -636,9 +645,9 @@ class TestStrictJson:
 
 
 class TestUnboundedClaim:
-    """A Gamma claim past e^709.78 bounds no linear value: null in JSON, left out of text, inf in CSV."""
+    """A Gamma claim whose error bar crosses e^709.78 bounds no linear value: null in JSON, left out of text, inf in CSV."""
 
-    ARGS = ("gamma", "--p", "1e-10", "--x", "300000", "--method", "limit")
+    ARGS = ("gamma", "--p", "9.1e-6", "--x", "300000", "--method", "limit")
 
     def test_eval(self, capsys):
         code, out, _ = run_cli(capsys, "eval", *self.ARGS, "--format", "json")
@@ -647,8 +656,15 @@ class TestUnboundedClaim:
         code, out, _ = run_cli(capsys, "eval", *self.ARGS)
         assert code == 0 and out.splitlines() == ["value   = 0", "method  = limit"]
 
+    def test_bar_below_the_range_claims_one_subnormal_spacing(self, capsys):
+        # ln -3.44e6 +- 9.65e4: every value on the bar underflows to 0
+        code, out, _ = run_cli(capsys, "eval", "gamma", "--p", "1e-10", "--x", "300000", "--method", "limit",
+                               "--format", "json")
+        doc = strict_json(out)
+        assert code == 0 and doc["value"] == 0.0 and doc["abs_err"] == 5e-324
+
     def test_table(self, capsys):
-        head = ("gamma", "--p", "1e-10", "--x", "300000:300000:1", "--method", "limit")
+        head = ("gamma", "--p", "9.1e-6", "--x", "300000:300000:1", "--method", "limit")
         code, out, _ = run_cli(capsys, "table", *head)
         assert code == 0 and out.splitlines() == ["x,value,abs_err", "300000,0,inf"]
         code, out, _ = run_cli(capsys, "table", *head, "--format", "json")

@@ -22,7 +22,17 @@ from pkspecial import (
     pole_check,
     psi,
 )
-from pkspecial.core import _digamma_array, best_central_diff, central_diff, gamma_sign
+from pkspecial.core import (
+    _EPS,
+    _digamma_array,
+    _gamma_product,
+    GammaEval,
+    Method,
+    best_central_diff,
+    central_diff,
+    gamma_sign,
+)
+from pkspecial.betapsi import BetaArgs, beta_closed
 
 # frozen oracle values (see oracles.py for the generating formulas)
 LN_GAMMA_HALF = 0.57236494292470009  # log sqrt(pi)
@@ -91,6 +101,13 @@ class TestLnGamma:
             got = ln_gamma_classical(z)
             assert got.ln_value == pytest.approx(oracles.mp_ln_gamma(z), rel=1e-12)
             assert got.sign == (1 if oracles.mp_pk_gamma(1, 1, z) > 0 else -1)
+
+    def test_past_the_lgamma_range_is_a_domain_error(self):
+        # math.lgamma overflows above about 2.6e305
+        assert math.isfinite(ln_gamma_classical(2.5e305).ln_value)
+        for z in (3e305, 1.7e308):
+            with pytest.raises(DomainError):
+                ln_gamma_classical(z)
 
     def test_pole_rejection(self):
         for z in (0.0, -1.0, -7.0, -3.0 + 1e-12):
@@ -176,6 +193,100 @@ class TestPolygamma:
             assert fd1 == pytest.approx(oracles.mp_polygamma(1, z), rel=1e-4)
             fd2 = central_diff(digamma_classical, z, 1e-3, order=2)
             assert fd2 == pytest.approx(oracles.mp_polygamma(2, z), rel=1e-4)
+
+
+def _ge(ln, sign=1, err=0.0):
+    return GammaEval(ln, sign, err, Method.CLOSED)
+
+
+class TestLinearClaim:
+    """GammaEval.abs_err: the one rule from a log's error to a linear error."""
+
+    @pytest.mark.parametrize("ln, sign, err", [(1.0, -1, 1e-10), (-700.0, 1, 3e-12), (700.0, 1, 0.5), (0.0, 1, 0.0)])
+    def test_normal_value_is_the_expm1_figure(self, ln, sign, err):
+        v = sign * math.exp(ln)
+        assert _ge(ln, sign, err).abs_err == abs(v) * math.expm1(err) + math.ulp(v)
+
+    @pytest.mark.parametrize("ln, err", [(-740.0, 1e-12), (-740.0, 3.0), (-800.0, 100.0), (-745.2, 0.4), (-720.0, 709.0)])
+    def test_below_the_normal_range_it_bounds_every_value_on_the_bar(self, ln, err):
+        import mpmath as mp
+
+        g = _ge(ln, 1, err)
+        for l in (ln - err, ln, ln + err):
+            assert abs(mp.exp(l) - g.value) <= g.abs_err, l
+
+    def test_bar_below_the_range_claims_one_subnormal_spacing(self):
+        assert _ge(-3.44e6, 1, 9.65e4).abs_err == 5e-324
+        # expm1 overflows, but the bar's top is inside the range
+        assert _ge(-1000.0, -1, 1200.0).abs_err == math.exp(200.0) + math.ulp(0.0)
+
+    @pytest.mark.parametrize("ln, err", [(-11879.0, 96526.0), (709.0, 2.0), (800.0, 1e-10), (1.0, math.inf)])
+    def test_bar_crossing_the_top_is_unbounded(self, ln, err):
+        assert _ge(ln, 1, err).abs_err == math.inf
+
+    def test_never_warns(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _ge(800.0, -1, 1e-10).abs_err == math.inf
+
+    def test_beta_reproducers(self):
+        # both claimed 0 before: y/k >> x/k lost every digit, and a subnormal value
+        assert tuple(beta_closed(BetaArgs(1e20, 1e40, PkParams(1, 1)))[:2]) == (0.0, 5e-324)
+        got = beta_closed(BetaArgs(14.232188905406645, 5.788960493111005, PkParams(1, 0.016513094312804434)))
+        import mpmath as mp
+
+        k = mp.mpf(0.016513094312804434)  # at the oracles' 40 digits
+        want = mp.beta(mp.mpf(14.232188905406645) / k, mp.mpf(5.788960493111005) / k) / k
+        assert 0.0 < got.value < 2.3e-308 and abs(got.value - want) <= got.abs_err
+
+
+def _written_out(lead, upper, lower):
+    """lead + sum ln upper - sum ln lower, signs and claim, term by term in that order."""
+    ln, sign, err = lead, 1, 0.0
+    for g in upper:
+        ln, sign, err = ln + g.ln_value, sign * g.sign, err + (g.abs_err_ln + _EPS * abs(g.ln_value))
+    for g in lower:
+        ln, sign, err = ln - g.ln_value, sign * g.sign, err + (g.abs_err_ln + _EPS * abs(g.ln_value))
+    return ln, sign, err
+
+
+class TestGammaProduct:
+    """core._gamma_product adds the terms in each call site's order, so its sums are bit for bit."""
+
+    @pytest.mark.parametrize("a, b, k", [(0.3, 2.5, 0.7), (7.1, 12.9, 1.3), (1.0, 1.0, 1e-3)])
+    def test_beta_and_confluent_prefactor(self, a, b, k):
+        ga, gb, gab = ln_gamma_classical(a), ln_gamma_classical(b), ln_gamma_classical(a + b)
+        lnk = math.log(k)
+        g = _gamma_product(0.0, (ga, gb), (gab, _ge(lnk)))
+        assert g.ln_value == ga.ln_value + gb.ln_value - gab.ln_value - lnk
+        terms = (ga, gb, gab)
+        assert g.abs_err_ln == sum(t.abs_err_ln + _EPS * abs(t.ln_value) for t in terms) + _EPS * abs(lnk)
+        # the confluent prefactor Gamma(b) / (Gamma(a) Gamma(b - a)), b > a
+        gl = ln_gamma_classical(b - a) if b > a else ln_gamma_classical(a - b + 0.5)
+        g = _gamma_product(0.0, (gb,), (ga, gl))
+        assert g.ln_value == gb.ln_value - ga.ln_value - gl.ln_value
+        assert g.abs_err_ln == sum(t.abs_err_ln + _EPS * abs(t.ln_value) for t in (gb, ga, gl))
+
+    @pytest.mark.parametrize("p, k, x, n", [(1.5, 0.75, -2.3, 7), (0.2, 3.0, 41.0, 99), (9.0, 0.1, 0.05, 1)])
+    def test_gamma_ratio_and_identities(self, p, k, x, n):
+        z = x / k
+        num, den = ln_gamma_classical(z + n), ln_gamma_classical(z)
+        g = _gamma_product(n * math.log(p), (num,), (den,))
+        assert (g.ln_value, g.sign) == (n * math.log(p) + num.ln_value - den.ln_value, num.sign * den.sign)
+        lg = ln_gamma_classical(z)
+        # the leads of 2.19, 2.27 and 2.29
+        for lead in (z * math.log(p / k) + (z - 1.0) * math.log(k), math.log(p) / k - math.log(k),
+                     (p / k) * math.log(p) - math.log(k)):
+            assert _gamma_product(lead, (lg,))[:2] == (lead + lg.ln_value, lg.sign)
+        params = PkParams(p, k)
+        m = 3
+        gs = [gamma_closed(params, x + k * r / m) for r in range(m)]
+        assert _gamma_product(0.0, gs)[:3] == _written_out(0.0, gs, ())  # 2.32's left side
+
+    def test_sign_and_claim_of_mixed_terms(self):
+        terms = (_ge(1.5, -1, 1e-15), _ge(-700.25, 1, 3e-13), _ge(3e5, -1, 0.0))
+        assert _gamma_product(0.125, terms[:2], terms[2:])[:3] == _written_out(0.125, terms[:2], terms[2:])
+        assert _gamma_product(0.125, terms[:2], terms[2:]).sign == 1
 
 
 class TestPoleCheck:

@@ -41,6 +41,25 @@ def test_each_failure_is_counted_against_its_route(script, monkeypatch):
     }
 
 
+def test_fingerprints_move_only_for_the_patched_routes(script, monkeypatch):
+    baseline: dict = {}
+    script.failures(31, 5, baseline)
+    assert set(baseline) == set(script.route_table())
+    table = script.route_table()
+    closed = table["gamma.closed"]
+
+    def off_by_one(draw):
+        tag, ln, sign, err = closed(draw)
+        return [tag, ln + 1.0, sign, err]
+
+    table.update({"gamma.closed": off_by_one, "betapsi.psi": lambda d: ["lin", 0.0, 0.0]})
+    monkeypatch.setattr(script, "route_table", lambda: table)
+    broken: dict = {}
+    script.failures(31, 5, broken)
+    moved = {name for name in baseline if baseline[name].hexdigest() != broken[name].hexdigest()}
+    assert moved == {"gamma.closed", "betapsi.psi"}
+
+
 def test_usage_without_seeds(script, capsys):
     assert script.main([]) == 2
     assert "Usage" in capsys.readouterr().err

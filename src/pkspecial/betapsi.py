@@ -85,11 +85,11 @@ def beta_closed(args: BetaArgs) -> EvalReal:
     """
     k = args.params.k
     a, b = _real("x/k", args.x / k), _real("y/k", args.y / k)
-    lo, hi = min(a, b), max(a, b)
     lnk = GammaEval(math.log(k), 1, 0.0, Method.CLOSED)
-    if hi < 33.0:
+    if a < 33.0 and b < 33.0:
         g = _gamma_product(0.0, (ln_gamma_classical(a), ln_gamma_classical(b)), (ln_gamma_classical(a + b), lnk))
     else:
+        lo, hi = min(a, b), max(a, b)
         ln_lo = ln_gamma_classical(lo)
         # finite wherever lnGamma(lo) is, but for lo within 1 % of where lgamma overflows
         scale = _real("min(x, y)/k * ln(max(x, y)/k)", lo * math.log(hi))
@@ -98,7 +98,7 @@ def beta_closed(args: BetaArgs) -> EvalReal:
         parts = (GammaEval(scale, 1, _EPS * abs(scale), Method.CLOSED),
                  GammaEval(step, 1, 6.0 * _EPS * (abs(step) + lo + 1.0) + _TAIL_GAP, Method.CLOSED))
         g = _gamma_product(0.0, (ln_lo,), (*parts, lnk))
-    return EvalReal(value=g.value, abs_err=g.abs_err, method=Method.CLOSED)
+    return EvalReal(g.value, g.abs_err, Method.CLOSED)
 
 
 def beta_integral(args: BetaArgs, form: str = "unit") -> EvalReal:

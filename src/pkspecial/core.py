@@ -218,21 +218,21 @@ class GammaEval(_ValueType, namedtuple("GammaEval", "ln_value sign abs_err_ln me
     @property
     def abs_err(self) -> float:
         """Linear claim: bounds |sign * e^l - value| for every l within abs_err_ln of ln_value; never warns."""
-        value = _from_log(self.ln_value, self.sign)
-        if self.abs_err_ln > _LN_OVERFLOW or math.isinf(value):  # the bar's top bounds it, inf past the range
-            return _from_log(self.ln_value + self.abs_err_ln) + math.ulp(value)
+        ln, sign, err, _ = self
+        value = _from_log(ln, sign)
+        if err > _LN_OVERFLOW or math.isinf(value):  # the bar's top bounds it, inf past the range
+            return _from_log(ln + err) + math.ulp(value)
         mag = abs(value) if abs(value) >= _TINY else abs(value) + math.ulp(value)  # exp's ulp is absolute below normal
-        return mag * math.expm1(self.abs_err_ln) + math.ulp(value)
+        return mag * math.expm1(err) + math.ulp(value)
 
 
 def _gamma_product(lead: float, upper=(), lower=()) -> GammaEval:
     """lead + sum ln|upper| - sum ln|lower| over GammaEvals, in that order; claims sum(abs_err_ln + eps |ln|)."""
     ln, sign, err = lead, 1, 0.0
-    for way, terms in ((1.0, upper), (-1.0, lower)):
-        for g in terms:
-            ln += way * g.ln_value
-            sign *= g.sign
-            err += g.abs_err_ln + _EPS * abs(g.ln_value)
+    for term, s, e, _ in upper:
+        ln, sign, err = ln + term, sign * s, err + (e + _EPS * abs(term))
+    for term, s, e, _ in lower:
+        ln, sign, err = ln - term, sign * s, err + (e + _EPS * abs(term))
     return GammaEval(ln, sign, err, Method.CLOSED)
 
 
@@ -293,7 +293,7 @@ def ln_gamma_classical(z: float) -> GammaEval:
     if d < 1e-3:
         # |d/dz ln Gamma| ~ 1/d near a pole: argument rounding inflates the error
         err += _EPS * (1.0 + abs(z)) / d
-    return GammaEval(ln_value=val, sign=gamma_sign(z), abs_err_ln=err, method=Method.CLOSED)
+    return GammaEval(val, gamma_sign(z), err, Method.CLOSED)
 
 
 # B_2j / (2j), j = 1..7: the coefficients of the asymptotic series

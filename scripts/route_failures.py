@@ -35,19 +35,18 @@ from worker import call_route, route_table  # noqa: E402
 DRAWS = 1_000
 
 
-def failures(seed: int, draws: int, digests: dict | None = None) -> Counter:
+def failures(seed: int, draws: int, digests: dict) -> Counter:
     """(route, outcome) -> how many of the seed's first ``draws`` draws failed that way.
 
-    Each route's JSON results are also fed, draw by draw, to ``digests[route]``
-    (a sha256, made on first use) if ``digests`` is given.
+    Each route's JSON results are also fed, draw by draw, to ``digests[route]``,
+    a sha256 made on first use.
     """
     routes = route_table()
     failed: Counter = Counter()
     for draw in itertools.islice(itertools.chain.from_iterable(sweep_blocks(seed)), draws):
         results = json.loads(json.dumps({name: call_route(fn, draw) for name, fn in routes.items()}))
         for name, result in results.items():
-            if digests is not None:
-                digests.setdefault(name, hashlib.sha256()).update(json.dumps(result).encode())
+            digests.setdefault(name, hashlib.sha256()).update(json.dumps(result).encode())
             outcome = judge(result, truth(ROUTE_TRUTH[name], draw))
             if outcome != OK:
                 failed[name, outcome] += 1

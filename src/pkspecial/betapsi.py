@@ -26,6 +26,7 @@ from .core import (
     _as_index,
     _digamma_array,
     _digamma_step,
+    _from_log,
     _gamma_product,
     _ln_gamma_step,
     _lattice_terms,
@@ -85,7 +86,7 @@ def beta_closed(args: BetaArgs) -> EvalReal:
     """
     k = args.params.k
     a, b = _real("x/k", args.x / k), _real("y/k", args.y / k)
-    lnk = GammaEval(math.log(k), 1, 0.0, Method.CLOSED)
+    lnk = GammaEval(math.log(k), 1, 0.0, Method.CLOSED)  # the 1/k, an exact term subtracted last
     if a < 33.0 and b < 33.0:
         g = _gamma_product(0.0, (ln_gamma_classical(a), ln_gamma_classical(b)), (ln_gamma_classical(a + b), lnk))
     else:
@@ -93,12 +94,16 @@ def beta_closed(args: BetaArgs) -> EvalReal:
         ln_lo = ln_gamma_classical(lo)
         # finite wherever lnGamma(lo) is, but for lo within 1 % of where lgamma overflows
         scale = _real("min(x, y)/k * ln(max(x, y)/k)", lo * math.log(hi))
+        _real("(x + y)/k", hi + lo)  # an overflowed sum is a DomainError, as an overflowed quotient is
         step = _ln_gamma_step(hi, lo)
         # the rounding of log(hi), and of step's (hi + lo - 1/2) log1p(lo/hi) - lo, plus its series' gap
         parts = (GammaEval(scale, 1, _EPS * abs(scale), Method.CLOSED),
                  GammaEval(step, 1, 6.0 * _EPS * (abs(step) + lo + 1.0) + _TAIL_GAP, Method.CLOSED))
         g = _gamma_product(0.0, (ln_lo,), (*parts, lnk))
-    return EvalReal(g.value, g.abs_err, Method.CLOSED)
+    value = _from_log(g.ln_value, g.sign)
+    if value == math.inf:
+        warnings.warn(f"B_k({args.x}, {args.y}) overflows double precision", OverflowNote, stacklevel=2)
+    return EvalReal(value, g.abs_err, Method.CLOSED)
 
 
 def beta_integral(args: BetaArgs, form: str = "unit") -> EvalReal:
@@ -195,7 +200,7 @@ def ln_gamma_via_psi(params: PkParams, x: float) -> EvalReal:
     _require_params(params)
     x = _positive_real("x", x)
     p, k = params.p, params.k
-    ln_at_one = _gamma_product(math.log(p) / k - math.log(k), (ln_gamma_classical(1.0 / k),)).ln_value
+    ln_at_one = math.log(p) / k - math.log(k) + ln_gamma_classical(1.0 / k).ln_value
     span = x - 1.0
     if span == 0.0:
         return EvalReal(value=ln_at_one, abs_err=1e-14, method=Method.INTEGRAL)

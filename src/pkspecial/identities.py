@@ -319,7 +319,8 @@ def _k_reduction(pt, grid):
     z = x / k
     lhs = _g(_params(pt), x)
     # route through the one-parameter reduction (p/k)^(x/k) * k^(x/k-1) Gamma(x/k)
-    rhs = _from_log(*_gamma_product(z * math.log(p / k) + (z - 1.0) * math.log(k), (ln_gamma_classical(z),))[:2])
+    lg = ln_gamma_classical(z)
+    rhs = _from_log(z * math.log(p / k) + (z - 1.0) * math.log(k) + lg.ln_value, lg.sign)
     return lhs, rhs, rhs
 
 
@@ -390,7 +391,8 @@ def _alternating(pt, grid):
 @_entry("2.27", "gamma", 1e-10, _pkx, "value at 1")
 def _value_at_one(pt, grid):
     p, k = pt["p"], pt["k"]
-    rhs = _from_log(*_gamma_product(math.log(p) / k - math.log(k), (ln_gamma_classical(1.0 / k),))[:2])
+    lg = ln_gamma_classical(1.0 / k)
+    rhs = _from_log(math.log(p) / k - math.log(k) + lg.ln_value, lg.sign)
     return _g(_params(pt), 1.0), rhs, rhs
 
 
@@ -403,7 +405,8 @@ def _value_at_k(pt, grid):
 @_entry("2.29", "gamma", 1e-10, _pkx, "value at p")
 def _value_at_p(pt, grid):
     p, k = pt["p"], pt["k"]
-    rhs = _from_log(*_gamma_product((p / k) * math.log(p) - math.log(k), (ln_gamma_classical(p / k),))[:2])
+    lg = ln_gamma_classical(p / k)
+    rhs = _from_log((p / k) * math.log(p) - math.log(k) + lg.ln_value, lg.sign)
     return _g(_params(pt), p), rhs, rhs
 
 
@@ -435,13 +438,14 @@ def _multiplication(pt, grid):
         raise DomainError("2.32 needs m >= 2")
     lhs = _from_log(*_gamma_product(0.0, [gamma.gamma_closed(params, x + k * r_idx / m) for r_idx in range(m)])[:2])
     gm = gamma.gamma_closed(params, m * x)
-    lead = (
+    ln_rhs = (
         (m - 1) / 2.0 * math.log(p)
         - (m - 1) * math.log(k)
         + (m - 1) / 2.0 * math.log(2.0 * math.pi)
         + (0.5 - m * x / k) * math.log(m)
+        + gm.ln_value
     )
-    rhs = _from_log(*_gamma_product(lead, (gm,))[:2])
+    rhs = _from_log(ln_rhs, gm.sign)
     return lhs, rhs, rhs
 
 

@@ -92,10 +92,11 @@ class TestBetaClosed:
         # B(1e20, 1e40) itself is in test_core.py::TestLinearClaim::test_beta_reproducers
         got = beta_closed(bargs(0.5, 40.0, 1, 1))
         assert got.value == pytest.approx(float(oracles.mp_pk_beta(1, 0.5, 40.0)), rel=1e-14)
-        # lnGamma(2.55e305) is finite, 2.55e305 ln(1e308) is not; past 2.6e305 lnGamma overflows too
-        for x in (2.55e305, 3e305):
+        # lnGamma(2.55e305) is finite, 2.55e305 ln(1e308) is not; past 2.6e305 lnGamma overflows too;
+        # at (2e305, 1.796e308) lnGamma and the scale are finite, but x + y overflows
+        for x, y in ((2.55e305, 1e308), (3e305, 1e308), (2e305, 1.796e308)):
             with pytest.raises(DomainError):
-                beta_closed(bargs(x, 1e308, 1, 1))
+                beta_closed(bargs(x, y, 1, 1))
 
     def test_classical_point(self):
         # B(2,3) = 1!*2!/4! regardless of p
@@ -121,6 +122,11 @@ class TestBetaClosed:
         with pytest.warns(OverflowNote):
             got = beta_closed(bargs(1e-310, 1e-310, 1, 1e-310))
         assert got.value == math.inf
+
+    def test_overflow_note_names_beta_at_the_callers_line(self):
+        with pytest.warns(OverflowNote, match=r"^B_k\(") as caught:
+            beta_closed(bargs(1e-310, 1e-310, 1, 1e-310))
+        assert caught[0].filename == __file__
 
     @settings(max_examples=60)
     @given(

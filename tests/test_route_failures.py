@@ -18,7 +18,7 @@ def script():
 
 
 def test_each_failure_is_counted_against_its_route(script, monkeypatch):
-    baseline = script.failures(31, 25)
+    baseline = script.failures(31, 25, {})
     assert all(name in script.ROUTE_TRUTH and count <= 25 for (name, _), count in baseline.items())
     table = script.route_table()
     closed, limit = table["gamma.closed"], table["gamma.limit"]
@@ -33,7 +33,7 @@ def test_each_failure_is_counted_against_its_route(script, monkeypatch):
 
     table.update({"gamma.closed": off_by_one, "gamma.limit": overflows, "gamma.integral": lambda d: ["ln", math.nan, 1, 0.0]})
     monkeypatch.setattr(script, "route_table", lambda: table)
-    broken = script.failures(31, 25)
+    broken = script.failures(31, 25, {})
     assert broken - baseline == {
         ("gamma.closed", "wrong_value"): 25,
         ("gamma.limit", "raised_raw"): 25,

@@ -13,7 +13,7 @@ import sys
 
 from . import betapsi, gamma, hyper, pochhammer
 from .audit import format_summary, report_to_dict, run_suite, write_report
-from .core import DomainError, EvalReal, GammaEval, PkParams, PoleError, pole_check
+from .core import DomainError, EvalReal, GammaEval, PkParams, PoleError, _linear_err, pole_check
 from .quadrature import NoConvergence
 
 __all__ = ["main", "build_parser"]
@@ -197,7 +197,7 @@ def _value_err(args, result) -> tuple[float, float | None]:
     """A route result as (value, abs_err); abs_err is None for a Gamma past the double range."""
     if isinstance(result, GammaEval):
         value = result.value
-        return value, result.abs_err if math.isfinite(value) else None
+        return value, _linear_err(result, value) if math.isfinite(value) else None
     if isinstance(result, EvalReal):
         return result.value, result.abs_err
     # the Pochhammer routes return a bare float with no error estimate

@@ -218,12 +218,16 @@ class GammaEval(_ValueType, namedtuple("GammaEval", "ln_value sign abs_err_ln me
     @property
     def abs_err(self) -> float:
         """Linear claim: bounds |sign * e^l - value| for every l within abs_err_ln of ln_value; never warns."""
-        ln, sign, err, _ = self
-        value = _from_log(ln, sign)
-        if err > _LN_OVERFLOW or math.isinf(value):  # the bar's top bounds it, inf past the range
-            return _from_log(ln + err) + math.ulp(value)
-        mag = abs(value) if abs(value) >= _TINY else abs(value) + math.ulp(value)  # exp's ulp is absolute below normal
-        return mag * math.expm1(err) + math.ulp(value)
+        return _linear_err(self, _from_log(self.ln_value, self.sign))
+
+
+def _linear_err(g: GammaEval, value: float) -> float:
+    """g.abs_err, given value = _from_log(g.ln_value, g.sign) already formed."""
+    ln, _, err, _ = g
+    if err > _LN_OVERFLOW or math.isinf(value):  # the bar's top bounds it, inf past the range
+        return _from_log(ln + err) + math.ulp(value)
+    mag = abs(value) if abs(value) >= _TINY else abs(value) + math.ulp(value)  # exp's ulp is absolute below normal
+    return mag * math.expm1(err) + math.ulp(value)
 
 
 def _gamma_product(lead: float, upper=(), lower=()) -> GammaEval:

@@ -64,7 +64,7 @@ def gamma_closed(params: PkParams, x: float) -> GammaEval:
     ln = lnp_z - lnk + lg.ln_value
     # the rounding of z enters z ln p once more on top of the rounding of the sum
     err = lg.abs_err_ln + _EPS * (1.0 + 2.0 * abs(lnp_z) + abs(lnk) + abs(lg.ln_value))
-    return GammaEval(ln_value=ln, sign=lg.sign, abs_err_ln=err, method=Method.CLOSED)
+    return GammaEval(ln, lg.sign, err, Method.CLOSED)
 
 
 def gamma_limit(
@@ -121,7 +121,7 @@ def gamma_limit(
     if not accelerate:
         ln, mag = at(n, *sums[0])
         err = abs(q) / (2.0 * n) + abs(q * (zs - 0.5)) / (6.0 * n**2) + _EPS * mag + _TAIL_GAP + 1e-14
-        return GammaEval(ln_value=ln, sign=1, abs_err_ln=err, method=Method.LIMIT)
+        return GammaEval(ln, 1, err, Method.LIMIT)
     (a1, m1), (a2, m2), (a4, m4) = (at(m, *sums_m) for m, sums_m in zip(indices, sums))
     b1 = 2.0 * a2 - a1
     b2 = 2.0 * a4 - a2
@@ -130,7 +130,7 @@ def gamma_limit(
     # outgrows that estimate once z is not small against n
     rounding = _EPS * (8.0 * m4 + 6.0 * m2 + m1) / 3.0 + 5.0 * _TAIL_GAP
     err = abs(c - b2) + q * q / (96.0 * n**3) + rounding + 1e-13
-    return GammaEval(ln_value=c, sign=1, abs_err_ln=err, method=Method.LIMIT)
+    return GammaEval(c, 1, err, Method.LIMIT)
 
 
 def _log_rising(z: float, counts: list[int]) -> list[tuple[float, float]]:
@@ -183,7 +183,7 @@ def gamma_integral(params: PkParams, x: float, a_scale: float = 1.0) -> GammaEva
     ln = z * ln_a + z * (ln_m - ln_c) - m + ln_res
     # the quadrature's error, plus 4 eps times the magnitudes of the logs summed
     err = res.abs_err / res.value + 4.0 * _EPS * (z * (abs(ln_a) + abs(ln_m) + abs(ln_c) + 1.0) + m + abs(ln_res))
-    return GammaEval(ln_value=ln, sign=1, abs_err_ln=err, method=Method.INTEGRAL)
+    return GammaEval(ln, 1, err, Method.INTEGRAL)
 
 
 def gamma_euler_product(params: PkParams, x: float) -> GammaEval:
@@ -208,7 +208,7 @@ def gamma_euler_product(params: PkParams, x: float) -> GammaEval:
     # eps times the magnitudes summed: the factors and partial sums, the two
     # parts of the tail, and the rounding of z in z ln p
     err = _EPS * (2.0 * mag + abs(tail) + 2.0 * z + 2.0 * abs(lnp_z) + abs(ln_x) + abs(ln)) + _TAIL_GAP * (1.0 + z)
-    return GammaEval(ln_value=ln, sign=1, abs_err_ln=err, method=Method.EULER_PRODUCT)
+    return GammaEval(ln, 1, err, Method.EULER_PRODUCT)
 
 
 def _reciprocal(params: PkParams, x: float, method: Method) -> GammaEval:
@@ -227,7 +227,7 @@ def _reciprocal(params: PkParams, x: float, method: Method) -> GammaEval:
     _require_params(params)
     x = _real("x", x)
     if pole_check(params, x).is_pole:
-        return GammaEval(ln_value=-math.inf, sign=1, abs_err_ln=0.0, method=method)
+        return GammaEval(-math.inf, 1, 0.0, method)
     z = x / params.k
     damped = method is Method.WEIERSTRASS
     N = _lattice_terms(z)
@@ -253,7 +253,7 @@ def _reciprocal(params: PkParams, x: float, method: Method) -> GammaEval:
     lnp_z, ln_x = z * math.log(params.p), math.log(abs(x))
     ln = ln_x - lnp_z + s + shift - tail
     parts = mag + abs(s) + abs(tail) + 2.0 * abs(z) + abs(shift) + 2.0 * abs(lnp_z) + abs(ln_x) + abs(ln)
-    return GammaEval(ln_value=ln, sign=sign, abs_err_ln=_EPS * parts + _TAIL_GAP * (1.0 + abs(z)), method=method)
+    return GammaEval(ln, sign, _EPS * parts + _TAIL_GAP * (1.0 + abs(z)), method)
 
 
 def gamma_weierstrass_recip(params: PkParams, x: float) -> GammaEval:

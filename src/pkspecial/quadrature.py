@@ -5,9 +5,11 @@ t(u) = sigmoid(pi*sinh(u)) (Takahasi & Mori, 1974), pushes endpoint
 behaviour into doubly-exponential decay.  Each refinement level halves the
 step and reuses the abscissae of earlier levels.  Level 4 is the earliest
 stop, so levels 1 to 4 run as one pass: one integrand call on their nodes
-joined end to end, from one cached table, with each level's sums still taken
-over its own nodes.  Each later level is one call on a cached table of its
-own.  The error estimate follows the Borwein-Bailey-Girgensohn
+joined end to end, from one cached table.  Each later level is one call on a
+cached table of its own.  Every call's level sums are one gather (a cached
+order that lays out each level's entries behind a 0.0) and one
+np.add.reduceat, which give each level the bits of ndarray.sum() over its
+own nodes.  The error estimate follows the Borwein-Bailey-Girgensohn
 extrapolation of successive level differences, floored at a few ulps of the
 accumulated value.
 
@@ -130,6 +132,26 @@ def _nodes(first: int, last: int):
     return t[keep], lt[keep], w[keep], bounds
 
 
+@lru_cache(maxsize=None)
+def _gather(first: int, last: int, rows: int):
+    """Gather order and segment starts for the sums of levels first..last over a (rows, n) product.
+
+    The product is read flat, with its zero slot at entry rows * n.  Each
+    level's segment is that slot, then the level's entries of row 0, row 1,
+    ... end to end.  np.add.reduceat starts a segment from its first element
+    where ndarray.sum() starts from the additive identity, so the leading 0.0
+    makes both 0 + the pairwise sum of the level's entries, bit for bit.
+    """
+    import numpy as np
+
+    bounds = _nodes(first, last)[3]
+    n = bounds[-1]
+    offsets = n * np.arange(rows)[:, None]
+    segments = [np.append(rows * n, offsets + np.arange(a, b)) for a, b in zip(bounds, bounds[1:])]
+    starts = np.cumsum([0] + [len(seg) for seg in segments[:-1]])
+    return np.concatenate(segments), starts
+
+
 # ---------------------------------------------------------------------------
 # driver
 
@@ -138,32 +160,38 @@ def _level_sums(integrand, first: int, last: int) -> list[tuple[float, float]]:
     """Weighted sums of f and of f*|log f| over the nodes new to each of levels first..last.
 
     One call ``integrand(t, lt)`` on the levels' nodes joined end to end returns
-    (f, |log f| or None); f may hold one row per piece.  Each level's sums run over
-    its own slice: f * w is a fresh C-contiguous array, so they add up in the order
-    a call on that level's nodes alone gives.  Runs under the caller's np.errstate.
+    (f, |log f| or None); f may hold one row per piece.  Each sum is one fixed
+    sequence: the products go into a buffer whose last slot holds 0.0, one take
+    through ``_gather``'s order lays out each level's rows end to end behind that
+    slot, and one np.add.reduceat sums every level.  A level's sum is then
+    0 + the pairwise sum of its products, as ndarray.sum() gives on that level's
+    own nodes.  Runs under the caller's np.errstate.
     """
     import numpy as np
 
-    t, lt, w, bounds = _nodes(first, last)
+    t, lt, w, _ = _nodes(first, last)
     f, abs_log = integrand(t, lt)
-    sums = []
-    for a, b in zip(bounds, bounds[1:]):
-        contrib = f[..., a:b] * w[a:b]
-        s = float(contrib.sum())
-        if not math.isfinite(s):
-            # Non-finite values in the doubly-exponential tail come from 0*inf
-            # style underflow races and carry no mass; elsewhere they mean the
-            # integrand is outside the supported class.
-            bad = ~np.isfinite(contrib)
-            if np.any(bad & ~((t[a:b] < 1e-250) | (t[a:b] > 1.0 - 1e-15))):
-                raise NoConvergence(
-                    "integrand returned non-finite values away from the endpoints",
-                    EvalReal(value=math.nan, abs_err=math.inf, method=Method.INTEGRAL),
-                )
-            contrib = np.where(bad, 0.0, contrib)
-            s = float(contrib.sum())
-        sums.append((s, 0.0 if abs_log is None else float((contrib * abs_log[..., a:b]).sum())))
-    return sums
+    order, starts = _gather(first, last, f.size // len(t))
+    buf = np.zeros(f.size + 1)
+    contrib = buf[:-1].reshape(f.shape)
+    np.multiply(f, w, out=contrib)
+    sums = np.add.reduceat(buf.take(order), starts).tolist()
+    if not all(map(math.isfinite, sums)):
+        # Non-finite values in the doubly-exponential tail come from 0*inf
+        # style underflow races and carry no mass; elsewhere they mean the
+        # integrand is outside the supported class.
+        bad = ~np.isfinite(contrib)
+        if np.any(bad & ~((t < 1e-250) | (t > 1.0 - 1e-15))):
+            raise NoConvergence(
+                "integrand returned non-finite values away from the endpoints",
+                EvalReal(value=math.nan, abs_err=math.inf, method=Method.INTEGRAL),
+            )
+        contrib[bad] = 0.0
+        sums = np.add.reduceat(buf.take(order), starts).tolist()
+    if abs_log is None:
+        return [(s, 0.0) for s in sums]
+    np.multiply(contrib, abs_log, out=contrib)
+    return list(zip(sums, np.add.reduceat(buf.take(order), starts).tolist()))
 
 
 def _bbg_error(history: list[float], scale: float) -> float:
@@ -237,8 +265,12 @@ def integrate_unit(f, spec: QuadratureSpec = DEFAULT_SPEC) -> EvalReal:
     """Integrate f over (0,1); f may be singular like t**(a-1), a > 0, at 0."""
     import numpy as np
 
-    # a constant f may give a scalar, which each level's slice of the values needs as an array
-    return _integrate(lambda t, lt: (np.broadcast_to(f(t), t.shape), None), spec)
+    def integrand(t, lt):
+        y = f(t)
+        # a constant f may give a scalar, which the level sums need spread over the nodes
+        return (y if getattr(y, "shape", None) == t.shape else np.broadcast_to(y, t.shape)), None
+
+    return _integrate(integrand, spec)
 
 
 def integrate_semiaxis(f, spec: QuadratureSpec = DEFAULT_SPEC) -> EvalReal:

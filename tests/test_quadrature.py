@@ -1,5 +1,6 @@
 """Double-exponential quadrature: examples, error contract, substitution checks."""
 
+import contextlib
 import math
 
 import mpmath
@@ -232,11 +233,26 @@ def _tail_nan(t):
     return np.exp(-1.0 / t) / t**1.2
 
 
+def _two_rows(f):
+    """Hand the rule the integrand (t, ln t) -> (f(t), 1), f(t) of two rows, as a route; a NoConvergence is the rule's outcome, not the route's."""
+    with contextlib.suppress(NoConvergence):
+        quadrature._integrate(lambda t, lt: (f(t), np.ones((2, len(t)))), quadrature.DEFAULT_SPEC)
+
+
 class TestSharedFirstPass:
     """Levels 1-4 in one integrand call give the bits of one call per level."""
 
     ROUTES = {
         "two power pieces": lambda: _split_beta_kernel(0.3, 2.5, -1.5, 0.0),
+        "three power pieces": lambda: _power_integral((
+            (0.5, 1.0, lambda t, lt: -t), (3.0, 1.0, lambda t, lt: -t), (0.2, 0.5, lambda t, lt: np.log1p(t)),
+        )),
+        # the tail repair on rows, then a rounding sum over the repaired entries
+        "rows, endpoint nan": lambda: _two_rows(lambda t: np.stack((np.sqrt(t), _tail_nan(t)))),
+        # a nan at an interior node of level 3: no convergence once level 3 runs
+        "rows, interior nan": lambda: _two_rows(
+            lambda t: np.stack((np.sqrt(t), np.where(t == _nodes(3, 3)[0][20], np.nan, t)))
+        ),
         "unit": lambda: integrate_unit(lambda t: np.sqrt(t) * np.cos(3.0 * t)),
         # exact from level 2 on: only the rule's first stop ends it
         "constant": lambda: integrate_unit(lambda t: 2.0),

@@ -160,12 +160,10 @@ def _level_sums(integrand, first: int, last: int) -> list[tuple[float, float]]:
     """Weighted sums of f and of f*|log f| over the nodes new to each of levels first..last.
 
     One call ``integrand(t, lt)`` on the levels' nodes joined end to end returns
-    (f, |log f| or None); f may hold one row per piece.  Each sum is one fixed
-    sequence: the products go into a buffer whose last slot holds 0.0, one take
-    through ``_gather``'s order lays out each level's rows end to end behind that
-    slot, and one np.add.reduceat sums every level.  A level's sum is then
-    0 + the pairwise sum of its products, as ndarray.sum() gives on that level's
-    own nodes.  Runs under the caller's np.errstate.
+    (f, |log f| or None); f may hold one row per piece.  The products go into a
+    buffer whose last slot holds 0.0, and each sum over every level is one take
+    through ``_gather``'s order and one np.add.reduceat: the bits of
+    ndarray.sum() on each level's own nodes.  Runs under the caller's np.errstate.
     """
     import numpy as np
 

@@ -16,12 +16,12 @@ difference of digammas from the psi asymptotic series (core._digamma_step).
 from __future__ import annotations
 
 import math
-import warnings
 from collections import namedtuple
 
 from .core import (
     _EPS,
     _PSI_ASYMPTOTIC,
+    _STIRLING_MIN,
     _TAIL_GAP,
     _as_index,
     _digamma_array,
@@ -30,6 +30,7 @@ from .core import (
     _gamma_product,
     _ln_gamma_step,
     _lattice_terms,
+    _note_overflow,
     _positive_real,
     _real,
     _require_params,
@@ -39,7 +40,6 @@ from .core import (
     EvalReal,
     GammaEval,
     Method,
-    OverflowNote,
     PkParams,
     digamma_classical,
     ln_gamma_classical,
@@ -79,15 +79,16 @@ class BetaArgs(_ValueType, namedtuple("BetaArgs", "x y params")):
 def beta_closed(args: BetaArgs) -> EvalReal:
     """(1/k) B(x/k, y/k) through the classical log-gamma kernel.
 
-    Where the larger argument hi is at least 33, lnB = lnGamma(lo) - lo ln hi
-    - [lnGamma(hi + lo) - lnGamma(hi) - lo ln hi], the bracket from
-    core._ln_gamma_step, so lnGamma(hi) and lnGamma(hi + lo) never cancel.
+    Where the larger argument hi is at least core._STIRLING_MIN,
+    lnB = lnGamma(lo) - lo ln hi - [lnGamma(hi + lo) - lnGamma(hi) - lo ln hi],
+    the bracket from core._ln_gamma_step, so lnGamma(hi) and lnGamma(hi + lo)
+    never cancel.
     Past the double range the value is inf, with an OverflowNote.
     """
     k = args.params.k
     a, b = _real("x/k", args.x / k), _real("y/k", args.y / k)
     lnk = GammaEval(math.log(k), 1, 0.0, Method.CLOSED)  # the 1/k, an exact term subtracted last
-    if a < 33.0 and b < 33.0:
+    if a < _STIRLING_MIN and b < _STIRLING_MIN:
         g = _gamma_product(0.0, (ln_gamma_classical(a), ln_gamma_classical(b)), (ln_gamma_classical(a + b), lnk))
     else:
         lo, hi = min(a, b), max(a, b)
@@ -100,9 +101,7 @@ def beta_closed(args: BetaArgs) -> EvalReal:
         parts = (GammaEval(scale, 1, _EPS * abs(scale), Method.CLOSED),
                  GammaEval(step, 1, 6.0 * _EPS * (abs(step) + lo + 1.0) + _TAIL_GAP, Method.CLOSED))
         g = _gamma_product(0.0, (ln_lo,), (*parts, lnk))
-    value = _from_log(g.ln_value, g.sign)
-    if value == math.inf:
-        warnings.warn(f"B_k({args.x}, {args.y}) overflows double precision", OverflowNote, stacklevel=2)
+    value = _note_overflow(_from_log(g.ln_value, g.sign), "B_k({}, {}) overflows double precision", args.x, args.y)
     return EvalReal(value, g.abs_err, Method.CLOSED)
 
 
@@ -120,7 +119,7 @@ def beta_integral(args: BetaArgs, form: str = "unit") -> EvalReal:
     import numpy as np
 
     k = args.params.k
-    a, b = args.x / k, args.y / k
+    a, b = _positive_real("x/k", args.x / k), _positive_real("y/k", args.y / k)
     if form == "semiaxis":
         def log_g(t, lt):
             return -(a + b) * np.log1p(np.exp(k * lt))
@@ -141,8 +140,8 @@ def beta_integral(args: BetaArgs, form: str = "unit") -> EvalReal:
 def psi(params: PkParams, x: float) -> EvalReal:
     """log(p)/k + digamma(x/k)/k, the logarithmic derivative of the family Gamma."""
     k = _require_params(params).k
-    z = _real("x", x) / k
-    # raises PoleError on the pole lattice, and DomainError where x/k leaves the double range
+    z = _real("x/k", _real("x", x) / k)
+    # raises PoleError on the pole lattice
     v = math.log(params.p) / k + digamma_classical(z) / k
     err = 1e-14 * (1.0 + abs(v))
     if z < 0.0:
@@ -170,7 +169,7 @@ def psi_series(params: PkParams, x: float, form: str = "3.9") -> EvalReal:
     if form not in PSI_SERIES_FORMS:
         raise DomainError(f"form must be one of {PSI_SERIES_FORMS}, got {form!r}")
     p, k = params.p, params.k
-    w = x / k
+    w = _real("x/k", x / k)
     N = _lattice_terms(w)
     base = math.log(p) / k - EULER_GAMMA / k
     s = partials = 0.0
@@ -226,7 +225,14 @@ def k_zeta(x: float, r: int, k: float) -> EvalReal:
     order = _as_index(r)
     if order is None or order < 2:
         raise DomainError(f"r must be an integer >= 2 for convergence, got {r!r}")
-    r, x, k = order, _positive_real("x", x), _positive_real("k", k)
+    x = _positive_real("x", x)
+    z = _zeta_sum(x, order, _positive_real("k", k))
+    _note_overflow(z.value, "zeta_k({}, {}) overflows double precision", x, order)
+    return z
+
+
+def _zeta_sum(x: float, r: int, k: float) -> EvalReal:
+    """k_zeta at checked arguments, without its OverflowNote."""
     a = x + _ZETA_TERMS * k
     w = k / a
     # B_2j/(2j)! (r)_(2j-1) = _PSI_ASYMPTOTIC[j-1] C(r+2j-2, 2j-1), j = 1..7 (j-1 below)
@@ -238,7 +244,6 @@ def k_zeta(x: float, r: int, k: float) -> EvalReal:
     except OverflowError:
         value = math.inf
     if value == math.inf:
-        warnings.warn(f"zeta_k({x}, {r}) overflows double precision", OverflowNote, stacklevel=2)
         return EvalReal(value=value, abs_err=value, method=Method.SERIES)
     # below the normal range a result is off by up to one spacing 2^-1074 absolute,
     # which eps (r+2) value does not cover: one for each power (x + nk)^-r and for
@@ -267,16 +272,14 @@ def polygamma(params: PkParams, x: float, r: int) -> EvalReal:
     if q == 0.0:
         raise DomainError(f"x/k must be finite, got x={x!r}, k={params.k!r}")
     # past k/x = 1e300 every term but the first is below 1e-600: the sum is 1.0 exactly
-    z = k_zeta(1.0, r, min(q, 1e300))
+    z = _zeta_sum(1.0, r, min(q, 1e300))
     sign = (-1.0) ** r
     (fm, fe), (zm, ze), (xm, xe) = math.frexp(math.factorial(r - 1)), math.frexp(z.value), math.frexp(x)
     try:
         value = sign * math.ldexp(fm * zm * xm**-r, fe + ze - r * xe)
     except OverflowError:
         value = sign * math.inf
-    if math.isinf(value):
-        if math.isfinite(z.value):
-            warnings.warn(f"polygamma({x}, {r}) overflows double precision", OverflowNote, stacklevel=2)
+    if math.isinf(_note_overflow(value, "polygamma({}, {}) overflows double precision", x, r)):
         return EvalReal(value=value, abs_err=math.inf, method=Method.SERIES)
     # the sum's own claim, eps r/2 for the rounding of k/x, eps each for xm^-r and the two
     # products, and half a spacing where the value lands below the normal range

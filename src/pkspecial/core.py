@@ -11,10 +11,11 @@ with a sign, and their linear value is materialized on demand; an
 multiplies p**(x/k) by Gamma(x/k), and both factors overflow long before
 the log does.  Every (log, sign) pair in the library leaves log space
 through ``_from_log``: sign * exp(log), or a signed inf past the double
-range, where each caller warns with its own ``OverflowNote``.  Ratios of
+range, which each route notes through ``_note_overflow``.  Ratios of
 Gamma-type values are summed in log space by ``_gamma_product``, and a
 log's error becomes a linear one by ``GammaEval.abs_err``.  The lattice
-routes' exact tail ``_ln_gamma_step`` also serves beta_closed past 33.
+routes' exact tail ``_ln_gamma_step`` also serves beta_closed.  Each
+quotient x/k, a/k or b/s a route forms passes ``_real`` under its name.
 """
 
 from __future__ import annotations
@@ -64,6 +65,13 @@ def _from_log(ln: float, sign: int = 1) -> float:
     if ln > _LN_OVERFLOW:
         return sign * math.inf
     return sign * math.exp(ln)
+
+
+def _note_overflow(value: float, message: str, *args) -> float:
+    """value itself; where it is an inf, also an OverflowNote, message.format(*args), at the route's caller."""
+    if math.isinf(value):
+        warnings.warn(message.format(*args), OverflowNote, stacklevel=3)
+    return value
 
 
 class Method(enum.Enum):
@@ -190,7 +198,7 @@ class EvalReal(_ValueType, namedtuple("EvalReal", "value abs_err method")):
 
     def __new__(cls, value: float, abs_err: float, method: Method = Method.CLOSED):
         if math.isfinite(value) and not (math.isfinite(abs_err) and abs_err >= 0.0):
-            raise ValueError(f"abs_err must be finite and >= 0, got {abs_err!r}")
+            raise DomainError(f"abs_err must be finite and >= 0, got {abs_err!r}")
         return tuple.__new__(cls, (value, abs_err, method))
 
 
@@ -206,14 +214,8 @@ class GammaEval(_ValueType, namedtuple("GammaEval", "ln_value sign abs_err_ln me
     @property
     def value(self) -> float:
         """Materialize the linear value (inf past the double range, with an OverflowNote)."""
-        value = _from_log(self.ln_value, self.sign)
-        if math.isinf(value):
-            warnings.warn(
-                f"exp({self.ln_value!r}) overflows double precision; ln_value holds the value",
-                OverflowNote,
-                stacklevel=2,
-            )
-        return value
+        return _note_overflow(_from_log(self.ln_value, self.sign),
+                              "exp({!r}) overflows double precision; ln_value holds the value", self.ln_value)
 
     @property
     def abs_err(self) -> float:
@@ -253,9 +255,7 @@ _OFF_POLE = PoleReport(False, None)
 
 def pole_check(params: PkParams, x: float) -> PoleReport:
     """Detect whether x sits on the pole lattice {0, -k, -2k, ...}."""
-    q = _real("x", x) / _require_params(params).k
-    if not math.isfinite(q):
-        raise DomainError(f"x/k must be finite, got x={x!r}, k={params.k!r}")
+    q = _real("x/k", _real("x", x) / _require_params(params).k)
     if _pole_distance(q) <= TAU_POLE:
         return PoleReport(True, -round(q))
     return _OFF_POLE
@@ -364,17 +364,19 @@ def _digamma_array(z: np.ndarray) -> np.ndarray:
     return np.log(z) - 0.5 / z - _psi_tail(z) - shift
 
 
+# _ln_gamma_step and _digamma_step hold for arguments from this one up.
+_STIRLING_MIN = 33
 # The product and psi-series routes sum the lattice n = 1..N directly, with
 # N = _LATTICE_TERMS + ceil(max(0, -z)) at z = x/k, and add the rest past n = N
 # exactly through _ln_gamma_step or _digamma_step, whose arguments are then
-# all at least 33.  Their domain is |z| < _LATTICE_Z_MAX, which also bounds
-# the loop at negative z.
-_LATTICE_TERMS = 32
+# all at least _STIRLING_MIN.  Their domain is |z| < _LATTICE_Z_MAX, which
+# also bounds the loop at negative z.
+_LATTICE_TERMS = _STIRLING_MIN - 1
 _LATTICE_Z_MAX = 100_000.0
-# What the two series leave out at arguments u >= 33: Stirling's next term,
-# |B_16| / (16*15 u^15), at both ends, which bounds the psi series' next term,
-# |B_16| / (16 u^16), at both ends too.
-_TAIL_GAP = 2.0 * 3617.0 / 122400.0 * 33.0**-15
+# What the two series leave out at arguments u >= _STIRLING_MIN: Stirling's next
+# term, |B_16| / (16*15 u^15), at both ends, which bounds the psi series' next
+# term, |B_16| / (16 u^16), at both ends too.
+_TAIL_GAP = 2.0 * 3617.0 / 122400.0 * _STIRLING_MIN**-15
 
 
 def _lattice_terms(z: float) -> int:
@@ -385,7 +387,7 @@ def _lattice_terms(z: float) -> int:
 
 
 def _ln_gamma_step(a: float, z: float) -> float:
-    """ln Gamma(a + z) - ln Gamma(a) - z ln a, for a and a + z at least 33.
+    """ln Gamma(a + z) - ln Gamma(a) - z ln a, for a and a + z at least _STIRLING_MIN.
 
     Stirling's series at both ends: (a+z-1/2) log1p(z/a) - z plus the
     Bernoulli parts; it errs by at most _TAIL_GAP.
@@ -395,7 +397,7 @@ def _ln_gamma_step(a: float, z: float) -> float:
 
 
 def _digamma_step(a: float, w: float) -> float:
-    """psi(a + w) - psi(a), for a and a + w at least 33.
+    """psi(a + w) - psi(a), for a and a + w at least _STIRLING_MIN.
 
     The psi series at both ends: log1p(w/a) + w/(2a(a+w)) less the
     Bernoulli parts; it errs by at most _TAIL_GAP.

@@ -10,7 +10,7 @@ first N = 32 + ceil(max(0, -x/k)) factors directly and adds the rest
 exactly: past n = N their logs sum to a difference of log-gammas, which
 Stirling's series (core._ln_gamma_step) gives to double precision.  The
 limit evaluator's sums of log(x/k + j) take the same step past their first
-33 terms, so its cost does not depend on its index.
+core._STIRLING_MIN terms, so its cost does not depend on its index.
 
 All evaluators work in log space with an explicit sign channel.  Only the
 integral evaluator uses numpy.
@@ -22,6 +22,7 @@ import math
 
 from .core import (
     _EPS,
+    _STIRLING_MIN,
     _TAIL_GAP,
     _as_index,
     _lattice_terms,
@@ -57,9 +58,8 @@ def gamma_closed(params: PkParams, x: float) -> GammaEval:
     the sign comes from the classical reflection behaviour.
     """
     _require_params(params)
-    z = _real("x", x) / params.k
-    # raises PoleError on the pole lattice, and DomainError where x/k leaves the double range
-    lg = ln_gamma_classical(z)
+    z = _real("x/k", _real("x", x) / params.k)
+    lg = ln_gamma_classical(z)  # raises PoleError on the pole lattice
     lnp_z, lnk = z * math.log(params.p), math.log(params.k)
     ln = lnp_z - lnk + lg.ln_value
     # the rounding of z enters z ln p once more on top of the rounding of the sum
@@ -95,9 +95,7 @@ def gamma_limit(
     if variant not in ("2.6", "2.7"):
         raise DomainError(f"variant must be '2.6' or '2.7', got {variant!r}")
     extra = 1 if variant == "2.6" else 0
-    z = x / params.k
-    if not 0.0 < z < math.inf:
-        raise DomainError(f"gamma_limit needs x/k inside the double range, got {z!r}")
+    z = _positive_real("x/k", x / params.k)
     power = z if extra else z - 1.0
     lnk, lnp = math.log(params.k), math.log(params.p)
     indices = (n, 2 * n, 4 * n) if accelerate else (n,)
@@ -136,21 +134,21 @@ def gamma_limit(
 def _log_rising(z: float, counts: list[int]) -> list[tuple[float, float]]:
     """(s, mag) for each M of the rising ``counts``: s = sum_{j < M} log(z + j), z > 0.
 
-    The first 33 terms are summed directly and shared; the rest is
-    _ln_gamma_step(a, M - 33) + (M - 33) ln a, a = z + 33, whose arguments are
-    then at least 33.  eps * mag bounds the rounding: each head term and
-    partial sum, plus eps for rounding z + j; the step and the parts it
-    cancels, which |step| + M - 33 bounds; (M - 33) ln a and the result.
+    The first S = core._STIRLING_MIN terms are summed directly and shared;
+    the rest is _ln_gamma_step(a, M - S) + (M - S) ln a, a = z + S, whose
+    arguments are then at least S.  eps * mag bounds the rounding: each head
+    term and partial sum, plus eps for rounding z + j; the step and the parts
+    it cancels, which |step| + M - S bounds; (M - S) ln a and the result.
     """
     sums, s, mag = [], 0.0, 0.0
-    for j in range(min(counts[-1], 33)):
+    for j in range(min(counts[-1], _STIRLING_MIN)):
         t = math.log(z + j)
         s += t
         mag += 1.0 + abs(t) + abs(s)
         if j + 1 in counts:
             sums.append((s, mag))
-    a = z + 33.0
-    for w in (m - 33 for m in counts if m > 33):
+    a = z + _STIRLING_MIN
+    for w in (m - _STIRLING_MIN for m in counts if m > _STIRLING_MIN):
         step, w_ln_a = _ln_gamma_step(a, w), w * math.log(a)
         total = s + step + w_ln_a
         sums.append((total, mag + 6.0 * abs(step) + 4.0 * w + 2.0 * abs(w_ln_a) + abs(total) + 1.0))
@@ -172,14 +170,14 @@ def gamma_integral(params: PkParams, x: float, a_scale: float = 1.0) -> GammaEva
     _require_params(params)
     x, a_scale = _positive_real("x", x), _positive_real("a_scale", a_scale)
     p, k = params.p, params.k
-    z = x / k
+    z, c = _positive_real("x/k", x / k), _positive_real("a_scale/p", a_scale / p)
     m = max(z - 1.0 / k, 1.0)
     ln_k = math.log(k)
     res = _power_integral((
         (x, 1.0, lambda u, lu: -m * np.expm1(k * lu)),
         (1.0, 1.0, lambda r, lr: -(z + 1.0) * lr - m * np.expm1(-lr) - ln_k),
     ))
-    ln_a, ln_m, ln_c, ln_res = math.log(a_scale), math.log(m), math.log(a_scale / p), math.log(res.value)
+    ln_a, ln_m, ln_c, ln_res = math.log(a_scale), math.log(m), math.log(c), math.log(res.value)
     ln = z * ln_a + z * (ln_m - ln_c) - m + ln_res
     # the quadrature's error, plus 4 eps times the magnitudes of the logs summed
     err = res.abs_err / res.value + 4.0 * _EPS * (z * (abs(ln_a) + abs(ln_m) + abs(ln_c) + 1.0) + m + abs(ln_res))
@@ -195,7 +193,7 @@ def gamma_euler_product(params: PkParams, x: float) -> GammaEval:
     """
     _require_params(params)
     x = _positive_real("x", x)
-    z = x / params.k
+    z = _real("x/k", x / params.k)
     N = _lattice_terms(z)
     body = mag = 0.0
     for n in range(N, 0, -1):  # smallest first

@@ -13,7 +13,7 @@ import enum
 import math
 from collections import namedtuple
 
-from .core import _EPS, _finite, _gamma_product, _real, _require_params, _ValueType, DomainError, EvalReal, Method, PkParams, ln_gamma_classical
+from .core import _EPS, _finite, _gamma_product, _pole_distance, _real, _require_params, _ValueType, DomainError, EvalReal, Method, PkParams, ln_gamma_classical
 from .quadrature import _split_beta_kernel
 
 __all__ = [
@@ -91,9 +91,9 @@ def _as_triples(seq, what: str) -> tuple[tuple[float, float, float], ...]:
 class HyperParams(_ValueType, namedtuple("HyperParams", "upper lower")):
     """Upper triples (a, p, k) and lower triples (b, t, s).
 
-    Lower ratios b/s must avoid the non-positive integers, where the
-    denominator Pochhammer vanishes; violations raise LowerPoleError at
-    construction.
+    Every ratio a/k and b/s must be finite, and lower ratios must avoid the
+    non-positive integers, where the denominator Pochhammer vanishes;
+    violations raise DomainError or LowerPoleError at construction.
     """
 
     __slots__ = ()
@@ -102,9 +102,11 @@ class HyperParams(_ValueType, namedtuple("HyperParams", "upper lower")):
 
     def __new__(cls, upper, lower):
         upper, lower = _as_triples(upper, "upper"), _as_triples(lower, "lower")
-        for b, t, s in lower:
-            ratio = b / s
-            if ratio <= 0.5 and abs(ratio - round(ratio)) < 1e-12:
+        for a, _, k in upper:
+            _real("a/k", a / k)
+        for b, _, s in lower:
+            ratio = _real("b/s", b / s)
+            if _pole_distance(ratio) < 1e-12:
                 raise LowerPoleError(f"lower ratio b/s = {ratio} is a non-positive integer")
         return tuple.__new__(cls, (upper, lower))
 
@@ -178,7 +180,7 @@ def hyper_series(hp: HyperParams, x: float) -> EvalReal:
     x = _real("x", x)
     cls = classify(hp)
     # an upper ratio at a non-positive integer terminates the series exactly
-    polynomial = any(a <= 0.0 and abs(a - round(a)) < 1e-12 for a in hp.alphas)
+    polynomial = any(a <= 0.0 and _pole_distance(a) < 1e-12 for a in hp.alphas)
     if not polynomial:
         if cls.kind is ConvergenceKind.DIVERGENT_FORMAL:
             raise DivergentInput(f"series has no convergence domain for r={hp.r}, q={hp.q}")

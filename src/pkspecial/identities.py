@@ -23,6 +23,7 @@ from typing import Callable, Iterable, Iterator
 from .core import (
     _from_log,
     _gamma_product,
+    _pole_distance,
     DomainError,
     PkParams,
     PoleError,
@@ -329,7 +330,7 @@ def _near_int(v: float, margin: float) -> bool:
 
 
 def _near_pole(k: float, *args: float) -> bool:
-    return any(a / k <= 0.5 and _near_int(a / k, 1e-3) for a in args)
+    return any(_pole_distance(a / k) <= 1e-3 for a in args)
 
 
 _NEAR_POLE = "argument near pole lattice"

@@ -63,7 +63,7 @@ class PochSpec(_ValueType, namedtuple("PochSpec", "x n params")):
 
 
 def _factors(spec: PochSpec):
-    base = spec.x * spec.params.p / spec.params.k
+    base = _real("x p/k", spec.x * spec.params.p / spec.params.k)
     step = spec.params.p
     return (base + j * step for j in range(spec.n))
 
@@ -132,7 +132,7 @@ def poch_symmetric(spec: PochSpec) -> float:
         # e_(n-1) = (n-1)! overflows, so the total is never finite: skip the O(n^2) table
         return _noted(_symmetric_overflow(spec))
     p = spec.params.p
-    z = spec.x / spec.params.k
+    z = _real("x/k", spec.x / spec.params.k)
     pn = _power(p, n)
     # a subnormal p^n would carry its few digits into every term: sum the
     # classical terms instead and scale by p^n after, in two halves
@@ -168,7 +168,7 @@ def _symmetric_overflow(spec: PochSpec) -> float:
 
 def poch_reduce(spec: PochSpec) -> float:
     """Classical reduction p^n (x/k)_n, the rising factorial computed directly."""
-    z = spec.x / spec.params.k
+    z = _real("x/k", spec.x / spec.params.k)
     out = _power(spec.params.p, spec.n)
     for j in range(spec.n):
         out *= z + j
@@ -184,7 +184,7 @@ def poch_generalized(spec: PochSpec, q: int) -> float:
     if blocks is None or blocks < 1:
         raise DomainError(f"q must be a positive integer, got {q!r}")
     q, n = blocks, spec.n
-    z = spec.x / spec.params.k
+    z = _real("x/k", spec.x / spec.params.k)
     out = _power(spec.params.p * q, n * q)
     for r in range(1, q + 1):
         base = (z + r - 1) / q
@@ -199,7 +199,7 @@ def poch_gamma_ratio(spec: PochSpec) -> float:
     Both x and x+nk must be off the pole lattice.  Past the double range
     the value is a signed inf, with an OverflowNote as from poch_direct.
     """
-    z = spec.x / spec.params.k
+    z = _real("x/k", spec.x / spec.params.k)
     # each log-gamma raises PoleError where its argument is on the pole lattice
     g = _gamma_product(spec.n * math.log(spec.params.p), (ln_gamma_classical(z + spec.n),), (ln_gamma_classical(z),))
     return _noted(_from_log(g.ln_value, g.sign))
@@ -245,16 +245,17 @@ def poch_rescale(spec: PochSpec, s_new: float, mode: str) -> float:
     if mode == "2.8":
         return poch_direct(PochSpec(k * spec.x / s_new, spec.n, PkParams(p, k)))
     if mode == "2.9":
-        return _power_times_symbol(p / s_new, PochSpec(k * spec.x / s_new, spec.n, PkParams(s_new, k)))
+        return _power_times_symbol(p, s_new, PochSpec(k * spec.x / s_new, spec.n, PkParams(s_new, k)))
     if mode == "2.10":
-        return _power_times_symbol(p / s_new, PochSpec(spec.x, spec.n, PkParams(s_new, k)))
+        return _power_times_symbol(p, s_new, PochSpec(spec.x, spec.n, PkParams(s_new, k)))
     raise DomainError(f"mode must be one of {RESCALE_MODES}, got {mode!r}")
 
 
-def _power_times_symbol(ratio: float, spec: PochSpec) -> float:
-    """ratio**n times the symbol of spec, a signed inf past the double range."""
-    out = _power(ratio, spec.n) * poch_direct(spec)
+def _power_times_symbol(p: float, s: float, spec: PochSpec) -> float:
+    """(p/s)**n times the symbol of spec, a signed inf past the double range."""
+    out = _power(p / s, spec.n) * poch_direct(spec)
     if math.isnan(out):  # an overflowed power times an underflowed symbol, or the reverse
         ln, sign = poch_ln(spec)
-        out = _from_log(ln + spec.n * math.log(ratio), sign)
+        # p/s may have left the double range itself: its log is ln p - ln s
+        out = _from_log(ln + spec.n * (math.log(p) - math.log(s)), sign)
     return _noted(out)

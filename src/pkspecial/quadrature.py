@@ -6,12 +6,12 @@ behaviour into doubly-exponential decay.  Each refinement level halves the
 step and reuses the abscissae of earlier levels.  Level 4 is the earliest
 stop, so levels 1 to 4 run as one pass: one integrand call on their nodes
 joined end to end, from one cached table.  Each later level is one call on a
-cached table of its own.  Every call's level sums are one gather (a cached
-order that lays out each level's entries behind a 0.0) and one
+cached table of its own.  The first pass's level sums are one gather (a
+cached order that lays out each level's entries behind a 0.0) and one
 np.add.reduceat, which give each level the bits of ndarray.sum() over its
-own nodes.  The error estimate follows the Borwein-Bailey-Girgensohn
-extrapolation of successive level differences, floored at a few ulps of the
-accumulated value.
+own nodes; a later level's sum is that ndarray.sum().  The error estimate
+follows the Borwein-Bailey-Girgensohn extrapolation of successive level
+differences, floored at a few ulps of the accumulated value.
 
 Integrands must accept numpy arrays (plain arithmetic expressions on the
 argument are enough).  Nodes exist only where t and 1-t are representable
@@ -134,7 +134,7 @@ def _nodes(first: int, last: int):
 
 @lru_cache(maxsize=None)
 def _gather(first: int, last: int, rows: int):
-    """Gather order and segment starts for the sums of levels first..last over a (rows, n) product.
+    """Gather order and segment starts for the sums of joined levels first..last over a (rows, n) product.
 
     The product is read flat, with its zero slot at entry rows * n.  Each
     level's segment is that slot, then the level's entries of row 0, row 1,
@@ -161,19 +161,23 @@ def _level_sums(integrand, first: int, last: int) -> list[tuple[float, float]]:
 
     One call ``integrand(t, lt)`` on the levels' nodes joined end to end returns
     (f, |log f| or None); f may hold one row per piece.  The products go into a
-    buffer whose last slot holds 0.0, and each sum over every level is one take
-    through ``_gather``'s order and one np.add.reduceat: the bits of
-    ndarray.sum() on each level's own nodes.  Runs under the caller's np.errstate.
+    buffer whose last slot holds 0.0.  One level's sum is ndarray.sum() on the
+    products; joined levels' sums are one take through ``_gather``'s order and
+    one np.add.reduceat, with the same bits.  Runs under the caller's np.errstate.
     """
     import numpy as np
 
     t, lt, w, _ = _nodes(first, last)
     f, abs_log = integrand(t, lt)
-    order, starts = _gather(first, last, f.size // len(t))
     buf = np.zeros(f.size + 1)
     contrib = buf[:-1].reshape(f.shape)
     np.multiply(f, w, out=contrib)
-    sums = np.add.reduceat(buf.take(order), starts).tolist()
+    order = _gather(first, last, f.size // len(t)) if first < last else None
+
+    def level_sums() -> list[float]:
+        return [contrib.sum().item()] if order is None else np.add.reduceat(buf.take(order[0]), order[1]).tolist()
+
+    sums = level_sums()
     if not all(map(math.isfinite, sums)):
         # Non-finite values in the doubly-exponential tail come from 0*inf
         # style underflow races and carry no mass; elsewhere they mean the
@@ -185,11 +189,11 @@ def _level_sums(integrand, first: int, last: int) -> list[tuple[float, float]]:
                 EvalReal(value=math.nan, abs_err=math.inf, method=Method.INTEGRAL),
             )
         contrib[bad] = 0.0
-        sums = np.add.reduceat(buf.take(order), starts).tolist()
+        sums = level_sums()
     if abs_log is None:
         return [(s, 0.0) for s in sums]
     np.multiply(contrib, abs_log, out=contrib)
-    return list(zip(sums, np.add.reduceat(buf.take(order), starts).tolist()))
+    return list(zip(sums, level_sums()))
 
 
 def _bbg_error(history: list[float], scale: float) -> float:
@@ -213,7 +217,7 @@ def _bbg_error(history: list[float], scale: float) -> float:
     log_d1 = math.log10(d1)
     log_d2 = math.log10(d2)
     est = max(log_d1 * log_d1 / log_d2, 2.0 * log_d1, math.log10(floor))
-    if est > _LOG10_MAX:
+    if est >= _LOG10_MAX:
         # level differences above 1 make the extrapolation blow up: no estimate
         return math.inf
     return max(10.0 ** est, 1e-3 * d1, floor)
@@ -285,15 +289,13 @@ def _power_integral(pieces, ln_c: float = 0.0) -> EvalReal:
     pieces in one refinement loop, so a constant factor known by its log
     (ln_c) leaves log space only inside the integrand.  The integrand is
     exponentiated from its log, whose rounding, eps |log f| relative, is
-    claimed on top of the BBG estimate.  An alpha that is not positive (an
-    x/k that underflows to 0) raises DomainError.
+    claimed on top of the BBG estimate.  Each alpha is a positive finite
+    real: the routes check the quotients they pass.
     """
     import numpy as np
 
     maps = []
     for alpha, h, log_g in pieces:
-        if not alpha > 0.0:
-            raise DomainError(f"a power piece needs alpha > 0, got {alpha!r}")
         beta = min(alpha, 1.0)
         ln_scale = alpha * math.log(h) - math.log(beta) + ln_c
         maps.append((alpha / beta - 1.0, 1.0 / beta, h, math.log(h), ln_scale, log_g))

@@ -166,8 +166,8 @@ ERRORS = (
     (lambda: PkParams(-1, 2), DomainError, "p must be a positive finite real, got -1"),
     (lambda: PkParams(1, math.inf), DomainError, "k must be a positive finite real, got inf"),
     (lambda: PkParams("1", 2), DomainError, "p must be a positive finite real, got '1'"),
-    (lambda: EvalReal(1.0, -1.0), ValueError, "abs_err must be finite and >= 0, got -1.0"),
-    (lambda: EvalReal(1.0, math.nan), ValueError, "abs_err must be finite and >= 0, got nan"),
+    (lambda: EvalReal(1.0, -1.0), DomainError, "abs_err must be finite and >= 0, got -1.0"),
+    (lambda: EvalReal(1.0, math.nan), DomainError, "abs_err must be finite and >= 0, got nan"),
     (lambda: BetaArgs(0.0, 1.0, PK), DomainError, "x must be a positive finite real, got 0.0"),
     (lambda: BetaArgs(1.0, -2.0, PK), DomainError, "y must be a positive finite real, got -2.0"),
     (lambda: PochSpec(1.5, -1, PK), DomainError, "n must be a non-negative integer, got -1"),

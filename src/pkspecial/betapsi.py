@@ -140,8 +140,8 @@ def beta_integral(args: BetaArgs, form: str = "unit") -> EvalReal:
 def psi(params: PkParams, x: float) -> EvalReal:
     """log(p)/k + digamma(x/k)/k, the logarithmic derivative of the family Gamma."""
     k = _require_params(params).k
-    z = _real("x/k", _real("x", x) / k)
-    # raises PoleError on the pole lattice
+    z = _real("x", x) / k
+    # raises PoleError on the pole lattice, and DomainError where x/k leaves the double range
     v = math.log(params.p) / k + digamma_classical(z) / k
     err = 1e-14 * (1.0 + abs(v))
     if z < 0.0:
@@ -169,7 +169,7 @@ def psi_series(params: PkParams, x: float, form: str = "3.9") -> EvalReal:
     if form not in PSI_SERIES_FORMS:
         raise DomainError(f"form must be one of {PSI_SERIES_FORMS}, got {form!r}")
     p, k = params.p, params.k
-    w = _real("x/k", x / k)
+    w = x / k
     N = _lattice_terms(w)
     base = math.log(p) / k - EULER_GAMMA / k
     s = partials = 0.0

@@ -14,8 +14,8 @@ through ``_from_log``: sign * exp(log), or a signed inf past the double
 range, which each route notes through ``_note_overflow``.  Ratios of
 Gamma-type values are summed in log space by ``_gamma_product``, and a
 log's error becomes a linear one by ``GammaEval.abs_err``.  The lattice
-routes' exact tail ``_ln_gamma_step`` also serves beta_closed.  Each
-quotient x/k, a/k or b/s a route forms passes ``_real`` under its name.
+routes' exact tail ``_ln_gamma_step`` also serves beta_closed.  A route's
+quotient x/k, a/k or b/s passes ``_real`` under its name, or a kernel's check.
 """
 
 from __future__ import annotations

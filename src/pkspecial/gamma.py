@@ -58,8 +58,9 @@ def gamma_closed(params: PkParams, x: float) -> GammaEval:
     the sign comes from the classical reflection behaviour.
     """
     _require_params(params)
-    z = _real("x/k", _real("x", x) / params.k)
-    lg = ln_gamma_classical(z)  # raises PoleError on the pole lattice
+    z = _real("x", x) / params.k
+    # raises PoleError on the pole lattice, and DomainError where x/k leaves the double range
+    lg = ln_gamma_classical(z)
     lnp_z, lnk = z * math.log(params.p), math.log(params.k)
     ln = lnp_z - lnk + lg.ln_value
     # the rounding of z enters z ln p once more on top of the rounding of the sum
@@ -193,7 +194,7 @@ def gamma_euler_product(params: PkParams, x: float) -> GammaEval:
     """
     _require_params(params)
     x = _positive_real("x", x)
-    z = _real("x/k", x / params.k)
+    z = x / params.k
     N = _lattice_terms(z)
     body = mag = 0.0
     for n in range(N, 0, -1):  # smallest first

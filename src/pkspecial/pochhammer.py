@@ -199,7 +199,7 @@ def poch_gamma_ratio(spec: PochSpec) -> float:
     Both x and x+nk must be off the pole lattice.  Past the double range
     the value is a signed inf, with an OverflowNote as from poch_direct.
     """
-    z = _real("x/k", spec.x / spec.params.k)
+    z = spec.x / spec.params.k
     # each log-gamma raises PoleError where its argument is on the pole lattice
     g = _gamma_product(spec.n * math.log(spec.params.p), (ln_gamma_classical(z + spec.n),), (ln_gamma_classical(z),))
     return _noted(_from_log(g.ln_value, g.sign))

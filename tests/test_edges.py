@@ -1,4 +1,4 @@
-"""Edge-domain draw classes, each named after the defect it guards (ROADMAP item 5).
+"""Edge-domain draw classes, each named after the defect it guards.
 
 A derived quantity leaves the double range: every public route forms
 quotients (x/k, a/k, b/s, p/s_new, a_scale/p), error claims and values
@@ -112,7 +112,7 @@ DRAWS = st.fixed_dictionaries({
 
 
 class TestDerivedQuantityLeavesTheDoubleRange:
-    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @settings(derandomize=True, max_examples=150, deadline=None)
     @given(DRAWS)
     def test_every_route_returns_or_raises_a_typed_error(self, d):
         with warnings.catch_warnings():

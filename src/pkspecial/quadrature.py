@@ -161,9 +161,10 @@ def _level_sums(integrand, first: int, last: int) -> list[tuple[float, float]]:
 
     One call ``integrand(t, lt)`` on the levels' nodes joined end to end returns
     (f, |log f| or None); f may hold one row per piece.  The products go into a
-    buffer whose last slot holds 0.0.  One level's sum is ndarray.sum() on the
-    products; joined levels' sums are one take through ``_gather``'s order and
-    one np.add.reduceat, with the same bits.  Runs under the caller's np.errstate.
+    buffer whose last slot holds 0.0.  One level's sum is np.add.reduce over the
+    products, as ndarray.sum() computes it; joined levels' sums are one take
+    through ``_gather``'s order and one np.add.reduceat, with the same bits.
+    Runs under the caller's np.errstate.
     """
     import numpy as np
 
@@ -175,7 +176,7 @@ def _level_sums(integrand, first: int, last: int) -> list[tuple[float, float]]:
     order = _gather(first, last, f.size // len(t)) if first < last else None
 
     def level_sums() -> list[float]:
-        return [contrib.sum().item()] if order is None else np.add.reduceat(buf.take(order[0]), order[1]).tolist()
+        return [np.add.reduce(contrib, None).item()] if order is None else np.add.reduceat(buf.take(order[0]), order[1]).tolist()
 
     sums = level_sums()
     if not all(map(math.isfinite, sums)):

@@ -161,10 +161,9 @@ def _level_sums(integrand, first: int, last: int) -> list[tuple[float, float]]:
 
     One call ``integrand(t, lt)`` on the levels' nodes joined end to end returns
     (f, |log f| or None); f may hold one row per piece.  The products go into a
-    buffer whose last slot holds 0.0.  One level's sum is np.add.reduce over the
-    products, as ndarray.sum() computes it; joined levels' sums are one take
-    through ``_gather``'s order and one np.add.reduceat, with the same bits.
-    Runs under the caller's np.errstate.
+    buffer whose last slot holds 0.0.  One level is summed by np.add.reduce, as
+    ndarray.sum() would; joined levels by one take through ``_gather``'s order
+    and one np.add.reduceat, with the same bits.  Runs under the caller's np.errstate.
     """
     import numpy as np
 

@@ -30,6 +30,8 @@ from .core import (
     _gamma_product,
     _ln_gamma_step,
     _lattice_terms,
+    _linear_err,
+    _ln_gamma,
     _note_overflow,
     _positive_real,
     _real,
@@ -89,10 +91,10 @@ def beta_closed(args: BetaArgs) -> EvalReal:
     a, b = _real("x/k", args.x / k), _real("y/k", args.y / k)
     lnk = GammaEval(math.log(k), 1, 0.0, Method.CLOSED)  # the 1/k, an exact term subtracted last
     if a < _STIRLING_MIN and b < _STIRLING_MIN:
-        g = _gamma_product(0.0, (ln_gamma_classical(a), ln_gamma_classical(b)), (ln_gamma_classical(a + b), lnk))
+        g = _gamma_product(0.0, (_ln_gamma(a), _ln_gamma(b)), (_ln_gamma(_real("z", a + b)), lnk))
     else:
         lo, hi = min(a, b), max(a, b)
-        ln_lo = ln_gamma_classical(lo)
+        ln_lo = _ln_gamma(lo)
         # finite wherever lnGamma(lo) is, but for lo within 1 % of where lgamma overflows
         scale = _real("min(x, y)/k * ln(max(x, y)/k)", lo * math.log(hi))
         _real("(x + y)/k", hi + lo)  # an overflowed sum is a DomainError, as an overflowed quotient is
@@ -102,7 +104,7 @@ def beta_closed(args: BetaArgs) -> EvalReal:
                  GammaEval(step, 1, 6.0 * _EPS * (abs(step) + lo + 1.0) + _TAIL_GAP, Method.CLOSED))
         g = _gamma_product(0.0, (ln_lo,), (*parts, lnk))
     value = _note_overflow(_from_log(g.ln_value, g.sign), "B_k({}, {}) overflows double precision", args.x, args.y)
-    return EvalReal(value, g.abs_err, Method.CLOSED)
+    return EvalReal(value, _linear_err(g, value), Method.CLOSED)
 
 
 def beta_integral(args: BetaArgs, form: str = "unit") -> EvalReal:

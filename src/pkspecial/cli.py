@@ -13,7 +13,7 @@ import sys
 
 from . import betapsi, gamma, hyper, pochhammer
 from .audit import format_summary, report_to_dict, run_suite, write_report
-from .core import DomainError, EvalReal, GammaEval, PkParams, PoleError, _linear_err, pole_check
+from .core import DomainError, EvalReal, GammaEval, PkParams, PoleError, _from_log, _linear_err, pole_check
 from .quadrature import NoConvergence
 
 __all__ = ["main", "build_parser"]
@@ -196,8 +196,10 @@ def _route(args) -> str:
 def _value_err(args, result) -> tuple[float, float | None]:
     """A route result as (value, abs_err); abs_err is None for a Gamma past the double range."""
     if isinstance(result, GammaEval):
-        value = result.value
-        return value, _linear_err(result, value) if math.isfinite(value) else None
+        value = _from_log(result.ln_value, result.sign)
+        if not math.isfinite(value):
+            return result.value, None  # .value notes the overflow
+        return value, _linear_err(result, value)
     if isinstance(result, EvalReal):
         return result.value, result.abs_err
     # the Pochhammer routes return a bare float with no error estimate
@@ -329,17 +331,19 @@ def _cmd_table(args) -> int:
     csv = args.format == "csv"
     rows = ["x,value,abs_err\n"] if csv else []
     v = values[0]
+    y_sweep = sweep_var == "y"
     try:
-        x = _require(args, "x") if sweep_var == "y" else None
+        x = _require(args, "x") if y_sweep else None
         params = PkParams(args.p, args.k)
         for v in values:
-            setattr(args, sweep_var, v)  # the beta adapter reads args.y
-            at = x if sweep_var == "y" else v
+            if y_sweep:
+                args.y = v  # the beta adapter reads args.y
+            at = x if y_sweep else v
             result = route(args, params, at)
             value, err = _value_err(args, result)
             if csv:
                 err = err or 0.0  # a Gamma past the double range: signed inf, abs_err 0
-                rows.append(f"{v:.17g},{value:.17g},{err:.17g}\n")
+                rows.append("%.17g,%.17g,%.17g\n" % (v, value, err))
             else:
                 rows.append({"x": v, "value": value, "abs_err": err, **_log_doc(args, key, params, at, result)})
     except _DOMAIN_ERRORS as exc:

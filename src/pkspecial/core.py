@@ -142,6 +142,8 @@ def _finite(v) -> float | None:
 
 def _real(name: str, v) -> float:
     """v as a float, if it is a finite real (see _finite); DomainError naming it otherwise."""
+    if type(v) is float and math.isfinite(v):  # already a plain finite float
+        return v
     f = _finite(v)
     if f is None:
         raise DomainError(f"{name} must be finite, got {v!r}")
@@ -150,6 +152,8 @@ def _real(name: str, v) -> float:
 
 def _positive_real(name: str, v) -> float:
     """v as a float, if it is a positive finite real (see _finite); DomainError naming it otherwise."""
+    if type(v) is float and 0.0 < v < math.inf:  # already a plain positive finite float
+        return v
     f = _finite(v)
     if f is None or not f > 0:
         raise DomainError(f"{name} must be a positive finite real, got {v!r}")
@@ -283,8 +287,12 @@ def ln_gamma_classical(z: float) -> GammaEval:
     The log is finite wherever Gamma(z) overflows; only materializing
     ``.value`` there warns.
     """
-    z = _real("z", z)
-    d = _pole_distance(z)
+    return GammaEval(*_ln_gamma(_real("z", z)))
+
+
+def _ln_gamma(z: float) -> tuple[float, int, float, Method]:
+    """ln_gamma_classical's four fields at a float z that _real already checked."""
+    d = _pole_distance(z) if z < 0.5 else math.inf
     if d <= TAU_POLE:
         raise PoleError(f"ln_gamma_classical: z={z} is within {TAU_POLE} of a pole")
     try:
@@ -297,7 +305,7 @@ def ln_gamma_classical(z: float) -> GammaEval:
     if d < 1e-3:
         # |d/dz ln Gamma| ~ 1/d near a pole: argument rounding inflates the error
         err += _EPS * (1.0 + abs(z)) / d
-    return GammaEval(val, gamma_sign(z), err, Method.CLOSED)
+    return val, 1 if z > 0 else gamma_sign(z), err, Method.CLOSED
 
 
 # B_2j / (2j), j = 1..7: the coefficients of the asymptotic series
@@ -337,7 +345,7 @@ def digamma_classical(z: float) -> float:
     psi(z) = psi(1-z) - pi/tan(pi r) with r = z - round(z), which is exact.
     """
     z = _real("z", z)
-    if _pole_distance(z) <= TAU_POLE:
+    if z < 0.5 and _pole_distance(z) <= TAU_POLE:
         raise PoleError(f"digamma_classical: z={z} is within {TAU_POLE} of a pole")
     reflect = 0.0
     if z < 0.0:

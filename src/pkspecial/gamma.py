@@ -26,6 +26,7 @@ from .core import (
     _TAIL_GAP,
     _as_index,
     _lattice_terms,
+    _ln_gamma,
     _ln_gamma_step,
     _positive_real,
     _psi_tail,
@@ -36,7 +37,6 @@ from .core import (
     GammaEval,
     Method,
     PkParams,
-    ln_gamma_classical,
     pole_check,
 )
 from .quadrature import _power_integral
@@ -58,14 +58,14 @@ def gamma_closed(params: PkParams, x: float) -> GammaEval:
     the sign comes from the classical reflection behaviour.
     """
     _require_params(params)
-    z = _real("x", x) / params.k
-    # raises PoleError on the pole lattice, and DomainError where x/k leaves the double range
-    lg = ln_gamma_classical(z)
+    # DomainError where x/k leaves the double range, and PoleError on the pole lattice
+    z = _real("z", _real("x", x) / params.k)
+    lg, sign, lg_err, _ = _ln_gamma(z)
     lnp_z, lnk = z * math.log(params.p), math.log(params.k)
-    ln = lnp_z - lnk + lg.ln_value
+    ln = lnp_z - lnk + lg
     # the rounding of z enters z ln p once more on top of the rounding of the sum
-    err = lg.abs_err_ln + _EPS * (1.0 + 2.0 * abs(lnp_z) + abs(lnk) + abs(lg.ln_value))
-    return GammaEval(ln, lg.sign, err, Method.CLOSED)
+    err = lg_err + _EPS * (1.0 + 2.0 * abs(lnp_z) + abs(lnk) + abs(lg))
+    return GammaEval(ln, sign, err, Method.CLOSED)
 
 
 def gamma_limit(

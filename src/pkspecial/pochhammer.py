@@ -62,10 +62,9 @@ class PochSpec(_ValueType, namedtuple("PochSpec", "x n params")):
         return tuple.__new__(cls, (_real("x", x), m, _require_params(params)))
 
 
-def _factors(spec: PochSpec):
-    base = _real("x p/k", spec.x * spec.params.p / spec.params.k)
-    step = spec.params.p
-    return (base + j * step for j in range(spec.n))
+def _base_step(spec: PochSpec) -> tuple[float, float]:
+    """(x p/k, p): factor j of the symbol is x p/k + j p."""
+    return _real("x p/k", spec.x * spec.params.p / spec.params.k), spec.params.p
 
 
 def _noted(out: float) -> float:
@@ -89,17 +88,25 @@ def _power(base: float, e: int) -> float:
 
 def poch_direct(spec: PochSpec) -> float:
     """Direct product of the n factors; the empty product (n=0) is 1."""
+    return _noted(_product(spec))
+
+
+def _product(spec: PochSpec) -> float:
+    """The product of the n factors, in their order, without poch_direct's note."""
+    base, step = _base_step(spec)
     out = 1.0
-    for f in _factors(spec):
-        out *= f
-    return _noted(out)
+    for j in range(spec.n):
+        out *= base + j * step
+    return out
 
 
 def poch_ln(spec: PochSpec) -> tuple[float, int]:
     """(log|value|, sign) companion for large n*|x|; sign 0 at an exact zero."""
+    base, step = _base_step(spec)
     ln = 0.0
     sign = 1
-    for f in _factors(spec):
+    for j in range(spec.n):
+        f = base + j * step
         if f == 0.0:
             return -math.inf, 0
         if f < 0.0:

@@ -26,6 +26,8 @@ from pkspecial.core import (
     _EPS,
     _digamma_array,
     _gamma_product,
+    _positive_real,
+    _real,
     GammaEval,
     Method,
     best_central_diff,
@@ -311,6 +313,49 @@ class TestPoleCheck:
     def test_lattice_property(self, n, k):
         rep = pole_check(PkParams(1.0, k), -n * k)
         assert rep.is_pole and rep.pole_index == n
+
+
+class _FloatSub(float):
+    """A float subclass: _real and _positive_real send it down the general path, through _finite."""
+
+
+def _outcome(fn, v):
+    """(type, repr) of fn(v), with every float in it a plain float, or (type, message) of its typed error."""
+    try:
+        out = fn(v)
+    except (DomainError, PoleError) as exc:
+        return type(exc), str(exc)
+    assert type(out) is float or type(out.ln_value) is float
+    return type(out), repr(out)
+
+
+# the entry points that convert a float argument once, each on the fast path for a plain float
+CONVERTERS = {
+    "_real": lambda v: _real("z", v),
+    "_positive_real": lambda v: _positive_real("z", v),
+    "ln_gamma_classical": ln_gamma_classical,
+    "digamma_classical": digamma_classical,
+}
+BOUNDARY_FLOATS = [-0.0, 5e-324, 1.7976931348623157e308, math.inf, -math.inf, math.nan, 0.5, 2.5, -2.5, -3.0]
+
+
+class TestFloatFastPath:
+    @pytest.mark.parametrize("fn", CONVERTERS.values(), ids=CONVERTERS)
+    @pytest.mark.parametrize("v", BOUNDARY_FLOATS, ids=repr)
+    def test_plain_float_matches_the_general_path(self, fn, v):
+        assert _outcome(fn, v) == _outcome(fn, _FloatSub(v))
+
+    @pytest.mark.parametrize("fn", CONVERTERS.values(), ids=CONVERTERS)
+    @pytest.mark.parametrize("v, plain", [
+        (np.float64(2.5), 2.5), (np.float64(-2.5), -2.5), (np.float64(-0.0), -0.0), (np.float64(math.inf), math.inf),
+        (True, None), pytest.param(10**400, None, id="int 1e400"),
+    ], ids=repr)
+    def test_other_reals_take_the_general_path(self, fn, v, plain):
+        # a numpy scalar gives the plain float's value or error type; a bool or an int past the range is no real
+        got, want = _outcome(fn, v), (DomainError, None) if plain is None else _outcome(fn, plain)
+        assert got[0] is want[0]
+        if not issubclass(want[0], ValueError):  # a value: the same bits
+            assert got == want
 
 
 class TestDomainTypes:

@@ -1,6 +1,7 @@
 """Pochhammer symbol: four routes, derivatives, rescalings, recurrences."""
 
 import math
+import random
 import sys
 import warnings
 from fractions import Fraction
@@ -74,6 +75,19 @@ class TestDirect:
     def test_overflow_warns(self):
         with pytest.warns(OverflowNote):
             poch_direct(spec(100.0, 200, 3.0, 0.5))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_product_is_math_prod_of_the_factors(self, seed):
+        # the reference product: the same factors x p/k + j p, multiplied in the same order
+        rng = random.Random(seed)
+        for _ in range(250):
+            p, k = math.exp(rng.uniform(-6.0, 6.0)), math.exp(rng.uniform(-6.0, 6.0))
+            x, n = rng.choice((-1.0, 1.0)) * math.exp(rng.uniform(-8.0, 6.0)), rng.randint(0, 60)
+            base = x * p / k
+            want = math.prod((base + j * p for j in range(n)), start=1.0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", OverflowNote)
+                assert poch_direct(spec(x, n, p, k)).hex() == want.hex()
 
     def test_ln_companion(self):
         s = spec(100.0, 200, 3.0, 0.5)

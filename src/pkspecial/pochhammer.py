@@ -194,7 +194,7 @@ def poch_generalized(spec: PochSpec, q: int) -> float:
     z = _real("x/k", spec.x / spec.params.k)
     out = _power(spec.params.p * q, n * q)
     for r in range(1, q + 1):
-        base = (z + r - 1) / q
+        base = (z + (r - 1)) / q  # z + r - 1 would round z + r first, dropping z's low bits at |z| << 1
         for j in range(n):
             out *= base + j
     return _noted(out)

@@ -251,6 +251,13 @@ class TestGeneralized:
                     want = poch_direct(spec(x, n * q, p, k))
                     assert got == pytest.approx(want, rel=1e-12)
 
+    def test_small_argument_keeps_its_low_bits(self):
+        # z + r - 1 at r = 1 rounded z + 1 first: 0.1025265618963547 where p x/k is 0.1025265618963551
+        p, k, x = 5.087482393364604, 4.662301588534545, 0.09395801605521238  # route sweep, seed 31, draw 187
+        with mp.workdps(40):
+            want = mp.mpf(p) * (mp.mpf(x) / mp.mpf(k))
+        assert poch_generalized(spec(x, 1, p, k), 1) == pytest.approx(float(want), rel=4e-16, abs=0.0)
+
 
 class TestDerivatives:
     def test_dp_examples(self):

@@ -259,10 +259,15 @@ def poch_rescale(spec: PochSpec, s_new: float, mode: str) -> float:
 
 
 def _power_times_symbol(p: float, s: float, spec: PochSpec) -> float:
-    """(p/s)**n times the symbol of spec, a signed inf past the double range."""
-    out = _power(p / s, spec.n) * poch_direct(spec)
-    if math.isnan(out):  # an overflowed power times an underflowed symbol, or the reverse
-        ln, sign = poch_ln(spec)
-        # p/s may have left the double range itself: its log is ln p - ln s
-        out = _from_log(ln + spec.n * (math.log(p) - math.log(s)), sign)
-    return _noted(out)
+    """(p/s)**n times the symbol of spec, a signed inf past the double range.
+
+    Where the power or the symbol is not a normal double (it left the double
+    range on its own, or the symbol is an exact zero), the product is taken
+    in logs.  Only the result is noted, never an intermediate symbol.
+    """
+    power, symbol = _power(p / s, spec.n), _product(spec)
+    if sys.float_info.min <= abs(power) < math.inf and sys.float_info.min <= abs(symbol) < math.inf:
+        return _noted(power * symbol)
+    ln, sign = poch_ln(spec)
+    # p/s may have left the double range itself: its log is ln p - ln s
+    return _noted(_from_log(ln + spec.n * (math.log(p) - math.log(s)), sign))

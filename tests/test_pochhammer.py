@@ -332,6 +332,21 @@ class TestRescale:
             with pytest.warns(OverflowNote):
                 assert poch_rescale(spec(x, n, 10.0, 1.0), 1e-3, "2.10") == math.inf
 
+    @pytest.mark.parametrize("x, p", [
+        (1e7, 1e-3),  # the symbol at step 1 overflows, the power 1e-150 brings it back to 1.0001225e200
+        (1e6, 1e-3),  # the symbol is 1.0012e300, past poch_direct's note, and the result 1.0012e150
+        (1e6, 1e-9),  # the power 1e-450 underflows to 0, and the result is 1.0012e-150
+    ])
+    def test_symbol_or_power_past_the_range_scaled_back_into_it(self, x, p):
+        # mode 2.10 at k = s_new = 1 and n = 50: (p/s_new)^50 P_1(x; 50, 1) = P_p(x; 50, 1)
+        with mp.workdps(40):
+            want = mp.fprod(mp.mpf(x) * mp.mpf(p) + j * mp.mpf(p) for j in range(50))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no note: the result is representable
+            got = poch_rescale(spec(x, 50, p, 1.0), 1.0, "2.10")
+        # the log path rounds each log: eps (|ln symbol| + n |ln p|) is up to 4e-13 here
+        assert got == pytest.approx(float(want), rel=1e-12, abs=0.0)
+
 
 class TestRecurrences:
     def test_splitting_example(self):

@@ -60,6 +60,18 @@ def test_fingerprints_move_only_for_the_patched_routes(script, monkeypatch):
     assert moved == {"gamma.closed", "betapsi.psi"}
 
 
+# (route, outcome) -> how many of the first 200 route-sweep draws of seed 31 fail that way
+SWEEP_PINS = {("pochhammer.gamma_ratio", "wrong_value"): 14}
+
+
+def test_sweep_failures_hold_their_pins(script):
+    counts = script.failures(31, 200, {})
+    above = {key: (count, SWEEP_PINS.get(key, 0)) for key, count in counts.items() if count > SWEEP_PINS.get(key, 0)}
+    assert not above, f"(count, pin) above the pin: {above}"
+    below = {key: (counts[key], pin) for key, pin in SWEEP_PINS.items() if counts[key] < pin}
+    assert not below, f"(count, pin) below the pin, lower the pin: {below}"
+
+
 def test_usage_without_seeds(script, capsys):
     assert script.main([]) == 2
     assert "Usage" in capsys.readouterr().err

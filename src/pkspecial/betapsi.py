@@ -40,7 +40,6 @@ from .core import (
     EULER_GAMMA,
     DomainError,
     EvalReal,
-    GammaEval,
     Method,
     PkParams,
     digamma_classical,
@@ -89,7 +88,7 @@ def beta_closed(args: BetaArgs) -> EvalReal:
     """
     k = args.params.k
     a, b = _real("x/k", args.x / k), _real("y/k", args.y / k)
-    lnk = GammaEval(math.log(k), 1, 0.0, Method.CLOSED)  # the 1/k, an exact term subtracted last
+    lnk = (math.log(k), 1, 0.0, Method.CLOSED)  # the 1/k, an exact term subtracted last
     if a < _STIRLING_MIN and b < _STIRLING_MIN:
         g = _gamma_product(0.0, (_ln_gamma(a), _ln_gamma(b)), (_ln_gamma(_real("z", a + b)), lnk))
     else:
@@ -100,8 +99,8 @@ def beta_closed(args: BetaArgs) -> EvalReal:
         _real("(x + y)/k", hi + lo)  # an overflowed sum is a DomainError, as an overflowed quotient is
         step = _ln_gamma_step(hi, lo)
         # the rounding of log(hi), and of step's (hi + lo - 1/2) log1p(lo/hi) - lo, plus its series' gap
-        parts = (GammaEval(scale, 1, _EPS * abs(scale), Method.CLOSED),
-                 GammaEval(step, 1, 6.0 * _EPS * (abs(step) + lo + 1.0) + _TAIL_GAP, Method.CLOSED))
+        parts = ((scale, 1, _EPS * abs(scale), Method.CLOSED),
+                 (step, 1, 6.0 * _EPS * (abs(step) + lo + 1.0) + _TAIL_GAP, Method.CLOSED))
         g = _gamma_product(0.0, (ln_lo,), (*parts, lnk))
     value = _note_overflow(_from_log(g.ln_value, g.sign), "B_k({}, {}) overflows double precision", args.x, args.y)
     return EvalReal(value, _linear_err(g, value), Method.CLOSED)

@@ -237,7 +237,7 @@ def _linear_err(g: GammaEval, value: float) -> float:
 
 
 def _gamma_product(lead: float, upper=(), lower=()) -> GammaEval:
-    """lead + sum ln|upper| - sum ln|lower| over GammaEvals, in that order; claims sum(abs_err_ln + eps |ln|)."""
+    """lead + sum ln|upper| - sum ln|lower| over GammaEvals or 4-tuples, in that order; claims sum(abs_err_ln + eps |ln|)."""
     ln, sign, err = lead, 1, 0.0
     for term, s, e, _ in upper:
         ln, sign, err = ln + term, sign * s, err + (e + _EPS * abs(term))

@@ -4,13 +4,15 @@
 Usage:
     python scripts/report_diff.py OLD NEW
 
-OLD and NEW are reports written by `pkspecial audit ... --out`.  For each
+OLD and NEW are reports written by `pkspecial audit ... --out`.  Prints
+each file's sha256 first: equal hashes mean byte-identical reports.  For each
 identity id whose records differ, prints how many of its records differ and
 the largest change in rel_err_corrected; then says whether the grid, the
 suite or any per-identity summary differs.  Exits 0 when the two reports
 hold the same content, 1 on any difference.
 """
 
+import hashlib
 import json
 import sys
 from collections import defaultdict
@@ -33,10 +35,13 @@ def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    with open(argv[0]) as fh:
-        old = json.load(fh)
-    with open(argv[1]) as fh:
-        new = json.load(fh)
+    docs = []
+    for label, path in zip(("old", "new"), argv):
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        print(f"{label} sha256 {hashlib.sha256(raw).hexdigest()}  {path}")
+        docs.append(json.loads(raw))
+    old, new = docs
     old_ids, new_ids = _by_id(old["records"]), _by_id(new["records"])
     differs = False
     same = 0

@@ -25,7 +25,6 @@ real number but a bool, numpy's scalars included; a count any integer but a bool
 
 from .core import (
     EULER_GAMMA,
-    TAU_POLE,
     DomainError,
     EvalReal,
     GammaEval,
@@ -33,10 +32,8 @@ from .core import (
     OverflowNote,
     PkParams,
     PoleError,
-    PoleReport,
     digamma_classical,
     ln_gamma_classical,
-    pole_check,
 )
 from .quadrature import NoConvergence, QuadratureSpec, integrate_semiaxis, integrate_unit
 from .pochhammer import (

@@ -23,6 +23,7 @@ from .core import (
     _PSI_ASYMPTOTIC,
     _STIRLING_MIN,
     _TAIL_GAP,
+    _TINY,
     _as_index,
     _digamma_array,
     _digamma_step,
@@ -40,6 +41,7 @@ from .core import (
     EULER_GAMMA,
     DomainError,
     EvalReal,
+    GammaEval,
     Method,
     PkParams,
     digamma_classical,
@@ -83,13 +85,20 @@ def beta_closed(args: BetaArgs) -> EvalReal:
     Where the larger argument hi is at least core._STIRLING_MIN,
     lnB = lnGamma(lo) - lo ln hi - [lnGamma(hi + lo) - lnGamma(hi) - lo ln hi],
     the bracket from core._ln_gamma_step, so lnGamma(hi) and lnGamma(hi + lo)
-    never cancel.
+    never cancel.  Where lo is subnormal, so rounded absolutely, B(a, b)/k is (x + y)/(x y)
+    times Gamma(1+a) Gamma(1+b)/Gamma(1+a+b), which is 1 to within lo (1 + ln(1 + hi)).
     Past the double range the value is inf, with an OverflowNote.
     """
     k = args.params.k
     a, b = _real("x/k", args.x / k), _real("y/k", args.y / k)
     lnk = (math.log(k), 1, 0.0, Method.CLOSED)  # the 1/k, an exact term subtracted last
-    if a < _STIRLING_MIN and b < _STIRLING_MIN:
+    if min(a, b) < _TINY:
+        near, far = sorted((args.x, args.y))
+        ln_sum, ln_near = math.log1p(near / far), math.log(near)
+        # log1p(u) >= u ln 2 for u <= 1, so u's rounding adds at most 2 eps |ln_sum|
+        err = _EPS * (3.0 * abs(ln_sum) + 2.0 * abs(ln_near)) + _TINY * (1.0 + math.log1p(max(a, b)))
+        g = GammaEval(ln_sum - ln_near, 1, err, Method.CLOSED)
+    elif a < _STIRLING_MIN and b < _STIRLING_MIN:
         g = _gamma_product(0.0, (_ln_gamma(a), _ln_gamma(b)), (_ln_gamma(_real("z", a + b)), lnk))
     else:
         lo, hi = min(a, b), max(a, b)
@@ -139,16 +148,24 @@ def beta_integral(args: BetaArgs, form: str = "unit") -> EvalReal:
 
 
 def psi(params: PkParams, x: float) -> EvalReal:
-    """log(p)/k + digamma(x/k)/k, the logarithmic derivative of the family Gamma."""
-    k = _require_params(params).k
-    z = _real("x", x) / k
+    """log(p)/k + digamma(x/k)/k, the logarithmic derivative of the family Gamma.
+
+    Where z = x/k is subnormal, so rounded absolutely, the origin's 1/z comes from x:
+    digamma(z)/k = digamma(1+z)/k - 1/x, and digamma(1+z) is -gamma to within 2|z|.
+    """
+    k, x = _require_params(params).k, _real("x", x)
+    z = x / k
+    if x and abs(z) < _TINY:
+        v = (math.log(params.p) - EULER_GAMMA) / k - 1.0 / x
+        return EvalReal(value=v, abs_err=1e-14 * (1.0 + abs(v)), method=Method.CLOSED)
     # raises PoleError on the pole lattice, and DomainError where x/k leaves the double range
     v = math.log(params.p) / k + digamma_classical(z) / k
     err = 1e-14 * (1.0 + abs(v))
     if z < 0.0:
-        # the rounding of z = x/k, amplified near the poles by
-        # psi'(z) + psi'(1-z) = (pi / sin(pi z))^2
-        err += 4.0 * _EPS * (1.0 + abs(z)) * (math.pi / math.sin(math.pi * (z - round(z)))) ** 2 / k
+        # the rounding of z = x/k, eps |z| / 2, amplified near the poles by
+        # psi'(z) + psi'(1-z) = s^2, s = pi / sin(pi z); |z| s stays near 1 at the origin
+        s = math.pi / math.sin(math.pi * (z - round(z)))
+        err += 4.0 * _EPS * (abs(z) * s) * s / k
     return EvalReal(value=v, abs_err=err, method=Method.CLOSED)
 
 
@@ -232,16 +249,21 @@ def k_zeta(x: float, r: int, k: float) -> EvalReal:
     return z
 
 
-def _zeta_sum(x: float, r: int, k: float) -> EvalReal:
-    """k_zeta at checked arguments, without its OverflowNote."""
-    a = x + _ZETA_TERMS * k
-    w = k / a
+def _zeta_sum(x: float, r: int, k: float, e: int = 0) -> EvalReal:
+    """2^e k_zeta(x, r, k 2^e) at checked arguments, e <= 0, without its OverflowNote.
+
+    Each power is scaled by 2^e, and the tail's 1/((r-1) k 2^e) is 1/((r-1) k),
+    so a sum near it stays in range; where the scaled powers are normal, this is exact.
+    """
+    step = math.ldexp(k, e)
+    a = x + _ZETA_TERMS * step
+    w = step / a
     # B_2j/(2j)! (r)_(2j-1) = _PSI_ASYMPTOTIC[j-1] C(r+2j-2, 2j-1), j = 1..7 (j-1 below)
     poly = sum(c * math.comb(r + 2 * j, 2 * j + 1) * w ** (2 * j) for j, c in enumerate(_PSI_ASYMPTOTIC))
     try:
-        f0 = a**-r
+        f0 = math.ldexp(a**-r, e)
         tail = a ** (1 - r) / ((r - 1) * k) + f0 * (0.5 + w * poly)
-        value = sum(((x + n * k) ** -r for n in reversed(range(_ZETA_TERMS))), tail)  # smallest first
+        value = sum((math.ldexp((x + n * step) ** -r, e) for n in reversed(range(_ZETA_TERMS))), tail)  # smallest first
     except OverflowError:
         value = math.inf
     if value == math.inf:
@@ -258,10 +280,10 @@ def _zeta_sum(x: float, r: int, k: float) -> EvalReal:
 def polygamma(params: PkParams, x: float, r: int) -> EvalReal:
     """r-th derivative of log G: (-1)^r (r-1)! zeta_k(x, r); independent of p.
 
-    zeta_k(x, r) = x^-r zeta_{k/x}(1, r): the scaled lattice sum is at least
-    1, and (r-1)! x^-r is applied through binary exponents, so the value
-    underflows or overflows only as a whole.  Orders past 171 are rejected:
-    (r-1)! no longer fits in a double.  Past the double range the value is a
+    zeta_k(x, r) = x^-r zeta_q(1, r), q = k/x: the lattice sum is at least 1, near 1/((r-1) q)
+    for small q, so below q = 1 it is summed times 2^e ~ q, and (r-1)! x^-r 2^-e is applied
+    through binary exponents: the value underflows or overflows only as a whole.  Orders past
+    171 are rejected: (r-1)! no longer fits in a double.  Past the double range the value is a
     signed inf, with an OverflowNote.
     """
     _require_params(params)
@@ -269,15 +291,14 @@ def polygamma(params: PkParams, x: float, r: int) -> EvalReal:
     if order is None or not 2 <= order <= 171:
         raise DomainError(f"r must be an integer in [2, 171], got {r!r}")
     r, x = order, _positive_real("x", x)
-    q = params.k / x
-    if q == 0.0:
-        raise DomainError(f"x/k must be finite, got x={x!r}, k={params.k!r}")
-    # past k/x = 1e300 every term but the first is below 1e-600: the sum is 1.0 exactly
-    z = _zeta_sum(1.0, r, min(q, 1e300))
+    # 2^e ~ q below 1, and q 2^-e comes from k and x, so a subnormal or underflowed q costs no digits;
+    # past q = 1e300 every term but the first is below 1e-600: the sum is 1.0 exactly
+    e = min(0, math.frexp(params.k)[1] - math.frexp(x)[1])
+    z = _zeta_sum(1.0, r, min(math.ldexp(params.k, -e) / x, 1e300), e)
     sign = (-1.0) ** r
     (fm, fe), (zm, ze), (xm, xe) = math.frexp(math.factorial(r - 1)), math.frexp(z.value), math.frexp(x)
     try:
-        value = sign * math.ldexp(fm * zm * xm**-r, fe + ze - r * xe)
+        value = sign * math.ldexp(fm * zm * xm**-r, fe + ze - e - r * xe)
     except OverflowError:
         value = sign * math.inf
     if math.isinf(_note_overflow(value, "polygamma({}, {}) overflows double precision", x, r)):

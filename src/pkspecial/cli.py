@@ -13,7 +13,7 @@ import sys
 
 from . import betapsi, gamma, hyper, pochhammer
 from .audit import format_summary, report_to_dict, run_suite, write_report
-from .core import DomainError, EvalReal, GammaEval, PkParams, PoleError, _from_log, _linear_err, pole_check
+from .core import DomainError, EvalReal, GammaEval, PkParams, PoleError, _from_log, _linear_err
 from .quadrature import NoConvergence
 
 __all__ = ["main", "build_parser"]
@@ -113,13 +113,6 @@ def _require(args, name: str) -> float:
     return _parse_float(name, raw)
 
 
-def _off_pole(params: PkParams, x: float) -> PkParams:
-    rep = pole_check(params, x)
-    if rep.is_pole:
-        raise DomainError(f"pole at index {rep.pole_index}")
-    return params
-
-
 def _beta_args(args, params: PkParams, x: float) -> betapsi.BetaArgs:
     return betapsi.BetaArgs(x, _require(args, "y"), params)
 
@@ -136,6 +129,8 @@ def _hyper_params(args) -> hyper.HyperParams:
 
 def _weierstrass(params: PkParams, x: float) -> GammaEval:
     recip = gamma.gamma_weierstrass_recip(params, x)
+    if recip.ln_value == -math.inf:  # the reciprocal vanishes only on the pole lattice
+        raise PoleError(f"pole at index {-round(x / params.k)}")
     return recip._replace(ln_value=-recip.ln_value)
 
 
@@ -143,11 +138,11 @@ def _weierstrass(params: PkParams, x: float) -> GammaEval:
 # Adapters look routes up on their modules at call time, so wrappers bound there run.
 ROUTES = {
     "gamma": {
-        "closed": lambda a, pk, x: gamma.gamma_closed(_off_pole(pk, x), x),
-        "limit": lambda a, pk, x: gamma.gamma_limit(_off_pole(pk, x), x, 100_000),
-        "integral": lambda a, pk, x: gamma.gamma_integral(_off_pole(pk, x), x),
-        "euler-product": lambda a, pk, x: gamma.gamma_euler_product(_off_pole(pk, x), x),
-        "weierstrass": lambda a, pk, x: _weierstrass(_off_pole(pk, x), x),
+        "closed": lambda a, pk, x: gamma.gamma_closed(pk, x),
+        "limit": lambda a, pk, x: gamma.gamma_limit(pk, x, 100_000),
+        "integral": lambda a, pk, x: gamma.gamma_integral(pk, x),
+        "euler-product": lambda a, pk, x: gamma.gamma_euler_product(pk, x),
+        "weierstrass": lambda a, pk, x: _weierstrass(pk, x),
     },
     "beta": {
         "closed": lambda a, pk, x: betapsi.beta_closed(_beta_args(a, pk, x)),
@@ -157,7 +152,7 @@ ROUTES = {
         },
     },
     "psi": {
-        "closed": lambda a, pk, x: betapsi.psi(_off_pole(pk, x), x),
+        "closed": lambda a, pk, x: betapsi.psi(pk, x),
         **{
             form: lambda a, pk, x, form=form: betapsi.psi_series(pk, x, form)
             for form in betapsi.PSI_SERIES_FORMS

@@ -3,7 +3,8 @@
 Every member of the two-parameter family reduces to a classical function
 evaluated at x/k, so this module owns the classical backend (log-gamma with
 an explicit sign channel and digamma), the one conversion of every real
-argument and count, and pole detection on the lattice x = -n*k.
+argument and count, and the one pole rule: the kernel raises PoleError only
+where its argument is exactly a non-positive integer.
 
 Gamma-type values are computed and stored in log space, as a ``GammaEval``
 with a sign, and their linear value is materialized on demand; an
@@ -27,16 +28,13 @@ from collections import namedtuple
 
 __all__ = [
     "EULER_GAMMA",
-    "TAU_POLE",
     "Method",
     "PkParams",
     "EvalReal",
     "GammaEval",
-    "PoleReport",
     "PoleError",
     "DomainError",
     "OverflowNote",
-    "pole_check",
     "gamma_sign",
     "ln_gamma_classical",
     "digamma_classical",
@@ -47,11 +45,6 @@ __all__ = [
 
 # Euler-Mascheroni constant, lim_n (1 + 1/2 + ... + 1/n - log n).
 EULER_GAMMA = 0.57721566490153286
-
-# Pole tolerance in units of k: x counts as a pole iff |x/k + n| <= TAU_POLE
-# for some integer n >= 0.  Near-pole points outside this band are evaluated
-# but carry an inflated error estimate.
-TAU_POLE = 1e-9
 
 # exp() overflows above this, i.e. the log-space value has no linear twin.
 _LN_OVERFLOW = 709.782712893384
@@ -86,7 +79,7 @@ class Method(enum.Enum):
 
 
 class PoleError(ValueError):
-    """Argument lies on (or within TAU_POLE of) a pole of the function."""
+    """Argument is exactly a pole of the function: z = -n, or x/k = -n, for an integer n >= 0."""
 
 
 class DomainError(ValueError):
@@ -246,25 +239,6 @@ def _gamma_product(lead: float, upper=(), lower=()) -> GammaEval:
     return GammaEval(ln, sign, err, Method.CLOSED)
 
 
-class PoleReport(_ValueType, namedtuple("PoleReport", "is_pole pole_index", defaults=(None,))):
-    """Outcome of a pole check; ``pole_index`` is the n with x = -n*k."""
-
-    __slots__ = ()
-    is_pole: bool
-    pole_index: int | None
-
-
-_OFF_POLE = PoleReport(False, None)
-
-
-def pole_check(params: PkParams, x: float) -> PoleReport:
-    """Detect whether x sits on the pole lattice {0, -k, -2k, ...}."""
-    q = _real("x/k", _real("x", x) / _require_params(params).k)
-    if _pole_distance(q) <= TAU_POLE:
-        return PoleReport(True, -round(q))
-    return _OFF_POLE
-
-
 def gamma_sign(z: float) -> int:
     """Sign of Gamma(z) for real non-pole z: alternates on (-n-1, -n)."""
     if z > 0:
@@ -282,10 +256,9 @@ def _pole_distance(z: float) -> float:
 def ln_gamma_classical(z: float) -> GammaEval:
     """log|Gamma(z)| with the sign of Gamma(z), for real non-pole z.
 
-    Raises PoleError within TAU_POLE of a non-positive integer.  Near-pole
-    arguments outside that band are evaluated with an inflated abs_err.
-    The log is finite wherever Gamma(z) overflows; only materializing
-    ``.value`` there warns.
+    Raises PoleError only where z is exactly a non-positive integer.  At a distance d from one,
+    abs_err_ln adds eps |z| / d, what rounding a quotient z = x/k by eps |z| / 2 costs (eps at the
+    origin).  The log is finite wherever Gamma(z) overflows; only ``.value`` there warns.
     """
     return GammaEval(*_ln_gamma(_real("z", z)))
 
@@ -293,8 +266,8 @@ def ln_gamma_classical(z: float) -> GammaEval:
 def _ln_gamma(z: float) -> tuple[float, int, float, Method]:
     """ln_gamma_classical's four fields at a float z that _real already checked."""
     d = _pole_distance(z) if z < 0.5 else math.inf
-    if d <= TAU_POLE:
-        raise PoleError(f"ln_gamma_classical: z={z} is within {TAU_POLE} of a pole")
+    if d == 0.0:
+        raise PoleError(f"pole at index {-round(z)}")
     try:
         val = math.lgamma(z)
     except OverflowError:  # z above about 2.6e305
@@ -302,9 +275,8 @@ def _ln_gamma(z: float) -> tuple[float, int, float, Method]:
     # math.lgamma is good to about 6 eps absolute near its zeros at 1 and 2
     # and 1.3 eps relative elsewhere (measured against mpmath)
     err = _EPS * (8.0 + 2.0 * abs(val))
-    if d < 1e-3:
-        # |d/dz ln Gamma| ~ 1/d near a pole: argument rounding inflates the error
-        err += _EPS * (1.0 + abs(z)) / d
+    # |d/dz ln Gamma| ~ 1/d at a distance d from a pole: the rounding of a quotient z adds about eps |z| / d
+    err += _EPS * abs(z) / d
     return val, 1 if z > 0 else gamma_sign(z), err, Method.CLOSED
 
 
@@ -338,15 +310,15 @@ def _stirling_tail(u: float) -> float:
 
 
 def digamma_classical(z: float) -> float:
-    """Classical psi(z) = d/dz log Gamma(z) for real non-pole z.
+    """Classical psi(z) = d/dz log Gamma(z) for real z; PoleError where z is exactly a non-positive integer.
 
     Shifts z up to at least 10 with psi(z) = psi(z+1) - 1/z, then sums the
     asymptotic series; z < 0 is reflected first (DLMF 5.5.4),
     psi(z) = psi(1-z) - pi/tan(pi r) with r = z - round(z), which is exact.
     """
     z = _real("z", z)
-    if z < 0.5 and _pole_distance(z) <= TAU_POLE:
-        raise PoleError(f"digamma_classical: z={z} is within {TAU_POLE} of a pole")
+    if z < 0.5 and _pole_distance(z) == 0.0:
+        raise PoleError(f"pole at index {-round(z)}")
     reflect = 0.0
     if z < 0.0:
         r = z - round(z)

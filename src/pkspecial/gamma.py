@@ -24,6 +24,7 @@ from .core import (
     _EPS,
     _STIRLING_MIN,
     _TAIL_GAP,
+    _TINY,
     _as_index,
     _lattice_terms,
     _ln_gamma,
@@ -37,7 +38,7 @@ from .core import (
     GammaEval,
     Method,
     PkParams,
-    pole_check,
+    PoleError,
 )
 from .quadrature import _power_integral
 
@@ -55,13 +56,18 @@ def gamma_closed(params: PkParams, x: float) -> GammaEval:
     """Closed-form value via the classical kernel at z = x/k.
 
     Valid for any real x off the pole lattice, negative arguments included;
-    the sign comes from the classical reflection behaviour.
+    the sign comes from the classical reflection behaviour.  Where z is subnormal, so rounded
+    absolutely, the origin's 1/z comes from x: Gamma(z)/k = Gamma(1+z)/x, Gamma(1+z) ~ 1 - gamma z.
     """
     _require_params(params)
+    x = _real("x", x)
     # DomainError where x/k leaves the double range, and PoleError on the pole lattice
-    z = _real("z", _real("x", x) / params.k)
-    lg, sign, lg_err, _ = _ln_gamma(z)
+    z = _real("z", x / params.k)
     lnp_z, lnk = z * math.log(params.p), math.log(params.k)
+    if x and abs(z) < _TINY:  # ln|x| in place of ln k, and lnGamma(1+z) = 0 to within _TINY
+        lg, sign, lg_err, lnk = 0.0, (1 if x > 0 else -1), _TINY, math.log(abs(x))
+    else:
+        lg, sign, lg_err, _ = _ln_gamma(z)
     ln = lnp_z - lnk + lg
     # the rounding of z enters z ln p once more on top of the rounding of the sum
     err = lg_err + _EPS * (1.0 + 2.0 * abs(lnp_z) + abs(lnk) + abs(lg))
@@ -221,24 +227,28 @@ def _reciprocal(params: PkParams, x: float, method: Method) -> GammaEval:
     + z (psi(a) - ln a)), a = N + 1.  The claim is eps times each log, the
     sum and the tail's parts, plus eps |z/n| / |1 + z/n| per factor, which
     dominates next to a pole.  On the pole lattice the reciprocal vanishes
-    identically, so a zero eval (ln = -inf) is returned rather than raising.
+    identically, so a zero eval (ln = -inf) is returned rather than raising;
+    where x/k only rounds onto it, x != -n k, the route raises PoleError.
     """
     _require_params(params)
     x = _real("x", x)
-    if pole_check(params, x).is_pole:
+    z = _real("x/k", x / params.k)
+    if x == 0.0 or z == round(z) < 0:  # on the lattice, or rounded onto it
+        (xn, xd), (kn, kd) = x.as_integer_ratio(), params.k.as_integer_ratio()
+        if xn * kd != round(z) * kn * xd:
+            raise PoleError(f"pole at index {-round(z)}")
         return GammaEval(-math.inf, 1, 0.0, method)
-    z = x / params.k
     damped = method is Method.WEIERSTRASS
     N = _lattice_terms(z)
     sign, logs, mag = (1 if x > 0 else -1), [], 0.0
     for n in range(N, 0, -1):  # off the pole lattice no factor is zero
         u = z / n
         f = 1.0 + u
-        if f > 0.0:
+        if f > 0.5:
             t = math.log1p(u)
-        else:
-            t = math.log(-f)
-            sign = -sign
+        else:  # next to the pole at -n: (n + z)/n rounds once, 1 + z/n cancels the rounding of z/n
+            f = (n + z) / n
+            t, sign = math.log(abs(f)), (sign if f > 0.0 else -sign)
         if damped:
             t -= u
             mag += abs(u)

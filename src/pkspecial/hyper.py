@@ -277,7 +277,7 @@ def confluent_integral(hp: HyperParams, x: float) -> EvalReal:
     prefactor's log joins the log scale of quadrature._split_beta_kernel's two
     power pieces, so the value leaves log space once, inside the rule.
     abs_err adds the rule's claim and GammaEval.abs_err of the value's log
-    with the prefactor's log error (its three log-gammas' error and rounding).
+    with the prefactor's log error (its log-gammas' error and rounding, and lam's).
     """
     _require_hp(hp)
     if hp.r != 1 or hp.q != 1:
@@ -289,7 +289,10 @@ def confluent_integral(hp: HyperParams, x: float) -> EvalReal:
     lam = beta - alpha
     if not (0.0 < alpha < beta):
         raise DomainError(f"need 0 < a/k < b/s, got a/k={alpha}, b/s={beta}")
-    pre = _gamma_product(0.0, (ln_gamma_classical(beta),), (ln_gamma_classical(alpha), ln_gamma_classical(lam)))
+    # lam holds both quotients' roundings, eps (alpha + beta) / 2, which lnGamma(lam) near 0 scales by 1/lam
+    g = ln_gamma_classical(lam)
+    g = g._replace(abs_err_ln=g.abs_err_ln + _EPS * (1.0 + alpha + beta) / lam)
+    pre = _gamma_product(0.0, (ln_gamma_classical(beta),), (ln_gamma_classical(alpha), g))
     res = _split_beta_kernel(alpha, lam, p / t1 * x, pre.ln_value)
     # the prefactor's share of the claim: the rule at the value's log, with the prefactor's log error
     share = pre._replace(ln_value=math.log(res.value) if res.value > 0.0 else -math.inf).abs_err

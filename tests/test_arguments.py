@@ -45,7 +45,6 @@ from pkspecial import (
     poch_reduce,
     poch_rescale,
     poch_symmetric,
-    pole_check,
     polygamma,
     psi,
     psi_series,
@@ -89,7 +88,6 @@ REALS = {
     "QuadratureSpec.rel_tol": (lambda v: QuadratureSpec(rel_tol=v), 0.25),
     "ln_gamma_classical": (ln_gamma_classical, 3.0),
     "digamma_classical": (digamma_classical, 3.0),
-    "pole_check": (lambda v: pole_check(PK, v), 3.0),
 }
 
 # entry point and count -> (the call at count n, a count inside its domain)
@@ -119,7 +117,6 @@ PARAMS = {
     "BetaArgs": lambda v: BetaArgs(1.0, 1.0, v),
     "PochSpec": lambda v: PochSpec(1.0, 2, v),
     "pk_binomial": lambda v: pk_binomial(1.5, v, 0.5),
-    "pole_check": lambda v: pole_check(v, 2.5),
 }
 
 # entry point -> the call with v in place of its HyperParams

@@ -1,6 +1,7 @@
 """Audit engine: determinism, report format, summary bookkeeping."""
 
 import copy
+import hashlib
 import json
 import math
 import re
@@ -146,9 +147,13 @@ class TestReport:
         new.write_text(json.dumps(doc))
         same = diff()
         assert same.returncode == 0 and "summaries: identical" in same.stdout
+        digest = hashlib.sha256(old.read_bytes()).hexdigest()
+        assert same.stdout.splitlines()[:2] == [f"old sha256 {digest}  {old}", f"new sha256 {digest}  {new}"]
         doc["records"][0]["rel_err_corrected"] += 1e-16
         new.write_text(json.dumps(doc))
         moved = diff()
+        assert moved.stdout.splitlines()[1] == f"new sha256 {hashlib.sha256(new.read_bytes()).hexdigest()}  {new}"
+        assert hashlib.sha256(new.read_bytes()).hexdigest() != digest
         ident = doc["records"][0]["identity_id"]
         count = sum(r["identity_id"] == ident for r in doc["records"])
         assert moved.returncode == 1

@@ -65,9 +65,10 @@ class TestBetaClosed:
         for x, y, k in draws:
             try:
                 got = beta_closed(bargs(x, y, 1.0, k))
-            except (DomainError, PoleError):  # a quotient or lnGamma past the double range, or a quotient near 0
+            except DomainError:  # a quotient or lnGamma past the double range
                 continue
-            with mp.workdps(40 + int(abs(math.log10(max(x, y) / k)))):
+            # max(x, y)/k may underflow to 0, where the route now returns (x + y)/(x y)
+            with mp.workdps(40 + int(abs(math.log10(max(x, y)) - math.log10(k)))):
                 kk = mp.mpf(k)
                 want = mp.beta(mp.mpf(x) / kk, mp.mpf(y) / kk) / kk
             assert abs(got.value - want) <= got.abs_err, (x, y, k, got)
@@ -397,9 +398,20 @@ class TestKZetaPolygamma:
             truth = mp.psi(r - 1, mp.mpf(x) / k) / mp.mpf(k) ** r
         assert abs(got.value - truth) <= min(got.abs_err, 1e-13 * abs(truth)), (x, r, k)
 
-    def test_x_over_k_past_the_double_range_is_a_domain_error(self):
-        with pytest.raises(DomainError):
-            polygamma(PkParams(1.0, 1e-150), 1e200, 3)
+    @pytest.mark.parametrize("x, k, r", [(1e10, 1e-300, 3), (1e10, 1e-300, 2), (3e5, 1e-305, 5),
+                                         (1e200, 1e-150, 3), (1e300, 5e-324, 2)])
+    def test_polygamma_where_the_lattice_sum_overflows(self, x, k, r):
+        # zeta_q(1, r) ~ 1/((r-1) q) at q = k/x = 1e-310 overflowed before (r-1)! x^-r scaled it
+        # back down: polygamma(PkParams(1, 1e-300), 1e10, 3) was -inf, with a note, for -1.0e280;
+        # where k/x underflowed to 0 (the last two) polygamma raised DomainError, for -1e-250 and 2.0e23
+        import mpmath as mp
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = polygamma(PkParams(1.0, k), x, r)
+        with mp.workdps(40):
+            truth = mp.psi(r - 1, mp.mpf(x) / k) / mp.mpf(k) ** r
+        assert abs(got.value - truth) <= min(got.abs_err, 1e-13 * abs(truth)), (x, k, r)
 
     @pytest.mark.parametrize("x, r, sign", [(0.001, 171, -1), (0.001, 120, 1), (1e-300, 2, 1), (0.1, 171, -1)])
     def test_overflow_is_signed_inf_with_note(self, x, r, sign):

@@ -444,13 +444,13 @@ class TestImportGraph:
         "AuditGrid AuditReport AuditSummary BetaArgs ConvergenceClass ConvergenceKind "
         "DivergentInput DomainError EULER_GAMMA EvalReal GammaEval HyperParams "
         "IdentityRecord LowerPoleError MaxTermsExceeded Method NoConvergence OverflowNote "
-        "PkParams PochSpec PoleError PoleReport QuadratureSpec TAU_POLE UnsupportedShape "
+        "PkParams PochSpec PoleError QuadratureSpec UnsupportedShape "
         "beta_closed beta_integral check_point classify confluent_integral digamma_classical "
         "gamma_closed gamma_euler_product gamma_integral gamma_limit gamma_limit_product_recip "
         "gamma_weierstrass_recip hyper_series integrate_semiaxis integrate_unit "
         "k_zeta ln_gamma_classical ln_gamma_via_psi ode_coefficient_residual "
         "pk_binomial poch_direct poch_dk poch_dp poch_gamma_ratio poch_generalized poch_ln "
-        "poch_reduce poch_rescale poch_symmetric pole_check polygamma psi "
+        "poch_reduce poch_rescale poch_symmetric polygamma psi "
         "psi_series run_suite validate_report write_report"
     ).split()
 

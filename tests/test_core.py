@@ -19,7 +19,6 @@ from pkspecial import (
     digamma_classical,
     gamma_closed,
     ln_gamma_classical,
-    pole_check,
     psi,
 )
 from pkspecial.core import (
@@ -112,9 +111,16 @@ class TestLnGamma:
                 ln_gamma_classical(z)
 
     def test_pole_rejection(self):
-        for z in (0.0, -1.0, -7.0, -3.0 + 1e-12):
-            with pytest.raises(PoleError):
+        for z in (0.0, -0.0, -1.0, -7.0):
+            with pytest.raises(PoleError, match=rf"^pole at index {round(-z)}$"):
                 ln_gamma_classical(z)
+
+    def test_next_to_a_pole_is_a_value(self):
+        # only an exact lattice hit is refused: 1e-12 from -3, and 1e-12 or a subnormal from 0, are evaluated
+        for z in (-3.0 + 1e-12, -3.0 - 1e-12, 1e-12, -1e-12, 5e-324, -5e-324):
+            got = ln_gamma_classical(z)
+            assert abs(got.ln_value - oracles.mp_ln_gamma(z)) <= got.abs_err_ln, z
+            assert got.sign == (1 if oracles.mp_pk_gamma(1, 1, z) > 0 else -1), z
 
     def test_recurrence_log_space(self):
         for z in np.logspace(-3, 3, 60):
@@ -286,33 +292,31 @@ class TestGammaProduct:
         assert _gamma_product(0.125, terms[:2], terms[2:]).sign == 1
 
 
-class TestPoleCheck:
-    def test_examples(self):
-        rep = pole_check(PkParams(1.0, 2.0), -4.0)
-        assert rep.is_pole and rep.pole_index == 2
-        assert not pole_check(PkParams(1.0, 2.0), -3.0).is_pole
-        rep = pole_check(PkParams(1.0, 1.0), 0.0)
-        assert rep.is_pole and rep.pole_index == 0
+class TestPoleLattice:
+    def test_exact_hits_name_their_index(self):
+        for route in (gamma_closed, psi):
+            with pytest.raises(PoleError, match=r"^pole at index 2$"):
+                route(PkParams(1.0, 2.0), -4.0)
+            with pytest.raises(PoleError, match=r"^pole at index 0$"):
+                route(PkParams(1.0, 1.0), 0.0)
+            route(PkParams(1.0, 2.0), -3.0)
 
-    def test_tolerance_band(self):
+    def test_no_band_around_the_lattice(self):
+        # 1e-10 k from -2k and from 0: evaluated, within their claims
         k = 2.0
-        assert pole_check(PkParams(1.0, k), -2.0 * k + 1e-10 * k).is_pole
-        assert not pole_check(PkParams(1.0, k), -2.0 * k + 1e-7 * k).is_pole
+        for x in (-2.0 * k + 1e-10 * k, 1e-10 * k, -1e-10 * k):
+            got = gamma_closed(PkParams(1.5, k), x)
+            assert abs(got.ln_value - oracles.mp_ln_abs_pk_gamma(1.5, k, x)) <= got.abs_err_ln, x
+            got = psi(PkParams(1.5, k), x)
+            assert abs(got.value - oracles.mp_pk_psi(1.5, k, x)) <= got.abs_err, x
 
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, pytest.param(10**400, id="int 1e400"),
                                    pytest.param(-(10**400), id="int -1e400")])
     def test_non_finite_is_a_domain_error(self, x):
         with pytest.raises(DomainError):
-            pole_check(PkParams(1.0, 2.0), x)
-        with pytest.raises(DomainError):
             gamma_closed(PkParams(1.0, 2.0), x)
         with pytest.raises(DomainError):
             psi(PkParams(1.0, 2.0), x)
-
-    @given(st.integers(min_value=0, max_value=50), st.floats(min_value=0.1, max_value=10.0))
-    def test_lattice_property(self, n, k):
-        rep = pole_check(PkParams(1.0, k), -n * k)
-        assert rep.is_pole and rep.pole_index == n
 
 
 class _FloatSub(float):

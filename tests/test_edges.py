@@ -5,9 +5,14 @@ quotients (x/k, a/k, b/s, p/s_new, a_scale/p), error claims and values
 that can underflow or overflow where its own arguments are finite.  Such a
 call returns a value or raises one of the library's typed errors, never a
 raw ValueError, OverflowError or ZeroDivisionError.
+
+Within 1e-7 of a pole, and a subnormal quotient x/k: the kernels refuse
+only an exact lattice hit, so these points are evaluated, and each value
+is checked against mpmath (see the value classes below).
 """
 
 import math
+import random
 import sys
 import warnings
 
@@ -51,7 +56,6 @@ from pkspecial import (
     poch_reduce,
     poch_rescale,
     poch_symmetric,
-    pole_check,
     polygamma,
     psi,
     psi_series,
@@ -74,7 +78,6 @@ def _routes(d):
     def hp():  # HyperParams may reject the draw itself
         return HyperParams((d["upper"],), (d["lower"],))
 
-    yield "pole_check", lambda: pole_check(pk, x)
     yield "ln_gamma_classical", lambda: ln_gamma_classical(x)
     yield "digamma_classical", lambda: digamma_classical(x)
     yield "gamma_closed", lambda: gamma_closed(pk, x)
@@ -181,7 +184,7 @@ class TestDerivedQuantityReproducers:
     def test_quotients_past_the_range_name_themselves(self):
         pk = PkParams(1.0, 1e-10)
         with pytest.raises(DomainError, match=r"^x/k must be finite, got inf$"):
-            pole_check(pk, 1e300)
+            gamma_weierstrass_recip(pk, 1e300)
         with pytest.raises(DomainError, match=r"^x/k must be a positive finite real, got inf$"):
             gamma_limit(pk, 1e300, 1000)
         with pytest.raises(DomainError, match=r"^x/k must be a positive finite real, got 0.0$"):
@@ -202,3 +205,127 @@ class TestDerivedQuantityReproducers:
         # there the levels of ln G differ by one ulp, 2^512: ln G = 1.0130220764134784e170
         got = ln_gamma_via_psi(PkParams(4.2780507731404745e177, 5.001658650501284e-153), 639110484237983.9)
         assert abs(got.value - 1.0130220764134784e170) <= got.abs_err
+
+
+
+# ---------------------------------------------------------------------------
+# Value classes.  Each draw is checked in mpmath at the doubles the route is
+# passed, x/k taken exactly.  A draw fails if its value lies outside its
+# claim (a Gamma result judged on its log, with the sign matching), if it
+# raises an exception from outside the library, or if it returns a
+# non-finite value where the truth fits in a double; a typed refusal passes.
+# digamma_classical returns a bare float, held to 8 eps (1 + |psi|) as in
+# test_core.py.
+
+DOUBLE_MAX = 1.7976931348623157e308
+
+
+def _ln_gamma_truth(z):
+    """(ln|Gamma(z)|, its sign) for an mpmath z, or None on the pole lattice."""
+    import mpmath as mp
+
+    if z <= 0 and z == mp.floor(z):
+        return None
+    g = mp.gamma(z)
+    return mp.log(abs(g)), (1 if g > 0 else -1)
+
+
+def _value_routes(p, k, x, z, bx, y):
+    """(name, call, truth) per route at one draw; truth() is formed only for a returned value.
+
+    z is the kernels' own argument, x the quotient routes', and (bx, y) Beta's;
+    a Gamma truth is (ln|value|, sign), or None on the pole lattice.
+    """
+    import mpmath as mp
+
+    pk, lnp, lnk, zq = PkParams(p, k), mp.log(p), mp.log(k), mp.mpf(x) / mp.mpf(k)
+
+    def ln_g():
+        t = _ln_gamma_truth(zq)
+        return t and (zq * lnp + t[0] - lnk, t[1])
+
+    def recip():
+        t = ln_g()
+        return t and (-t[0], t[1])
+
+    yield "ln_gamma_classical", lambda: ln_gamma_classical(z), lambda: _ln_gamma_truth(mp.mpf(z))
+    yield "digamma_classical", lambda: digamma_classical(z), lambda: mp.digamma(z)
+    yield "gamma_closed", lambda: gamma_closed(pk, x), ln_g
+    yield "psi", lambda: psi(pk, x), lambda: lnp / k + mp.digamma(zq) / k
+    yield "gamma_weierstrass_recip", lambda: gamma_weierstrass_recip(pk, x), recip
+    yield "gamma_limit_product_recip", lambda: gamma_limit_product_recip(pk, x), recip
+    yield "beta_closed", lambda: beta_closed(BetaArgs(bx, y, pk)), lambda: mp.beta(bx / mp.mpf(k), y / mp.mpf(k)) / k
+
+
+def _miss(result, truth):
+    """Why result breaks the contract against truth, or None where it keeps it."""
+    import mpmath as mp
+
+    if isinstance(result, GammaEval):
+        if truth is None:  # on the pole lattice only a zero reciprocal is right
+            return None if result.ln_value == -math.inf else "not zero on the lattice"
+        if not math.isfinite(result.ln_value):
+            return "non-finite log"
+        ln, sign = truth
+        return None if result.sign == sign and abs(mp.mpf(result.ln_value) - ln) <= result.abs_err_ln else "outside"
+    value, err = (result.value, result.abs_err) if isinstance(result, EvalReal) else (result, None)
+    if not math.isfinite(value):
+        return None if abs(truth) > DOUBLE_MAX and (value > 0) == (truth > 0) else "non-finite where the truth fits"
+    if err is None:
+        err = 8 * 2.0**-52 * (1.0 + abs(truth))
+    return None if abs(mp.mpf(value) - truth) <= err else "outside its claim"
+
+
+def _misses(draws):
+    """Every (route, draw, reason) that breaks the contract over draws of (p, k, x, z, bx, y)."""
+    import mpmath as mp
+
+    misses = []
+    with mp.workdps(60), warnings.catch_warnings():
+        warnings.simplefilter("ignore", OverflowNote)  # a Beta past the range is inf, and noted
+        for draw in draws:
+            for name, call, truth in _value_routes(*draw):
+                try:
+                    out = call()
+                except Exception as exc:
+                    if not type(exc).__module__.startswith("pkspecial."):
+                        misses.append((name, draw, f"raw {type(exc).__name__}: {exc}"))
+                    continue
+                miss = _miss(out, truth())
+                if miss:
+                    misses.append((name, draw, miss))
+    return misses
+
+
+def _log_uniform(rng, lo, hi):
+    return 10.0 ** rng.uniform(lo, hi)
+
+
+class TestWithinOneEMinus7OfAPole:
+    # poles 0 to 20 at distances 1e-15 to 1e-7 on either side, in z itself and in x/k; Beta, with
+    # its only pole at the origin, at x/k = that distance.  The kernels used to refuse a band of
+    # 1e-9 around each pole, z -> 0+ included
+    def test_values_within_their_claims(self):
+        rng = random.Random("edges:near-pole")
+        draws = []
+        for _ in range(20):
+            n, d, side = rng.randint(0, 20), _log_uniform(rng, -15, -7), rng.choice((-1.0, 1.0))
+            p, k = _log_uniform(rng, -1, 1), _log_uniform(rng, -2, 2)
+            z = -n + side * d
+            draws.append((p, k, z * k, z, d * k, _log_uniform(rng, -3, 3) * k))
+        assert _misses(draws) == []
+
+
+class TestSubnormalQuotient:
+    # |x/k| from 1e-330, where it underflows to 0 although x does not, to the bottom of the normal
+    # range, either sign, with k from 1e16 to 1e300; the kernels get the quotient x/k itself, and
+    # Beta y from 1e-320 to 1e300.  A subnormal x/k is rounded absolutely, not relatively
+    def test_values_within_their_claims(self):
+        rng = random.Random("edges:subnormal-quotient")
+        draws = []
+        for _ in range(20):
+            ek = rng.uniform(16, 300)
+            x = 10.0 ** (rng.uniform(-330, -307.7) + ek) * rng.choice((-1.0, 1.0))
+            p, k = _log_uniform(rng, -2, 2), 10.0**ek
+            draws.append((p, k, x, x / k, abs(x), _log_uniform(rng, -320, 300)))
+        assert _misses(draws) == []

@@ -68,6 +68,20 @@ class TestClosed:
             truth = oracles.mp_ln_abs_pk_gamma(p, k, x)
             assert abs(got.ln_value - truth) <= got.abs_err_ln, (p, k, x)
 
+    def test_abs_err_covers_far_negative_draws(self):
+        # x/k within 1e-3 to 0.5 of the poles -1 .. -3000: the rounding of x/k, eps |x/k| / 2, moves
+        # ln|Gamma| by that over the distance, which the claim counted only within 1e-3 (up to 24x short)
+        rng = np.random.default_rng(35)
+        draws = [(1.2567888933672438, 1.458463425187719, -3291.7456939134463),
+                 (0.3458305362711578, 19.691647140180354, -47693.195063768064)]
+        for _ in range(100):
+            n, d, side = int(rng.integers(1, 3001)), 10.0 ** rng.uniform(-3.0, math.log10(0.5)), rng.choice((-1, 1))
+            p, k = 10.0 ** rng.uniform(-1.0, 1.0), 10.0 ** rng.uniform(-2.0, 2.0)
+            draws.append((p, k, (-n + side * d) * k))
+        for p, k, x in draws:
+            got = gamma_closed(PkParams(p, k), x)
+            assert abs(got.ln_value - oracles.mp_ln_abs_pk_gamma(p, k, x)) <= got.abs_err_ln, (p, k, x)
+
     def test_matches_mpmath_on_grid(self):
         for p in GRID_PS:
             for k in GRID_KS:
@@ -234,6 +248,19 @@ class TestProducts:
         assert got.ln_value == -math.inf
         assert got.value == 0.0
 
+    def test_factor_next_to_a_pole_within_claim(self):
+        # x/k = -15 - 1.08e-15 rounds to -15 - 1.78e-15; 1 + z/15 cancelled the rounding of z/15
+        # and came out at -2.2e-16, 1.1 in the log against a claim of 1.0
+        import mpmath as mp
+
+        p, k, x = 2.9711616235043716, 0.016070829976996315, -0.24106244965494475
+        with mp.workdps(60):
+            z = mp.mpf(x) / mp.mpf(k)
+            want = -(z * mp.log(p) + mp.log(abs(mp.gamma(z))) - mp.log(k))
+            for route in (gamma_weierstrass_recip, gamma_limit_product_recip):
+                got = route(PkParams(p, k), x)
+                assert got.sign == 1 and abs(got.ln_value - want) <= got.abs_err_ln, route
+
     def test_limit_product_matches(self):
         for (p, k, x) in ((1, 1, 2.0), (3.5, 0.5, 7.3), (0.5, 3.0, 0.3)):
             params = PkParams(p, k)
@@ -259,8 +286,13 @@ def test_past_the_tail_expansion_raises_domain_error(route, x, k):
     with pytest.raises(DomainError):
         LATTICE_ROUTES[route](PkParams(1, k), x)
     if route in ("weierstrass", "limit_product_recip"):
-        # -x/k is an integer there: on the pole lattice the reciprocal is zero, with no loop
-        assert LATTICE_ROUTES[route](PkParams(1, k), -x).ln_value == -math.inf
+        if k == 1.0:
+            # -x/k is an integer there: on the pole lattice the reciprocal is zero, with no loop
+            assert LATTICE_ROUTES[route](PkParams(1, k), -x).ln_value == -math.inf
+        else:
+            # -100/1e-3 only rounds onto the lattice, 100 != 1e5 * 1e-3 exactly: refused, as gamma_closed refuses it
+            with pytest.raises(PoleError, match=r"^pole at index 100000$"):
+                LATTICE_ROUTES[route](PkParams(1, k), -x)
 
 
 @pytest.mark.parametrize("route", sorted(LATTICE_ROUTES))

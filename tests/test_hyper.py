@@ -351,6 +351,23 @@ class TestConfluentIntegral:
         assert abs(got.value - want) <= got.abs_err
         assert got.value == pytest.approx(float(want), rel=1e-11)
 
+    @pytest.mark.parametrize("upper, lower, x", [
+        ((0.3809491656331516, 0.22693292257810788, 1.2364649653233362),
+         (1.6978093889746575, 1.1136691517076638, 5.510619982169081), -51.34478787195283),
+        ((0.13024433365316898, 3.9964462011763042, 3.137110920474791),
+         (0.013660084767969033, 3.731278023977431, 0.32899930126145566), -11.839956205378536),
+        ((0.9523904374491177, 3.169348636159581, 6.212461248833864),
+         (0.8096355809964858, 5.597577498933632, 5.281260998458475), -30.694719535184834),
+    ])
+    def test_small_lambda_claims_its_rounding(self, upper, lower, x):
+        # lam = b/s - a/k near 2e-6 is a difference of two rounded quotients, so it is rounded absolutely;
+        # a claim that counted only its relative rounding was 2.3 to 7 times short
+        got = confluent_integral(hp((upper,), (lower,)), x)
+        (a, p, k), (b, t1, s) = upper, lower
+        with mp.workdps(40):
+            want = mp.hyp1f1(mp.mpf(a) / k, mp.mpf(b) / s, mp.mpf(p) / t1 * x)
+        assert abs(got.value - want) <= got.abs_err
+
     def test_shape_restriction(self):
         with pytest.raises(UnsupportedShape):
             confluent_integral(hp(((1, 1, 1), (1, 1, 1)), ((2, 1, 1),)), 0.5)

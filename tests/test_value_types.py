@@ -28,7 +28,6 @@ from pkspecial import (
     Method,
     PkParams,
     PochSpec,
-    PoleReport,
     QuadratureSpec,
 )
 from pkspecial.records import summarize
@@ -40,7 +39,6 @@ TYPES = (
     (PkParams, {"p": 1.5, "k": 0.75}, {}),
     (EvalReal, {"value": 1.0, "abs_err": 1e-16}, {"method": Method.CLOSED}),
     (GammaEval, {"ln_value": 0.5, "sign": -1, "abs_err_ln": 1e-15, "method": Method.LIMIT}, {}),
-    (PoleReport, {"is_pole": False}, {"pole_index": None}),
     (BetaArgs, {"x": 2.5, "y": 1.25, "params": PK}, {}),
     (PochSpec, {"x": 2.5, "n": 4, "params": PK}, {}),
     (HyperParams, {"upper": ((1.0, 1.0, 1.0),), "lower": ((2.0, 1.0, 1.0),)}, {}),
@@ -120,8 +118,7 @@ class TestSemantics:
 
 
 def test_types_of_equal_fields_differ():
-    assert PoleReport(True, 1) != ConvergenceClass(True, 1)
-    assert PkParams(1.5, 0.75) != PoleReport(1.5, 0.75)
+    assert PkParams(1.5, 0.75) != ConvergenceClass(1.5, 0.75)
 
 
 def test_conversions_at_construction():

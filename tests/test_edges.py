@@ -303,8 +303,8 @@ def _log_uniform(rng, lo, hi):
 
 class TestWithinOneEMinus7OfAPole:
     # poles 0 to 20 at distances 1e-15 to 1e-7 on either side, in z itself and in x/k; Beta, with
-    # its only pole at the origin, at x/k = that distance.  The kernels used to refuse a band of
-    # 1e-9 around each pole, z -> 0+ included
+    # its only pole at the origin, at x/k = that distance.  Only an exact hit may be refused here,
+    # z -> 0+ included
     def test_values_within_their_claims(self):
         rng = random.Random("edges:near-pole")
         draws = []

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from collections import namedtuple
+from operator import itemgetter
 
 from .core import DomainError, _ValueType
 
@@ -38,10 +39,6 @@ class AuditReport(_ValueType, namedtuple("AuditReport", "suite grid records summ
         return all(s.corrected_pass_rate == 1.0 for s in self.summaries.values())
 
 
-def _record_sort_key(rec: IdentityRecord):
-    return (rec.identity_id, tuple(sorted(rec.grid_point.items())))
-
-
 def run_suite(
     suite: str,
     grid: AuditGrid | None = None,
@@ -53,15 +50,19 @@ def run_suite(
 
     grid = grid or AuditGrid.default()
     overrides = tol_overrides or {}
-    records: list[IdentityRecord] = []
+    checked_by_id: dict[str, list[IdentityRecord]] = {}
     summaries: dict[str, AuditSummary] = {}
     for check in catalog_for_suite(suite):
         checked = list(check.run(grid, overrides.get(check.identity_id, check.tol)))
         if checked:
             summaries[check.identity_id] = summarize(checked)
-        records += checked
-    records.sort(key=_record_sort_key)
-    summaries = dict(sorted(summaries.items()))
+            # an identity's points share their keys: its records sort by their values, in key order
+            point = itemgetter(*sorted(checked[0].grid_point))
+            checked.sort(key=lambda rec: point(rec.grid_point))
+            checked_by_id[check.identity_id] = checked
+    ids = sorted(checked_by_id)
+    records = [rec for key in ids for rec in checked_by_id[key]]
+    summaries = {key: summaries[key] for key in ids}
     return AuditReport(suite=suite, grid=grid, records=records, summaries=summaries)
 
 

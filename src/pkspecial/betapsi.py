@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
+from . import quadrature
 from .core import (
     _EPS,
     _PSI_ASYMPTOTIC,
@@ -47,7 +48,6 @@ from .core import (
     digamma_classical,
     ln_gamma_classical,
 )
-from .quadrature import _power_integral, _split_beta_kernel, integrate_unit
 
 __all__ = [
     "BetaArgs",
@@ -134,14 +134,14 @@ def beta_integral(args: BetaArgs, form: str = "unit") -> EvalReal:
         def log_g(t, lt):
             return -(a + b) * np.log1p(np.exp(k * lt))
 
-        return _power_integral(((args.x, 1.0, log_g), (args.y, 1.0, log_g)))
+        return quadrature._power_integral(((args.x, 1.0, log_g), (args.y, 1.0, log_g)))
     if form == "unit":
-        res = _split_beta_kernel(a, b, 0.0, 0.0)
+        res = quadrature._split_beta_kernel(a, b, 0.0, 0.0)
     elif form == "symmetric":
         def log_g(t, lt):
             return -(a + b) * np.log1p(t)
 
-        res = _power_integral(((a, 1.0, log_g), (b, 1.0, log_g)))
+        res = quadrature._power_integral(((a, 1.0, log_g), (b, 1.0, log_g)))
     else:
         raise DomainError(f"form must be one of {BETA_FORMS}, got {form!r}")
     return EvalReal(value=res.value / k, abs_err=res.abs_err / k, method=Method.INTEGRAL)
@@ -152,20 +152,23 @@ def psi(params: PkParams, x: float) -> EvalReal:
 
     Where z = x/k is subnormal, so rounded absolutely, the origin's 1/z comes from x:
     digamma(z)/k = digamma(1+z)/k - 1/x, and digamma(1+z) is -gamma to within 2|z|.
+    Past the double range the value is a signed inf, with an OverflowNote.
     """
     k, x = _require_params(params).k, _real("x", x)
     z = x / k
     if x and abs(z) < _TINY:
         v = (math.log(params.p) - EULER_GAMMA) / k - 1.0 / x
-        return EvalReal(value=v, abs_err=1e-14 * (1.0 + abs(v)), method=Method.CLOSED)
-    # raises PoleError on the pole lattice, and DomainError where x/k leaves the double range
-    v = math.log(params.p) / k + digamma_classical(z) / k
-    err = 1e-14 * (1.0 + abs(v))
-    if z < 0.0:
-        # the rounding of z = x/k, eps |z| / 2, amplified near the poles by
-        # psi'(z) + psi'(1-z) = s^2, s = pi / sin(pi z); |z| s stays near 1 at the origin
-        s = math.pi / math.sin(math.pi * (z - round(z)))
-        err += 4.0 * _EPS * (abs(z) * s) * s / k
+        err = 1e-14 * (1.0 + abs(v))
+    else:
+        # raises PoleError on the pole lattice, and DomainError where x/k leaves the double range
+        v = math.log(params.p) / k + digamma_classical(z) / k
+        err = 1e-14 * (1.0 + abs(v))
+        if z < 0.0:
+            # the rounding of z = x/k, eps |z| / 2, amplified near the poles by
+            # psi'(z) + psi'(1-z) = s^2, s = pi / sin(pi z); |z| s stays near 1 at the origin
+            s = math.pi / math.sin(math.pi * (z - round(z)))
+            err += 4.0 * _EPS * (abs(z) * s) * s / k
+    _note_overflow(v, "psi({}) overflows double precision", x)
     return EvalReal(value=v, abs_err=err, method=Method.CLOSED)
 
 
@@ -227,7 +230,7 @@ def ln_gamma_via_psi(params: PkParams, x: float) -> EvalReal:
         t = 1.0 + span * u
         return span * (lnp_k + _digamma_array(t / k) / k)
 
-    res = integrate_unit(integrand)
+    res = quadrature.integrate_unit(integrand)
     return EvalReal(value=ln_at_one + res.value, abs_err=res.abs_err + 1e-14, method=Method.INTEGRAL)
 
 

@@ -11,10 +11,9 @@ import json
 import math
 import sys
 
-from . import betapsi, gamma, hyper, pochhammer
-from .audit import format_summary, report_to_dict, run_suite, write_report
-from .core import DomainError, EvalReal, GammaEval, PkParams, PoleError, _from_log, _linear_err
-from .quadrature import NoConvergence
+from . import audit, betapsi, gamma, hyper, pochhammer
+from .core import (DivergentInput, DomainError, EvalReal, GammaEval, LowerPoleError, MaxTermsExceeded,
+                   NoConvergence, PkParams, PoleError, UnsupportedShape, _from_log, _linear_err)
 
 __all__ = ["main", "build_parser"]
 
@@ -135,7 +134,8 @@ def _weierstrass(params: PkParams, x: float) -> GammaEval:
 
 
 # function -> route key -> adapter(args, params, x), the first key the default.
-# Adapters look routes up on their modules at call time, so wrappers bound there run.
+# Adapters look routes up on their modules at call time, so wrappers bound there run
+# and a route module runs its body only once a command calls into it.
 ROUTES = {
     "gamma": {
         "closed": lambda a, pk, x: gamma.gamma_closed(pk, x),
@@ -148,14 +148,14 @@ ROUTES = {
         "closed": lambda a, pk, x: betapsi.beta_closed(_beta_args(a, pk, x)),
         **{
             form: lambda a, pk, x, form=form: betapsi.beta_integral(_beta_args(a, pk, x), form)
-            for form in betapsi.BETA_FORMS
+            for form in ("unit", "symmetric", "semiaxis")
         },
     },
     "psi": {
         "closed": lambda a, pk, x: betapsi.psi(pk, x),
         **{
             form: lambda a, pk, x, form=form: betapsi.psi_series(pk, x, form)
-            for form in betapsi.PSI_SERIES_FORMS
+            for form in ("3.9", "3.10")
         },
     },
     "poch": {
@@ -175,8 +175,8 @@ ROUTES = {
 }
 
 # what an eval or table command reports as a domain error (exit 2)
-_DOMAIN_ERRORS = (PoleError, DomainError, hyper.DivergentInput, hyper.LowerPoleError,
-                  hyper.UnsupportedShape, NoConvergence, hyper.MaxTermsExceeded)
+_DOMAIN_ERRORS = (PoleError, DomainError, DivergentInput, LowerPoleError,
+                  UnsupportedShape, NoConvergence, MaxTermsExceeded)
 
 
 def _route(args) -> str:
@@ -276,17 +276,17 @@ def _cmd_audit(args) -> int:
         return EXIT_USAGE
 
     grid = AuditGrid.default() if args.grid == "default" else AuditGrid.small()
-    report = run_suite(args.suite, grid, overrides)
+    report = audit.run_suite(args.suite, grid, overrides)
     if args.out:
         try:
-            write_report(report, args.out)
+            audit.write_report(report, args.out)
         except OSError as exc:
             print(f"error: cannot write report: {exc}", file=sys.stderr)
             return EXIT_IO
     if args.format == "json":
-        print(json.dumps(report_to_dict(report)["summary"], sort_keys=True, indent=2))
+        print(json.dumps(audit.report_to_dict(report)["summary"], sort_keys=True, indent=2))
     else:
-        print(format_summary(report))
+        print(audit.format_summary(report))
     return EXIT_OK if report.all_corrected_pass else EXIT_DOMAIN
 
 

@@ -3,8 +3,9 @@
 Every member of the two-parameter family reduces to a classical function
 evaluated at x/k, so this module owns the classical backend (log-gamma with
 an explicit sign channel and digamma), the one conversion of every real
-argument and count, and the one pole rule: the kernel raises PoleError only
-where its argument is exactly a non-positive integer.
+argument and count, the one pole rule (the kernel raises PoleError only
+where its argument is exactly a non-positive integer), and every typed
+error the routes raise, which their own modules re-export.
 
 Gamma-type values are computed and stored in log space, as a ``GammaEval``
 with a sign, and their linear value is materialized on demand; an
@@ -35,6 +36,11 @@ __all__ = [
     "PoleError",
     "DomainError",
     "OverflowNote",
+    "NoConvergence",
+    "DivergentInput",
+    "LowerPoleError",
+    "UnsupportedShape",
+    "MaxTermsExceeded",
     "gamma_sign",
     "ln_gamma_classical",
     "digamma_classical",
@@ -88,6 +94,34 @@ class DomainError(ValueError):
 
 class OverflowNote(RuntimeWarning):
     """The linear value overflows double precision; log-space value is valid."""
+
+
+class _GaveUp(RuntimeError):
+    """A route stopped short of its answer; the best partial result rides along."""
+
+    def __init__(self, message: str, partial: EvalReal):
+        super().__init__(message)
+        self.partial = partial
+
+
+class NoConvergence(_GaveUp):
+    """Refinement budget exhausted; the best partial result rides along."""
+
+
+class DivergentInput(ValueError):
+    """Series diverges for the requested argument (or for all arguments)."""
+
+
+class LowerPoleError(ValueError):
+    """A lower parameter ratio b/s is a non-positive integer."""
+
+
+class UnsupportedShape(ValueError):
+    """Operation restricted to a smaller (r, q) shape than requested."""
+
+
+class MaxTermsExceeded(_GaveUp):
+    """Term budget exhausted before the stopping rule fired; the best partial result rides along."""
 
 
 class _ValueType:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 
+from . import quadrature
 from .core import (
     _EPS,
     _STIRLING_MIN,
@@ -40,7 +41,6 @@ from .core import (
     PkParams,
     PoleError,
 )
-from .quadrature import _power_integral
 
 __all__ = [
     "gamma_closed",
@@ -180,7 +180,7 @@ def gamma_integral(params: PkParams, x: float, a_scale: float = 1.0) -> GammaEva
     z, c = _positive_real("x/k", x / k), _positive_real("a_scale/p", a_scale / p)
     m = max(z - 1.0 / k, 1.0)
     ln_k = math.log(k)
-    res = _power_integral((
+    res = quadrature._power_integral((
         (x, 1.0, lambda u, lu: -m * np.expm1(k * lu)),
         (1.0, 1.0, lambda r, lr: -(z + 1.0) * lr - m * np.expm1(-lr) - ln_k),
     ))

@@ -13,8 +13,25 @@ import enum
 import math
 from collections import namedtuple
 
-from .core import _EPS, _finite, _gamma_product, _pole_distance, _real, _require_params, _ValueType, DomainError, EvalReal, Method, PkParams, ln_gamma_classical
-from .quadrature import _split_beta_kernel
+from . import quadrature
+from .core import (
+    _EPS,
+    _finite,
+    _gamma_product,
+    _pole_distance,
+    _real,
+    _require_params,
+    _ValueType,
+    DivergentInput,
+    DomainError,
+    EvalReal,
+    LowerPoleError,
+    MaxTermsExceeded,
+    Method,
+    PkParams,
+    UnsupportedShape,
+    ln_gamma_classical,
+)
 
 __all__ = [
     "HyperParams",
@@ -33,26 +50,6 @@ __all__ = [
 
 _SERIES_TOL = 1e-14
 _SERIES_MAX_TERMS = 100_000
-
-
-class DivergentInput(ValueError):
-    """Series diverges for the requested argument (or for all arguments)."""
-
-
-class LowerPoleError(ValueError):
-    """A lower parameter ratio b/s is a non-positive integer."""
-
-
-class UnsupportedShape(ValueError):
-    """Operation restricted to a smaller (r, q) shape than requested."""
-
-
-class MaxTermsExceeded(RuntimeError):
-    """Term budget exhausted before the stopping rule fired."""
-
-    def __init__(self, message: str, partial: EvalReal):
-        super().__init__(message)
-        self.partial = partial
 
 
 class ConvergenceKind(enum.Enum):
@@ -151,14 +148,19 @@ def classify(hp: HyperParams) -> ConvergenceClass:
     return ConvergenceClass(ConvergenceKind.DIVERGENT_FORMAL, None)
 
 
-def _term_ratio(hp: HyperParams, x: float, n: int) -> float:
-    """term_{n+1} / term_n = x prod p_i (a_i/k_i + n) / ((n+1) prod t_j (b_j/s_j + n))."""
+def _ratio_pairs(hp: HyperParams) -> tuple[tuple, tuple]:
+    """The (p, a/k) pairs of the upper triples and the (t, b/s) pairs of the lower ones, for _term_ratio."""
+    return tuple((p, a / k) for a, p, k in hp.upper), tuple((t, b / s) for b, t, s in hp.lower)
+
+
+def _term_ratio(upper, lower, x: float, n: int) -> float:
+    """term_{n+1} / term_n = x prod p_i (a_i/k_i + n) / ((n+1) prod t_j (b_j/s_j + n)), over _ratio_pairs."""
     num = x
-    for a, p, k in hp.upper:
-        num *= p * (a / k + n)
+    for p, alpha in upper:
+        num *= p * (alpha + n)
     den = float(n + 1)
-    for b, t, s in hp.lower:
-        d = t * (b / s + n)
+    for t, beta in lower:
+        d = t * (beta + n)
         if d == 0.0:
             raise LowerPoleError(f"lower ratio hit zero at index {n}")
         den *= d
@@ -179,8 +181,9 @@ def hyper_series(hp: HyperParams, x: float) -> EvalReal:
     _require_hp(hp)
     x = _real("x", x)
     cls = classify(hp)
+    upper, lower = _ratio_pairs(hp)
     # an upper ratio at a non-positive integer terminates the series exactly
-    polynomial = any(a <= 0.0 and _pole_distance(a) < 1e-12 for a in hp.alphas)
+    polynomial = any(a <= 0.0 and _pole_distance(a) < 1e-12 for _, a in upper)
     if not polynomial:
         if cls.kind is ConvergenceKind.DIVERGENT_FORMAL:
             raise DivergentInput(f"series has no convergence domain for r={hp.r}, q={hp.q}")
@@ -192,7 +195,7 @@ def hyper_series(hp: HyperParams, x: float) -> EvalReal:
     drift = 0.0  # sum of n |term_n|: term n carries the rounding of n ratios
     quiet = 0
     for n in range(_SERIES_MAX_TERMS):
-        ratio = _term_ratio(hp, x, n)
+        ratio = _term_ratio(upper, lower, x, n)
         term = term * ratio
         total += term
         mass += abs(term)
@@ -238,16 +241,16 @@ def ode_coefficient_residual(hp: HyperParams) -> float:
     _require_hp(hp)
     if hp.r > hp.q + 1:
         raise DivergentInput("no ODE normal form past r = q + 1")
-    alphas, betas = hp.alphas, hp.betas
+    upper, lower = _ratio_pairs(hp)
     a_scale = hp.scale
     worst = 0.0
     for n in range(1, 51):
         # both sides over c_{n-1}: c_n / c_{n-1} is the series' own term ratio at x = 1
-        lhs = n * _term_ratio(hp, 1.0, n - 1)
-        for beta in betas:
+        lhs = n * _term_ratio(upper, lower, 1.0, n - 1)
+        for _, beta in lower:
             lhs *= n + beta - 1.0
         rhs = a_scale
-        for alpha in alphas:
+        for _, alpha in upper:
             rhs *= alpha + n - 1.0
         scale = max(abs(lhs), abs(rhs), 1e-300)
         worst = max(worst, abs(lhs - rhs) / scale)
@@ -293,7 +296,7 @@ def confluent_integral(hp: HyperParams, x: float) -> EvalReal:
     g = ln_gamma_classical(lam)
     g = g._replace(abs_err_ln=g.abs_err_ln + _EPS * (1.0 + alpha + beta) / lam)
     pre = _gamma_product(0.0, (ln_gamma_classical(beta),), (ln_gamma_classical(alpha), g))
-    res = _split_beta_kernel(alpha, lam, p / t1 * x, pre.ln_value)
+    res = quadrature._split_beta_kernel(alpha, lam, p / t1 * x, pre.ln_value)
     # the prefactor's share of the claim: the rule at the value's log, with the prefactor's log error
     share = pre._replace(ln_value=math.log(res.value) if res.value > 0.0 else -math.inf).abs_err
     return EvalReal(value=res.value, abs_err=res.abs_err + share, method=Method.INTEGRAL)

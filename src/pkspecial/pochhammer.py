@@ -97,7 +97,12 @@ def _product(spec: PochSpec) -> float:
     out = 1.0
     for j in range(spec.n):
         out *= base + j * step
-    return out
+    return _mend_nan(out, spec)
+
+
+def _mend_nan(out: float, spec: PochSpec) -> float:
+    """out, unless it is nan: an overflowed product met an exact zero factor, inf * 0; then the symbol from poch_ln."""
+    return _from_log(*poch_ln(spec)) if math.isnan(out) else out
 
 
 def poch_ln(spec: PochSpec) -> tuple[float, int]:
@@ -179,7 +184,7 @@ def poch_reduce(spec: PochSpec) -> float:
     out = _power(spec.params.p, spec.n)
     for j in range(spec.n):
         out *= z + j
-    return _noted(out)
+    return _noted(_mend_nan(out, spec))
 
 
 def poch_generalized(spec: PochSpec, q: int) -> float:
@@ -197,6 +202,8 @@ def poch_generalized(spec: PochSpec, q: int) -> float:
         base = (z + (r - 1)) / q  # z + r - 1 would round z + r first, dropping z's low bits at |z| << 1
         for j in range(n):
             out *= base + j
+    if math.isnan(out):  # as in _mend_nan, from the logs of the n*q-factor symbol
+        out = _from_log(*poch_ln(PochSpec(spec.x, n * q, spec.params)))
     return _noted(out)
 
 

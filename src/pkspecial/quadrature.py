@@ -37,7 +37,7 @@ import sys
 from collections import namedtuple
 from functools import lru_cache
 
-from .core import _EPS, _as_index, _finite, _ValueType, DomainError, EvalReal, Method
+from .core import _EPS, _as_index, _finite, _ValueType, DomainError, EvalReal, Method, NoConvergence
 
 __all__ = [
     "QuadratureSpec",
@@ -80,14 +80,6 @@ class QuadratureSpec(_ValueType, namedtuple("QuadratureSpec", "abs_tol rel_tol m
 
 
 DEFAULT_SPEC = QuadratureSpec()
-
-
-class NoConvergence(RuntimeError):
-    """Refinement budget exhausted; the best partial result rides along."""
-
-    def __init__(self, message: str, partial: EvalReal):
-        super().__init__(message)
-        self.partial = partial
 
 
 # ---------------------------------------------------------------------------

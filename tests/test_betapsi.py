@@ -238,6 +238,15 @@ class TestPsi:
         with pytest.raises(PoleError):
             psi(PkParams(1, 2), -6.0)
 
+    def test_past_double_range_is_signed_inf_with_a_note(self):
+        # at x = +-1e-320 the origin's -1/x leaves the double range; so does digamma(z)/k at k = 1e-20
+        for params, x, want in ((PkParams(1, 1), 1e-320, -math.inf), (PkParams(1, 1), -1e-320, math.inf),
+                                (PkParams(1, 1e-20), 1e-320, -math.inf)):
+            with pytest.warns(OverflowNote, match=r"^psi\(") as caught:
+                got = psi(params, x)
+            assert got.value == want, (params, x)
+            assert caught[0].filename == __file__
+
     def test_abs_err_covers_negative_draws(self):
         # log-uniform p, k in [e^-2, e^2] and x = -e^U, U in [-3, 3]: near the
         # poles the rounding of x/k dominates the error

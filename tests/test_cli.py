@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from pkspecial import OverflowNote
-from pkspecial.cli import main
+from pkspecial.cli import ROUTES, main
 
 
 def run_cli(capsys, *argv):
@@ -370,7 +370,7 @@ class TestImportGraph:
         env = {**os.environ, "PYTHONPATH": src}
         # the value types are namedtuples; dataclasses would pull in inspect, ast and dis.
         # perfbench's worker and tracer read the seven layer modules from sys.modules
-        # right after importing the cli, so those stay eager
+        # right after importing the cli, so those stay registered
         layers = ("core", "gamma", "pochhammer", "betapsi", "hyper", "quadrature", "audit")
         probe = (
             "import sys\n"
@@ -475,6 +475,45 @@ class TestImportGraph:
         assert run.returncode == 0, run.stderr
         # the perfbench tracer wraps pkspecial.audit right after importing the cli
         assert run.stdout.splitlines() == ["False False True", "[] True"]
+
+
+    def test_eval_runs_only_core_and_its_route_module(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        # every layer is in sys.modules once the cli is imported, and its type
+        # is types.ModuleType only once its body has run
+        probe = (
+            "import contextlib, io, sys, types\n"
+            "from pkspecial.cli import main\n"
+            "layers = ('core', 'quadrature', 'pochhammer', 'gamma', 'betapsi', 'hyper', 'audit')\n"
+            "registered = all('pkspecial.' + m in sys.modules for m in layers)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(sys.argv[1:])\n"
+            "print(code, registered, *(m for m in layers if type(sys.modules['pkspecial.' + m]) is types.ModuleType))\n"
+        )
+        cases = (
+            (("gamma", "--p", "2", "--k", "3", "--x", "2.2"), "gamma"),
+            (("beta", "--p", "2", "--k", "3", "--x", "1.5", "--y", "2.5"), "betapsi"),
+            (("psi", "--p", "2", "--k", "3", "--x", "-1.5"), "betapsi"),
+            (("poch", "--p", "2", "--k", "3", "--x", "1.5", "--n", "4"), "pochhammer"),
+            (("polygamma", "--p", "2", "--k", "3", "--x", "1.5", "--r", "4"), "betapsi"),
+            (("hyper", "--x", "0.3", "--a", "1,1,1", "--b", "2,1,1"), "hyper"),
+        )
+        for argv, layer in cases:
+            run = subprocess.run([sys.executable, "-c", probe, "eval", *argv], env=env, capture_output=True, text=True)
+            assert run.returncode == 0, run.stderr
+            assert run.stdout.split() == ["0", "True", "core", layer], argv
+
+    def test_star_import_gives_every_public_name(self):
+        names = {}
+        exec("from pkspecial import *", names)
+        assert sorted(set(names) - {"__builtins__"}) == sorted(self.ROOT_NAMES)
+
+    def test_routes_name_every_beta_and_psi_form(self):
+        from pkspecial.betapsi import BETA_FORMS, PSI_SERIES_FORMS
+
+        assert tuple(ROUTES["beta"]) == ("closed", *BETA_FORMS)
+        assert tuple(ROUTES["psi"]) == ("closed", *PSI_SERIES_FORMS)
 
 
 class TestRouteTable:

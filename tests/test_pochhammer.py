@@ -161,6 +161,15 @@ class TestFourRoutes:
                 with pytest.warns(OverflowNote):
                     assert route(spec(x, 300, 2.0, 1.0)) == want
 
+    def test_zero_factor_past_an_overflow_is_exactly_zero(self):
+        # factor j = 200 of x p/k + j p is 0, after the running product has overflowed: inf * 0 is nan
+        zero = spec(-200.0, 250, 1e10, 1.0)
+        assert poch_ln(zero) == (-math.inf, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", OverflowNote)
+            for value in (poch_direct(zero), poch_reduce(zero), poch_generalized(spec(-200.0, 125, 1e10, 1.0), 2)):
+                assert value == 0.0
+
     def test_symmetric_overflow_inside_double_range_raises(self):
         # p^n underflows and e_s overflows while the symbol stays finite, and
         # an exact zero factor makes the symbol 0 under overflowing terms

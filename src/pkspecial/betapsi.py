@@ -161,7 +161,8 @@ def psi(params: PkParams, x: float) -> EvalReal:
         err = 1e-14 * (1.0 + abs(v))
     else:
         # raises PoleError on the pole lattice, and DomainError where x/k leaves the double range
-        v = math.log(params.p) / k + digamma_classical(z) / k
+        lp, dz = math.log(params.p), digamma_classical(z)
+        v = (lp + dz) / k if math.isinf(lp / k) and math.isinf(dz / k) else lp / k + dz / k
         err = 1e-14 * (1.0 + abs(v))
         if z < 0.0:
             # the rounding of z = x/k, eps |z| / 2, amplified near the poles by

@@ -357,26 +357,21 @@ def _functional(pt, grid):
 
 @_entry("2.24", "gamma", 1e-10, _pkxn(_ns(0, 99)), "n-step recurrence")
 def _n_step(pt, grid):
-    params, p, k, x, n = _params(pt), pt["p"], pt["k"], pt["x"], int(pt["n"])
+    params, k, x, n = _params(pt), pt["k"], pt["x"], int(pt["n"])
     if _near_pole(k, x, x + n * k):
         return _NEAR_POLE
-    rising = 1.0
-    for i in range(n):
-        rising *= x / k + i
-    rhs = p**n * rising * _g(params, x)
+    rhs = pochhammer.poch_reduce(_spec(pt)) * _g(params, x)
     return _g(params, x + n * k), rhs, rhs
 
 
 @_entry("2.25", "gamma", 1e-10, _pkxn(_ns(0, 5)), "downward product")
 def _downward(pt, grid):
-    params, p, k, x, n = _params(pt), pt["p"], pt["k"], pt["x"], int(pt["n"])
+    # (p/k)^n prod_{i=1..n} (x - i k) is the symbol P(x - n k; n)
+    params, k, x, n = _params(pt), pt["k"], pt["x"], int(pt["n"])
     if _near_pole(k, x, x - n * k):
         return _NEAR_POLE
-    lhs = _g(params, x) / _g(params, x - n * k)
-    rhs = (p / k) ** n
-    for i in range(1, n + 1):
-        rhs *= x - i * k
-    return lhs, rhs, rhs
+    rhs = _poch(x - n * k, n, params)
+    return _g(params, x) / _g(params, x - n * k), rhs, rhs
 
 
 @_entry("2.26", "gamma", 1e-10, _pkxn(_ns(0, 5)), "alternating ratio")

@@ -4,20 +4,24 @@ The symbol is the n-factor rising product starting at x*p/k with step p,
 
     (x*p/k) * (x*p/k + p) * ... * (x*p/k + (n-1)*p)  =  p**n * (x/k)_n,
 
-with (z)_n the classical rising factorial.  Four independent evaluation
+with (z)_n the classical rising factorial.  Five independent evaluation
 routes are provided (direct product, elementary-symmetric expansion,
-classical reduction, Gamma ratio) plus parameter derivatives and
-rescalings between step sizes.
+classical reduction, block product, Gamma ratio) plus parameter derivatives
+and rescalings between step sizes.  One range rule: where a route's plain
+product, or its power p^n, is not a normal double, _carried multiplies the
+same factors again with every binary exponent kept apart, rounding once.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 from collections import namedtuple
+from itertools import chain, repeat
 
 from .core import (
+    _EPS,
+    _TINY,
     _ValueType,
     _as_index,
     _from_log,
@@ -45,6 +49,8 @@ __all__ = [
 ]
 
 RESCALE_MODES = ("2.8", "2.9", "2.10")
+_QUIET = 1e300  # a value above it nears or leaves the double range, and is noted
+_MAX = 1.7976931348623157e308  # the largest double
 
 
 class PochSpec(_ValueType, namedtuple("PochSpec", "x n params")):
@@ -63,13 +69,15 @@ class PochSpec(_ValueType, namedtuple("PochSpec", "x n params")):
 
 
 def _base_step(spec: PochSpec) -> tuple[float, float]:
-    """(x p/k, p): factor j of the symbol is x p/k + j p."""
-    return _real("x p/k", spec.x * spec.params.p / spec.params.k), spec.params.p
+    """(x p/k, p): factor j of the symbol is x p/k + j p, rounded once also where x p leaves the normal range."""
+    x, (p, k) = spec.x, spec.params
+    xp = x * p
+    return _real("x p/k", xp / k if _TINY <= abs(xp) <= _MAX or not x else _carried((x, p), (k,))), p
 
 
 def _noted(out: float) -> float:
     """Pass a route's value through, warning when it nears or leaves the double range."""
-    if not math.isfinite(out) or abs(out) > 1e300:
+    if not abs(out) <= _QUIET:
         warnings.warn(
             "Pochhammer product magnitude exceeds ~1e300; use poch_ln",
             OverflowNote,
@@ -86,23 +94,50 @@ def _power(base: float, e: int) -> float:
         return math.copysign(math.inf, base) if e % 2 else math.inf
 
 
+def _carried(factors, divisors=()) -> float:
+    """The product of factors over that of divisors, rounded into the double range once, at the end.
+
+    Each factor, divisor and partial product keeps its binary exponent apart
+    (math.frexp), so no partial product leaves the range: the result has the
+    plain loop's bits wherever that loop stays normal, is within its n eps
+    elsewhere, a signed inf only past the range, and a 0 signed as the loop's
+    at an exact zero factor.
+    """
+    m, e = 1.0, 0
+    for f in factors:
+        f, fe = math.frexp(f)
+        m, me = math.frexp(m * f)
+        e += fe + me
+    for d in divisors:
+        d, de = math.frexp(d)
+        m, me = math.frexp(m / d)
+        e += me - de
+    try:
+        return math.ldexp(m, e)
+    except OverflowError:
+        return math.copysign(math.inf, m)
+
+
+def _rising(bases, step: float, n: int):
+    """The factors b + j step, j < n, for each b in bases, as the routes' plain loops form them.
+
+    A generator expression in a route would turn that route's loop variables
+    into closure cells and slow its plain loop.
+    """
+    for b in bases:
+        for j in range(n):
+            yield b + j * step
+
+
 def poch_direct(spec: PochSpec) -> float:
     """Direct product of the n factors; the empty product (n=0) is 1."""
-    return _noted(_product(spec))
-
-
-def _product(spec: PochSpec) -> float:
-    """The product of the n factors, in their order, without poch_direct's note."""
     base, step = _base_step(spec)
     out = 1.0
     for j in range(spec.n):
         out *= base + j * step
-    return _mend_nan(out, spec)
-
-
-def _mend_nan(out: float, spec: PochSpec) -> float:
-    """out, unless it is nan: an overflowed product met an exact zero factor, inf * 0; then the symbol from poch_ln."""
-    return _from_log(*poch_ln(spec)) if math.isnan(out) else out
+    if not _TINY <= abs(out) <= _QUIET:
+        out = _noted(_carried(_rising((base,), step, spec.n)))
+    return out
 
 
 def poch_ln(spec: PochSpec) -> tuple[float, int]:
@@ -136,7 +171,11 @@ def _elementary_table(values, s: int) -> list[float]:
 
 
 def poch_symmetric(spec: PochSpec) -> float:
-    """Elementary-symmetric expansion: sum_s p^n e_s(1..n-1) (x/k)^(n-s)."""
+    """Elementary-symmetric expansion: p^n sum_s e_s(1..n-1) (x/k)^(n-s).
+
+    Where the terms' rounding, n eps sum_s |term|, could pass 1e-15 (n+1) |total| (they
+    alternate at x/k < 0) and the sum is not exact, a DomainError names the cancellation.
+    """
     if spec.n < 1:
         raise DomainError("the symmetric expansion needs n >= 1")
     n = spec.n
@@ -145,22 +184,23 @@ def poch_symmetric(spec: PochSpec) -> float:
         return _noted(_symmetric_overflow(spec))
     p = spec.params.p
     z = _real("x/k", spec.x / spec.params.k)
-    pn = _power(p, n)
-    # a subnormal p^n would carry its few digits into every term: sum the
-    # classical terms instead and scale by p^n after, in two halves
-    scaled = pn < sys.float_info.min
-    lead = 1.0 if scaled else pn
     e = _elementary_table(range(1, n), n - 1)
-    total = 0.0
+    total = size = 0.0
     for s in range(n):
-        total += lead * e[s] * _power(z, n - s)
-    if scaled and total != 0.0:
-        total = total * _power(p, n // 2) * _power(p, n - n // 2)
-        if abs(total) < sys.float_info.min:
-            raise DomainError(f"the symmetric expansion underflows at n={n}; use poch_ln")
+        term = e[s] * _power(z, n - s)
+        total += term
+        size += abs(term)
     if not math.isfinite(total):
-        total = _symmetric_overflow(spec)
-    return _noted(total)
+        return _noted(_symmetric_overflow(spec))
+    # at z = a / 2^d every term and partial sum is a multiple of 2^(-d n): fewer than 2^53 of them round nowhere
+    d = z.as_integer_ratio()[1].bit_length() - 1
+    if n * _EPS * size > 1e-15 * (n + 1) * abs(total) and size >= math.ldexp(1.0, 53 - n * d):
+        raise DomainError(f"the symmetric expansion cancels at x/k = {z!r}, n = {n}; use poch_direct")
+    power = _power(p, n)
+    out = total * power
+    if not (_TINY <= abs(out) <= _QUIET and _TINY <= power):
+        out = _noted(_carried(chain((total,), repeat(p, n))))
+    return out
 
 
 def _symmetric_overflow(spec: PochSpec) -> float:
@@ -181,10 +221,13 @@ def _symmetric_overflow(spec: PochSpec) -> float:
 def poch_reduce(spec: PochSpec) -> float:
     """Classical reduction p^n (x/k)_n, the rising factorial computed directly."""
     z = _real("x/k", spec.x / spec.params.k)
-    out = _power(spec.params.p, spec.n)
-    for j in range(spec.n):
+    p, n = spec.params.p, spec.n
+    out = power = _power(p, n)
+    for j in range(n):
         out *= z + j
-    return _noted(_mend_nan(out, spec))
+    if not (_TINY <= abs(out) <= _QUIET and _TINY <= power):
+        out = _noted(_carried(chain(repeat(p, n), _rising((z,), 1.0, n))))
+    return out
 
 
 def poch_generalized(spec: PochSpec, q: int) -> float:
@@ -197,14 +240,16 @@ def poch_generalized(spec: PochSpec, q: int) -> float:
         raise DomainError(f"q must be a positive integer, got {q!r}")
     q, n = blocks, spec.n
     z = _real("x/k", spec.x / spec.params.k)
-    out = _power(spec.params.p * q, n * q)
+    pq = spec.params.p * q
+    out = power = _power(pq, n * q)
     for r in range(1, q + 1):
         base = (z + (r - 1)) / q  # z + r - 1 would round z + r first, dropping z's low bits at |z| << 1
         for j in range(n):
             out *= base + j
-    if math.isnan(out):  # as in _mend_nan, from the logs of the n*q-factor symbol
-        out = _from_log(*poch_ln(PochSpec(spec.x, n * q, spec.params)))
-    return _noted(out)
+    if not (_TINY <= abs(out) <= _QUIET and _TINY <= power):
+        bases = ((z + (r - 1)) / q for r in range(1, q + 1))
+        out = _noted(_carried(chain(repeat(pq, n * q), _rising(bases, 1.0, n))))
+    return out
 
 
 def poch_gamma_ratio(spec: PochSpec) -> float:
@@ -221,8 +266,6 @@ def poch_gamma_ratio(spec: PochSpec) -> float:
 
 def poch_dp(spec: PochSpec) -> float:
     """d/dp of the symbol: (n/p) times the value (p enters as p^n)."""
-    if spec.n == 0:
-        return 0.0
     return spec.n / spec.params.p * poch_direct(spec)
 
 
@@ -252,29 +295,21 @@ def poch_rescale(spec: PochSpec, s_new: float, mode: str) -> float:
     mode "2.10": P_p(x; n, k)                  = (p/s_new)^n P_{s_new}(x; n, k)
 
     The left sides are what poch_direct produces on the matching spec; the
-    return value is the right-side evaluation.
+    return value is the right-side evaluation, with p/s_new folded into each factor.
     """
     s_new = _positive_real("s_new", s_new)
-    p, k = spec.params.p, spec.params.k
+    if mode not in RESCALE_MODES:
+        raise DomainError(f"mode must be one of {RESCALE_MODES}, got {mode!r}")
+    n, (p, k) = spec.n, spec.params
+    x = spec.x if mode == "2.10" else _carried((k, spec.x), (s_new,))  # k x / s_new, rounded once
     if mode == "2.8":
-        return poch_direct(PochSpec(k * spec.x / s_new, spec.n, PkParams(p, k)))
-    if mode == "2.9":
-        return _power_times_symbol(p, s_new, PochSpec(k * spec.x / s_new, spec.n, PkParams(s_new, k)))
-    if mode == "2.10":
-        return _power_times_symbol(p, s_new, PochSpec(spec.x, spec.n, PkParams(s_new, k)))
-    raise DomainError(f"mode must be one of {RESCALE_MODES}, got {mode!r}")
-
-
-def _power_times_symbol(p: float, s: float, spec: PochSpec) -> float:
-    """(p/s)**n times the symbol of spec, a signed inf past the double range.
-
-    Where the power or the symbol is not a normal double (it left the double
-    range on its own, or the symbol is an exact zero), the product is taken
-    in logs.  Only the result is noted, never an intermediate symbol.
-    """
-    power, symbol = _power(p / s, spec.n), _product(spec)
-    if sys.float_info.min <= abs(power) < math.inf and sys.float_info.min <= abs(symbol) < math.inf:
-        return _noted(power * symbol)
-    ln, sign = poch_ln(spec)
-    # p/s may have left the double range itself: its log is ln p - ln s
-    return _noted(_from_log(ln + spec.n * (math.log(p) - math.log(s)), sign))
+        return poch_direct(PochSpec(x, n, PkParams(p, k)))
+    base, step = _base_step(PochSpec(x, n, PkParams(s_new, k)))
+    ratio = p / s_new
+    out = 1.0
+    for j in range(n):
+        out *= ratio * (base + j * step)
+    if not (_TINY <= abs(out) <= _QUIET and _TINY <= ratio):
+        # p and s_new enter apart, so p/s_new is never formed
+        out = _noted(_carried(chain(repeat(p, n), _rising((base,), step, n)), repeat(s_new, n)))
+    return out

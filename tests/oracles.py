@@ -88,11 +88,22 @@ def elementary_symmetric_bruteforce(values, s: int) -> float:
 
 def poch_exact(x: Fraction, n: int, p: Fraction, k: Fraction) -> Fraction:
     """Exact rational rising product (xp/k)(xp/k + p)...(xp/k + (n-1)p)."""
+    return Fraction(*poch_exact_ratio(x, n, p, k))
+
+
+def poch_exact_ratio(x: Fraction, n: int, p: Fraction, k: Fraction) -> tuple[int, int]:
+    """poch_exact as (numerator, denominator > 0), not reduced: every factor over one denominator.
+
+    At the ends of the double range each factor carries thousands of bits, and
+    the reduced form costs a gcd of their product; comparisons need none.
+    """
     base = x * p / k
-    out = Fraction(1)
+    den = math.lcm(base.denominator, p.denominator)
+    first, step = base.numerator * (den // base.denominator), p.numerator * (den // p.denominator)
+    num = 1
     for j in range(n):
-        out *= base + j * p
-    return out
+        num *= first + j * step
+    return num, den**n
 
 
 def poch_dk_product(spec: PochSpec) -> float:

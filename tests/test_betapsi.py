@@ -20,6 +20,7 @@ from pkspecial import (
     beta_closed,
     beta_integral,
     check_point,
+    digamma_classical,
     gamma_closed,
     k_zeta,
     ln_gamma_via_psi,
@@ -246,6 +247,16 @@ class TestPsi:
                 got = psi(params, x)
             assert got.value == want, (params, x)
             assert caught[0].filename == __file__
+
+    def test_quotients_past_the_range_with_opposite_signs(self):
+        # ln 2/k = +inf and digamma(1e-10)/k = -inf summed to nan; (ln 2 + digamma(1e-10))/k is -inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the OverflowNote below is the only warning
+            with pytest.warns(OverflowNote, match=r"^psi\(1e-320\) overflows") as caught:
+                got = psi(PkParams(2, 1e-310), 1e-320)
+        assert got.value == -math.inf and len(caught) == 1
+        # elsewhere the value is the sum of the two quotients, bit for bit
+        assert psi(PkParams(2, 1e-20), 1e-15).value == math.log(2) / 1e-20 + digamma_classical(1e5) / 1e-20
 
     def test_abs_err_covers_negative_draws(self):
         # log-uniform p, k in [e^-2, e^2] and x = -e^U, U in [-3, 3]: near the

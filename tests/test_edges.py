@@ -329,3 +329,141 @@ class TestSubnormalQuotient:
             p, k = _log_uniform(rng, -2, 2), 10.0**ek
             draws.append((p, k, x, x / k, abs(x), _log_uniform(rng, -320, 300)))
         assert _misses(draws) == []
+
+
+# ---------------------------------------------------------------------------
+# Pochhammer products at the double range's edges.  Each draw puts the value
+# p^n (x/k)_n near or past an end of the double range, or puts the route's
+# power p^n, its ratio p/s_new or a partial product past one while the value
+# stays inside.  The quotients a route forms from its arguments (x/k, the
+# first factor x p/k, k x/s_new) stay normal doubles: a subnormal one is
+# rounded absolutely, a separate edge.  Truth is the exact rational product
+# of the doubles passed (mpmath's rf at 50 digits gives 1 for (1e300)_20).
+# A value passes within 1e-15 (n+1) |truth|, or (n+1) 2^-1074 below the
+# normal range; a signed inf only where |truth| > DOUBLE_MAX.
+
+
+def _rising_log10(w, n):
+    """log10 of the classical (10^w)_n, for w in the double range."""
+    z = 10.0**w
+    return sum(math.log10(z + j) for j in range(n))
+
+
+def _z_for(target, n, lo=-300.0, hi=300.0):
+    """A z = 10^w in [10^lo, 10^hi] with (z)_n near 10^target, or None."""
+    if not _rising_log10(lo, n) <= target <= _rising_log10(hi, n):
+        return None
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if _rising_log10(mid, n) < target else (lo, mid)
+    return 10.0**lo
+
+
+def _edge_target(rng):
+    """log10 of a value: below the normal range, near its top, or anywhere inside, a third of draws each."""
+    return rng.choice((rng.uniform(-330.0, -300.0), rng.uniform(295.0, 315.0), rng.uniform(-300.0, 300.0)))
+
+
+def _product_draws(rng, route, count):
+    """count (call, (x, n, p, k)) pairs for one route: the call gives the value of the symbol P_p(x; n, k)."""
+    draws = []
+    while len(draws) < count:
+        n, k, target = rng.randint(1, 25), _log_uniform(rng, -3, 3), _edge_target(rng)
+        if route == "direct":  # the value itself near an end of the range, or an exact zero past an overflow
+            if rng.random() < 0.3:
+                m = rng.randint(2, 24)
+                k = 2.0 ** rng.randint(-10, 10)
+                draws.append((lambda s: poch_direct(s), (-m * k, m + rng.randint(1, 5), 10.0 ** rng.uniform(80, 300), k)))
+                continue
+            a = rng.uniform(-300.0, 300.0) / n
+        elif route == "symmetric":  # p^n past the range; the classical total (z)_n inside it
+            n = rng.randint(2, 30)
+            a = rng.choice((-1.0, 1.0)) * rng.uniform(310.0, 640.0) / n
+            target = min(max(target, a * n - 300.0), a * n + 300.0)
+        else:  # p^n, or (p q)^(n q), past the range
+            a = rng.choice((-1.0, 1.0)) * rng.uniform(310.0, 700.0) / n
+        z = _z_for(target - a * n, n)
+        if z is None or abs(a) > 300.0 or not 1e-300 < z * k < 1e300 or not -300.0 < math.log10(z) + a < 300.0:
+            continue
+        p = 10.0**a
+        if route == "generalized":
+            q = rng.randint(1, 3)
+            if n % q:
+                continue
+            draws.append((lambda s, q=q: poch_generalized(PochSpec(s.x, s.n // q, s.params), q), (z * k, n, p, k)))
+        else:
+            draws.append(({"direct": poch_direct, "reduce": poch_reduce, "symmetric": poch_symmetric}[route], (z * k, n, p, k)))
+    return draws
+
+
+def _rescale_draws(rng, mode, count):
+    """count (call, (x, n, p, step)) pairs: p/s_new past the range, the rescaled value p^n (x/step)_n near it."""
+    draws = []
+    while len(draws) < count:
+        n, k, a, sigma = rng.randint(1, 20), _log_uniform(rng, -3, 3), rng.uniform(-300.0, 300.0), rng.uniform(-300.0, 300.0)
+        z = _z_for(_edge_target(rng) - a * n, n)
+        if abs(a - sigma) < 310.0 or z is None:
+            continue
+        p, s_new = 10.0**a, 10.0**sigma
+        # mode 2.10 gives P_p(x; n, k) from the symbol at step s_new; mode 2.9 gives P_p(x; n, s_new)
+        step = k if mode == "2.10" else s_new
+        # log10 of x, of x_new = k x / s_new (2.9) or x (2.10), and of the symbol's first factor x_new s_new / k
+        lx = math.log10(z * step) if z * step else -400.0
+        lx_new = lx + math.log10(k) - sigma if mode == "2.9" else lx
+        if not all(-300.0 < e < 300.0 for e in (lx, lx_new, lx_new + sigma - math.log10(k))):
+            continue
+        x = z * step
+        draws.append((lambda s, k=k, s_new=s_new: poch_rescale(PochSpec(s.x, s.n, PkParams(s.params.p, k)), s_new, mode), (x, n, p, step)))
+    return draws
+
+
+def _range_miss(got, x, n, p, k):
+    """Why got breaks the pass rule against the exact P_p(x; n, k), or None."""
+    from fractions import Fraction
+
+    import oracles
+
+    num, den = oracles.poch_exact_ratio(Fraction(x), n, Fraction(p), Fraction(k))
+    if math.isinf(got):
+        past = abs(num) > int(DOUBLE_MAX) * den
+        return None if past and (got > 0) == (num > 0) else "inf where the truth fits"
+    a, b = got.as_integer_ratio()
+    gap = abs(a * den - num * b)  # |got - truth| b den
+    rel_num, rel_den = (1e-15 * (n + 1)).as_integer_ratio()
+    if gap * rel_den <= rel_num * abs(num) * b or gap * 2**1074 <= (n + 1) * b * den:
+        return None
+    return "outside 1e-15 (n+1) |truth|"
+
+
+class TestPochhammerProductsAtTheRangeEdges:
+    def test_values_within_the_stand_in(self):
+        rng = random.Random("edges:pochhammer-range")
+        draws = [d for route in ("direct", "reduce", "generalized", "symmetric") for d in _product_draws(rng, route, 20)]
+        draws += _rescale_draws(rng, "2.9", 10) + _rescale_draws(rng, "2.10", 10)
+        misses = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", OverflowNote)
+            for call, (x, n, p, k) in draws:
+                try:
+                    got = call(PochSpec(x, n, PkParams(p, k)))
+                except Exception as exc:  # a refusal is a miss here: every value is representable or a signed inf
+                    misses.append((x, n, p, k, f"{type(exc).__name__}: {exc}"))
+                    continue
+                miss = _range_miss(got, x, n, p, k)
+                if miss:
+                    misses.append((x, n, p, k, got, miss))
+        assert misses == []
+
+    def test_carried_pass_is_the_plain_loop_in_range(self):
+        from pkspecial.pochhammer import _carried
+
+        rng = random.Random("edges:pochhammer-carried")
+        for _ in range(300):
+            factors = [rng.choice((-1.0, 1.0)) * _log_uniform(rng, -3, 3) for _ in range(rng.randint(0, 40))]
+            divisors = [_log_uniform(rng, -3, 3) for _ in range(rng.randint(0, 10))]
+            plain = 1.0
+            for f in factors:
+                plain *= f
+            for d in divisors:
+                plain /= d
+            assert _carried(factors, divisors).hex() == plain.hex(), (factors, divisors)

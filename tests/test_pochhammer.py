@@ -1,8 +1,7 @@
-"""Pochhammer symbol: four routes, derivatives, rescalings, recurrences."""
+"""Pochhammer symbol: five routes and their range rule, derivatives, rescalings, recurrences."""
 
 import math
 import random
-import sys
 import warnings
 from fractions import Fraction
 
@@ -43,22 +42,16 @@ def point(x, n, p, k, **extra):
 
 
 def _symmetric_by_table(s):
-    """poch_symmetric's outcome, DomainError for a raise, summed over the full e_s table at every n."""
-    n, p, z = s.n, s.params.p, s.x / s.params.k
-    pn = _power(p, n)
-    scaled = pn < sys.float_info.min
+    """poch_symmetric's outcome, DomainError for a raise, from the full e_s table at every n: p^n times the classical total."""
+    n, z = s.n, s.x / s.params.k
     e = _elementary_table(range(1, n), n - 1)
     total = 0.0
     for i in range(n):
-        total += (1.0 if scaled else pn) * e[i] * _power(z, n - i)
-    if scaled and total != 0.0:
-        total = total * _power(p, n // 2) * _power(p, n - n // 2)
-        if abs(total) < sys.float_info.min:
-            return DomainError
+        total += e[i] * _power(z, n - i)
     if not math.isfinite(total):
         ln, sign = poch_ln(s)
         return DomainError if ln <= _LN_OVERFLOW else sign * math.inf
-    return total
+    return total * _power(s.params.p, n)
 
 
 class TestDirect:
@@ -180,7 +173,7 @@ class TestFourRoutes:
     @pytest.mark.parametrize("n", range(172, 181))
     def test_symmetric_past_171_factorial_matches_the_full_table(self, n):
         # from n = 172 on, e_(n-1) = (n-1)! is inf and the route skips the table;
-        # x = 0 and x/k < 0 make nan totals, a tiny or huge p a scaled or inf lead
+        # x = 0 and x/k < 0 make nan totals, and a tiny or huge p puts p^n past the range
         assert _elementary_table(range(1, n), n - 1)[n - 1] == math.inf
         for x in (0.0, -0.5, -25.5, 1.5):
             for p in (1e-300, 2.0, 1e300):
@@ -209,9 +202,11 @@ class TestFourRoutes:
             want = mp.mpf(0.01) ** n * mp.rf(1, n)
             got = poch_symmetric(spec(1.0, n, 0.01, 1.0))
             assert abs(got - want) <= 1e-15 * (n + 1) * abs(want), n
-        # a symbol below the normal range is an error, not a silent 0
-        with pytest.raises(DomainError):
-            poch_symmetric(spec(1.0, 4, 1e-200, 1.0))
+        # a symbol below the normal range is rounded into it once: 24e-320 is subnormal, 24e-800 is 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert abs(poch_symmetric(spec(1.0, 4, 1e-80, 1.0)) - 24 * mp.mpf(1e-80) ** 4) <= 5 * 2.0**-1074
+            assert poch_symmetric(spec(1.0, 4, 1e-200, 1.0)) == 0.0
 
     def test_gamma_ratio_examples(self):
         assert poch_gamma_ratio(spec(2, 3, 1, 1)) == pytest.approx(24.0, rel=1e-13)
@@ -241,6 +236,53 @@ class TestFourRoutes:
         want = float(oracles.poch_exact(x, n, p, k))
         got = poch_direct(spec(float(x), n, float(p), float(k)))
         assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+class TestRangeRule:
+    """Where a plain loop's product or its power leaves the double range, the factors are multiplied again."""
+
+    @staticmethod
+    def _within(got, x, n, p, k):
+        want = oracles.poch_exact(Fraction(x), n, Fraction(p), Fraction(k))
+        return abs(Fraction(got) - want) <= Fraction(1e-15) * (n + 1) * abs(want)
+
+    def test_power_past_the_range_under_a_representable_value(self):
+        # p^20 = 1e400 overflowed, and the value is 1e400 (1e-300)_20 = 1.2164510040883e117
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reduced, blocks = poch_reduce(spec(1e-300, 20, 1e20, 1.0)), poch_generalized(spec(1e-300, 10, 1e20, 1.0), 2)
+        for got in (reduced, blocks):
+            assert f"{got:.13e}" == "1.2164510040883e+117"
+            assert self._within(got, 1e-300, 20, 1e20, 1.0)
+
+    def test_value_past_the_range_under_an_underflowed_power(self):
+        # p^20 = 1e-400 underflowed to 0, and the value 1e-400 (1e300)_20 overflows
+        with pytest.warns(OverflowNote):
+            assert poch_reduce(spec(1e300, 20, 1e-20, 1.0)) == math.inf
+        with pytest.warns(OverflowNote):
+            assert poch_generalized(spec(1e300, 10, 1e-20, 1.0), 2) == math.inf
+
+    def test_first_factor_rounded_once_where_x_p_leaves_the_range(self):
+        # x p = 1e-350 underflowed to 0, so x p/k was 0 and the product 0; x p/k is 1e-50
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = poch_direct(spec(1e-200, 2, 1e-150, 1e-300))
+        assert self._within(got, 1e-200, 2, 1e-150, 1e-300)
+
+    @pytest.mark.parametrize("x, n", [(-19.5, 25), (-20.0, 25), (-15.0, 20)])
+    def test_symmetric_cancellation_raises_or_holds(self, x, n):
+        # the alternating terms cancel: 3.56e20 for 9.01e18, and -3.89e20 and -8.8e10 for exact zeros
+        try:
+            got = poch_symmetric(spec(x, n, 1.0, 1.0))
+        except DomainError as exc:
+            assert "cancels" in str(exc)
+        else:
+            assert self._within(got, x, n, 1.0, 1.0)
+
+    def test_symmetric_exact_sum_at_negative_x_is_kept(self):
+        # at x/k = -1.5 and -2 every term and partial sum is exact: no cancellation error
+        assert poch_symmetric(spec(-0.75, 6, 2.0, 0.5)) == poch_direct(spec(-0.75, 6, 2.0, 0.5))
+        assert poch_symmetric(spec(-1.0, 6, 2.0, 0.5)) == 0.0
 
 
 class TestGeneralized:
@@ -348,13 +390,12 @@ class TestRescale:
     ])
     def test_symbol_or_power_past_the_range_scaled_back_into_it(self, x, p):
         # mode 2.10 at k = s_new = 1 and n = 50: (p/s_new)^50 P_1(x; 50, 1) = P_p(x; 50, 1)
-        with mp.workdps(40):
-            want = mp.fprod(mp.mpf(x) * mp.mpf(p) + j * mp.mpf(p) for j in range(50))
+        want = oracles.poch_exact(Fraction(x), 50, Fraction(p), Fraction(1))
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no note: the result is representable
             got = poch_rescale(spec(x, 50, p, 1.0), 1.0, "2.10")
-        # the log path rounds each log: eps (|ln symbol| + n |ln p|) is up to 4e-13 here
-        assert got == pytest.approx(float(want), rel=1e-12, abs=0.0)
+        # p/s_new folded into each factor: a running product's n eps, where logs gave 2.3e-13 at p = 1e-9
+        assert abs(Fraction(got) - want) <= Fraction(1e-15) * abs(want)
 
 
 class TestRecurrences:

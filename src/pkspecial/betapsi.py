@@ -162,7 +162,9 @@ def psi(params: PkParams, x: float) -> EvalReal:
     else:
         # raises PoleError on the pole lattice, and DomainError where x/k leaves the double range
         lp, dz = math.log(params.p), digamma_classical(z)
-        v = (lp + dz) / k if math.isinf(lp / k) and math.isinf(dz / k) else lp / k + dz / k
+        v = lp / k + dz / k
+        if v != v:  # nan: the two quotients overflow with opposite signs, so divide their sum once
+            v = (lp + dz) / k
         err = 1e-14 * (1.0 + abs(v))
         if z < 0.0:
             # the rounding of z = x/k, eps |z| / 2, amplified near the poles by

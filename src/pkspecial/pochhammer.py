@@ -101,7 +101,7 @@ def _carried(factors, divisors=()) -> float:
     (math.frexp), so no partial product leaves the range: the result has the
     plain loop's bits wherever that loop stays normal, is within its n eps
     elsewhere, a signed inf only past the range, and a 0 signed as the loop's
-    at an exact zero factor.
+    at an exact zero factor (0.0 where another factor itself overflowed).
     """
     m, e = 1.0, 0
     for f in factors:
@@ -112,6 +112,8 @@ def _carried(factors, divisors=()) -> float:
         d, de = math.frexp(d)
         m, me = math.frexp(m / d)
         e += me - de
+    if m != m:  # an exact zero factor times one that overflowed to inf: the product is 0
+        return 0.0
     try:
         return math.ldexp(m, e)
     except OverflowError:
@@ -266,6 +268,8 @@ def poch_gamma_ratio(spec: PochSpec) -> float:
 
 def poch_dp(spec: PochSpec) -> float:
     """d/dp of the symbol: (n/p) times the value (p enters as p^n)."""
+    if spec.n == 0:
+        return 0.0
     return spec.n / spec.params.p * poch_direct(spec)
 
 

@@ -262,6 +262,12 @@ class TestRangeRule:
         with pytest.warns(OverflowNote):
             assert poch_generalized(spec(1e300, 10, 1e-20, 1.0), 2) == math.inf
 
+    def test_zero_factor_beside_a_factor_past_the_range(self):
+        # factors -1e308, 0, 1e308 and 2e308, where 3 p overflows to inf: inf * 0 is nan, the symbol 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert poch_direct(spec(-1.0, 4, 1e308, 1.0)) == 0.0
+
     def test_first_factor_rounded_once_where_x_p_leaves_the_range(self):
         # x p = 1e-350 underflowed to 0, so x p/k was 0 and the product 0; x p/k is 1e-50
         with warnings.catch_warnings():

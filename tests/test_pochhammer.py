@@ -247,7 +247,7 @@ class TestRangeRule:
         return abs(Fraction(got) - want) <= Fraction(1e-15) * (n + 1) * abs(want)
 
     def test_power_past_the_range_under_a_representable_value(self):
-        # p^20 = 1e400 overflowed, and the value is 1e400 (1e-300)_20 = 1.2164510040883e117
+        # p^20 = 1e400 overflows, and the value is 1e400 (1e-300)_20 = 1.2164510040883e117
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             reduced, blocks = poch_reduce(spec(1e-300, 20, 1e20, 1.0)), poch_generalized(spec(1e-300, 10, 1e20, 1.0), 2)
@@ -256,7 +256,7 @@ class TestRangeRule:
             assert self._within(got, 1e-300, 20, 1e20, 1.0)
 
     def test_value_past_the_range_under_an_underflowed_power(self):
-        # p^20 = 1e-400 underflowed to 0, and the value 1e-400 (1e300)_20 overflows
+        # p^20 = 1e-400 underflows to 0, and the value 1e-400 (1e300)_20 overflows
         with pytest.warns(OverflowNote):
             assert poch_reduce(spec(1e300, 20, 1e-20, 1.0)) == math.inf
         with pytest.warns(OverflowNote):
@@ -269,7 +269,7 @@ class TestRangeRule:
             assert poch_direct(spec(-1.0, 4, 1e308, 1.0)) == 0.0
 
     def test_first_factor_rounded_once_where_x_p_leaves_the_range(self):
-        # x p = 1e-350 underflowed to 0, so x p/k was 0 and the product 0; x p/k is 1e-50
+        # x p = 1e-350 underflows to 0, while x p/k = 1e-50 and the value 1e-100 are normal
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = poch_direct(spec(1e-200, 2, 1e-150, 1e-300))
@@ -277,7 +277,7 @@ class TestRangeRule:
 
     @pytest.mark.parametrize("x, n", [(-19.5, 25), (-20.0, 25), (-15.0, 20)])
     def test_symmetric_cancellation_raises_or_holds(self, x, n):
-        # the alternating terms cancel: 3.56e20 for 9.01e18, and -3.89e20 and -8.8e10 for exact zeros
+        # the alternating terms cancel far past the stand-in: the values are 9.01e18, 0 and 0
         try:
             got = poch_symmetric(spec(x, n, 1.0, 1.0))
         except DomainError as exc:
@@ -400,7 +400,7 @@ class TestRescale:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no note: the result is representable
             got = poch_rescale(spec(x, 50, p, 1.0), 1.0, "2.10")
-        # p/s_new folded into each factor: a running product's n eps, where logs gave 2.3e-13 at p = 1e-9
+        # p/s_new folded into each factor: a running product's n eps, inside 1e-15 here
         assert abs(Fraction(got) - want) <= Fraction(1e-15) * abs(want)
 
 

@@ -50,7 +50,6 @@ __all__ = [
 
 RESCALE_MODES = ("2.8", "2.9", "2.10")
 _QUIET = 1e300  # a value above it nears or leaves the double range, and is noted
-_MAX = 1.7976931348623157e308  # the largest double
 
 
 class PochSpec(_ValueType, namedtuple("PochSpec", "x n params")):
@@ -69,10 +68,8 @@ class PochSpec(_ValueType, namedtuple("PochSpec", "x n params")):
 
 
 def _base_step(spec: PochSpec) -> tuple[float, float]:
-    """(x p/k, p): factor j of the symbol is x p/k + j p, rounded once also where x p leaves the normal range."""
-    x, (p, k) = spec.x, spec.params
-    xp = x * p
-    return _real("x p/k", xp / k if _TINY <= abs(xp) <= _MAX or not x else _carried((x, p), (k,))), p
+    """(x p/k, p): factor j of the symbol is x p/k + j p."""
+    return _real("x p/k", spec.x * spec.params.p / spec.params.k), spec.params.p
 
 
 def _noted(out: float) -> float:
@@ -120,17 +117,6 @@ def _carried(factors, divisors=()) -> float:
         return math.copysign(math.inf, m)
 
 
-def _rising(bases, step: float, n: int):
-    """The factors b + j step, j < n, for each b in bases, as the routes' plain loops form them.
-
-    A generator expression in a route would turn that route's loop variables
-    into closure cells and slow its plain loop.
-    """
-    for b in bases:
-        for j in range(n):
-            yield b + j * step
-
-
 def poch_direct(spec: PochSpec) -> float:
     """Direct product of the n factors; the empty product (n=0) is 1."""
     base, step = _base_step(spec)
@@ -138,7 +124,7 @@ def poch_direct(spec: PochSpec) -> float:
     for j in range(spec.n):
         out *= base + j * step
     if not _TINY <= abs(out) <= _QUIET:
-        out = _noted(_carried(_rising((base,), step, spec.n)))
+        out = _noted(_carried(map(base.__add__, map(step.__mul__, range(spec.n)))))
     return out
 
 
@@ -186,19 +172,25 @@ def poch_symmetric(spec: PochSpec) -> float:
         return _noted(_symmetric_overflow(spec))
     p = spec.params.p
     z = _real("x/k", spec.x / spec.params.k)
-    e = _elementary_table(range(1, n), n - 1)
-    total = size = 0.0
-    for s in range(n):
-        term = e[s] * _power(z, n - s)
-        total += term
-        size += abs(term)
+    power = _power(p, n)
+    # where the classical terms leave the range, the symbol's own, e_s(p, ..., (n-1) p) (p z)^(n-s), may not
+    for lead in (1.0, p):
+        e, lz = _elementary_table(map(lead.__mul__, range(1, n)), n - 1), lead * z
+        total = size = 0.0
+        for s in range(n):
+            term = e[s] * _power(lz, n - s)
+            total += term
+            size += abs(term)
+        if math.isfinite(total) or not _TINY <= power < 1.0:
+            break
     if not math.isfinite(total):
         return _noted(_symmetric_overflow(spec))
-    # at z = a / 2^d every term and partial sum is a multiple of 2^(-d n): fewer than 2^53 of them round nowhere
+    # at z = a / 2^d every classical term and partial sum is a multiple of 2^(-d n): fewer than 2^53 of them round nowhere
     d = z.as_integer_ratio()[1].bit_length() - 1
-    if n * _EPS * size > 1e-15 * (n + 1) * abs(total) and size >= math.ldexp(1.0, 53 - n * d):
+    if n * _EPS * size > 1e-15 * (n + 1) * abs(total) and (lead != 1.0 or size >= math.ldexp(1.0, 53 - n * d)):
         raise DomainError(f"the symmetric expansion cancels at x/k = {z!r}, n = {n}; use poch_direct")
-    power = _power(p, n)
+    if lead != 1.0:  # the terms carry p^n already
+        return _noted(total)
     out = total * power
     if not (_TINY <= abs(out) <= _QUIET and _TINY <= power):
         out = _noted(_carried(chain((total,), repeat(p, n))))
@@ -228,7 +220,7 @@ def poch_reduce(spec: PochSpec) -> float:
     for j in range(n):
         out *= z + j
     if not (_TINY <= abs(out) <= _QUIET and _TINY <= power):
-        out = _noted(_carried(chain(repeat(p, n), _rising((z,), 1.0, n))))
+        out = _noted(_carried(chain(repeat(p, n), map(z.__add__, range(n)))))
     return out
 
 
@@ -250,7 +242,7 @@ def poch_generalized(spec: PochSpec, q: int) -> float:
             out *= base + j
     if not (_TINY <= abs(out) <= _QUIET and _TINY <= power):
         bases = ((z + (r - 1)) / q for r in range(1, q + 1))
-        out = _noted(_carried(chain(repeat(pq, n * q), _rising(bases, 1.0, n))))
+        out = _noted(_carried(chain(repeat(pq, n * q), (b + j for b in bases for j in range(n)))))
     return out
 
 
@@ -305,7 +297,7 @@ def poch_rescale(spec: PochSpec, s_new: float, mode: str) -> float:
     if mode not in RESCALE_MODES:
         raise DomainError(f"mode must be one of {RESCALE_MODES}, got {mode!r}")
     n, (p, k) = spec.n, spec.params
-    x = spec.x if mode == "2.10" else _carried((k, spec.x), (s_new,))  # k x / s_new, rounded once
+    x = spec.x if mode == "2.10" else k * spec.x / s_new
     if mode == "2.8":
         return poch_direct(PochSpec(x, n, PkParams(p, k)))
     base, step = _base_step(PochSpec(x, n, PkParams(s_new, k)))
@@ -315,5 +307,5 @@ def poch_rescale(spec: PochSpec, s_new: float, mode: str) -> float:
         out *= ratio * (base + j * step)
     if not (_TINY <= abs(out) <= _QUIET and _TINY <= ratio):
         # p and s_new enter apart, so p/s_new is never formed
-        out = _noted(_carried(chain(repeat(p, n), _rising((base,), step, n)), repeat(s_new, n)))
+        out = _noted(_carried(chain(repeat(p, n), map(base.__add__, map(step.__mul__, range(n)))), repeat(s_new, n)))
     return out

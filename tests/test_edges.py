@@ -334,8 +334,8 @@ class TestSubnormalQuotient:
 # ---------------------------------------------------------------------------
 # Pochhammer products at the double range's edges.  Each draw puts the value
 # p^n (x/k)_n near or past an end of the double range, or puts the route's
-# power p^n, its ratio p/s_new or a partial product past one while the value
-# stays inside.  The quotients a route forms from its arguments (x/k, the
+# power p^n, its ratio p/s_new, a partial product or the classical total
+# (x/k)_n past one while the value stays inside.  The quotients a route forms from its arguments (x/k, the
 # first factor x p/k, k x/s_new) stay normal doubles: a subnormal one is
 # rounded absolutely, a separate edge.  Truth is the exact rational product
 # of the doubles passed (mpmath's rf at 50 digits gives 1 for (1e300)_20).
@@ -376,10 +376,14 @@ def _product_draws(rng, route, count):
                 draws.append((lambda s: poch_direct(s), (-m * k, m + rng.randint(1, 5), 10.0 ** rng.uniform(80, 300), k)))
                 continue
             a = rng.uniform(-300.0, 300.0) / n
-        elif route == "symmetric":  # p^n past the range; the classical total (z)_n inside it
+        elif route == "symmetric" and rng.random() < 0.5:  # p^n past the range; the classical total (z)_n inside it
             n = rng.randint(2, 30)
             a = rng.choice((-1.0, 1.0)) * rng.uniform(310.0, 640.0) / n
             target = min(max(target, a * n - 300.0), a * n + 300.0)
+        elif route == "symmetric":  # p^n a normal double below 1; the classical total (z)_n past the range
+            n = rng.randint(2, 30)
+            a = -rng.uniform(10.0, 300.0) / n
+            target = max(target, a * n + 310.0)
         else:  # p^n, or (p q)^(n q), past the range
             a = rng.choice((-1.0, 1.0)) * rng.uniform(310.0, 700.0) / n
         z = _z_for(target - a * n, n)

@@ -268,12 +268,13 @@ class TestRangeRule:
             warnings.simplefilter("error")
             assert poch_direct(spec(-1.0, 4, 1e308, 1.0)) == 0.0
 
-    def test_first_factor_rounded_once_where_x_p_leaves_the_range(self):
-        # x p = 1e-350 underflows to 0, while x p/k = 1e-50 and the value 1e-100 are normal
+    @pytest.mark.parametrize("x, n, p", [(1200.0, 100, 0.5), (100.0, 150, 0.01)])
+    def test_symmetric_total_past_the_range_under_a_normal_power(self, x, n, p):
+        # (1200)_100 = 4.7e309 overflows, p^n (1200)_100 = 3.6e279 does not; (100)_150 p^150 is 1.4e34
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = poch_direct(spec(1e-200, 2, 1e-150, 1e-300))
-        assert self._within(got, 1e-200, 2, 1e-150, 1e-300)
+            got = poch_symmetric(spec(x, n, p, 1.0))
+        assert self._within(got, x, n, p, 1.0)
 
     @pytest.mark.parametrize("x, n", [(-19.5, 25), (-20.0, 25), (-15.0, 20)])
     def test_symmetric_cancellation_raises_or_holds(self, x, n):

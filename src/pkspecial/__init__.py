@@ -19,8 +19,8 @@ bound on the package through ``importlib.util.LazyLoader``: a layer's body
 runs on the first attribute looked up on it, so ``pkspecial eval gamma``
 runs ``core``, ``gamma`` and ``cli`` only.  Every public name, listed in
 ``__all__``, comes from ``_EXPORTS`` through ``__getattr__``.  The identity
-catalog (``identities``, ``records``) is not registered: it is imported
-where an audit runs, so no ``eval`` or ``table`` process imports it.  The
+catalog (``identities``) is not registered: it is imported where an audit
+runs, so no ``eval`` or ``table`` process imports it.  The
 value types (``PkParams``, ``EvalReal``, ``GammaEval`` and the rest) are
 immutable namedtuples that validate in ``__new__``, so ``eval`` and
 ``table`` processes import neither ``dataclasses`` nor ``inspect``.  Every
@@ -44,10 +44,9 @@ _EXPORTS = {
     "betapsi": "BetaArgs beta_closed beta_integral k_zeta ln_gamma_via_psi polygamma psi psi_series",
     "hyper": "ConvergenceClass ConvergenceKind HyperParams classify confluent_integral hyper_series "
              "ode_coefficient_residual pk_binomial",
-    "audit": "AuditReport run_suite validate_report write_report",
+    "audit": "AuditReport AuditSummary IdentityRecord run_suite validate_report write_report",
     # the audit catalog, imported on first use: eval and table processes never load it
     "identities": "AuditGrid check_point",
-    "records": "AuditSummary IdentityRecord",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = sorted(_MODULE_OF)

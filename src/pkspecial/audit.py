@@ -1,5 +1,8 @@
-"""Grid audit engine: run identity suites, aggregate, and emit reports.
+"""Grid audit engine: the report's record types, suite runs, and deterministic reports.
 
+``IdentityRecord`` is one grid point's outcome and ``AuditSummary`` one
+identity's aggregate, which ``summarize`` folds from its records; their
+fields are the keys of a report's records and identity summaries.
 Reports are deterministic single-line JSON: records are sorted by
 (identity_id, grid point), floats serialize via their shortest round-trip
 representation, and nothing time- or host-dependent enters the canonical body.
@@ -12,17 +15,112 @@ import json
 import math
 from collections import namedtuple
 from operator import itemgetter
+from typing import Iterable
 
 from .core import DomainError, _ValueType
 
 __all__ = [
+    "IdentityRecord",
+    "AuditSummary",
     "AuditReport",
+    "summarize",
+    "relative_error",
     "run_suite",
     "report_to_dict",
     "canonical_json",
     "write_report",
     "validate_report",
 ]
+
+
+def relative_error(lhs: float, rhs: float) -> float:
+    """|lhs - rhs| scaled by the larger magnitude; 0 when both vanish."""
+    if lhs == rhs:
+        return 0.0
+    scale = max(abs(lhs), abs(rhs))
+    if scale == 0.0 or not math.isfinite(scale):
+        return math.inf
+    return abs(lhs - rhs) / scale
+
+
+class IdentityRecord(
+    _ValueType,
+    namedtuple(
+        "IdentityRecord",
+        "identity_id grid_point lhs rhs_printed rhs_corrected rel_err_printed rel_err_corrected "
+        "printed_pass corrected_pass skipped skip_reason",
+        defaults=(None,) * 7 + (False, None),
+    ),
+):
+    """One grid-point verification outcome.
+
+    ``rhs_printed`` and ``rhs_corrected`` coincide for identities that needed
+    no correction.  Skipped records (near-pole points) carry no numbers and
+    no pass flags.  Every field after ``grid_point`` defaults to None, except
+    ``skipped``, which defaults to False.
+    """
+
+    __slots__ = ()
+    identity_id: str
+    grid_point: dict[str, float]
+    lhs: float | None
+    rhs_printed: float | None
+    rhs_corrected: float | None
+    rel_err_printed: float | None
+    rel_err_corrected: float | None
+    printed_pass: bool | None
+    corrected_pass: bool | None
+    skipped: bool
+    skip_reason: str | None
+
+
+class AuditSummary(
+    _ValueType,
+    namedtuple(
+        "AuditSummary",
+        "count skipped max_rel_err_printed max_rel_err_corrected "
+        "printed_pass_rate corrected_pass_rate verdict",
+    ),
+):
+    """One identity's aggregate over an audited grid; its fields are the report's summary keys."""
+
+    __slots__ = ()
+    count: int
+    skipped: int
+    max_rel_err_printed: float
+    max_rel_err_corrected: float
+    printed_pass_rate: float
+    corrected_pass_rate: float
+    verdict: str
+
+
+def summarize(records: Iterable[IdentityRecord]) -> AuditSummary:
+    """Fold one identity's records, in the order they were made, into its summary.
+
+    The maxima start at 0.0; with no evaluated point both rates are 1.0.
+    """
+    count = skipped = printed_passes = corrected_passes = 0
+    max_printed = max_corrected = 0.0
+    for rec in records:
+        if rec.skipped:
+            skipped += 1
+            continue
+        count += 1
+        max_printed = max(max_printed, rec.rel_err_printed)
+        max_corrected = max(max_corrected, rec.rel_err_corrected)
+        printed_passes += bool(rec.printed_pass)
+        corrected_passes += bool(rec.corrected_pass)
+    printed_rate = printed_passes / count if count else 1.0
+    corrected_rate = corrected_passes / count if count else 1.0
+    if count == 0:
+        verdict = "skipped"
+    elif corrected_rate < 1.0:
+        verdict = "fail"
+    elif printed_rate < 1.0:
+        verdict = "corrected-only"
+    else:
+        verdict = "ok"
+    return AuditSummary(count, skipped, max_printed, max_corrected, printed_rate, corrected_rate, verdict)
 
 
 class AuditReport(_ValueType, namedtuple("AuditReport", "suite grid records summaries")):
@@ -46,7 +144,6 @@ def run_suite(
 ) -> AuditReport:
     """Evaluate every catalog identity of the suite over the grid."""
     from .identities import AuditGrid, catalog_for_suite
-    from .records import summarize
 
     grid = grid or AuditGrid.default()
     overrides = tol_overrides or {}
@@ -128,8 +225,6 @@ def validate_report(report_dict: dict) -> None:
     and ``AuditSummary._fields``; a bool is no number, an integral float is an integer,
     and a skipped record has a null ``lhs`` and null pass flags.
     """
-    from .records import AuditSummary, IdentityRecord
-
     def need(ok: bool, path: str) -> None:
         if not ok:
             raise DomainError(f"audit report: bad {path}")

@@ -33,8 +33,8 @@ from .core import (
     ln_gamma_classical,
     richardson_diff,
 )
-from .records import IdentityRecord, make_record, relative_error, skipped_record
 from . import betapsi, gamma, hyper, pochhammer
+from .audit import IdentityRecord, relative_error
 from .pochhammer import PochSpec
 
 __all__ = [
@@ -124,8 +124,10 @@ class IdentityCheck:
         except PoleError as exc:
             out = f"pole: {exc}"
         if isinstance(out, str):
-            return skipped_record(self.identity_id, point, out)
-        return make_record(self.identity_id, point, *out, tol, error=self.error)
+            return IdentityRecord(self.identity_id, dict(point), skipped=True, skip_reason=out)
+        lhs, printed, corrected = out
+        ep, ec = self.error(lhs, printed), self.error(lhs, corrected)
+        return IdentityRecord(self.identity_id, dict(point), lhs, printed, corrected, ep, ec, ep <= tol, ec <= tol)
 
     def _run(self, grid: AuditGrid, tol: float) -> Iterator[IdentityRecord]:
         for point in self.points(grid):

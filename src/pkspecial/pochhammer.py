@@ -68,8 +68,10 @@ class PochSpec(_ValueType, namedtuple("PochSpec", "x n params")):
 
 
 def _base_step(spec: PochSpec) -> tuple[float, float]:
-    """(x p/k, p): factor j of the symbol is x p/k + j p."""
-    return _real("x p/k", spec.x * spec.params.p / spec.params.k), spec.params.p
+    """(x p/k, p): factor j of the symbol is x p/k + j p; x p/k is rounded once where x p is not normal."""
+    x, (p, k) = spec.x, spec.params
+    xp = x * p
+    return _real("x p/k", xp / k if _TINY <= abs(xp) < math.inf or not x else _carried((x, p), (k,))), p
 
 
 def _noted(out: float) -> float:
@@ -181,7 +183,7 @@ def poch_symmetric(spec: PochSpec) -> float:
             term = e[s] * _power(lz, n - s)
             total += term
             size += abs(term)
-        if math.isfinite(total) or not _TINY <= power < 1.0:
+        if math.isfinite(total) or not power < 1.0:
             break
     if not math.isfinite(total):
         return _noted(_symmetric_overflow(spec))

@@ -12,9 +12,17 @@ from pathlib import Path
 import pytest
 
 from pkspecial import AuditGrid, DomainError, run_suite, validate_report
-from pkspecial.audit import canonical_json, report_to_dict, write_report
+from pkspecial.audit import (
+    AuditReport,
+    AuditSummary,
+    IdentityRecord,
+    canonical_json,
+    relative_error,
+    report_to_dict,
+    summarize,
+    write_report,
+)
 from pkspecial.identities import CATALOG, catalog_for_suite
-from pkspecial.records import AuditSummary, IdentityRecord
 
 
 class TestEngine:
@@ -134,6 +142,17 @@ class TestReport:
         doc = report_to_dict(run_suite("gamma", AuditGrid.small()))
         text = json.dumps(doc, allow_nan=False)  # would raise on NaN/inf
         assert "NaN" not in text
+
+    def test_infinite_sides_are_written_as_the_largest_round_number(self):
+        # relative_error is inf where a side is not finite; a nan side would be written as null
+        err = relative_error(math.inf, -math.inf)
+        rec = IdentityRecord("2.2", {"p": 1.0, "k": 1.0, "x": 1.0}, math.inf, -math.inf, -math.inf, err, err, False, False)
+        report = AuditReport("gamma", AuditGrid.small(), [rec], {"2.2": summarize([rec])})
+        doc = json.loads(canonical_json(report))
+        written = doc["records"][0]
+        assert [written[name] for name in IdentityRecord._fields[2:7]] == [1e308, -1e308, -1e308, 1e308, 1e308]
+        assert doc["summary"]["identities"]["2.2"]["max_rel_err_corrected"] == 1e308
+        validate_report(doc)
 
     def test_report_diff_script(self, tmp_path):
         script = Path(__file__).parent.parent / "scripts" / "report_diff.py"

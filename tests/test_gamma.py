@@ -359,9 +359,21 @@ class TestFundamentalEquations:
                 rec = check_point("2.23", {"p": p, "k": k, "x": 1.1})
                 assert rec.rel_err_corrected <= 1e-13
 
-    def test_near_pole_points_skip(self):
-        rec = check_point("2.30", {"p": 1, "k": 0.5, "x": 2.5})
-        assert rec.skipped and rec.printed_pass is None
+    @pytest.mark.parametrize(
+        "ident, point, reason",
+        [
+            ("2.30", {"p": 1, "k": 0.5, "x": 2.5}, "x/k within margin of an integer"),
+            ("2.19", {"p": 1, "k": 1, "x": -1}, "pole: pole at index 1"),  # the PoleError the point raises
+            ("2.22", {"p": 1, "k": 1, "x": -2.0005, "n": 1}, "argument near pole lattice"),
+            ("2.23", {"p": 1, "k": 1, "x": -0.9995}, "argument near pole lattice"),
+            ("2.24", {"p": 1, "k": 1, "x": -3.0002, "n": 2}, "argument near pole lattice"),
+        ],
+        ids=("2.30", "2.19", "2.22", "2.23", "2.24"),
+    )
+    def test_near_pole_points_skip(self, ident, point, reason):
+        rec = check_point(ident, point)
+        assert rec.skipped and rec.skip_reason == reason
+        assert rec[2:9] == (None,) * 7 and rec.grid_point == point
 
     def test_unknown_id(self):
         with pytest.raises(DomainError):

@@ -276,6 +276,21 @@ class TestRangeRule:
             got = poch_symmetric(spec(x, n, p, 1.0))
         assert self._within(got, x, n, p, 1.0)
 
+    def test_symmetric_total_past_the_range_under_an_underflowed_power(self):
+        # p^150 = 1e-450 underflows to 0 and (1e4)_150 overflows; the value is 3.04e150
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = poch_symmetric(spec(1e4, 150, 1e-3, 1.0))
+        assert self._within(got, 1e4, 150, 1e-3, 1.0)
+
+    @pytest.mark.parametrize("x, p, k", [(1e-200, 1e-150, 1e-300), (1e200, 1e150, 1e300)])
+    def test_first_factor_rounded_once_where_x_p_leaves_the_range(self, x, p, k):
+        # x p = 1e-350 underflows and x p = 1e350 overflows, while x p/k is 1e-50 or 1e50
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = poch_direct(spec(x, 2, p, k))
+        assert self._within(got, x, 2, p, k)
+
     @pytest.mark.parametrize("x, n", [(-19.5, 25), (-20.0, 25), (-15.0, 20)])
     def test_symmetric_cancellation_raises_or_holds(self, x, n):
         # the alternating terms cancel far past the stand-in: the values are 9.01e18, 0 and 0

@@ -30,7 +30,7 @@ from pkspecial import (
     PochSpec,
     QuadratureSpec,
 )
-from pkspecial.records import summarize
+from pkspecial.audit import summarize
 
 PK = PkParams(1.5, 0.75)
 

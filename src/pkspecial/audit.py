@@ -34,11 +34,11 @@ __all__ = [
 
 
 def relative_error(lhs: float, rhs: float) -> float:
-    """|lhs - rhs| scaled by the larger magnitude; 0 when both vanish."""
+    """|lhs - rhs| scaled by the larger magnitude; 0 when both vanish, inf where a side is not finite."""
     if lhs == rhs:
         return 0.0
     scale = max(abs(lhs), abs(rhs))
-    if scale == 0.0 or not math.isfinite(scale):
+    if scale == 0.0 or not math.isfinite(scale) or lhs != lhs or rhs != rhs:  # max() drops a nan in second place
         return math.inf
     return abs(lhs - rhs) / scale
 

@@ -186,7 +186,8 @@ def psi_series(params: PkParams, x: float, form: str = "3.9") -> EvalReal:
     psi(N+1+w) - psi(N+2), both over k with w = x/k: core._digamma_step adds
     them.  abs_err is eps times the magnitudes summed, the partial sums
     included, plus what the psi series leaves out.  Requires
-    x/k < core._LATTICE_Z_MAX.
+    x/k < core._LATTICE_Z_MAX.  Past the double range the value is a signed
+    inf, with an OverflowNote.
     """
     _require_params(params)
     x = _positive_real("x", x)
@@ -211,6 +212,7 @@ def psi_series(params: PkParams, x: float, form: str = "3.9") -> EvalReal:
     v = head + scale * s + tail
     parts = 2.0 * abs(math.log(p)) / k + EULER_GAMMA / k + abs(head) + abs(scale) * (3.0 * s + partials)
     err = _EPS * (parts + 2.0 * abs(tail) + abs(v)) + _TAIL_GAP * (1.0 + abs(scale)) / k
+    _note_overflow(v, "psi_series({}) overflows double precision", x)
     return EvalReal(value=v, abs_err=err, method=Method.SERIES)
 
 

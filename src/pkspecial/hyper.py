@@ -18,6 +18,7 @@ from .core import (
     _EPS,
     _finite,
     _gamma_product,
+    _note_overflow,
     _pole_distance,
     _real,
     _require_params,
@@ -176,7 +177,8 @@ def hyper_series(hp: HyperParams, x: float) -> EvalReal:
     terminates the series exactly (polynomial case).  abs_err carries the
     tail and the rounding of the sum and of the n ratios behind term n:
     alternating terms far larger than the sum (1F1 at large negative
-    argument) cancel to few or no digits.
+    argument) cancel to few or no digits.  Terms of one sign past the double
+    range sum to a signed inf, with an OverflowNote.
     """
     _require_hp(hp)
     x = _real("x", x)
@@ -222,7 +224,8 @@ def hyper_series(hp: HyperParams, x: float) -> EvalReal:
                 tail = abs(term) * rho / (1.0 - rho) if rho < 1.0 else _SERIES_TOL * abs(total)
                 # each ratio rounds 3 (r + q) + 2 times, each by at most eps/2
                 err = abs(tail) + _SERIES_TOL * abs(total) + _EPS * (mass + (1.5 * (hp.r + hp.q) + 1.0) * drift)
-                return EvalReal(value=total, abs_err=err, method=Method.SERIES)
+                value = _note_overflow(total, "the hypergeometric series at x = {} overflows double precision", x)
+                return EvalReal(value=value, abs_err=err, method=Method.SERIES)
         else:
             quiet = 0
     raise MaxTermsExceeded(

@@ -9,13 +9,13 @@ routes are provided (direct product, elementary-symmetric expansion,
 classical reduction, block product, Gamma ratio) plus parameter derivatives
 and rescalings between step sizes.  One range rule: where a route's plain
 product, or its power p^n, is not a normal double, _carried multiplies the
-same factors again with every binary exponent kept apart, rounding once.
+same factors again with every binary exponent kept apart (_exponents, whose
+pass poch_ln reads), rounding once; an inf is noted by core._note_overflow.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from collections import namedtuple
 from itertools import chain, repeat
 
@@ -26,11 +26,11 @@ from .core import (
     _as_index,
     _from_log,
     _gamma_product,
+    _note_overflow,
     _positive_real,
     _real,
     _require_params,
     DomainError,
-    OverflowNote,
     PkParams,
     ln_gamma_classical,
 )
@@ -49,7 +49,7 @@ __all__ = [
 ]
 
 RESCALE_MODES = ("2.8", "2.9", "2.10")
-_QUIET = 1e300  # a value above it nears or leaves the double range, and is noted
+_OVERFLOW = "the Pochhammer symbol overflows double precision; use poch_ln"
 
 
 class PochSpec(_ValueType, namedtuple("PochSpec", "x n params")):
@@ -67,22 +67,11 @@ class PochSpec(_ValueType, namedtuple("PochSpec", "x n params")):
         return tuple.__new__(cls, (_real("x", x), m, _require_params(params)))
 
 
-def _base_step(spec: PochSpec) -> tuple[float, float]:
+def _base_step(spec: PochSpec, name: str = "x p/k") -> tuple[float, float]:
     """(x p/k, p): factor j of the symbol is x p/k + j p; x p/k is rounded once where x p is not normal."""
     x, (p, k) = spec.x, spec.params
     xp = x * p
-    return _real("x p/k", xp / k if _TINY <= abs(xp) < math.inf or not x else _carried((x, p), (k,))), p
-
-
-def _noted(out: float) -> float:
-    """Pass a route's value through, warning when it nears or leaves the double range."""
-    if not abs(out) <= _QUIET:
-        warnings.warn(
-            "Pochhammer product magnitude exceeds ~1e300; use poch_ln",
-            OverflowNote,
-            stacklevel=3,
-        )
-    return out
+    return _real(name, xp / k if _TINY <= abs(xp) < math.inf or not x else _carried((x, p), (k,))), p
 
 
 def _power(base: float, e: int) -> float:
@@ -93,14 +82,11 @@ def _power(base: float, e: int) -> float:
         return math.copysign(math.inf, base) if e % 2 else math.inf
 
 
-def _carried(factors, divisors=()) -> float:
-    """The product of factors over that of divisors, rounded into the double range once, at the end.
+def _exponents(factors, divisors=()) -> tuple[float, int]:
+    """(m, e), 0.5 <= |m| < 1, with m * 2**e the product of factors over that of divisors.
 
-    Each factor, divisor and partial product keeps its binary exponent apart
-    (math.frexp), so no partial product leaves the range: the result has the
-    plain loop's bits wherever that loop stays normal, is within its n eps
-    elsewhere, a signed inf only past the range, and a 0 signed as the loop's
-    at an exact zero factor (0.0 where another factor itself overflowed).
+    Each factor, divisor and partial product keeps its binary exponent apart (math.frexp), so none
+    leaves the range; m is a signed 0 at an exact zero factor, nan where another overflowed to inf.
     """
     m, e = 1.0, 0
     for f in factors:
@@ -111,6 +97,17 @@ def _carried(factors, divisors=()) -> float:
         d, de = math.frexp(d)
         m, me = math.frexp(m / d)
         e += me - de
+    return m, e
+
+
+def _carried(factors, divisors=()) -> float:
+    """The product of factors over that of divisors (_exponents), rounded into the double range once.
+
+    It has the plain loop's bits wherever that loop stays normal, is within its n eps elsewhere, is a
+    signed inf only past the range, and is a 0 signed as the loop's at an exact zero factor (0.0 where
+    another factor itself overflowed).
+    """
+    m, e = _exponents(factors, divisors)
     if m != m:  # an exact zero factor times one that overflowed to inf: the product is 0
         return 0.0
     try:
@@ -125,24 +122,18 @@ def poch_direct(spec: PochSpec) -> float:
     out = 1.0
     for j in range(spec.n):
         out *= base + j * step
-    if not _TINY <= abs(out) <= _QUIET:
-        out = _noted(_carried(map(base.__add__, map(step.__mul__, range(spec.n)))))
+    if not _TINY <= abs(out) < math.inf:
+        out = _note_overflow(_carried(map(base.__add__, map(step.__mul__, range(spec.n)))), _OVERFLOW)
     return out
 
 
 def poch_ln(spec: PochSpec) -> tuple[float, int]:
-    """(log|value|, sign) companion for large n*|x|; sign 0 at an exact zero."""
+    """(log|value|, sign): ln|m| + e ln 2 from the factors' _exponents (m, e); (-inf, 0) at an exact zero."""
     base, step = _base_step(spec)
-    ln = 0.0
-    sign = 1
-    for j in range(spec.n):
-        f = base + j * step
-        if f == 0.0:
-            return -math.inf, 0
-        if f < 0.0:
-            sign = -sign
-        ln += math.log(abs(f))
-    return ln, sign
+    m, e = _exponents(map(base.__add__, map(step.__mul__, range(spec.n))))
+    if not m or m != m:  # an exact zero factor, times another that overflowed where m is nan
+        return -math.inf, 0
+    return math.log(abs(m)) + e * math.log(2.0), 1 if m > 0.0 else -1
 
 
 def _elementary_table(values, s: int) -> list[float]:
@@ -171,7 +162,7 @@ def poch_symmetric(spec: PochSpec) -> float:
     n = spec.n
     if n >= 172:
         # e_(n-1) = (n-1)! overflows, so the total is never finite: skip the O(n^2) table
-        return _noted(_symmetric_overflow(spec))
+        return _note_overflow(_symmetric_overflow(spec), _OVERFLOW)
     p = spec.params.p
     z = _real("x/k", spec.x / spec.params.k)
     power = _power(p, n)
@@ -186,16 +177,16 @@ def poch_symmetric(spec: PochSpec) -> float:
         if math.isfinite(total) or not power < 1.0:
             break
     if not math.isfinite(total):
-        return _noted(_symmetric_overflow(spec))
+        return _note_overflow(_symmetric_overflow(spec), _OVERFLOW)
     # at z = a / 2^d every classical term and partial sum is a multiple of 2^(-d n): fewer than 2^53 of them round nowhere
     d = z.as_integer_ratio()[1].bit_length() - 1
     if n * _EPS * size > 1e-15 * (n + 1) * abs(total) and (lead != 1.0 or size >= math.ldexp(1.0, 53 - n * d)):
         raise DomainError(f"the symmetric expansion cancels at x/k = {z!r}, n = {n}; use poch_direct")
     if lead != 1.0:  # the terms carry p^n already
-        return _noted(total)
+        return total
     out = total * power
-    if not (_TINY <= abs(out) <= _QUIET and _TINY <= power):
-        out = _noted(_carried(chain((total,), repeat(p, n))))
+    if not (_TINY <= abs(out) < math.inf and _TINY <= power):
+        out = _note_overflow(_carried(chain((total,), repeat(p, n))), _OVERFLOW)
     return out
 
 
@@ -208,44 +199,39 @@ def _symmetric_overflow(spec: PochSpec) -> float:
     """
     value = _from_log(*poch_ln(spec))
     if math.isfinite(value):
-        raise DomainError(
-            f"symmetric expansion terms leave the double range at n={spec.n}; use poch_direct"
-        )
+        raise DomainError(f"symmetric expansion terms leave the double range at n={spec.n}; use poch_direct")
     return value
 
 
-def poch_reduce(spec: PochSpec) -> float:
-    """Classical reduction p^n (x/k)_n, the rising factorial computed directly."""
-    z = _real("x/k", spec.x / spec.params.k)
-    p, n = spec.params.p, spec.n
-    out = power = _power(p, n)
-    for j in range(n):
-        out *= z + j
-    if not (_TINY <= abs(out) <= _QUIET and _TINY <= power):
-        out = _noted(_carried(chain(repeat(p, n), map(z.__add__, range(n)))))
+def _blocks(z: float, p: float, n: int, q: int) -> float:
+    """(p q)^(nq) prod_{r<q} ((z + r)/q)_n, the n*q-factor symbol at z = x/k, by blocks."""
+    pq = p * q
+    out = power = _power(pq, n * q)
+    for r in range(q):
+        base = (z + r) / q
+        for j in range(n):
+            out *= base + j
+    if not (_TINY <= abs(out) < math.inf and _TINY <= power):
+        out = _carried(chain(repeat(pq, n * q), ((z + r) / q + j for r in range(q) for j in range(n))))
     return out
 
 
+def poch_reduce(spec: PochSpec) -> float:
+    """Classical reduction p^n (x/k)_n, the rising factorial computed directly: the block form at q = 1."""
+    z = _real("x/k", spec.x / spec.params.k)
+    return _note_overflow(_blocks(z, spec.params.p, spec.n, 1), _OVERFLOW)
+
+
 def poch_generalized(spec: PochSpec, q: int) -> float:
-    """Block form of the n*q-factor symbol: (p q)^(nq) prod_r ((x/k+r-1)/q)_n.
+    """Block form of the n*q-factor symbol: (p q)^(nq) prod_{r<q} ((x/k + r)/q)_n.
 
     ``spec.n`` is the per-block count; the total index n*q is implicit.
     """
     blocks = _as_index(q)
     if blocks is None or blocks < 1:
         raise DomainError(f"q must be a positive integer, got {q!r}")
-    q, n = blocks, spec.n
     z = _real("x/k", spec.x / spec.params.k)
-    pq = spec.params.p * q
-    out = power = _power(pq, n * q)
-    for r in range(1, q + 1):
-        base = (z + (r - 1)) / q  # z + r - 1 would round z + r first, dropping z's low bits at |z| << 1
-        for j in range(n):
-            out *= base + j
-    if not (_TINY <= abs(out) <= _QUIET and _TINY <= power):
-        bases = ((z + (r - 1)) / q for r in range(1, q + 1))
-        out = _noted(_carried(chain(repeat(pq, n * q), (b + j for b in bases for j in range(n)))))
-    return out
+    return _note_overflow(_blocks(z, spec.params.p, spec.n, blocks), _OVERFLOW)
 
 
 def poch_gamma_ratio(spec: PochSpec) -> float:
@@ -254,10 +240,10 @@ def poch_gamma_ratio(spec: PochSpec) -> float:
     Both x and x+nk must be off the pole lattice.  Past the double range
     the value is a signed inf, with an OverflowNote as from poch_direct.
     """
-    z = spec.x / spec.params.k
+    z = _real("x/k", spec.x / spec.params.k)
     # each log-gamma raises PoleError where its argument is on the pole lattice
     g = _gamma_product(spec.n * math.log(spec.params.p), (ln_gamma_classical(z + spec.n),), (ln_gamma_classical(z),))
-    return _noted(_from_log(g.ln_value, g.sign))
+    return _note_overflow(_from_log(g.ln_value, g.sign), _OVERFLOW)
 
 
 def poch_dp(spec: PochSpec) -> float:
@@ -299,15 +285,16 @@ def poch_rescale(spec: PochSpec, s_new: float, mode: str) -> float:
     if mode not in RESCALE_MODES:
         raise DomainError(f"mode must be one of {RESCALE_MODES}, got {mode!r}")
     n, (p, k) = spec.n, spec.params
-    x = spec.x if mode == "2.10" else k * spec.x / s_new
+    x = spec.x if mode == "2.10" else _real("k x/s_new", k * spec.x / s_new)
     if mode == "2.8":
         return poch_direct(PochSpec(x, n, PkParams(p, k)))
-    base, step = _base_step(PochSpec(x, n, PkParams(s_new, k)))
+    base, step = _base_step(PochSpec(x, n, PkParams(s_new, k)), "x s_new/k")
     ratio = p / s_new
     out = 1.0
     for j in range(n):
         out *= ratio * (base + j * step)
-    if not (_TINY <= abs(out) <= _QUIET and _TINY <= ratio):
+    if not (_TINY <= abs(out) < math.inf and _TINY <= ratio):
         # p and s_new enter apart, so p/s_new is never formed
-        out = _noted(_carried(chain(repeat(p, n), map(base.__add__, map(step.__mul__, range(n)))), repeat(s_new, n)))
+        factors = chain(repeat(p, n), map(base.__add__, map(step.__mul__, range(n))))
+        out = _note_overflow(_carried(factors, repeat(s_new, n)), _OVERFLOW)
     return out

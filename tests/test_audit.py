@@ -154,6 +154,14 @@ class TestReport:
         assert doc["summary"]["identities"]["2.2"]["max_rel_err_corrected"] == 1e308
         validate_report(doc)
 
+    def test_a_nan_side_is_an_infinite_error_in_either_order(self):
+        assert relative_error(1.0, math.nan) == relative_error(math.nan, 1.0) == math.inf
+        assert relative_error(math.nan, math.nan) == math.inf
+        rec = IdentityRecord("2.2", {"p": 1.0, "k": 1.0, "x": 1.0}, 1.0, 1.0, math.nan,
+                             0.0, relative_error(1.0, math.nan), True, False)
+        summary = summarize([rec])
+        assert summary.verdict == "fail" and summary.max_rel_err_corrected == math.inf
+
     def test_report_diff_script(self, tmp_path):
         script = Path(__file__).parent.parent / "scripts" / "report_diff.py"
         doc = report_to_dict(run_suite("beta", AuditGrid.small()))

@@ -317,6 +317,13 @@ class TestPsiSeries:
                 b = psi_series(PkParams(1.5, k), x, "3.10").value
                 assert a == pytest.approx(b, abs=1e-10)
 
+    def test_overflow_is_noted_as_by_psi(self):
+        # 1/x overflows at x = 1e-310, so form 3.9's head is -inf, as psi's value is
+        with pytest.warns(OverflowNote, match=r"^psi_series\(1e-310\) overflows"):
+            assert psi_series(PkParams(1, 1), 1e-310, "3.9").value == -math.inf
+        with pytest.warns(OverflowNote, match=r"^psi\(1e-310\) overflows"):
+            assert psi(PkParams(1, 1), 1e-310).value == -math.inf
+
 
 class TestLnGammaViaPsi:
     def test_at_one_reduces_to_constant(self):

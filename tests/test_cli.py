@@ -657,7 +657,8 @@ class TestStrictJson:
         doc = strict_json(out)
         assert code == 0 and doc["value"] is None and doc["abs_err"] is None
         assert doc["sign"] == 1 and doc["ln_value"] == pytest.approx(100 * math.log(1e300), rel=1e-12)
-        code, out, _ = run_cli(capsys, "eval", "psi", "--x", "1e-310", "--method", "3.9", "--format", "json")
+        with pytest.warns(OverflowNote):
+            code, out, _ = run_cli(capsys, "eval", "psi", "--x", "1e-310", "--method", "3.9", "--format", "json")
         doc = strict_json(out)
         assert code == 0 and doc["value"] is None and set(doc) == TestRouteTable.LINEAR_KEYS
 

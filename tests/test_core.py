@@ -1,7 +1,9 @@
 """Classical kernel: log-gamma with sign, digamma, polygamma, pole lattice."""
 
+import ast
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -386,3 +388,17 @@ class TestDomainTypes:
         lhs = ln_gamma_classical(z + 1.0).ln_value
         rhs = math.log(z) + ln_gamma_classical(z).ln_value
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+
+def test_core_is_the_one_warning_site():
+    # every OverflowNote goes through core._note_overflow: no other module imports warnings or calls warn
+    sites = set()
+    for path in (Path(__file__).parent.parent / "src" / "pkspecial").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import) and any(a.name == "warnings" for a in node.names):
+                sites.add(path.stem)
+            elif isinstance(node, ast.ImportFrom) and node.module == "warnings":
+                sites.add(path.stem)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "warn":
+                sites.add(path.stem)
+    assert sites == {"core"}

@@ -196,6 +196,14 @@ class TestDerivedQuantityReproducers:
         # the first factor x p/k is -inf, and -inf + 2 p is nan: poch_direct returned nan
         with pytest.raises(DomainError, match=r"^x p/k must be finite, got -inf$"):
             poch_direct(PochSpec(-1.7e308, 3, PkParams(1.7e308, 0.5)))
+        with pytest.raises(DomainError, match=r"^x/k must be finite, got inf$"):
+            poch_gamma_ratio(PochSpec(1e300, 2, PkParams(1.0, 1e-10)))
+        # the rescalings name the quotient they form, not the caller's finite x or x p/k
+        with pytest.raises(DomainError, match=r"^x s_new/k must be finite, got inf$"):
+            poch_rescale(PochSpec(3.17e135, 3, PkParams(3.56e-120, 636.9)), 1e200, "2.10")
+        for mode in ("2.8", "2.9"):
+            with pytest.raises(DomainError, match=r"^k x/s_new must be finite, got inf$"):
+                poch_rescale(PochSpec(1e300, 2, PkParams(1.0, 1e10)), 1e-10, mode)
 
     def test_error_estimate_at_the_top_of_the_range(self):
         # a level difference of 2^512 extrapolates to 10^log10(max double), which

@@ -17,6 +17,7 @@ from pkspecial import (
     LowerPoleError,
     MaxTermsExceeded,
     NoConvergence,
+    OverflowNote,
     PkParams,
     UnsupportedShape,
     classify,
@@ -117,8 +118,16 @@ class TestSeries:
 
     def test_one_signed_overflow_is_inf(self):
         # 1F1(1; 2; x) = (e^x - 1)/x overflows at x = 800 with its terms
-        got = hyper_series(hp(((1, 1, 1),), ((2, 1, 1),)), 800.0)
+        with pytest.warns(OverflowNote, match="series at x = 800.0 overflows"):
+            got = hyper_series(hp(((1, 1, 1),), ((2, 1, 1),)), 800.0)
         assert got.value == math.inf
+
+    def test_overflow_is_noted_on_every_series_route(self):
+        # 0F0 = e^x, and the binomial series sums (1 - 0.9)^-1000 = 1e1000
+        with pytest.warns(OverflowNote, match="series at x = 1000.0 overflows"):
+            assert hyper_series(HyperParams((), ()), 1000.0).value == math.inf
+        with pytest.warns(OverflowNote, match="series at x = 0.9 overflows"):
+            assert pk_binomial(1e3, PkParams(1, 1), 0.9).value == math.inf
 
     def test_lower_pole_at_construction(self):
         with pytest.raises(LowerPoleError):

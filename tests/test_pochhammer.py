@@ -32,6 +32,8 @@ from pkspecial.pochhammer import _elementary_table, _power
 
 from conftest import GRID_KS, GRID_PS, GRID_XS
 
+EPS = 2.220446049250313e-16
+
 
 def spec(x, n, p, k):
     return PochSpec(x, n, PkParams(p, k))
@@ -92,6 +94,25 @@ class TestDirect:
     def test_ln_zero_factor(self):
         ln, sign = poch_ln(spec(-2.0, 4, 1, 1))
         assert ln == -math.inf and sign == 0
+        # factors -1e308, 0, 1e308 and 2e308, where 3 p overflows to inf: still an exact zero
+        assert poch_ln(spec(-1.0, 4, 1e308, 1.0)) == (-math.inf, 0)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_ln_against_the_exact_product(self, seed):
+        # n factor roundings, x p/k's and the log's own: within 10 ((n + 2) eps + eps |ln|)
+        rng = random.Random(seed)
+        for _ in range(100):
+            p, k = math.exp(rng.uniform(-2.0, 2.0)), math.exp(rng.uniform(-2.0, 2.0))
+            x, n = rng.choice((-1.0, 1.0)) * math.exp(rng.uniform(math.log(1e-3), math.log(300.0))), rng.randint(0, 300)
+            num, den = oracles.poch_exact_ratio(Fraction(x), n, Fraction(p), Fraction(k))
+            ln, sign = poch_ln(spec(x, n, p, k))
+            if num == 0:
+                assert (ln, sign) == (-math.inf, 0)
+                continue
+            with mp.workdps(60):
+                want = float(mp.log(abs(num)) - mp.log(den))
+            assert sign == (1 if num > 0 else -1), (x, n, p, k)
+            assert abs(ln - want) <= 10.0 * ((n + 2) * EPS + EPS * abs(want)), (x, n, p, k)
 
 
 class TestElementarySymmetric:
@@ -301,6 +322,28 @@ class TestRangeRule:
         else:
             assert self._within(got, x, n, 1.0, 1.0)
 
+    def test_finite_values_above_1e300_carry_no_note(self):
+        # (1e6)_50 = 1.0012e300: only an inf is noted, on every route
+        s = spec(1e6, 50, 1.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [poch_direct(s), poch_reduce(s), poch_generalized(spec(1e6, 25, 1.0, 1.0), 2),
+                   poch_symmetric(s), poch_rescale(s, 1.0, "2.10")]
+            ratio = poch_gamma_ratio(s)
+        want = float(oracles.poch_exact(Fraction(1e6), 50, Fraction(1), Fraction(1)))
+        assert f"{want:.4e}" == "1.0012e+300"
+        assert got == pytest.approx([want] * 5, rel=1e-14)
+        assert ratio == pytest.approx(want, rel=1e-8)  # the difference of two log-gammas near 1.3e7 keeps fewer digits
+
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_negative_zero_argument(self, q):
+        # the first factor -0.0 + 0 is +0.0, so the product is +0.0, and 1.0 for no factors
+        for p in (0.5, 2.0):
+            assert poch_generalized(spec(-0.0, 0, p, 1.0), q).hex() == "0x1.0000000000000p+0"
+            for n in (1, 3):
+                assert poch_generalized(spec(-0.0, n, p, 1.0), q).hex() == "0x0.0p+0"
+                assert poch_reduce(spec(-0.0, n, p, 3.0)).hex() == "0x0.0p+0"
+
     def test_symmetric_exact_sum_at_negative_x_is_kept(self):
         # at x/k = -1.5 and -2 every term and partial sum is exact: no cancellation error
         assert poch_symmetric(spec(-0.75, 6, 2.0, 0.5)) == poch_direct(spec(-0.75, 6, 2.0, 0.5))
@@ -309,8 +352,14 @@ class TestRangeRule:
 
 class TestGeneralized:
     def test_degenerate_block(self):
-        s = spec(3, 2, 2, 2)
-        assert poch_generalized(s, 1) == pytest.approx(poch_reduce(s), rel=1e-14)
+        # one block is the classical reduction, bit for bit
+        rng = random.Random(5)
+        for _ in range(200):
+            p, k = math.exp(rng.uniform(-6.0, 6.0)), math.exp(rng.uniform(-6.0, 6.0))
+            x, n = rng.choice((-1.0, 1.0)) * math.exp(rng.uniform(-8.0, 6.0)), rng.randint(0, 60)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", OverflowNote)
+                assert poch_generalized(spec(x, n, p, k), 1).hex() == poch_reduce(spec(x, n, p, k)).hex()
 
     def test_hand_points(self):
         assert poch_generalized(spec(1, 1, 1, 1), 2) == pytest.approx(2.0, rel=1e-14)

@@ -193,14 +193,15 @@ def report_to_dict(report: AuditReport) -> dict:
             }
             for r in report.records
         ],
-        "summary": {
-            "identities": {
-                key: {name: _clean_float(v) if type(v) is float else v for name, v in s._asdict().items()}
-                for key, s in report.summaries.items()
-            },
-            "all_corrected_pass": report.all_corrected_pass,
-        },
+        "summary": summary_to_dict(report),
     }
+
+
+def summary_to_dict(report: AuditReport) -> dict:
+    """The report's "summary" member alone, without writing its records."""
+    identities = {key: {name: _clean_float(v) if type(v) is float else v for name, v in s._asdict().items()}
+                  for key, s in report.summaries.items()}
+    return {"identities": identities, "all_corrected_pass": report.all_corrected_pass}
 
 
 def canonical_json(report: AuditReport) -> str:

@@ -227,8 +227,6 @@ def ln_gamma_via_psi(params: PkParams, x: float) -> EvalReal:
     p, k = params.p, params.k
     ln_at_one = math.log(p) / k - math.log(k) + ln_gamma_classical(1.0 / k).ln_value
     span = x - 1.0
-    if span == 0.0:
-        return EvalReal(value=ln_at_one, abs_err=1e-14, method=Method.INTEGRAL)
     lnp_k = math.log(p) / k
 
     def integrand(u):

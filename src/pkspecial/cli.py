@@ -188,28 +188,22 @@ def _route(args) -> str:
     return key
 
 
-def _value_err(args, result) -> tuple[float, float | None]:
-    """A route result as (value, abs_err); abs_err is None for a Gamma past the double range."""
+def _fields(args, key: str, params: PkParams, x: float, result, logs: bool) -> tuple[float, float, dict]:
+    """A route result as a row's value and abs_err, inf past the double range, and its further fields: with logs,
+    a Gamma or Pochhammer result's ln_value and sign, else none."""
     if isinstance(result, GammaEval):
         value = _from_log(result.ln_value, result.sign)
-        if not math.isfinite(value):
-            return result.value, None  # .value notes the overflow
-        return value, _linear_err(result, value)
+        return (result.value if math.isinf(value) else value,  # .value notes the overflow
+                _linear_err(result, value), {"ln_value": result.ln_value, "sign": result.sign} if logs else {})
     if isinstance(result, EvalReal):
-        return result.value, result.abs_err
-    # the Pochhammer routes return a bare float with no error estimate
-    return result, abs(result) * 1e-15 * (args.n + 1)
-
-
-def _log_doc(args, key: str, params: PkParams, x: float, result) -> dict:
-    """ln_value and sign of a Gamma or Pochhammer result (for the latter from poch_ln), else nothing."""
-    if isinstance(result, GammaEval):
-        return {"ln_value": result.ln_value, "sign": result.sign}
-    if args.function != "poch":
-        return {}
+        return result.value, result.abs_err, {}
+    # the Pochhammer routes return a bare float with no error estimate; generalized multiplies n q factors
     count = args.n * args.q if key == "generalized" else args.n
+    abs_err = abs(result) * 1e-15 * (count + 1)
+    if not logs:
+        return result, abs_err, {}
     ln, sign = pochhammer.poch_ln(pochhammer.PochSpec(x, count, params))
-    return {"ln_value": ln, "sign": sign}
+    return result, abs_err, {"ln_value": ln, "sign": sign}
 
 
 def _finite(doc: dict) -> dict:
@@ -230,21 +224,22 @@ def _cmd_eval(args) -> int:
         else:
             print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    value, abs_err = _value_err(args, result)
-    method = result.method.value if isinstance(result, (GammaEval, EvalReal)) else key
-    doc = {"value": value, "abs_err": abs_err, "method": method, **_log_doc(args, key, params, x, result)}
-    inputs = {"function": args.function, "p": args.p, "k": args.k, "x": x}
-    for extra, v in (("y", y), ("n", args.n), ("r", args.r)):
-        if v is not None:
-            inputs[extra] = v
+    value, abs_err, logs = _fields(args, key, params, x, result, logs=True)
+    method = result.method.value if hasattr(result, "method") else key  # a Pochhammer float: its route key
+    inputs = {"function": args.function, "p": args.p, "k": args.k, "x": x, "y": y, "n": args.n, "r": args.r,
+              "q": args.q if key == "generalized" else None}
+    if args.function == "hyper":
+        inputs.update(a=_parse_triples(args.a, "--a"), b=_parse_triples(args.b, "--b"))
+    inputs = {name: v for name, v in inputs.items() if v is not None}
     if args.format == "json":
-        print(json.dumps(_finite({**doc, "inputs": inputs}), sort_keys=True, allow_nan=False))
+        doc = {"value": value, "abs_err": abs_err, **logs, "method": method, "inputs": inputs}
+        print(json.dumps(_finite(doc), sort_keys=True, allow_nan=False))
     else:
-        if math.isinf(value) and "ln_value" in doc:  # past the double range: the log and the sign
-            print(f"value   = overflow; ln|value| = {doc['ln_value']:.17g}, sign {doc['sign']:+d}")
+        if math.isinf(value) and logs:  # past the double range: the log and the sign
+            print(f"value   = overflow; ln|value| = {logs['ln_value']:.17g}, sign {logs['sign']:+d}")
         else:
             print(f"value   = {value:.17g}")
-        if abs_err is not None and math.isfinite(abs_err):
+        if math.isfinite(abs_err):
             print(f"abs_err = {abs_err:.3g}")
         print(f"method  = {method}")
     return EXIT_OK
@@ -284,7 +279,7 @@ def _cmd_audit(args) -> int:
             print(f"error: cannot write report: {exc}", file=sys.stderr)
             return EXIT_IO
     if args.format == "json":
-        print(json.dumps(audit.report_to_dict(report)["summary"], sort_keys=True, indent=2))
+        print(json.dumps(audit.summary_to_dict(report), sort_keys=True, indent=2))
     else:
         print(audit.format_summary(report))
     return EXIT_OK if report.all_corrected_pass else EXIT_DOMAIN
@@ -324,7 +319,7 @@ def _cmd_table(args) -> int:
         return EXIT_DOMAIN
     route = ROUTES[args.function][key]
     csv = args.format == "csv"
-    rows = ["x,value,abs_err\n"] if csv else []
+    rows = [f"{sweep_var},value,abs_err\n"] if csv else []
     v = values[0]
     y_sweep = sweep_var == "y"
     try:
@@ -334,13 +329,11 @@ def _cmd_table(args) -> int:
             if y_sweep:
                 args.y = v  # the beta adapter reads args.y
             at = x if y_sweep else v
-            result = route(args, params, at)
-            value, err = _value_err(args, result)
+            value, err, logs = _fields(args, key, params, at, route(args, params, at), not csv)
             if csv:
-                err = err or 0.0  # a Gamma past the double range: signed inf, abs_err 0
                 rows.append("%.17g,%.17g,%.17g\n" % (v, value, err))
             else:
-                rows.append({"x": v, "value": value, "abs_err": err, **_log_doc(args, key, params, at, result)})
+                rows.append({sweep_var: v, "value": value, "abs_err": err, **logs})
     except _DOMAIN_ERRORS as exc:
         print(f"error at {sweep_var}={v}: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

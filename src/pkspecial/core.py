@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 import warnings
 from collections import namedtuple
 
@@ -57,6 +58,7 @@ _LN_OVERFLOW = 709.782712893384
 
 _EPS = 2.220446049250313e-16
 _TINY = 2.2250738585072014e-308  # the smallest normal double
+_ROUTE_MODULES = {f"{__package__}.{m}" for m in ("core", "quadrature", "pochhammer", "gamma", "betapsi", "hyper")}
 
 
 def _from_log(ln: float, sign: int = 1) -> float:
@@ -67,9 +69,12 @@ def _from_log(ln: float, sign: int = 1) -> float:
 
 
 def _note_overflow(value: float, message: str, *args) -> float:
-    """value itself; where it is an inf, also an OverflowNote, message.format(*args), at the route's caller."""
+    """value itself; if inf, also an OverflowNote, message.format(*args), at the nearest caller outside _ROUTE_MODULES."""
     if math.isinf(value):
-        warnings.warn(message.format(*args), OverflowNote, stacklevel=3)
+        frame, level = sys._getframe(1), 2
+        while frame.f_globals.get("__name__") in _ROUTE_MODULES:
+            frame, level = frame.f_back, level + 1
+        warnings.warn(message.format(*args), OverflowNote, stacklevel=level)
     return value
 
 

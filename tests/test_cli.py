@@ -261,8 +261,11 @@ class TestTable:
             capsys, "table", "beta", "--k", "2", "--x", "2", "--y", "2:2:1"
         )
         assert code == 0
-        rows = out.strip().splitlines()[1:]
+        header, *rows = out.strip().splitlines()
+        assert header == "y,value,abs_err"  # the swept flag names the column
         assert float(rows[0].split(",")[1]) == pytest.approx(0.5, rel=1e-12)
+        code, out, _ = run_cli(capsys, "table", "beta", "--k", "2", "--x", "2", "--y", "0.5:1:0.5", "--format", "json")
+        assert code == 0 and [r["y"] for r in json.loads(out)] == [0.5, 1.0]
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(
@@ -320,9 +323,9 @@ class TestTable:
     def test_every_row_matches_eval(self, capsys):
         """CSV and JSON rows equal eval at the row's point, bit for bit.
 
-        A JSON row holds what eval's JSON does but the method and the inputs.
-        A Gamma value past the double range is null there, with its ln_value
-        and sign, and a signed inf with abs_err 0 in CSV.
+        A JSON row holds what eval's JSON does but the method and the inputs,
+        keyed by the swept flag. A Gamma value past the double range is null
+        there, with its ln_value and sign, and a signed inf claiming inf in CSV.
         """
         for head, var, sweep in self.SWEEPS:
             # only the Gamma rows past x = 171 leave the double range, and they say so
@@ -335,18 +338,18 @@ class TestTable:
                 expected = []
                 for row in rows:
                     code, out, err = run_cli(
-                        capsys, "eval", *head, f"--{var}={row['x']!r}", "--format", "json"
+                        capsys, "eval", *head, f"--{var}={row[var]!r}", "--format", "json"
                     )
                     assert code == 0, (head, row, err)
                     doc = json.loads(out)
                     del doc["method"], doc["inputs"]
-                    expected.append({"x": row["x"], **doc})
+                    expected.append({var: row[var], **doc})
                 assert rows == expected, head
                 code, out, err = run_cli(capsys, "table", *head, f"--{var}={sweep}")
                 assert code == 0, (head, err)
-                lines = [f"{r['x']:.17g},{r['value'] if r['value'] is not None else math.inf * r['sign']:.17g},"
-                         f"{r['abs_err'] or 0.0:.17g}\n" for r in expected]
-                assert out == "".join(["x,value,abs_err\n", *lines]), head
+                lines = [f"{r[var]:.17g},{r['value'] if r['value'] is not None else math.inf * r['sign']:.17g},"
+                         f"{r['abs_err'] if r['abs_err'] is not None else math.inf:.17g}\n" for r in expected]
+                assert out == "".join([f"{var},value,abs_err\n", *lines]), head
 
 
 class TestImportGraph:
@@ -668,19 +671,53 @@ class TestStrictJson:
         rows = strict_json(out)
         assert code == 0 and [(r["value"], r["abs_err"], r["sign"]) for r in rows] == [(None, None, 1)] * 2
         assert rows[0]["ln_value"] == pytest.approx(math.lgamma(400.0), rel=1e-14)
-        # CSV keeps its signed inf and abs_err 0
+        # CSV keeps its signed inf, which claims inf
         with pytest.warns(OverflowNote):
             code, out, _ = run_cli(capsys, "table", "gamma", "--x", "400:401:1")
-        assert out.splitlines()[1:] == ["400,inf,0", "401,inf,0"]
+        assert out.splitlines()[1:] == ["400,inf,inf", "401,inf,inf"]
 
     def test_poch_results_carry_ln_value_and_sign(self, capsys):
-        # from poch_ln over the n factors, n q of them for the generalized route
+        # from poch_ln over the n factors, n q of them for the generalized route, and so is the claim
         for argv, count in ((("--n", "3"), 3), (("--n", "3", "--method", "generalized", "--q", "2"), 6)):
             code, out, _ = run_cli(capsys, "eval", "poch", "--x=-2.5", *argv, "--format", "json")
             doc = strict_json(out)
             want = math.prod(-2.5 + j for j in range(count))
             assert code == 0 and doc["sign"] == (1 if want > 0 else -1), argv
             assert doc["ln_value"] == pytest.approx(math.log(abs(want)), rel=1e-14), argv
+            assert doc["abs_err"] == abs(doc["value"]) * 1e-15 * (count + 1), argv
+            assert doc["inputs"].get("q") == (2 if count == 6 else None), argv
+
+    def test_hyper_inputs_echo_the_triples(self, capsys):
+        code, out, _ = run_cli(capsys, "eval", "hyper", "--a", "1,1,1", "--b", "2,1,1", "--x", "0.5", "--format", "json")
+        inputs = strict_json(out)["inputs"]
+        assert code == 0 and (inputs["a"], inputs["b"]) == ([[1.0, 1.0, 1.0]], [[2.0, 1.0, 1.0]])
+
+    # one point per function whose value leaves the double range
+    OVERFLOWS = (
+        ("gamma", "--x", "400"),
+        ("beta", "--k", "1e-310", "--y", "1e-310", "--x", "1e-310"),
+        ("psi", "--method", "3.9", "--x", "1e-310"),
+        ("poch", "--n", "100", "--x", "1e300"),
+    )
+
+    @pytest.mark.parametrize("head", OVERFLOWS, ids=[h[0] for h in OVERFLOWS])
+    def test_a_value_past_the_range_never_prints_a_finite_claim(self, capsys, head):
+        *flags, x = head
+        with pytest.warns(OverflowNote):
+            code, out, _ = run_cli(capsys, "eval", *head)
+        assert code == 0 and not any(line.startswith("abs_err") for line in out.splitlines()), out
+        with pytest.warns(OverflowNote):
+            code, out, _ = run_cli(capsys, "eval", *head, "--format", "json")
+        doc = strict_json(out)
+        assert code == 0 and (doc["value"], doc["abs_err"]) == (None, None)
+        with pytest.warns(OverflowNote):
+            code, out, _ = run_cli(capsys, "table", *flags, f"{x}:{x}:1")
+        (row,) = out.splitlines()[1:]
+        assert code == 0 and [math.isinf(float(f)) for f in row.split(",")[1:]] == [True, True], row
+        with pytest.warns(OverflowNote):
+            code, out, _ = run_cli(capsys, "table", *flags, f"{x}:{x}:1", "--format", "json")
+        (row,) = strict_json(out)
+        assert code == 0 and (row["value"], row["abs_err"]) == (None, None)
 
 
 class TestUnboundedClaim:

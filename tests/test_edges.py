@@ -171,6 +171,18 @@ class TestDerivedQuantityReproducers:
             k_zeta(1.0, 3, 1e-310)
         assert caught[0].filename == __file__
 
+    @pytest.mark.parametrize("call", [
+        lambda: poch_dp(PochSpec(100.0, 200, PkParams(3.0, 0.5))),
+        lambda: poch_dk(PochSpec(100.0, 200, PkParams(3.0, 0.5))),
+        lambda: poch_rescale(PochSpec(100.0, 200, PkParams(3.0, 0.5)), 1.0, "2.8"),
+        lambda: pk_binomial(1e3, PkParams(1, 1), 0.9),
+    ], ids=["poch_dp", "poch_dk", "poch_rescale", "pk_binomial"])
+    def test_route_through_a_route_notes_at_the_callers_line(self, call):
+        # each reaches its note through another route (poch_direct, hyper_series)
+        with pytest.warns(OverflowNote) as caught:
+            call()
+        assert [w.filename for w in caught] == [__file__]
+
     @pytest.mark.parametrize("n", [4, 5, 9])
     def test_rescale_where_p_over_s_underflows(self, n):
         # p/s_new underflows to 0 and the symbol overflows: the product is 0 * inf; in logs it is
